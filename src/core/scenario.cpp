@@ -3,16 +3,9 @@
 #include <algorithm>
 #include <iostream>
 
-#include <memory>
-
 #include "analysis/country.h"
-#include "analysis/dns_resolution.h"
 #include "datasets/datacenters.h"
 #include "routing/demand.h"
-#include "routing/traffic_observer.h"
-#include "services/availability.h"
-#include "sim/campaign.h"
-#include "sim/monte_carlo.h"
 #include "sim/pipeline.h"
 
 namespace solarnet::core {
@@ -41,7 +34,85 @@ services::ServiceSpec datacenter_service(datasets::DataCenterOperator op,
       std::max<std::size_t>(1, std::min(write_quorum, sites.size())));
 }
 
+sim::TrialConfig trial_config(const ScenarioOptions& options) {
+  sim::TrialConfig config;
+  config.repeater_spacing_km = options.repeater_spacing_km;
+  config.threads = options.threads;
+  config.engine = options.engine;
+  return config;
+}
+
+// Progress notes go to stderr so the report on stdout stays byte-identical
+// to a non-checkpointed run.
+void print_campaign_notes(const sim::CampaignReport& campaign) {
+  std::cerr << "campaign: " << campaign.chunks_executed << "/"
+            << campaign.chunks << " chunks executed";
+  if (campaign.resumed) {
+    std::cerr << " (resumed " << campaign.chunks_resumed
+              << " from checkpoint)";
+  }
+  std::cerr << "\n";
+  if (!campaign.resume_status.is_ok()) {
+    std::cerr << "campaign: checkpoint rejected, restarted fresh: "
+              << campaign.resume_status.to_string() << "\n";
+  }
+  if (!campaign.checkpoint_status.is_ok()) {
+    std::cerr << "campaign: checkpoint write failed: "
+              << campaign.checkpoint_status.to_string() << "\n";
+  }
+}
+
 }  // namespace
+
+ReportBundle::ReportBundle(
+    const topo::InfrastructureNetwork& net,
+    const std::vector<datasets::DnsRootInstance>& dns_roots,
+    const gic::RepeaterFailureModel& model, const ScenarioOptions& options)
+    : simulator(net, trial_config(options)),
+      pipeline(simulator, model),
+      google(net, datacenter_service(datasets::DataCenterOperator::kGoogle,
+                                     options.service_write_quorum)),
+      facebook(net,
+               datacenter_service(datasets::DataCenterOperator::kFacebook,
+                                  options.service_write_quorum)),
+      dns(net, dns_roots, options.dns_cable_loss_threshold_pct),
+      isolation(net, options.countries) {
+  if (options.traffic) {
+    traffic_engine.emplace(
+        net, options.traffic_demand_pairs == 0
+                 ? routing::gravity_demands(net)
+                 : routing::sampled_node_demands(
+                       net, options.traffic_demand_pairs, 400.0, kDemandSeed));
+    traffic_observer.emplace(*traffic_engine);
+  }
+  if (!options.checkpoint_path.empty()) {
+    campaign_.emplace(pipeline);
+    campaign_options_.threads = options.threads;
+    campaign_options_.checkpoint_path = options.checkpoint_path;
+    campaign_options_.checkpoint_every_chunks = options.checkpoint_every_chunks;
+  }
+  std::vector<sim::CheckpointableObserver*> observers = {
+      &connectivity, &google, &facebook, &dns, &isolation};
+  if (traffic_observer) observers.push_back(&*traffic_observer);
+  for (sim::CheckpointableObserver* o : observers) {
+    if (campaign_) {
+      campaign_->add_observer(*o);
+    } else {
+      pipeline.add_observer(*o);
+    }
+  }
+}
+
+std::optional<sim::CampaignReport> ReportBundle::run(std::size_t trials,
+                                                     std::uint64_t seed) {
+  if (!campaign_) {
+    pipeline.run(trials, seed);
+    return std::nullopt;
+  }
+  campaign_options_.trials = trials;
+  campaign_options_.seed = seed;
+  return campaign_->run(campaign_options_);
+}
 
 analysis::ResilienceReport ScenarioRunner::run(
     const gic::RepeaterFailureModel& model,
@@ -58,102 +129,25 @@ analysis::ResilienceReport ScenarioRunner::run(
         world_.itu(), options.repeater_spacing_km));
   }
 
-  sim::TrialConfig trial_config;
-  trial_config.repeater_spacing_km = options.repeater_spacing_km;
-  trial_config.threads = options.threads;
-  trial_config.engine = options.engine;
-
   // Submarine network: one pipeline pass carries every Monte-Carlo metric —
   // connectivity, DC service availability, DNS resolution, country
-  // isolation — over the *same* trial draws, instead of the former
-  // N sequential analysis loops with uncorrelated RNGs.
+  // isolation, optional traffic — over the *same* trial draws.
   {
-    const sim::FailureSimulator simulator(world_.submarine(), trial_config);
-    sim::TrialPipeline pipeline(simulator, model);
-
-    sim::ConnectivityObserver connectivity;
-    services::AvailabilityObserver google(
-        world_.submarine(),
-        datacenter_service(datasets::DataCenterOperator::kGoogle,
-                           options.service_write_quorum));
-    services::AvailabilityObserver facebook(
-        world_.submarine(),
-        datacenter_service(datasets::DataCenterOperator::kFacebook,
-                           options.service_write_quorum));
-    analysis::DnsResolutionObserver dns_resolution(
-        world_.submarine(), world_.dns_roots(),
-        options.dns_cable_loss_threshold_pct);
-    analysis::CountryIsolationObserver isolation(world_.submarine(),
-                                                 options.countries);
-    std::vector<sim::CheckpointableObserver*> observers = {
-        &connectivity, &google, &facebook, &dns_resolution, &isolation};
-
-    // Optional traffic-routing observer: shares the same draws and the
-    // same per-trial component decomposition as every metric above.
-    std::unique_ptr<routing::TrafficEngine> traffic_engine;
-    std::unique_ptr<routing::TrafficObserver> traffic_observer;
-    if (options.traffic) {
-      std::vector<routing::TrafficDemand> demands =
-          options.traffic_demand_pairs == 0
-              ? routing::gravity_demands(world_.submarine())
-              : routing::sampled_node_demands(world_.submarine(),
-                                              options.traffic_demand_pairs,
-                                              400.0, options.seed);
-      traffic_engine = std::make_unique<routing::TrafficEngine>(
-          world_.submarine(), std::move(demands));
-      traffic_observer =
-          std::make_unique<routing::TrafficObserver>(*traffic_engine);
-      observers.push_back(traffic_observer.get());
+    ReportBundle bundle(world_.submarine(), world_.dns_roots(), model,
+                        options);
+    if (const auto campaign = bundle.run(options.trials, options.seed)) {
+      print_campaign_notes(*campaign);
     }
-
-    if (options.checkpoint_path.empty()) {
-      for (sim::CheckpointableObserver* o : observers) {
-        pipeline.add_observer(*o);
-      }
-      pipeline.run(options.trials, options.seed);
-    } else {
-      // Crash-safe path: same observers, same draws, bit-identical results
-      // — plus a checkpoint file a killed run resumes from.
-      sim::CampaignRunner campaign(pipeline);
-      for (sim::CheckpointableObserver* o : observers) {
-        campaign.add_observer(*o);
-      }
-      sim::CampaignOptions copt;
-      copt.trials = options.trials;
-      copt.seed = options.seed;
-      copt.threads = options.threads;
-      copt.checkpoint_path = options.checkpoint_path;
-      copt.checkpoint_every_chunks = options.checkpoint_every_chunks;
-      const sim::CampaignReport campaign_report = campaign.run(copt);
-      // Progress notes on stderr so the report on stdout stays
-      // byte-identical to a non-checkpointed run.
-      std::cerr << "campaign: " << campaign_report.chunks_executed << "/"
-                << campaign_report.chunks << " chunks executed";
-      if (campaign_report.resumed) {
-        std::cerr << " (resumed " << campaign_report.chunks_resumed
-                  << " from checkpoint)";
-      }
-      std::cerr << "\n";
-      if (!campaign_report.resume_status.is_ok()) {
-        std::cerr << "campaign: checkpoint rejected, restarted fresh: "
-                  << campaign_report.resume_status.to_string() << "\n";
-      }
-      if (!campaign_report.checkpoint_status.is_ok()) {
-        std::cerr << "campaign: checkpoint write failed: "
-                  << campaign_report.checkpoint_status.to_string() << "\n";
-      }
-    }
-
     report.failure_results.push_back(
-        to_band_result(connectivity.result(), model.name(),
+        to_band_result(bundle.connectivity.result(), model.name(),
                        options.repeater_spacing_km, " [submarine]"));
-    report.service_availability.push_back(google.result());
-    report.service_availability.push_back(facebook.result());
-    report.dns_resolution = dns_resolution.result();
+    report.service_availability = {bundle.google.result(),
+                                   bundle.facebook.result()};
+    report.dns_resolution = bundle.dns.result();
     report.has_dns_resolution = true;
-    report.country_isolation = isolation.results();
-    if (traffic_observer) {
-      report.traffic.push_back(traffic_observer->result());
+    report.country_isolation = bundle.isolation.results();
+    if (const routing::TrafficSweep* traffic = bundle.traffic()) {
+      report.traffic.push_back(*traffic);
     }
 
     // Analytic country connectivity (exact products, no Monte-Carlo noise)
@@ -161,7 +155,7 @@ analysis::ResilienceReport ScenarioRunner::run(
     // to these probabilities.
     for (const std::string& country : options.countries) {
       report.countries.push_back(analysis::country_connectivity(
-          world_.submarine(), simulator, model, country));
+          world_.submarine(), bundle.simulator, model, country));
     }
   }
 
@@ -169,7 +163,7 @@ analysis::ResilienceReport ScenarioRunner::run(
   // historical per-network seed offsets.
   const auto connectivity_pass = [&](const topo::InfrastructureNetwork& net,
                                      std::uint64_t seed, const char* tag) {
-    const sim::FailureSimulator simulator(net, trial_config);
+    const sim::FailureSimulator simulator(net, trial_config(options));
     sim::TrialPipeline pipeline(simulator, model);
     sim::ConnectivityObserver connectivity;
     pipeline.add_observer(connectivity);

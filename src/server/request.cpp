@@ -93,6 +93,19 @@ struct Cursor {
     pos = static_cast<std::size_t>(ptr - text.data());
     return value;
   }
+
+  // A JSON boolean, or the numbers 0 and 1.
+  bool flag_token(std::string_view field) {
+    skip_ws();
+    const bool is_true = text.substr(pos, 4) == "true";
+    if (is_true || text.substr(pos, 5) == "false") {
+      pos += is_true ? 4 : 5;
+      return is_true;
+    }
+    const double v = number_token(field);
+    if (v != 0.0 && v != 1.0) value_fail("must be true, false, 0 or 1", field);
+    return v == 1.0;
+  }
 };
 
 std::size_t positive_integer(double value, std::string_view field) {
@@ -258,9 +271,7 @@ void parse_request(std::string_view line, ScenarioRequest& out) {
         }
         out.dns_threshold_pct = v;
       } else if (field == "traffic") {
-        const double v = cur.number_token(field);
-        if (v != 0.0 && v != 1.0) value_fail("must be 0 or 1", field);
-        out.traffic = v == 1.0;
+        out.traffic = cur.flag_token(field);
       } else if (field == "demand_pairs") {
         out.demand_pairs = static_cast<std::size_t>(
             nonnegative_integer(cur.number_token(field), field));
@@ -332,6 +343,9 @@ void parse_request(std::string_view line, ScenarioRequest& out) {
   }
   cur.skip_ws();
   if (!cur.at_end()) parse_fail("trailing characters after request object");
+  // Sampled demand pairs imply the traffic section, as --demand-pairs does
+  // on the CLI; this also gives both spellings one cache and engine key.
+  if (out.demand_pairs > 0) out.traffic = true;
 }
 
 void build_cache_key(const ScenarioRequest& req,

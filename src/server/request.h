@@ -1,15 +1,17 @@
 // Wire protocol for the resident scenario server (`solarnet serve`).
 //
 // Requests are newline-delimited JSON objects — one flat object per line,
-// string / number / number-array values only (no nesting, no escapes: every
-// legal field value is a plain identifier or number). The deliberately tiny
-// grammar keeps the parser dependency-free and allocation-free once a
-// ScenarioRequest's buffers are warm, which the hit-path zero-allocation
-// gate in bench/perf_serve.cpp depends on.
+// string / number / boolean / number-array values only (no nesting, no
+// escapes: every legal field value is a plain identifier, number or
+// true/false). The deliberately tiny grammar keeps the parser
+// dependency-free and allocation-free once a ScenarioRequest's buffers are
+// warm, which the hit-path zero-allocation gate in bench/perf_serve.cpp
+// depends on.
 //
 //   {"cmd":"report","model":"uniform","p":0.01,"spacing":150,
 //    "trials":64,"seed":7,"quorum":2,"dns_threshold":10}
-//   {"cmd":"report","traffic":1,"demand_pairs":10000,"trials":64}
+//   {"cmd":"report","traffic":true,"trials":64}
+//   {"cmd":"report","demand_pairs":10000,"trials":64}
 //   {"cmd":"sweep","grid":[0.001,0.01,0.1],"trials":32,"seed":1859}
 //   {"cmd":"timeline","model":"s1","step_hours":6,"repair_steps":24,
 //    "trials":64,"seed":7}
@@ -28,13 +30,15 @@
 //   quorum         service write quorum, integer >= 1  (default 2)
 //   dns_threshold  DNS joint-statistic cable-loss %    (default 10)
 //   engine         auto | scalar                       (default auto)
-//   traffic        0 | 1: add the post-failure traffic-routing section to
-//                  report responses (default 0)
+//   traffic        true | false (or 1 | 0): add the post-failure
+//                  traffic-routing section to report responses
+//                  (default false)
 //   demand_pairs   0 = gravity demand matrix; N > 0 routes N sampled
-//                  demand entries per trial (integer, max 10000000;
-//                  default 0). Served sampled matrices use a fixed demand
-//                  seed, NOT the request seed — pooled engines are keyed
-//                  without (trials, seed) and must be reusable across them
+//                  demand entries per trial and turns traffic on, like the
+//                  CLI's --demand-pairs (integer, max 10000000; default 0).
+//                  Sampled matrices use the fixed core::kDemandSeed, NOT
+//                  the request seed — pooled engines are keyed without
+//                  (trials, seed) and must be reusable across them
 //   grid           sweep probability grid, each in [0,1]; canonicalized
 //                  by sorting ascending (responses are in sorted order);
 //                  empty/absent = the paper's default grid
@@ -99,7 +103,7 @@ struct ScenarioRequest {
   // unconditionally — like quorum/dns_threshold, these shape the resident
   // observer bundle, so two requests differing only here must never share
   // an engine or a cached body.
-  bool traffic = false;
+  bool traffic = false;  // parse_request sets it when demand_pairs > 0
   std::size_t demand_pairs = 0;
   std::vector<double> grid;  // sorted ascending after parse; sweep only
   // Timeline playback axis (timeline requests only; folded kind-gated).

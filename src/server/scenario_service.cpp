@@ -1,6 +1,5 @@
 #include "server/scenario_service.h"
 
-#include <algorithm>
 #include <charconv>
 #include <cstdio>
 #include <stdexcept>
@@ -11,7 +10,6 @@
 #include "datasets/datacenters.h"
 #include "gic/failure_model.h"
 #include "gic/timeline.h"
-#include "routing/demand.h"
 #include "sim/monte_carlo.h"
 #include "util/fingerprint.h"
 #include "util/status.h"
@@ -95,17 +93,6 @@ void append_request_echo(std::string& out, const ScenarioRequest& req) {
   append_u64(out, req.seed);
 }
 
-services::ServiceSpec datacenter_service(datasets::DataCenterOperator op,
-                                         std::size_t write_quorum) {
-  std::vector<geo::GeoPoint> sites;
-  for (const datasets::DataCenter& dc : datasets::datacenters_of(op)) {
-    sites.push_back(dc.location);
-  }
-  return services::service_from_datacenters(
-      std::string(datasets::to_string(op)), sites,
-      std::max<std::size_t>(1, std::min(write_quorum, sites.size())));
-}
-
 std::unique_ptr<gic::RepeaterFailureModel> make_model(
     const ScenarioRequest& req) {
   if (req.model == "uniform") return gic::make_uniform(req.uniform_p);
@@ -122,79 +109,21 @@ sim::TrialConfig trial_config_for(const ScenarioRequest& req,
   return config;
 }
 
-Body make_body(std::string text) {
-  return std::make_shared<const std::string>(std::move(text));
+// The report bundle's configuration: the request's scenario fields plus the
+// service's thread count and country list (trials and seed are per run).
+core::ScenarioOptions report_options(const ScenarioRequest& req,
+                                     const ServiceOptions& options) {
+  core::ScenarioOptions out;
+  out.repeater_spacing_km = req.spacing_km;
+  out.threads = options.threads;
+  out.engine = req.engine;
+  out.countries = options.countries;
+  out.service_write_quorum = req.quorum;
+  out.dns_cable_loss_threshold_pct = req.dns_threshold_pct;
+  out.traffic = req.traffic;
+  out.traffic_demand_pairs = req.demand_pairs;
+  return out;
 }
-
-}  // namespace
-
-// --- resident engine bundles ------------------------------------------------
-
-// Member order is construction order: the model outlives the pipeline that
-// references it, the simulator outlives both the pipeline and the sweep
-// engine. Observers are registered once here; TrialPipeline::run resets
-// them via begin_run, so one bundle serves any number of sequential runs.
-struct ScenarioService::ReportEngine {
-  ReportEngine(const topo::InfrastructureNetwork& net,
-               const std::vector<datasets::DnsRootInstance>& roots,
-               const ScenarioRequest& req, const ServiceOptions& options)
-      : model(make_model(req)),
-        simulator(net, trial_config_for(req, options.threads)),
-        pipeline(simulator, *model),
-        google(net, datacenter_service(datasets::DataCenterOperator::kGoogle,
-                                       req.quorum)),
-        facebook(net,
-                 datacenter_service(datasets::DataCenterOperator::kFacebook,
-                                    req.quorum)),
-        dns(net, roots, req.dns_threshold_pct),
-        isolation(net, options.countries) {
-    pipeline.add_observer(connectivity);
-    pipeline.add_observer(google);
-    pipeline.add_observer(facebook);
-    pipeline.add_observer(dns);
-    pipeline.add_observer(isolation);
-    if (req.traffic) {
-      // Sampled matrices use kServedDemandSeed, not req.seed: this bundle
-      // is pooled without (trials, seed) and must serve any seed.
-      std::vector<routing::TrafficDemand> demands =
-          req.demand_pairs == 0
-              ? routing::gravity_demands(net)
-              : routing::sampled_node_demands(net, req.demand_pairs, 400.0,
-                                              kServedDemandSeed);
-      traffic_engine = std::make_unique<routing::TrafficEngine>(
-          net, std::move(demands));
-      traffic_observer =
-          std::make_unique<routing::TrafficObserver>(*traffic_engine);
-      pipeline.add_observer(*traffic_observer);
-    }
-  }
-
-  std::unique_ptr<gic::RepeaterFailureModel> model;
-  sim::FailureSimulator simulator;
-  sim::TrialPipeline pipeline;
-  sim::ConnectivityObserver connectivity;
-  services::AvailabilityObserver google;
-  services::AvailabilityObserver facebook;
-  analysis::DnsResolutionObserver dns;
-  analysis::CountryIsolationObserver isolation;
-  std::unique_ptr<routing::TrafficEngine> traffic_engine;
-  std::unique_ptr<routing::TrafficObserver> traffic_observer;
-};
-
-struct ScenarioService::SweepEngineEntry {
-  SweepEngineEntry(const topo::InfrastructureNetwork& net,
-                   const ScenarioRequest& req, const ServiceOptions& options)
-      : simulator(net, trial_config_for(req, options.threads)),
-        grid(req.grid.empty() ? analysis::default_probability_grid()
-                              : req.grid),
-        engine(sim::SweepEngine::uniform(simulator, grid)) {}
-
-  sim::FailureSimulator simulator;
-  std::vector<double> grid;
-  sim::SweepEngine engine;
-};
-
-namespace {
 
 sim::TimelineConfig timeline_config_for(const ScenarioRequest& req) {
   sim::TimelineConfig config = sim::TimelineConfig::from_profile(
@@ -205,9 +134,64 @@ sim::TimelineConfig timeline_config_for(const ScenarioRequest& req) {
   return config;
 }
 
+Body make_body(std::string text) {
+  return std::make_shared<const std::string>(std::move(text));
+}
+
 }  // namespace
 
-struct ScenarioService::TimelineEngineEntry {
+// --- resident engine bundles ------------------------------------------------
+
+// Each bundle's thread count is fixed at construction (the service's
+// options.threads, via its TrialConfig). Member order is construction
+// order: a model outlives the pipeline or engine that references it, a
+// simulator outlives everything built on it.
+struct ScenarioService::Engine {
+  Engine() = default;
+  Engine(const Engine&) = delete;
+  Engine& operator=(const Engine&) = delete;
+  virtual ~Engine() = default;
+  virtual std::string run(const ScenarioRequest& req) = 0;
+};
+
+struct ScenarioService::ReportEngine final : ScenarioService::Engine {
+  ReportEngine(const topo::InfrastructureNetwork& net,
+               const std::vector<datasets::DnsRootInstance>& roots,
+               const ScenarioRequest& req, const ServiceOptions& options)
+      : model(make_model(req)),
+        bundle(net, roots, *model, report_options(req, options)) {}
+
+  std::string run(const ScenarioRequest& req) override {
+    bundle.run(req.trials, req.seed);
+    return serialize_report_body(
+        req, bundle.connectivity.result(), bundle.google.result(),
+        bundle.facebook.result(), bundle.dns.result(),
+        bundle.isolation.results(), bundle.traffic());
+  }
+
+  std::unique_ptr<gic::RepeaterFailureModel> model;
+  core::ReportBundle bundle;
+};
+
+struct ScenarioService::SweepEngineEntry final : ScenarioService::Engine {
+  SweepEngineEntry(const topo::InfrastructureNetwork& net,
+                   const ScenarioRequest& req, const ServiceOptions& options)
+      : simulator(net, trial_config_for(req, options.threads)),
+        grid(req.grid.empty() ? analysis::default_probability_grid()
+                              : req.grid),
+        engine(sim::SweepEngine::uniform(simulator, grid)) {}
+
+  std::string run(const ScenarioRequest& req) override {
+    return serialize_sweep_body(
+        req, engine.run(req.trials, req.seed, simulator.config().threads));
+  }
+
+  sim::FailureSimulator simulator;
+  std::vector<double> grid;
+  sim::SweepEngine engine;
+};
+
+struct ScenarioService::TimelineEngineEntry final : ScenarioService::Engine {
   TimelineEngineEntry(const topo::InfrastructureNetwork& net,
                       const ScenarioRequest& req,
                       const ServiceOptions& options)
@@ -219,6 +203,12 @@ struct ScenarioService::TimelineEngineEntry {
         outage(net, options.countries) {
     engine.add_observer(connectivity);
     engine.add_observer(outage);
+  }
+
+  std::string run(const ScenarioRequest& req) override {
+    engine.run(req.trials, req.seed, simulator.config().threads);
+    return serialize_timeline_body(req, engine, connectivity.result(),
+                                   outage.results());
   }
 
   std::unique_ptr<gic::RepeaterFailureModel> model;
@@ -525,19 +515,21 @@ Body ScenarioService::handle(const ScenarioRequest& request,
       break;
   }
   std::uint64_t fp = 0;
-  network_for(request, &fp);  // validates the network choice up front
+  // Validates the network choice up front.
+  const topo::InfrastructureNetwork& net = network_for(request, &fp);
   build_cache_key(request, fp, observer_salt_, scratch.cache_key);
-  return cached_or_compute(request, scratch);
+  return cached_or_compute(request, net, fp, scratch);
 }
 
 Body ScenarioService::cached_or_compute(const ScenarioRequest& req,
+                                        const topo::InfrastructureNetwork& net,
+                                        std::uint64_t fp,
                                         RequestScratch& scratch) {
   const std::string_view key(scratch.cache_key.data());
   if (Body hit = cache_.lookup(key)) {
     hits_.fetch_add(1, std::memory_order_relaxed);
     return hit;
   }
-  misses_.fetch_add(1, std::memory_order_relaxed);
 
   // Miss path (allocations fine from here on): coalesce concurrent
   // identical requests onto one computation.
@@ -545,8 +537,13 @@ Body ScenarioService::cached_or_compute(const ScenarioRequest& req,
   bool leader = false;
   {
     const std::lock_guard<std::mutex> lock(inflight_mutex_);
-    // A leader may have inserted between our lookup and this lock.
-    if (Body hit = cache_.lookup(key)) return hit;
+    // A leader may have inserted between our lookup and this lock: a hit
+    // all the same.
+    if (Body hit = cache_.lookup(key)) {
+      hits_.fetch_add(1, std::memory_order_relaxed);
+      return hit;
+    }
+    misses_.fetch_add(1, std::memory_order_relaxed);
     const auto it = inflight_.find(std::string(key));
     if (it != inflight_.end()) {
       future = it->second.future;
@@ -563,18 +560,19 @@ Body ScenarioService::cached_or_compute(const ScenarioRequest& req,
     return future.get();  // rethrows the leader's exception, if any
   }
 
+  const auto retire = [&] {
+    const std::lock_guard<std::mutex> lock(inflight_mutex_);
+    const auto it = inflight_.find(std::string(key));
+    std::shared_ptr<std::promise<Body>> promise = std::move(it->second.promise);
+    inflight_.erase(it);
+    return promise;
+  };
   Body body;
   try {
-    body = compute(req);
+    build_engine_key(req, fp, observer_salt_, scratch.engine_key);
+    body = compute(req, net, scratch.engine_key.data());
   } catch (...) {
-    std::shared_ptr<std::promise<Body>> promise;
-    {
-      const std::lock_guard<std::mutex> lock(inflight_mutex_);
-      const auto it = inflight_.find(std::string(key));
-      promise = it->second.promise;
-      inflight_.erase(it);
-    }
-    promise->set_exception(std::current_exception());
+    retire()->set_exception(std::current_exception());
     throw;
   }
 
@@ -582,140 +580,27 @@ Body ScenarioService::cached_or_compute(const ScenarioRequest& req,
   // instant a concurrent identical request finds the result in at least
   // one of the two, so no third computation can start.
   cache_.insert(key, body);
-  std::shared_ptr<std::promise<Body>> promise;
-  {
-    const std::lock_guard<std::mutex> lock(inflight_mutex_);
-    const auto it = inflight_.find(std::string(key));
-    promise = it->second.promise;
-    inflight_.erase(it);
-  }
-  promise->set_value(body);
+  retire()->set_value(body);
   computed_.fetch_add(1, std::memory_order_relaxed);
   return body;
 }
 
-Body ScenarioService::compute(const ScenarioRequest& req) {
-  std::uint64_t fp = 0;
-  const topo::InfrastructureNetwork& net = network_for(req, &fp);
-  if (req.kind == RequestKind::kSweep) return compute_sweep(req, net);
-  if (req.kind == RequestKind::kTimeline) return compute_timeline(req, net);
-  return compute_report(req, net);
-}
-
-Body ScenarioService::compute_report(const ScenarioRequest& req,
-                                     const topo::InfrastructureNetwork& net) {
-  util::ByteWriter key_writer;
-  std::uint64_t fp = 0;
-  network_for(req, &fp);
-  build_engine_key(req, fp, observer_salt_, key_writer);
-  const std::string engine_key = key_writer.take();
-
-  std::unique_ptr<ReportEngine> engine;
-  {
-    const std::lock_guard<std::mutex> lock(pool_mutex_);
-    auto& pool = report_pool_[engine_key];
-    if (!pool.empty()) {
-      engine = std::move(pool.back());
-      pool.pop_back();
-    }
-  }
-  if (!engine) {
-    // Built outside the pool lock: a slow scenario build must not stall
-    // unrelated requests acquiring their own engines.
-    engine = std::make_unique<ReportEngine>(net, *context_.dns_roots, req,
-                                            options_);
-  }
-
-  Body body;
-  try {
-    engine->pipeline.run(req.trials, req.seed, options_.threads);
-    body = make_body(serialize_report_body(
-        req, engine->connectivity.result(), engine->google.result(),
-        engine->facebook.result(), engine->dns.result(),
-        engine->isolation.results(),
-        engine->traffic_observer ? &engine->traffic_observer->result()
-                                 : nullptr));
-  } catch (...) {
-    const std::lock_guard<std::mutex> lock(pool_mutex_);
-    report_pool_[engine_key].push_back(std::move(engine));
-    throw;
-  }
-  const std::lock_guard<std::mutex> lock(pool_mutex_);
-  report_pool_[engine_key].push_back(std::move(engine));
-  return body;
-}
-
-Body ScenarioService::compute_sweep(const ScenarioRequest& req,
-                                    const topo::InfrastructureNetwork& net) {
-  util::ByteWriter key_writer;
-  std::uint64_t fp = 0;
-  network_for(req, &fp);
-  build_engine_key(req, fp, observer_salt_, key_writer);
-  const std::string engine_key = key_writer.take();
-
-  std::unique_ptr<SweepEngineEntry> entry;
-  {
-    const std::lock_guard<std::mutex> lock(pool_mutex_);
-    auto& pool = sweep_pool_[engine_key];
-    if (!pool.empty()) {
-      entry = std::move(pool.back());
-      pool.pop_back();
-    }
-  }
-  if (!entry) {
-    entry = std::make_unique<SweepEngineEntry>(net, req, options_);
-  }
-
-  Body body;
-  try {
-    const sim::SweepResult result =
-        entry->engine.run(req.trials, req.seed, options_.threads);
-    body = make_body(serialize_sweep_body(req, result));
-  } catch (...) {
-    const std::lock_guard<std::mutex> lock(pool_mutex_);
-    sweep_pool_[engine_key].push_back(std::move(entry));
-    throw;
-  }
-  const std::lock_guard<std::mutex> lock(pool_mutex_);
-  sweep_pool_[engine_key].push_back(std::move(entry));
-  return body;
-}
-
-Body ScenarioService::compute_timeline(
-    const ScenarioRequest& req, const topo::InfrastructureNetwork& net) {
-  util::ByteWriter key_writer;
-  std::uint64_t fp = 0;
-  network_for(req, &fp);
-  build_engine_key(req, fp, observer_salt_, key_writer);
-  const std::string engine_key = key_writer.take();
-
-  std::unique_ptr<TimelineEngineEntry> entry;
-  {
-    const std::lock_guard<std::mutex> lock(pool_mutex_);
-    auto& pool = timeline_pool_[engine_key];
-    if (!pool.empty()) {
-      entry = std::move(pool.back());
-      pool.pop_back();
-    }
-  }
-  if (!entry) {
-    entry = std::make_unique<TimelineEngineEntry>(net, req, options_);
-  }
-
-  Body body;
-  try {
-    entry->engine.run(req.trials, req.seed, options_.threads);
-    body = make_body(serialize_timeline_body(req, entry->engine,
-                                             entry->connectivity.result(),
-                                             entry->outage.results()));
-  } catch (...) {
-    const std::lock_guard<std::mutex> lock(pool_mutex_);
-    timeline_pool_[engine_key].push_back(std::move(entry));
-    throw;
-  }
-  const std::lock_guard<std::mutex> lock(pool_mutex_);
-  timeline_pool_[engine_key].push_back(std::move(entry));
-  return body;
+Body ScenarioService::compute(const ScenarioRequest& req,
+                              const topo::InfrastructureNetwork& net,
+                              std::string_view engine_key) {
+  const EnginePool<Engine>::Lease engine =
+      pool_.acquire(engine_key, [&]() -> std::unique_ptr<Engine> {
+        switch (req.kind) {
+          case RequestKind::kSweep:
+            return std::make_unique<SweepEngineEntry>(net, req, options_);
+          case RequestKind::kTimeline:
+            return std::make_unique<TimelineEngineEntry>(net, req, options_);
+          default:
+            return std::make_unique<ReportEngine>(net, *context_.dns_roots,
+                                                  req, options_);
+        }
+      });
+  return make_body(engine->run(req));
 }
 
 Body ScenarioService::stats_body() const {

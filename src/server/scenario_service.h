@@ -17,11 +17,13 @@
 //      the cache and fans the body out to every waiter through a
 //      shared_future. N clients asking the same cold question cost one
 //      TrialPipeline pass, not N.
-//   3. Engine pool. A genuine miss acquires a resident engine bundle
-//      keyed by everything except (trials, seed) — so re-asking a scenario
-//      with a bigger trial budget or a different seed reuses the repeater
-//      layout, death-probability table and resolved evaluators and pays
-//      only the trial loop.
+//   3. Engine pool. A genuine miss leases a resident engine bundle from
+//      one EnginePool, keyed by everything except (trials, seed) — so
+//      re-asking a scenario with a bigger trial budget or a different seed
+//      reuses the repeater layout, death-probability table and resolved
+//      evaluators and pays only the trial loop. A report bundle is the
+//      CLI's own core::ReportBundle, so `solarnet report` and the served
+//      report compute the same statistics.
 //
 // Served bodies are produced by the serialize_*_body free functions below,
 // which tests and benches also call directly on the results of plain
@@ -47,8 +49,10 @@
 #include "analysis/country.h"
 #include "analysis/dns_resolution.h"
 #include "analysis/outage.h"
+#include "core/scenario.h"
 #include "datasets/infra_points.h"
 #include "routing/traffic_observer.h"
+#include "server/engine_pool.h"
 #include "server/request.h"
 #include "server/result_cache.h"
 #include "services/availability.h"
@@ -57,10 +61,6 @@
 #include "sim/timeline_engine.h"
 #include "topology/network.h"
 #include "util/checkpoint.h"
-
-namespace solarnet::core {
-class World;
-}  // namespace solarnet::core
 
 namespace solarnet::server {
 
@@ -83,8 +83,7 @@ struct ServiceOptions {
   std::size_t threads = 0;
   // Countries of the isolation observer — fixed per service, folded into
   // the observer salt so differently-configured services never share keys.
-  std::vector<std::string> countries = {"US", "GB", "CN", "IN", "SG",
-                                        "ZA", "AU", "NZ", "BR"};
+  std::vector<std::string> countries = core::ScenarioOptions{}.countries;
 };
 
 // A served response body. Immutable and shared: the cache, in-flight
@@ -119,14 +118,17 @@ std::string serialize_timeline_body(
     const std::vector<analysis::CountryOutageResult>& outage);
 std::string serialize_error_body(std::string_view message);
 
-// The demand seed served sampled-demand matrices are built with. Fixed —
-// deliberately NOT the request seed: engine-pool keys exclude (trials,
-// seed), so a pooled traffic bundle must serve any seed, and the cache key
-// must keep meaning "bit-identical body".
-inline constexpr std::uint64_t kServedDemandSeed = 0x64656d616e647321ULL;
+// The demand seed served sampled-demand matrices are built with: the
+// report bundle's fixed core::kDemandSeed, deliberately NOT the request
+// seed — engine-pool keys exclude (trials, seed), so a pooled traffic
+// bundle must serve any seed, and the cache key must keep meaning
+// "bit-identical body".
+inline constexpr std::uint64_t kServedDemandSeed = core::kDemandSeed;
 
 class ScenarioService {
  public:
+  // requests = cache_hits + cache_misses + control commands + requests
+  // rejected before the lookup; cache_misses = computed + coalesced + fails.
   struct Stats {
     std::uint64_t requests = 0;
     std::uint64_t cache_hits = 0;
@@ -165,15 +167,14 @@ class ScenarioService {
   const ServiceOptions& options() const noexcept { return options_; }
 
  private:
-  // Resident per-scenario engine bundle for report requests: simulator
-  // (repeater layout), pipeline (death table, batch kernel), and the five
-  // observers, all reusable across runs (begin_run resets them).
+  // A resident engine bundle, built for one engine key and rerun by every
+  // request with that key; run() computes the request's body. The three
+  // kinds: the request's model plus a core::ReportBundle; simulator + CRN
+  // sweep engine; simulator + death table + TimelineEngine + temporal
+  // observers.
+  struct Engine;
   struct ReportEngine;
-  // Resident sweep bundle: simulator + CRN sweep engine for one
-  // (network, spacing, grid) tuple.
   struct SweepEngineEntry;
-  // Resident timeline bundle: simulator + death table + TimelineEngine +
-  // temporal observers for one (network, model, spacing, axis) tuple.
   struct TimelineEngineEntry;
 
   struct InFlight {
@@ -183,14 +184,14 @@ class ScenarioService {
 
   const topo::InfrastructureNetwork& network_for(const ScenarioRequest& req,
                                                  std::uint64_t* fp) const;
-  Body cached_or_compute(const ScenarioRequest& req, RequestScratch& scratch);
-  Body compute(const ScenarioRequest& req);
-  Body compute_report(const ScenarioRequest& req,
-                      const topo::InfrastructureNetwork& net);
-  Body compute_sweep(const ScenarioRequest& req,
-                     const topo::InfrastructureNetwork& net);
-  Body compute_timeline(const ScenarioRequest& req,
-                        const topo::InfrastructureNetwork& net);
+  Body cached_or_compute(const ScenarioRequest& req,
+                         const topo::InfrastructureNetwork& net,
+                         std::uint64_t fp, RequestScratch& scratch);
+  // Leases the engine for `engine_key` (building it on first use) and runs
+  // the request on it.
+  Body compute(const ScenarioRequest& req,
+               const topo::InfrastructureNetwork& net,
+               std::string_view engine_key);
   Body stats_body() const;
 
   ServiceContext context_;
@@ -208,15 +209,9 @@ class ScenarioService {
   std::mutex inflight_mutex_;
   std::unordered_map<std::string, InFlight> inflight_;
 
-  std::mutex pool_mutex_;
-  std::unordered_map<std::string, std::vector<std::unique_ptr<ReportEngine>>>
-      report_pool_;
-  std::unordered_map<std::string,
-                     std::vector<std::unique_ptr<SweepEngineEntry>>>
-      sweep_pool_;
-  std::unordered_map<std::string,
-                     std::vector<std::unique_ptr<TimelineEngineEntry>>>
-      timeline_pool_;
+  // Report, sweep and timeline bundles alike; engine keys fold the request
+  // kind, so bundles of different kinds never share a key.
+  EnginePool<Engine> pool_;
 
   std::atomic<bool> shutdown_{false};
 

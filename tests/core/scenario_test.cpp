@@ -110,6 +110,59 @@ TEST(ScenarioRunner, SpacingFlowsThroughToSummaries) {
             r_wide.length_summaries[0].avg_repeaters_per_cable);
 }
 
+void expect_same_results(const ReportBundle& a, const ReportBundle& b) {
+  EXPECT_EQ(a.connectivity.result().cables_failed_pct.mean(),
+            b.connectivity.result().cables_failed_pct.mean());
+  EXPECT_EQ(a.connectivity.result().nodes_unreachable_pct.sample_stddev(),
+            b.connectivity.result().nodes_unreachable_pct.sample_stddev());
+  EXPECT_EQ(a.google.result().read_availability.mean(),
+            b.google.result().read_availability.mean());
+  EXPECT_EQ(a.dns.result().resolution_availability.mean(),
+            b.dns.result().resolution_availability.mean());
+  ASSERT_EQ(a.isolation.results().size(), b.isolation.results().size());
+  for (std::size_t i = 0; i < a.isolation.results().size(); ++i) {
+    EXPECT_EQ(a.isolation.results()[i].isolated_trials,
+              b.isolation.results()[i].isolated_trials);
+  }
+  ASSERT_NE(a.traffic(), nullptr);
+  ASSERT_NE(b.traffic(), nullptr);
+  EXPECT_EQ(a.traffic()->max_utilization.mean(),
+            b.traffic()->max_utilization.mean());
+}
+
+TEST(ReportBundle, RerunsMatchAFreshBundle) {
+  // The server reruns one bundle across requests: a run must not depend on
+  // what the bundle ran before.
+  const World& world = light_world();
+  const auto model = gic::make_uniform(0.2);
+  ScenarioOptions opts;
+  opts.traffic = true;
+  opts.traffic_demand_pairs = 32;
+  ReportBundle reused(world.submarine(), world.dns_roots(), *model, opts);
+  EXPECT_FALSE(reused.run(40, 5).has_value());
+  reused.run(40, 9);
+  ReportBundle fresh(world.submarine(), world.dns_roots(), *model, opts);
+  fresh.run(40, 9);
+  expect_same_results(reused, fresh);
+}
+
+TEST(ReportBundle, CheckpointedRunMatchesPlainRun) {
+  const World& world = light_world();
+  const auto model = gic::make_uniform(0.2);
+  ScenarioOptions opts;
+  opts.traffic = true;
+  ReportBundle plain(world.submarine(), world.dns_roots(), *model, opts);
+  plain.run(70, 4);
+  opts.checkpoint_path = testing::TempDir() + "report_bundle_test.ck";
+  opts.checkpoint_every_chunks = 1;
+  ReportBundle campaign(world.submarine(), world.dns_roots(), *model, opts);
+  const auto report = campaign.run(70, 4);
+  ASSERT_TRUE(report.has_value());
+  EXPECT_EQ(report->chunks, 3u);
+  EXPECT_EQ(report->chunks_executed, 3u);
+  expect_same_results(plain, campaign);
+}
+
 TEST(ScenarioRunner, CustomCountryList) {
   const ScenarioRunner runner(light_world());
   ScenarioOptions opts;

@@ -331,6 +331,37 @@ TEST(ServeProtocol, TrafficFieldsSeparateBothKeys) {
   EXPECT_NE(cache_key(sampled), cache_key(more));
 }
 
+TEST(ServeProtocol, TrafficAcceptsJsonBooleans) {
+  EXPECT_TRUE(parse(R"({"traffic":true})").traffic);
+  EXPECT_FALSE(parse(R"({"traffic":false})").traffic);
+  EXPECT_TRUE(parse(R"({"traffic": true ,"trials":4})").traffic);
+  // true and 1 (false and 0) are one scenario: same cache and engine key.
+  EXPECT_EQ(cache_key(parse(R"({"traffic":true})")),
+            cache_key(parse(R"({"traffic":1})")));
+  EXPECT_EQ(engine_key(parse(R"({"traffic":true})")),
+            engine_key(parse(R"({"traffic":1})")));
+  EXPECT_EQ(cache_key(parse(R"({"traffic":false})")),
+            cache_key(parse(R"({"traffic":0})")));
+  expect_rejected(R"({"traffic":tru})", util::ErrorCode::kParseError);
+  expect_rejected(R"({"traffic":"true"})", util::ErrorCode::kParseError);
+}
+
+TEST(ServeProtocol, DemandPairsTurnTrafficOn) {
+  // As --demand-pairs does on the CLI: N > 0 implies the traffic section,
+  // so both spellings are one scenario.
+  const ScenarioRequest implied = parse(R"({"demand_pairs":64})");
+  const ScenarioRequest explicit_on =
+      parse(R"({"traffic":1,"demand_pairs":64})");
+  EXPECT_TRUE(implied.traffic);
+  EXPECT_EQ(cache_key(implied), cache_key(explicit_on));
+  EXPECT_EQ(engine_key(implied), engine_key(explicit_on));
+  EXPECT_TRUE(parse(R"({"traffic":false,"demand_pairs":64})").traffic);
+  // Zero pairs selects the gravity matrix and leaves traffic as given.
+  EXPECT_FALSE(parse(R"({"demand_pairs":0})").traffic);
+  EXPECT_EQ(cache_key(parse(R"({"demand_pairs":0})")),
+            cache_key(parse("{}")));
+}
+
 TEST(ServeProtocol, TimelineFieldsSeparateKeys) {
   ScenarioRequest base = base_request();
   base.kind = RequestKind::kTimeline;

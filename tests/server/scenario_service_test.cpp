@@ -119,8 +119,8 @@ std::string direct_report_body(const ScenarioRequest& req,
   pipeline.add_observer(facebook);
   pipeline.add_observer(dns);
   pipeline.add_observer(isolation);
-  // Traffic demands mirror ReportEngine: sampled matrices use the fixed
-  // kServedDemandSeed so pooled engines serve any (trials, seed).
+  // Traffic demands mirror core::ReportBundle: sampled matrices use the
+  // fixed kServedDemandSeed so pooled engines serve any (trials, seed).
   std::unique_ptr<routing::TrafficEngine> traffic_engine;
   std::unique_ptr<routing::TrafficObserver> traffic_observer;
   if (req.traffic) {
@@ -284,6 +284,55 @@ TEST(ScenarioService, ConcurrentIdenticalMissesCoalesce) {
     ASSERT_NE(body, nullptr);
     EXPECT_EQ(*body, *bodies[0]);
   }
+}
+
+TEST(ScenarioService, StatsReconcileUnderConcurrentBursts) {
+  // Threads ask the same run of cheap scenarios in lock step, twice over:
+  // each scenario is a burst of identical misses racing its leader's cache
+  // insert, so some callers miss the cache, then find the body under the
+  // in-flight lock (a late hit). Whatever the interleaving, every request
+  // lands in exactly one counter:
+  //   requests     == cache_hits + cache_misses + control commands
+  //   cache_misses == computed + coalesced
+  ScenarioService service(context());
+  std::vector<std::string> lines = {kReportLine, kSweepLine};
+  // One-trial, one-point intertubes sweeps compute in microseconds, about
+  // as long as a waiter takes to wake, which makes late hits common.
+  for (int seed = 0; seed < 400; ++seed) {
+    lines.push_back(
+        R"({"cmd":"sweep","network":"intertubes","grid":[0.5],"trials":1,)"
+        R"("seed":)" +
+        std::to_string(seed) + "}");
+  }
+  constexpr std::size_t kThreads = 6;
+  constexpr std::size_t kRepeats = 2;
+  std::atomic<std::size_t> ready{0};
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      RequestScratch scratch;
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) {
+      }
+      for (std::size_t r = 0; r < kRepeats; ++r) {
+        for (const std::string& line : lines) {
+          const Body body = service.handle_line(line, scratch);
+          EXPECT_NE(body->find("\"ok\":true"), std::string::npos) << *body;
+        }
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  RequestScratch scratch;
+  (void)service.handle_line(R"({"cmd":"stats"})", scratch);
+
+  const ScenarioService::Stats s = service.stats();
+  const std::uint64_t control_commands = 1;
+  EXPECT_EQ(s.errors, 0u);
+  EXPECT_EQ(s.requests, kThreads * kRepeats * lines.size() + control_commands);
+  EXPECT_EQ(s.requests, s.cache_hits + s.cache_misses + control_commands);
+  EXPECT_EQ(s.cache_misses, s.computed + s.coalesced);
+  EXPECT_EQ(s.computed, lines.size());
 }
 
 TEST(ScenarioService, StdinFrontEndServesLinesUntilShutdown) {

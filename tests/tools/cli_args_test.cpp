@@ -27,21 +27,21 @@ TEST(Args, CommandOnly) {
 }
 
 TEST(Args, KeyValuePairs) {
-  const Args a = parse({"scenario", "--storm", "1989", "--trials", "5"});
-  EXPECT_EQ(a.command(), "scenario");
+  const Args a = parse({"report", "--storm", "1989", "--trials", "5"});
+  EXPECT_EQ(a.command(), "report");
   EXPECT_EQ(a.get_or("storm", "x"), "1989");
   EXPECT_EQ(a.get_int_or("trials", 0), 5);
 }
 
 TEST(Args, BareSwitches) {
-  const Args a = parse({"model", "--s2", "--spacing", "100"});
+  const Args a = parse({"report", "--s2", "--spacing", "100"});
   EXPECT_TRUE(a.has("s2"));
   EXPECT_EQ(a.get("s2").value(), "");
   EXPECT_DOUBLE_EQ(a.get_double_or("spacing", 0.0), 100.0);
 }
 
 TEST(Args, SwitchFollowedBySwitch) {
-  const Args a = parse({"model", "--s1", "--s2"});
+  const Args a = parse({"report", "--s1", "--s2"});
   EXPECT_TRUE(a.has("s1"));
   EXPECT_TRUE(a.has("s2"));
 }

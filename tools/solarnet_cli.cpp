@@ -1,11 +1,8 @@
 // The solarnet command-line tool: the library's analyses as subcommands.
 //
 //   solarnet risk      [--start 2026 --years 10]
-//   solarnet scenario  [--storm carrington|1921|1989|moderate]
-//                      [--spacing 150 --trials 10]
 //   solarnet report    [--s1 | --s2 | --uniform P | --storm NAME]
 //                      [--trials 10 --seed 7 --threads N]
-//   solarnet model     [--s1 | --s2 | --uniform P] [--spacing 150]
 //   solarnet countries [--model s1|s2] [--spacing 150]
 //   solarnet plan      [--from NODE --to NODE]
 //   solarnet repair    [--ships 60] [--model s1|s2]
@@ -50,15 +47,10 @@ usage: solarnet <command> [flags]
 commands:
   risk       extreme-event probabilities (§2)
                --start YEAR (2026)  --years N (10)
-  scenario   full resilience report for a physical storm
-               --storm carrington|1921|1989|moderate (carrington)
-               --spacing KM (150)  --trials N (10)  --threads N (auto)
-  model      resilience report for a probabilistic model
-               --s1 | --s2 | --uniform P (s1)  --spacing KM  --trials N
-               --threads N (auto)
   report     full trial-pipeline resilience report (all metrics share one
              Monte-Carlo failure draw per trial; see docs/MODULES.md)
                --s1 | --s2 | --uniform P (s1) | --storm NAME
+                 (a physical storm: carrington|1921|1989|moderate)
                --spacing KM (150)  --trials N (10)  --seed N (7)
                --threads N (auto; aggregates are thread-count independent)
                --engine auto|scalar (auto; bit-identical results either way)
@@ -66,7 +58,7 @@ commands:
                --traffic (adds the post-failure traffic-routing section:
                  every trial routes a demand matrix over the survivors)
                --demand-pairs N (0 = gravity matrix; N > 0 routes N sampled
-                 demand entries per trial — the million-pair stress knob)
+                 demand entries per trial from a fixed demand seed)
                --checkpoint PATH (crash-safe campaign: checkpoint the
                  Monte-Carlo pass to PATH and resume from it bit-identically)
                --checkpoint-every CHUNKS (64)
@@ -152,32 +144,6 @@ sim::TrialEngine engine_from_args(const Args& args) {
                               "' (auto|scalar)");
 }
 
-core::ScenarioOptions options_from_args(const Args& args) {
-  core::ScenarioOptions opts;
-  opts.repeater_spacing_km = args.get_double_or("spacing", 150.0);
-  opts.trials = args.get_trials_or(10);
-  // 0 = hardware concurrency; results do not depend on the thread count.
-  opts.threads = static_cast<std::size_t>(args.get_int_or("threads", 0));
-  opts.engine = engine_from_args(args);
-  return opts;
-}
-
-int cmd_scenario(const Args& args) {
-  const auto storm = storm_by_name(args.get_or("storm", "carrington"));
-  const core::World world = core::World::generate();
-  const core::ScenarioRunner runner(world);
-  std::cout << runner.run_storm(storm, options_from_args(args)).render();
-  return 0;
-}
-
-int cmd_model(const Args& args) {
-  const auto model = model_from_args(args);
-  const core::World world = core::World::generate();
-  const core::ScenarioRunner runner(world);
-  std::cout << runner.run(*model, options_from_args(args)).render();
-  return 0;
-}
-
 // The full multi-metric report: connectivity, service availability, DNS
 // resolution, country isolation — every metric observed on the same
 // per-trial failure draws via sim::TrialPipeline. --threads controls the
@@ -186,7 +152,12 @@ int cmd_model(const Args& args) {
 int cmd_report(const Args& args) {
   const core::World world = core::World::generate();
   const core::ScenarioRunner runner(world);
-  core::ScenarioOptions opts = options_from_args(args);
+  core::ScenarioOptions opts;
+  opts.repeater_spacing_km = args.get_double_or("spacing", 150.0);
+  opts.trials = args.get_trials_or(10);
+  // 0 = hardware concurrency; results do not depend on the thread count.
+  opts.threads = static_cast<std::size_t>(args.get_int_or("threads", 0));
+  opts.engine = engine_from_args(args);
   opts.seed = static_cast<std::uint64_t>(
       args.get_int_or("seed", static_cast<long long>(opts.seed)));
   opts.service_write_quorum = static_cast<std::size_t>(args.get_int_or(
@@ -535,8 +506,6 @@ int run(int argc, char** argv) {
   const std::string& cmd = args.command();
   if (cmd.empty() || cmd == "help") return usage();
   if (cmd == "risk") return cmd_risk(args);
-  if (cmd == "scenario") return cmd_scenario(args);
-  if (cmd == "model") return cmd_model(args);
   if (cmd == "report") return cmd_report(args);
   if (cmd == "countries") return cmd_countries(args);
   if (cmd == "plan") return cmd_plan(args);
