@@ -2,9 +2,12 @@
 // unified trial-observer pipeline (one failure draw, every metric).
 //
 // main() runs hard validation gates before any timing:
-//   1. ConnectivityObserver is bit-identical to FailureSimulator::run_trials
-//      (same seed, same trial count, every moment),
-//   2. AvailabilityObserver is bit-identical to services::availability_sweep,
+//   1. ConnectivityObserver is bit-identical to reference::run_trials, the
+//      frozen pre-pipeline run_trials loop (same seed, same trial count,
+//      every moment),
+//   2. AvailabilityObserver is bit-identical to reference::availability_sweep,
+//      the frozen pre-pipeline availability loop (both in
+//      bench/reference/trial_loops.h),
 //   3. DnsResolutionObserver matches a serial replay of the same split
 //      streams through DnsResolutionEvaluator exactly,
 //   4. CountryIsolationObserver converges to the analytic
@@ -33,6 +36,7 @@
 #include "datasets/datacenters.h"
 #include "datasets/infra_points.h"
 #include "datasets/submarine.h"
+#include "reference/trial_loops.h"
 #include "services/availability.h"
 #include "sim/monte_carlo.h"
 #include "sim/pipeline.h"
@@ -120,42 +124,42 @@ void check_stats_identical(const util::RunningStats& a,
 
 void check_connectivity_bit_identity() {
   constexpr std::size_t kTrials = 256;
-  const sim::AggregateResult reference =
-      submarine_sim().run_trials(s1_model(), kTrials, 42);
+  const sim::AggregateResult frozen =
+      reference::run_trials(submarine_sim(), s1_model(), kTrials, 42);
   sim::TrialPipeline pipeline(submarine_sim(), s1_model());
   sim::ConnectivityObserver connectivity;
   pipeline.add_observer(connectivity);
   pipeline.run(kTrials, 42, 1);
-  if (connectivity.result().trials != reference.trials) {
-    fail("connectivity trial counts diverged from run_trials");
+  if (connectivity.result().trials != frozen.trials) {
+    fail("connectivity trial counts diverged from the frozen run_trials");
   }
   check_stats_identical(connectivity.result().cables_failed_pct,
-                        reference.cables_failed_pct,
-                        "cables-failed stats diverged from run_trials");
+                        frozen.cables_failed_pct,
+                        "cables-failed stats diverged from frozen run_trials");
   check_stats_identical(connectivity.result().nodes_unreachable_pct,
-                        reference.nodes_unreachable_pct,
-                        "nodes-unreachable stats diverged from run_trials");
+                        frozen.nodes_unreachable_pct,
+                        "nodes-unreachable diverged from frozen run_trials");
 }
 
 void check_availability_bit_identity() {
   constexpr std::size_t kDraws = 256;
   const services::ServiceSpec spec =
       datacenter_service(datasets::DataCenterOperator::kGoogle);
-  const services::AvailabilitySweep reference = services::availability_sweep(
+  const services::AvailabilitySweep frozen = reference::availability_sweep(
       submarine_sim(), s1_model(), spec, kDraws, 77, 1);
   sim::TrialPipeline pipeline(submarine_sim(), s1_model());
   services::AvailabilityObserver availability(submarine(), spec);
   pipeline.add_observer(availability);
   pipeline.run(kDraws, 77, 1);
-  if (availability.result().draws != reference.draws) {
-    fail("availability draw counts diverged from availability_sweep");
+  if (availability.result().draws != frozen.draws) {
+    fail("availability draw counts diverged from frozen availability_sweep");
   }
   check_stats_identical(availability.result().read_availability,
-                        reference.read_availability,
-                        "read availability diverged from availability_sweep");
+                        frozen.read_availability,
+                        "read availability diverged from frozen sweep");
   check_stats_identical(availability.result().write_availability,
-                        reference.write_availability,
-                        "write availability diverged from availability_sweep");
+                        frozen.write_availability,
+                        "write availability diverged from frozen sweep");
 }
 
 // Replays the same per-trial split streams through a serial
@@ -179,7 +183,7 @@ void check_dns_exact_replay() {
   graph::ComponentScratch scratch;
   graph::ComponentResult components;
   const util::Rng base(kSeed);
-  const std::size_t chunks = sim::TrialPipeline::chunk_count(kTrials);
+  const std::size_t chunks = sim::chunk_count(kTrials);
   struct Chunk {
     util::RunningStats availability;
     util::RunningStats letters;
@@ -193,7 +197,7 @@ void check_dns_exact_replay() {
     submarine().mask_for_failures(dead, mask);
     graph::connected_components(submarine().csr(), mask, scratch, components);
     evaluator.evaluate(dead, components, report);
-    Chunk& slot = per_chunk[t / sim::TrialPipeline::kTrialChunk];
+    Chunk& slot = per_chunk[t / sim::kTrialChunk];
     slot.availability.add(report.resolution_availability);
     slot.letters.add(report.mean_letters_reachable);
     const double cables_pct =
@@ -350,14 +354,14 @@ void check_zero_steady_state_allocations() {
                                                 &dns, &isolation};
   for (sim::TrialObserver* o : observers) pipeline.add_observer(*o);
 
-  const std::size_t chunks = sim::TrialPipeline::chunk_count(kSteadyTrials);
+  const std::size_t chunks = sim::chunk_count(kSteadyTrials);
   for (sim::TrialObserver* o : observers) o->begin_run(pipeline, 1, chunks);
   sim::PipelineScratch scratch;
   const util::Rng base(55);
   auto loop = [&] {
     for (std::size_t t = 0; t < kSteadyTrials; ++t) {
       pipeline.run_trial(t, base, scratch, 0,
-                         t / sim::TrialPipeline::kTrialChunk);
+                         t / sim::kTrialChunk);
     }
   };
   loop();  // warm every buffer over the same sequence
@@ -405,8 +409,9 @@ int main() {
   // --- timing: the acceptance comparison ------------------------------------
   // Old path: the pre-pipeline report drive — one independent Monte-Carlo
   // pass per metric through the one-shot analysis entry points, the way the
-  // old scenario driver sequenced N analysis calls. Connectivity via
-  // run_trials, two availability_sweep passes, and a per-trial DNS loop
+  // old scenario code sequenced N analysis calls. Connectivity and two
+  // availability passes through the frozen loops of
+  // bench/reference/trial_loops.h, and a per-trial DNS loop
   // through evaluate_dns_resolution — which, like every one-shot call,
   // re-resolves the 1076 root instances to landing stations on each
   // realization — plus a per-trial country isolation scan. Each pass
@@ -426,11 +431,11 @@ int main() {
   const double old_ms = benchutil::time_best_ms(
       [&] {
         const sim::AggregateResult agg =
-            submarine_sim().run_trials(s1_model(), kTrials, kSeed);
+            reference::run_trials(submarine_sim(), s1_model(), kTrials, kSeed);
         if (agg.trials != kTrials) std::exit(1);
-        const services::AvailabilitySweep g = services::availability_sweep(
+        const services::AvailabilitySweep g = reference::availability_sweep(
             submarine_sim(), s1_model(), google, kTrials, kSeed, 1);
-        const services::AvailabilitySweep f = services::availability_sweep(
+        const services::AvailabilitySweep f = reference::availability_sweep(
             submarine_sim(), s1_model(), facebook, kTrials, kSeed, 1);
         if (g.draws != kTrials || f.draws != kTrials) std::exit(1);
 

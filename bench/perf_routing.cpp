@@ -375,14 +375,14 @@ void check_zero_steady_state_allocations() {
   routing::TrafficObserver observer(engine);
   pipeline.add_observer(observer);
 
-  const std::size_t chunks = sim::TrialPipeline::chunk_count(kSteadyTrials);
+  const std::size_t chunks = sim::chunk_count(kSteadyTrials);
   observer.begin_run(pipeline, 1, chunks);
   sim::PipelineScratch scratch;
   const util::Rng base(71);
   auto loop = [&] {
     for (std::size_t t = 0; t < kSteadyTrials; ++t) {
       pipeline.run_trial(t, base, scratch, 0,
-                         t / sim::TrialPipeline::kTrialChunk);
+                         t / sim::kTrialChunk);
     }
   };
   loop();  // warm every buffer over the same sequence

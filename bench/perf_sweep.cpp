@@ -13,8 +13,9 @@
 //      combined standard errors at 512 trials (different streams, same
 //      marginals), and exactly at the deterministic p = 1 endpoint,
 //   6. the steady-state per-trial loop performs ZERO heap allocations,
-//   7. the frozen per-point reference below is bit-identical to
-//      run_trials, so it still computes what it replicates.
+//   7. the frozen per-point reference (reference::run_trials in
+//      bench/reference/trial_loops.h) is bit-identical to run_trials, so it
+//      still computes what it replicates.
 // Any failure exits non-zero, so CI's bench smoke job doubles as an
 // equivalence gate. Then it times the old path (G independent per-point
 // passes of the frozen reference) against the engine on the paper-scale
@@ -32,9 +33,9 @@
 #include "analysis/connectivity.h"
 #include "bench_util.h"
 #include "datasets/submarine.h"
+#include "reference/trial_loops.h"
 #include "sim/monte_carlo.h"
 #include "sim/sweep.h"
-#include "util/parallel.h"
 #include "util/rng.h"
 
 // --- global allocation counter ----------------------------------------------
@@ -90,67 +91,6 @@ const sim::SweepEngine& default_engine() {
 [[noreturn]] void fail(const char* what) {
   std::fprintf(stderr, "perf_sweep equivalence check FAILED: %s\n", what);
   std::exit(1);
-}
-
-// --- frozen reference -------------------------------------------------------
-// The old path's per-point pass: a verbatim replica of the scalar branch of
-// FailureSimulator::run_trials with its trial_percentages step inlined —
-// death table folded per call, fixed 32-trial chunks, per-chunk
-// RunningStats merged ascending. It stays here, frozen, so the speedup
-// gate compares the engine with a fixed reference instead of run_trials,
-// which the bit-parallel batch engine has since made ~10x faster.
-sim::AggregateResult reference_run_trials(
-    const sim::FailureSimulator& simulator,
-    const gic::RepeaterFailureModel& model, std::size_t trials,
-    std::uint64_t seed) {
-  const topo::InfrastructureNetwork& net = simulator.network();
-  sim::AggregateResult agg;
-  agg.trials = trials;
-  if (trials == 0) return agg;
-  const sim::DeathProbabilityTable table =
-      simulator.death_probability_table(model);
-  const double connected_nodes =
-      static_cast<double>(net.connected_node_count());
-
-  constexpr std::size_t kTrialChunk = 32;
-  const std::size_t chunks = (trials + kTrialChunk - 1) / kTrialChunk;
-  struct ChunkStats {
-    util::RunningStats cables;
-    util::RunningStats nodes;
-  };
-  std::vector<ChunkStats> per_chunk(chunks);
-  const util::Rng base(seed);
-  const std::size_t workers = std::min(
-      util::resolve_thread_count(simulator.config().threads), chunks);
-  std::vector<sim::TrialScratch> scratch(workers);
-  util::parallel_for(
-      chunks, workers, [&](std::size_t chunk, std::size_t worker) {
-        sim::TrialScratch& s = scratch[worker];
-        ChunkStats& out = per_chunk[chunk];
-        const std::size_t begin = chunk * kTrialChunk;
-        const std::size_t end = std::min(begin + kTrialChunk, trials);
-        for (std::size_t t = begin; t < end; ++t) {
-          util::Rng rng = base.split(t);
-          simulator.sample_cable_failures(table, rng, s.cable_dead);
-          const std::size_t failed = s.cable_dead.count();
-          net.unreachable_nodes(s.cable_dead, s.unreachable);
-          out.cables.add(net.cable_count() > 0
-                             ? 100.0 * static_cast<double>(failed) /
-                                   static_cast<double>(net.cable_count())
-                             : 0.0);
-          out.nodes.add(connected_nodes > 0
-                            ? 100.0 *
-                                  static_cast<double>(s.unreachable.size()) /
-                                  connected_nodes
-                            : 0.0);
-        }
-      });
-
-  for (const ChunkStats& c : per_chunk) {
-    agg.cables_failed_pct.merge(c.cables);
-    agg.nodes_unreachable_pct.merge(c.nodes);
-  }
-  return agg;
 }
 
 // --- validation gates -------------------------------------------------------
@@ -336,14 +276,14 @@ void check_zero_steady_state_allocations() {
   }
 }
 
-// The frozen reference must still be the loop run_trials runs: bit-identical
+// The frozen reference must still compute what run_trials does: bit-identical
 // aggregates at every grid point, across several chunks.
 void check_reference_matches_run_trials() {
   const auto grid = analysis::default_probability_grid();
   for (std::size_t g = 0; g < grid.size(); ++g) {
     const gic::UniformFailureModel model(grid[g]);
     const sim::AggregateResult ref =
-        reference_run_trials(submarine_sim(), model, 100, 600 + g);
+        reference::run_trials(submarine_sim(), model, 100, 600 + g);
     const sim::AggregateResult live =
         submarine_sim().run_trials(model, 100, 600 + g);
     if (ref.cables_failed_pct.mean() != live.cables_failed_pct.mean() ||
@@ -382,7 +322,7 @@ int main() {
     for (std::size_t g = 0; g < grid.size(); ++g) {
       const gic::UniformFailureModel model(grid[g]);
       const sim::AggregateResult agg =
-          reference_run_trials(submarine_sim(), model, kTrials, kSeed + g);
+          reference::run_trials(submarine_sim(), model, kTrials, kSeed + g);
       if (agg.cables_failed_pct.count() != kTrials) std::exit(1);
     }
   }, 5);

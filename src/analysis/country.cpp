@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "util/checkpoint.h"
-
 namespace solarnet::analysis {
 
 namespace {
@@ -129,7 +127,7 @@ CountryIsolationObserver::CountryIsolationObserver(
 void CountryIsolationObserver::begin_run(
     const sim::TrialPipeline& /*pipeline*/, std::size_t /*workers*/,
     std::size_t chunks) {
-  chunks_.assign(chunks * countries_.size(), {});
+  slots_.assign(chunks, countries_.size());
   results_.clear();
 }
 
@@ -143,7 +141,7 @@ void CountryIsolationObserver::observe(const sim::TrialView& view,
     for (topo::CableId c : cables) {
       if (!dead[c]) ++survivors;
     }
-    Slot& slot = chunks_[chunk * countries_.size() + i];
+    Slot& slot = slots_.at(chunk, i);
     slot.survivors.add(static_cast<double>(survivors));
     // A country with no international cables is vacuously "all failed"
     // (matching all_fail_probability's empty-set convention of 1.0).
@@ -162,51 +160,25 @@ std::string CountryIsolationObserver::checkpoint_id() const {
 
 void CountryIsolationObserver::save_chunk(std::size_t chunk,
                                           util::ByteWriter& out) const {
-  // chunks_ is laid out chunk-major (chunk * countries + i), so the number
-  // of chunk slots is the flat size divided by the country count.
-  const std::size_t chunk_slots =
-      countries_.empty() ? 0 : chunks_.size() / countries_.size();
-  sim::check_chunk_slot("CountryIsolationObserver", "save_chunk", chunk,
-                        chunk_slots);
-  for (std::size_t i = 0; i < countries_.size(); ++i) {
-    const Slot& slot = chunks_[chunk * countries_.size() + i];
-    out.u64(slot.isolated);
-    util::write_stats(out, slot.survivors);
-  }
+  slots_.save(chunk, out);
 }
 
 void CountryIsolationObserver::load_chunk(std::size_t chunk,
                                           util::ByteReader& in) {
-  const std::size_t chunk_slots =
-      countries_.empty() ? 0 : chunks_.size() / countries_.size();
-  sim::check_chunk_slot("CountryIsolationObserver", "load_chunk", chunk,
-                        chunk_slots);
-  for (std::size_t i = 0; i < countries_.size(); ++i) {
-    Slot& slot = chunks_[chunk * countries_.size() + i];
-    slot.isolated = in.u64();
-    slot.survivors = util::read_stats(in);
-  }
+  slots_.load(chunk, in);
 }
 
 void CountryIsolationObserver::end_run() {
   results_.assign(countries_.size(), {});
   for (std::size_t i = 0; i < countries_.size(); ++i) {
+    const Slot merged = slots_.merged(i);
     results_[i].country = countries_[i];
     results_[i].international_cable_count = cables_[i].size();
+    results_[i].trials = merged.survivors.count();
+    results_[i].isolated_trials = merged.isolated;
+    results_[i].surviving_cables = merged.survivors;
   }
-  const std::size_t chunks =
-      countries_.empty() ? 0 : chunks_.size() / countries_.size();
-  for (std::size_t chunk = 0; chunk < chunks; ++chunk) {
-    for (std::size_t i = 0; i < countries_.size(); ++i) {
-      const Slot& slot = chunks_[chunk * countries_.size() + i];
-      results_[i].isolated_trials += slot.isolated;
-      results_[i].surviving_cables.merge(slot.survivors);
-    }
-  }
-  for (CountryIsolationResult& r : results_) {
-    r.trials = r.surviving_cables.count();
-  }
-  chunks_.clear();
+  slots_.release();
 }
 
 }  // namespace solarnet::analysis

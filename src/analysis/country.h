@@ -123,10 +123,12 @@ class CountryIsolationObserver final : public sim::CheckpointableObserver {
   struct Slot {
     std::size_t isolated = 0;
     util::RunningStats survivors;
+    static constexpr auto kFields =
+        std::tuple{&Slot::isolated, &Slot::survivors};
   };
   std::vector<std::string> countries_;
   std::vector<std::vector<topo::CableId>> cables_;  // per country
-  std::vector<Slot> chunks_;  // chunk-major: [chunk * countries + country]
+  sim::ChunkSlots<Slot> slots_{"CountryIsolationObserver"};  // per country
   std::vector<CountryIsolationResult> results_;
 };
 

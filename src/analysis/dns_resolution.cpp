@@ -3,7 +3,6 @@
 #include <string>
 
 #include "graph/components.h"
-#include "util/checkpoint.h"
 
 namespace solarnet::analysis {
 
@@ -99,7 +98,7 @@ void DnsResolutionObserver::begin_run(const sim::TrialPipeline& /*pipeline*/,
   // Fill-construct (the evaluator is copyable but not assignable).
   workers_ = std::vector<DnsResolutionEvaluator>(workers, prototype_);
   reports_.assign(workers, {});
-  chunks_.assign(chunks, {});
+  slots_.assign(chunks);
   result_ = {};
   result_.cable_loss_threshold_pct = threshold_pct_;
 }
@@ -108,7 +107,7 @@ void DnsResolutionObserver::observe(const sim::TrialView& view,
                                     std::size_t worker, std::size_t chunk) {
   DnsResolutionReport& report = reports_[worker];
   workers_[worker].evaluate(*view.cable_dead, *view.components, report);
-  Chunk& slot = chunks_[chunk];
+  Slot& slot = slots_.at(chunk);
   slot.availability.add(report.resolution_availability);
   slot.letters.add(report.mean_letters_reachable);
   const bool degraded = resolution_degraded(report.resolution_availability);
@@ -120,40 +119,25 @@ void DnsResolutionObserver::observe(const sim::TrialView& view,
 
 void DnsResolutionObserver::save_chunk(std::size_t chunk,
                                        util::ByteWriter& out) const {
-  sim::check_chunk_slot("DnsResolutionObserver", "save_chunk", chunk,
-                        chunks_.size());
-  const Chunk& slot = chunks_[chunk];
-  util::write_stats(out, slot.availability);
-  util::write_stats(out, slot.letters);
-  out.u64(slot.degraded);
-  out.u64(slot.heavy);
-  out.u64(slot.joint);
+  slots_.save(chunk, out);
 }
 
 void DnsResolutionObserver::load_chunk(std::size_t chunk,
                                        util::ByteReader& in) {
-  sim::check_chunk_slot("DnsResolutionObserver", "load_chunk", chunk,
-                        chunks_.size());
-  Chunk& slot = chunks_[chunk];
-  slot.availability = util::read_stats(in);
-  slot.letters = util::read_stats(in);
-  slot.degraded = in.u64();
-  slot.heavy = in.u64();
-  slot.joint = in.u64();
+  slots_.load(chunk, in);
 }
 
 void DnsResolutionObserver::end_run() {
-  for (const Chunk& slot : chunks_) {
-    result_.resolution_availability.merge(slot.availability);
-    result_.mean_letters_reachable.merge(slot.letters);
-    result_.degraded_trials += slot.degraded;
-    result_.heavy_loss_trials += slot.heavy;
-    result_.joint_trials += slot.joint;
-  }
-  result_.trials = result_.resolution_availability.count();
+  const Slot merged = slots_.merged();
+  result_.resolution_availability = merged.availability;
+  result_.mean_letters_reachable = merged.letters;
+  result_.degraded_trials = merged.degraded;
+  result_.heavy_loss_trials = merged.heavy;
+  result_.joint_trials = merged.joint;
+  result_.trials = merged.availability.count();
   workers_.clear();
   reports_.clear();
-  chunks_.clear();
+  slots_.release();
 }
 
 }  // namespace solarnet::analysis

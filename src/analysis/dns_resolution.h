@@ -113,8 +113,7 @@ struct DnsResolutionSweep {
 };
 
 // Trial-pipeline observer: per-trial DNS resolution availability over the
-// shared failure draw and component decomposition, with the fixed-chunk
-// deterministic reduction (bit-identical for every thread count).
+// shared failure draw and component decomposition.
 class DnsResolutionObserver final : public sim::CheckpointableObserver {
  public:
   DnsResolutionObserver(const topo::InfrastructureNetwork& net,
@@ -136,17 +135,20 @@ class DnsResolutionObserver final : public sim::CheckpointableObserver {
   void load_chunk(std::size_t chunk, util::ByteReader& in) override;
 
  private:
-  struct Chunk {
+  struct Slot {
     util::RunningStats availability;
     util::RunningStats letters;
     std::size_t degraded = 0;
     std::size_t heavy = 0;
     std::size_t joint = 0;
+    static constexpr auto kFields =
+        std::tuple{&Slot::availability, &Slot::letters, &Slot::degraded,
+                   &Slot::heavy, &Slot::joint};
   };
   DnsResolutionEvaluator prototype_;
   std::vector<DnsResolutionEvaluator> workers_;
   std::vector<DnsResolutionReport> reports_;  // per-worker scratch
-  std::vector<Chunk> chunks_;
+  sim::ChunkSlots<Slot> slots_{"DnsResolutionObserver"};
   double threshold_pct_;
   DnsResolutionSweep result_;
 };

@@ -20,7 +20,7 @@ void CountryOutageObserver::begin_run(const sim::TimelineEngine& engine,
                                       std::size_t /*workers*/,
                                       std::size_t chunks) {
   engine_ = &engine;
-  slots_.assign(chunks * countries_.size(), Slot{});
+  slots_.assign(chunks, countries_.size());
   results_.clear();
 }
 
@@ -30,7 +30,7 @@ void CountryOutageObserver::observe(const sim::TimelineView& view,
   const std::size_t storm_steps = engine_->storm_step_count();
   const std::vector<double>& storm_hours = engine_->config().storm_hours;
   for (std::size_t i = 0; i < countries_.size(); ++i) {
-    Slot& slot = slots_[chunk * countries_.size() + i];
+    Slot& slot = slots_.at(chunk, i);
     const std::vector<topo::CableId>& cables = cables_[i];
     // The cutoff interval: opens when the LAST international cable fails,
     // closes when the FIRST one is restored. Empty cable set => never cut.
@@ -68,23 +68,18 @@ void CountryOutageObserver::observe(const sim::TimelineView& view,
 void CountryOutageObserver::end_run() {
   results_.clear();
   results_.reserve(countries_.size());
-  const std::size_t chunks =
-      countries_.empty() ? 0 : slots_.size() / countries_.size();
   for (std::size_t i = 0; i < countries_.size(); ++i) {
+    const Slot merged = slots_.merged(i);
     CountryOutageResult r;
     r.country = countries_[i];
     r.international_cable_count = cables_[i].size();
-    for (std::size_t chunk = 0; chunk < chunks; ++chunk) {
-      const Slot& slot = slots_[chunk * countries_.size() + i];
-      r.cutoff_trials += slot.cutoff;
-      r.outage_hours.merge(slot.outage_hours);
-      r.cutoff_start_hour.merge(slot.start_hour);
-    }
-    r.trials = r.outage_hours.count();
+    r.trials = merged.outage_hours.count();
+    r.cutoff_trials = merged.cutoff;
+    r.outage_hours = merged.outage_hours;
+    r.cutoff_start_hour = merged.start_hour;
     results_.push_back(std::move(r));
   }
-  slots_.clear();
-  slots_.shrink_to_fit();
+  slots_.release();
 }
 
 }  // namespace solarnet::analysis

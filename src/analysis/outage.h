@@ -41,9 +41,7 @@ struct CountryOutageResult {
 
 // TimelineObserver: per-country outage intervals from the per-trial event
 // times (fail_step / restore_hour in the TimelineView). Countries with no
-// international cables in the network never register a cutoff. Per-chunk
-// slots merged in ascending chunk order — bit-identical for every thread
-// count, like every pipeline observer.
+// international cables in the network never register a cutoff.
 class CountryOutageObserver final : public sim::TimelineObserver {
  public:
   CountryOutageObserver(const topo::InfrastructureNetwork& net,
@@ -65,12 +63,14 @@ class CountryOutageObserver final : public sim::TimelineObserver {
     std::size_t cutoff = 0;
     util::RunningStats outage_hours;
     util::RunningStats start_hour;
+    static constexpr auto kFields =
+        std::tuple{&Slot::cutoff, &Slot::outage_hours, &Slot::start_hour};
   };
 
   std::vector<std::string> countries_;
   std::vector<std::vector<topo::CableId>> cables_;  // per country
   const sim::TimelineEngine* engine_ = nullptr;
-  std::vector<Slot> slots_;  // chunk-major: [chunk * countries + i]
+  sim::ChunkSlots<Slot> slots_{"CountryOutageObserver"};  // one per country
   std::vector<CountryOutageResult> results_;
 };
 

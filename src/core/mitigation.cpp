@@ -6,15 +6,13 @@
 #include "analysis/country.h"
 #include "geo/distance.h"
 #include "sim/monte_carlo.h"
-#include "sim/pipeline.h"
 
 namespace solarnet::core {
 
 namespace {
 
-// Mitigation scoring rides the trial pipeline: draw d samples from child
-// stream d (the run_trials discipline, replacing the old hand-rolled
-// sequential-rng loop), so the score is reproducible, thread-count
+// Mitigation scoring rides the trial pipeline (availability_sweep): draw d
+// samples from child stream d, so the score is reproducible, thread-count
 // independent, and the before/after networks are evaluated under common
 // random numbers per draw index.
 double mean_service_availability(const topo::InfrastructureNetwork& net,
@@ -25,11 +23,10 @@ double mean_service_availability(const topo::InfrastructureNetwork& net,
   cfg.repeater_spacing_km = options.repeater_spacing_km;
   cfg.threads = options.threads;
   const sim::FailureSimulator simulator(net, cfg);
-  sim::TrialPipeline pipeline(simulator, model);
-  services::AvailabilityObserver availability(net, service);
-  pipeline.add_observer(availability);
-  pipeline.run(options.availability_draws, options.seed);
-  return availability.result().read_availability.mean();
+  return services::availability_sweep(simulator, model, service,
+                                      options.availability_draws,
+                                      options.seed, options.threads)
+      .read_availability.mean();
 }
 
 }  // namespace

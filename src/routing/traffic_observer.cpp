@@ -1,7 +1,5 @@
 #include "routing/traffic_observer.h"
 
-#include "util/checkpoint.h"
-
 namespace solarnet::routing {
 
 TrafficObserver::TrafficObserver(const TrafficEngine& engine)
@@ -11,7 +9,7 @@ void TrafficObserver::begin_run(const sim::TrialPipeline& pipeline,
                                 std::size_t workers, std::size_t chunks) {
   scratch_.resize(workers);
   results_.resize(workers);
-  chunks_.assign(chunks, {});
+  slots_.assign(chunks);
   result_ = {};
   result_.network = pipeline.network().name();
   result_.demand_pairs = engine_.demands().size();
@@ -23,7 +21,7 @@ void TrafficObserver::observe(const sim::TrialView& view, std::size_t worker,
   AssignmentResult& r = results_[worker];
   engine_.assign(*view.cable_dead, view.mask, view.components,
                  scratch_[worker], r);
-  Chunk& slot = chunks_[chunk];
+  Slot& slot = slots_.at(chunk);
   slot.delivered.add(r.delivered_fraction());
   slot.stranded.add(r.undeliverable_gbps);
   slot.max_util.add(r.max_utilization);
@@ -41,39 +39,24 @@ std::string TrafficObserver::checkpoint_id() const {
 
 void TrafficObserver::save_chunk(std::size_t chunk,
                                  util::ByteWriter& out) const {
-  sim::check_chunk_slot("TrafficObserver", "save_chunk", chunk,
-                        chunks_.size());
-  const Chunk& slot = chunks_[chunk];
-  util::write_stats(out, slot.delivered);
-  util::write_stats(out, slot.stranded);
-  util::write_stats(out, slot.max_util);
-  util::write_stats(out, slot.overloaded);
-  util::write_stats(out, slot.path_km);
+  slots_.save(chunk, out);
 }
 
 void TrafficObserver::load_chunk(std::size_t chunk, util::ByteReader& in) {
-  sim::check_chunk_slot("TrafficObserver", "load_chunk", chunk,
-                        chunks_.size());
-  Chunk& slot = chunks_[chunk];
-  slot.delivered = util::read_stats(in);
-  slot.stranded = util::read_stats(in);
-  slot.max_util = util::read_stats(in);
-  slot.overloaded = util::read_stats(in);
-  slot.path_km = util::read_stats(in);
+  slots_.load(chunk, in);
 }
 
 void TrafficObserver::end_run() {
-  for (const Chunk& slot : chunks_) {
-    result_.delivered_fraction.merge(slot.delivered);
-    result_.stranded_gbps.merge(slot.stranded);
-    result_.max_utilization.merge(slot.max_util);
-    result_.overloaded_cables.merge(slot.overloaded);
-    result_.mean_path_km.merge(slot.path_km);
-  }
-  result_.trials = result_.delivered_fraction.count();
+  const Slot merged = slots_.merged();
+  result_.delivered_fraction = merged.delivered;
+  result_.stranded_gbps = merged.stranded;
+  result_.max_utilization = merged.max_util;
+  result_.overloaded_cables = merged.overloaded;
+  result_.mean_path_km = merged.path_km;
+  result_.trials = merged.delivered.count();
   scratch_.clear();
   results_.clear();
-  chunks_.clear();
+  slots_.release();
 }
 
 }  // namespace solarnet::routing

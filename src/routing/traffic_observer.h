@@ -6,15 +6,12 @@
 // pipeline's shared failure draw — reusing the pipeline's alive mask and
 // component decomposition, so stranded (cross-component) demands never
 // touch the SSSP kernel — and accumulates traffic-weighted loss metrics
-// with the fixed-chunk reduction: delivered fraction, stranded Gbps, max
-// cable utilization and overloaded-cable count after reroute, mean
-// delivered path length.
+// per chunk: delivered fraction, stranded Gbps, max cable utilization and
+// overloaded-cable count after reroute, mean delivered path length.
 //
-// Determinism: per-worker TrafficScratch + AssignmentResult, per-chunk
-// RunningStats slots merged in ascending order in end_run() — bit-identical
-// results for every thread count, like every other pipeline observer.
-// Checkpointable under the CampaignRunner with the usual contract; the id
-// carries the network name and demand-matrix shape so a checkpoint from a
+// Per-worker TrafficScratch + AssignmentResult, per-chunk ChunkSlots
+// (sim/chunked.h). Checkpointable under the CampaignRunner; the id carries
+// the network name and demand-matrix shape so a checkpoint from a
 // different traffic configuration is rejected instead of misapplied.
 #pragma once
 
@@ -61,17 +58,20 @@ class TrafficObserver final : public sim::CheckpointableObserver {
   void load_chunk(std::size_t chunk, util::ByteReader& in) override;
 
  private:
-  struct Chunk {
+  struct Slot {
     util::RunningStats delivered;
     util::RunningStats stranded;
     util::RunningStats max_util;
     util::RunningStats overloaded;
     util::RunningStats path_km;
+    static constexpr auto kFields =
+        std::tuple{&Slot::delivered, &Slot::stranded, &Slot::max_util,
+                   &Slot::overloaded, &Slot::path_km};
   };
   const TrafficEngine& engine_;
   std::vector<TrafficScratch> scratch_;      // per-worker
   std::vector<AssignmentResult> results_;    // per-worker
-  std::vector<Chunk> chunks_;
+  sim::ChunkSlots<Slot> slots_{"TrafficObserver"};
   TrafficSweep result_;
 };
 

@@ -362,7 +362,11 @@ void build_engine_key(const ScenarioRequest& req,
                       std::uint64_t observer_salt, util::ByteWriter& key) {
   key.clear();
   fold_common(req, network_fingerprint, observer_salt, key);
-  key.u8(static_cast<std::uint8_t>(req.engine));
+  // Only the report pipeline reads the engine choice; sweeps and timelines
+  // share one pooled engine whatever the request asks for.
+  if (req.kind == RequestKind::kReport) {
+    key.u8(static_cast<std::uint8_t>(req.engine));
+  }
 }
 
 }  // namespace solarnet::server

@@ -62,10 +62,11 @@
 // engines are bit-identical (gated by bench/perf_batch.cpp), so the engine
 // choice affects how a miss is computed, never the bytes served. The
 // server's thread count is likewise excluded (aggregates are thread-count
-// invariant). build_engine_key is the same encoding minus (trials, seed)
-// plus the engine — it keys the pool of resident simulator/pipeline/
-// observer bundles, which requests differing only in trial budget or seed
-// reuse without rebuilding.
+// invariant). build_engine_key is the same encoding minus (trials, seed),
+// plus the engine for report requests (sweep and timeline engines never
+// read it) — it keys the pool of resident simulator/pipeline/observer
+// bundles, which requests differing only in trial budget or seed reuse
+// without rebuilding.
 #pragma once
 
 #include <cstdint>
@@ -134,9 +135,9 @@ void build_cache_key(const ScenarioRequest& req,
                      std::uint64_t network_fingerprint,
                      std::uint64_t observer_salt, util::ByteWriter& key);
 
-// Engine-pool key: the cache key minus (trials, seed), plus the engine
-// selection — everything that shapes the resident simulator/pipeline/
-// observer bundle a request needs.
+// Engine-pool key: the cache key minus (trials, seed), plus a report's
+// engine selection — everything that shapes the resident simulator/
+// pipeline/observer bundle a request needs.
 void build_engine_key(const ScenarioRequest& req,
                       std::uint64_t network_fingerprint,
                       std::uint64_t observer_salt, util::ByteWriter& key);

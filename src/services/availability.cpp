@@ -5,8 +5,6 @@
 #include <stdexcept>
 
 #include "geo/distance.h"
-#include "util/checkpoint.h"
-#include "util/parallel.h"
 
 namespace solarnet::services {
 
@@ -184,89 +182,16 @@ AvailabilityReport evaluate_service(const topo::InfrastructureNetwork& net,
   return evaluator.evaluate(to_bitset(cable_dead));
 }
 
-std::vector<AvailabilityReport> evaluate_services(
-    const topo::InfrastructureNetwork& net,
-    const std::vector<bool>& cable_dead,
-    const std::vector<ServiceSpec>& services) {
-  std::vector<AvailabilityReport> out;
-  out.reserve(services.size());
-  const util::Bitset dead = to_bitset(cable_dead);
-  for (const ServiceSpec& s : services) {
-    ServiceEvaluator evaluator(net, s);
-    out.push_back(evaluator.evaluate(dead));
-  }
-  return out;
-}
-
 AvailabilitySweep availability_sweep(const sim::FailureSimulator& simulator,
                                      const gic::RepeaterFailureModel& model,
                                      const ServiceSpec& service,
                                      std::size_t draws, std::uint64_t seed,
                                      std::size_t threads) {
-  AvailabilitySweep sweep;
-  sweep.service = service.name;
-  sweep.draws = draws;
-  if (draws == 0) {
-    // Still validate the spec so a bad sweep fails loudly.
-    ServiceEvaluator(simulator.network(), service);
-    return sweep;
-  }
-
-  // Under the any-failure rule, fold the per-cable death probabilities once
-  // so each draw is O(cables).
-  sim::DeathProbabilityTable table;
-  const bool use_table =
-      simulator.config().rule == sim::CableDeathRule::kAnyRepeaterFails;
-  if (use_table) table = simulator.death_probability_table(model);
-
-  // Same determinism discipline as FailureSimulator::run_trials: fixed-size
-  // draw chunks (independent of the thread count), draw d always samples
-  // from child stream d, per-chunk accumulators merged in ascending order.
-  constexpr std::size_t kDrawChunk = 32;
-  const std::size_t chunks = (draws + kDrawChunk - 1) / kDrawChunk;
-  struct ChunkStats {
-    util::RunningStats read;
-    util::RunningStats write;
-  };
-  std::vector<ChunkStats> per_chunk(chunks);
-
-  const std::size_t workers =
-      std::min(util::resolve_thread_count(threads), chunks);
-  struct WorkerState {
-    ServiceEvaluator evaluator;
-    util::Bitset dead;
-    AvailabilityReport report;
-  };
-  // The prototype runs the nearest-node scans once; workers copy the
-  // resolved tables instead of re-scanning.
-  const ServiceEvaluator prototype(simulator.network(), service);
-  std::vector<WorkerState> state(workers, {prototype, {}, {}});
-
-  const util::Rng base(seed);
-  util::parallel_for(
-      chunks, workers, [&](std::size_t chunk, std::size_t worker) {
-        WorkerState& s = state[worker];
-        ChunkStats& out = per_chunk[chunk];
-        const std::size_t begin = chunk * kDrawChunk;
-        const std::size_t end = std::min(begin + kDrawChunk, draws);
-        for (std::size_t d = begin; d < end; ++d) {
-          util::Rng rng = base.split(d);
-          if (use_table) {
-            simulator.sample_cable_failures(table, rng, s.dead);
-          } else {
-            simulator.sample_cable_failures(model, rng, s.dead);
-          }
-          s.evaluator.evaluate(s.dead, s.report);
-          out.read.add(s.report.read_availability);
-          out.write.add(s.report.write_availability);
-        }
-      });
-
-  for (const ChunkStats& c : per_chunk) {
-    sweep.read_availability.merge(c.read);
-    sweep.write_availability.merge(c.write);
-  }
-  return sweep;
+  AvailabilityObserver observer(simulator.network(), service);
+  sim::TrialPipeline pipeline(simulator, model);
+  pipeline.add_observer(observer);
+  pipeline.run(draws, seed, threads);
+  return observer.result();
 }
 
 AvailabilityObserver::AvailabilityObserver(
@@ -278,7 +203,7 @@ void AvailabilityObserver::begin_run(const sim::TrialPipeline& /*pipeline*/,
   // Fill-construct (ServiceEvaluator is copyable but not assignable).
   workers_ = std::vector<ServiceEvaluator>(workers, prototype_);
   reports_.assign(workers, {});
-  chunks_.assign(chunks, {});
+  slots_.assign(chunks);
   result_ = {};
   result_.service = prototype_.spec().name;
 }
@@ -288,37 +213,28 @@ void AvailabilityObserver::observe(const sim::TrialView& view,
   AvailabilityReport& report = reports_[worker];
   workers_[worker].evaluate_with_components(*view.cable_dead, *view.components,
                                             report);
-  Chunk& slot = chunks_[chunk];
+  Slot& slot = slots_.at(chunk);
   slot.read.add(report.read_availability);
   slot.write.add(report.write_availability);
 }
 
 void AvailabilityObserver::save_chunk(std::size_t chunk,
                                       util::ByteWriter& out) const {
-  sim::check_chunk_slot("AvailabilityObserver", "save_chunk", chunk,
-                        chunks_.size());
-  const Chunk& slot = chunks_[chunk];
-  util::write_stats(out, slot.read);
-  util::write_stats(out, slot.write);
+  slots_.save(chunk, out);
 }
 
 void AvailabilityObserver::load_chunk(std::size_t chunk, util::ByteReader& in) {
-  sim::check_chunk_slot("AvailabilityObserver", "load_chunk", chunk,
-                        chunks_.size());
-  Chunk& slot = chunks_[chunk];
-  slot.read = util::read_stats(in);
-  slot.write = util::read_stats(in);
+  slots_.load(chunk, in);
 }
 
 void AvailabilityObserver::end_run() {
-  for (const Chunk& slot : chunks_) {
-    result_.read_availability.merge(slot.read);
-    result_.write_availability.merge(slot.write);
-  }
-  result_.draws = result_.read_availability.count();
+  const Slot merged = slots_.merged();
+  result_.read_availability = merged.read;
+  result_.write_availability = merged.write;
+  result_.draws = merged.read.count();
   workers_.clear();
   reports_.clear();
-  chunks_.clear();
+  slots_.release();
 }
 
 }  // namespace solarnet::services

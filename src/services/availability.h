@@ -10,8 +10,8 @@
 // Two tiers mirror the graph kernels: evaluate_service is the one-shot
 // API; ServiceEvaluator resolves the replica and continent-anchor landing
 // nodes once per (network, spec) and then answers per-draw queries
-// allocation-free over the network's cached CSR — that plus
-// availability_sweep is the Monte-Carlo hot path.
+// allocation-free over the network's cached CSR — AvailabilityObserver
+// runs it on the trial pipeline, the Monte-Carlo hot path.
 #pragma once
 
 #include <string>
@@ -62,7 +62,7 @@ continent_population_shares();
 // Pre-resolved evaluator for one (network, service) pair. Construction
 // runs the nearest-landing-point scans (O(nodes) per replica/anchor) once;
 // evaluate() then costs one masked component decomposition plus O(1)
-// lookups per party, reusing all scratch. Copyable — the parallel sweep
+// lookups per party, reusing all scratch. Copyable — AvailabilityObserver
 // hands each worker its own copy. The network must outlive the evaluator.
 class ServiceEvaluator {
  public:
@@ -112,16 +112,11 @@ AvailabilityReport evaluate_service(const topo::InfrastructureNetwork& net,
                                     const std::vector<bool>& cable_dead,
                                     const ServiceSpec& service);
 
-std::vector<AvailabilityReport> evaluate_services(
-    const topo::InfrastructureNetwork& net, const std::vector<bool>& cable_dead,
-    const std::vector<ServiceSpec>& services);
-
-// Monte-Carlo availability sweep: `draws` independent failure draws from
-// the simulator's model, each evaluated through a pre-resolved
-// ServiceEvaluator. Draw d always samples from child stream d of `seed`
-// and draws are accumulated in fixed-size chunks merged in ascending
-// order (the run_trials discipline), so the result is bit-identical for
-// every `threads` value (0 = hardware concurrency).
+// Monte-Carlo availability of one service: population-weighted read/write
+// availability over `draws` failure draws (draw d from child stream d of
+// `seed`), bit-identical for every `threads` value (0 = hardware
+// concurrency). availability_sweep is one TrialPipeline pass with a single
+// AvailabilityObserver.
 struct AvailabilitySweep {
   std::string service;
   std::size_t draws = 0;
@@ -138,12 +133,10 @@ AvailabilitySweep availability_sweep(const sim::FailureSimulator& simulator,
 
 // Trial-pipeline observer for one service: evaluates every trial's draw
 // against the pipeline's shared component decomposition (no per-service
-// mask/component rebuild) and accumulates read/write availability with the
-// fixed-chunk reduction. Registered on a sim::TrialPipeline it produces the
-// same AvailabilitySweep as availability_sweep() bit for bit — for the same
-// seed/draw count and any thread count — while sharing the failure draw
-// with every other observer. Construction resolves the replica/anchor
-// nodes once; begin_run hands each worker a copy of the resolved evaluator.
+// mask/component rebuild) and accumulates read/write availability, sharing
+// the failure draw with every other observer. Construction resolves the
+// replica/anchor nodes once; begin_run hands each worker a copy of the
+// resolved evaluator.
 class AvailabilityObserver final : public sim::CheckpointableObserver {
  public:
   // Throws like ServiceEvaluator on a bad spec.
@@ -170,14 +163,15 @@ class AvailabilityObserver final : public sim::CheckpointableObserver {
   void load_chunk(std::size_t chunk, util::ByteReader& in) override;
 
  private:
-  struct Chunk {
+  struct Slot {
     util::RunningStats read;
     util::RunningStats write;
+    static constexpr auto kFields = std::tuple{&Slot::read, &Slot::write};
   };
   ServiceEvaluator prototype_;
   std::vector<ServiceEvaluator> workers_;
   std::vector<AvailabilityReport> reports_;  // per-worker scratch
-  std::vector<Chunk> chunks_;
+  sim::ChunkSlots<Slot> slots_{"AvailabilityObserver"};
   AvailabilitySweep result_;
 };
 

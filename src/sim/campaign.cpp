@@ -7,7 +7,6 @@
 #include "util/checkpoint.h"
 #include "util/fault_injection.h"
 #include "util/fingerprint.h"
-#include "util/parallel.h"
 
 namespace solarnet::sim {
 
@@ -34,7 +33,7 @@ std::uint64_t CampaignRunner::fingerprint(const CampaignOptions& options,
   util::Fingerprint fp(0x534e4350ULL);  // "SNCP"
   fp.fold(options.trials);
   fp.fold(options.seed);
-  fp.fold(TrialPipeline::kTrialChunk);
+  fp.fold(kTrialChunk);
   fp.fold(chunks);
   fp.fold(pipeline_.network().cable_count());
   fp.fold(pipeline_.network().connected_node_count());
@@ -51,7 +50,7 @@ std::string CampaignRunner::serialize(const CampaignOptions& options,
   payload.u64(fingerprint(options, chunks));
   payload.u64(options.trials);
   payload.u64(options.seed);
-  payload.u32(static_cast<std::uint32_t>(TrialPipeline::kTrialChunk));
+  payload.u32(static_cast<std::uint32_t>(kTrialChunk));
   payload.u64(chunks);
   payload.u32(static_cast<std::uint32_t>(observers_.size()));
   for (const CheckpointableObserver* observer : observers_) {
@@ -120,7 +119,7 @@ std::size_t CampaignRunner::load_checkpoint(const CampaignOptions& options,
   }
   if (in.u64() != options.trials) throw mismatch("trial count differs", path);
   if (in.u64() != options.seed) throw mismatch("seed differs", path);
-  if (in.u32() != TrialPipeline::kTrialChunk) {
+  if (in.u32() != kTrialChunk) {
     throw mismatch("chunk size differs", path);
   }
   if (in.u64() != chunks) throw mismatch("chunk count differs", path);
@@ -187,9 +186,10 @@ CampaignReport CampaignRunner::run(const CampaignOptions& options) {
   }
 
   const bool checkpointing = !options.checkpoint_path.empty();
-  const std::size_t chunks = TrialPipeline::chunk_count(options.trials);
-  const std::size_t workers =
-      std::min(util::resolve_thread_count(options.threads), chunks);
+  // One chunk per task: a task is the unit the kWorkerTask fault site and
+  // a checkpoint segment count in.
+  const ChunkedRun chunked(options.trials, options.threads);
+  const std::size_t chunks = chunked.chunks();
 
   CampaignReport report;
   report.trials = options.trials;
@@ -197,7 +197,7 @@ CampaignReport CampaignRunner::run(const CampaignOptions& options) {
 
   const auto begin_all = [&] {
     for (CheckpointableObserver* observer : observers_) {
-      observer->begin_run(pipeline_, workers, chunks);
+      observer->begin_run(pipeline_, chunked.workers(), chunks);
     }
   };
   begin_all();
@@ -220,7 +220,7 @@ CampaignReport CampaignRunner::run(const CampaignOptions& options) {
   }
 
   util::FaultInjector::probe(util::FaultSite::kAllocation);
-  std::vector<PipelineScratch> scratch(workers);
+  std::vector<PipelineScratch> scratch(chunked.workers());
   const util::Rng base(options.seed);
 
   while (completed < chunks) {
@@ -228,19 +228,13 @@ CampaignReport CampaignRunner::run(const CampaignOptions& options) {
         checkpointing
             ? std::min(completed + options.checkpoint_every_chunks, chunks)
             : chunks;
-    const std::size_t segment_begin = completed;
-    util::parallel_for(
-        segment_end - segment_begin, options.threads,
-        [&](std::size_t task, std::size_t worker) {
-          const std::size_t chunk = segment_begin + task;
-          const std::size_t begin = chunk * TrialPipeline::kTrialChunk;
-          const std::size_t end =
-              std::min(begin + TrialPipeline::kTrialChunk, options.trials);
-          for (std::size_t t = begin; t < end; ++t) {
-            pipeline_.run_trial(t, base, scratch[worker], worker, chunk);
-          }
-        });
-    report.chunks_executed += segment_end - segment_begin;
+    chunked.run(completed, segment_end, [&](const ChunkTask& task) {
+      for (std::size_t t = task.begin; t < task.end; ++t) {
+        pipeline_.run_trial(t, base, scratch[task.worker], task.worker,
+                            task.first_chunk);
+      }
+    });
+    report.chunks_executed += segment_end - completed;
     completed = segment_end;
 
     if (checkpointing && (completed < chunks || options.keep_checkpoint)) {

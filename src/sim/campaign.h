@@ -60,7 +60,7 @@ struct CampaignOptions {
   // Empty = no checkpointing: the whole campaign runs as one segment.
   std::string checkpoint_path;
   // Segment length: a checkpoint is written after every this-many chunks
-  // (of TrialPipeline::kTrialChunk trials each).
+  // (of kTrialChunk trials each).
   std::size_t checkpoint_every_chunks = 64;
   // Attempt to resume from an existing checkpoint file.
   bool resume = true;

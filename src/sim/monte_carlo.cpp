@@ -1,12 +1,10 @@
 #include "sim/monte_carlo.h"
 
-#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
-#include "sim/trial_batch.h"
+#include "sim/pipeline.h"
 #include "topology/repeater.h"
-#include "util/parallel.h"
 
 namespace solarnet::sim {
 
@@ -85,6 +83,50 @@ DeathProbabilityTable FailureSimulator::death_probability_table(
 
 namespace {
 
+// run_trials' observer: the two percentages every trial view carries. It
+// needs no component build and takes whole batches on the 64-lane path.
+class AggregateObserver final : public TrialObserver {
+ public:
+  bool needs_components() const override { return false; }
+  bool supports_batch() const override { return true; }
+  void begin_run(const TrialPipeline& /*pipeline*/, std::size_t /*workers*/,
+                 std::size_t chunks) override {
+    slots_.assign(chunks);
+  }
+  void observe(const TrialView& view, std::size_t /*worker*/,
+               std::size_t chunk) override {
+    add(chunk, view.cables_failed_pct, view.nodes_unreachable_pct);
+  }
+  void observe_batch(const BatchTrialView& view, std::size_t /*worker*/,
+                     std::size_t first_chunk) override {
+    for (unsigned lane = 0; lane < view.lanes; ++lane) {
+      add(first_chunk + lane / kTrialChunk, view.cables_failed_pct[lane],
+          view.nodes_unreachable_pct[lane]);
+    }
+  }
+  void end_run() override {
+    const Slot merged = slots_.merged();
+    result_ = {merged.cables, merged.nodes, merged.cables.count()};
+    slots_.release();
+  }
+  const AggregateResult& result() const noexcept { return result_; }
+
+ private:
+  struct Slot {
+    util::RunningStats cables;
+    util::RunningStats nodes;
+    static constexpr auto kFields = std::tuple{&Slot::cables, &Slot::nodes};
+  };
+  void add(std::size_t chunk, double cables_pct, double nodes_pct) {
+    Slot& slot = slots_.at(chunk);
+    slot.cables.add(cables_pct);
+    slot.nodes.add(nodes_pct);
+  }
+
+  ChunkSlots<Slot> slots_{"AggregateObserver"};
+  AggregateResult result_;
+};
+
 // Uniform bit assignment over the two dead-set representations.
 inline void set_bit(std::vector<bool>& dead, std::size_t i, bool value) {
   dead[i] = value;
@@ -97,7 +139,6 @@ inline void set_bit(util::Bitset& dead, std::size_t i, bool value) {
 
 template <typename DeadSet>
 void FailureSimulator::sample_into(const gic::RepeaterFailureModel& model,
-                                   const DeathProbabilityTable* table,
                                    util::Rng& rng, DeadSet& dead) const {
   dead.assign(net_.cable_count(), false);
   for (topo::CableId c = 0; c < net_.cable_count(); ++c) {
@@ -105,9 +146,7 @@ void FailureSimulator::sample_into(const gic::RepeaterFailureModel& model,
     const std::size_t end = cable_offset_[c + 1];
     if (begin == end) continue;  // repeaterless cables never die of GIC
     if (config_.rule == CableDeathRule::kAnyRepeaterFails) {
-      const double p = table != nullptr ? table->probability[c]
-                                        : cable_death_probability(c, model);
-      set_bit(dead, c, rng.bernoulli(p));
+      set_bit(dead, c, rng.bernoulli(cable_death_probability(c, model)));
     } else {
       std::size_t failed = 0;
       for (std::size_t i = begin; i < end; ++i) {
@@ -125,20 +164,20 @@ void FailureSimulator::sample_into(const gic::RepeaterFailureModel& model,
 std::vector<bool> FailureSimulator::sample_cable_failures(
     const gic::RepeaterFailureModel& model, util::Rng& rng) const {
   std::vector<bool> dead;
-  sample_into(model, nullptr, rng, dead);
+  sample_into(model, rng, dead);
   return dead;
 }
 
 void FailureSimulator::sample_cable_failures(
     const gic::RepeaterFailureModel& model, util::Rng& rng,
     std::vector<bool>& dead) const {
-  sample_into(model, nullptr, rng, dead);
+  sample_into(model, rng, dead);
 }
 
 void FailureSimulator::sample_cable_failures(
     const gic::RepeaterFailureModel& model, util::Rng& rng,
     util::Bitset& dead) const {
-  sample_into(model, nullptr, rng, dead);
+  sample_into(model, rng, dead);
 }
 
 void FailureSimulator::sample_cable_failures(const DeathProbabilityTable& table,
@@ -159,28 +198,10 @@ void FailureSimulator::sample_cable_failures(const DeathProbabilityTable& table,
   }
 }
 
-void FailureSimulator::trial_percentages(
-    const gic::RepeaterFailureModel& model, const DeathProbabilityTable* table,
-    util::Rng& rng, TrialScratch& scratch, double& cables_failed_pct,
-    double& nodes_unreachable_pct) const {
-  sample_into(model, table, rng, scratch.cable_dead);
-  const std::size_t failed = scratch.cable_dead.count();
-  net_.unreachable_nodes(scratch.cable_dead, scratch.unreachable);
-  cables_failed_pct = net_.cable_count() > 0
-                          ? 100.0 * static_cast<double>(failed) /
-                                static_cast<double>(net_.cable_count())
-                          : 0.0;
-  nodes_unreachable_pct =
-      connected_nodes_ > 0
-          ? 100.0 * static_cast<double>(scratch.unreachable.size()) /
-                static_cast<double>(connected_nodes_)
-          : 0.0;
-}
-
 TrialResult FailureSimulator::run_trial(const gic::RepeaterFailureModel& model,
                                         util::Rng& rng) const {
   TrialResult result;
-  sample_into(model, nullptr, rng, result.cable_dead);
+  sample_into(model, rng, result.cable_dead);
   for (bool d : result.cable_dead) {
     if (d) ++result.cables_failed;
   }
@@ -201,103 +222,11 @@ TrialResult FailureSimulator::run_trial(const gic::RepeaterFailureModel& model,
 AggregateResult FailureSimulator::run_trials(
     const gic::RepeaterFailureModel& model, std::size_t trials,
     std::uint64_t seed) const {
-  AggregateResult agg;
-  agg.trials = trials;
-  if (trials == 0) return agg;
-
-  // Under the any-failure rule the per-cable probabilities are a pure
-  // function of (simulator, model): fold them once so every trial is
-  // O(cables) instead of O(repeaters).
-  DeathProbabilityTable table;
-  const DeathProbabilityTable* table_ptr = nullptr;
-  if (config_.rule == CableDeathRule::kAnyRepeaterFails) {
-    table = death_probability_table(model);
-    table_ptr = &table;
-  }
-
-  // Determinism: trials are grouped into fixed-size chunks whose boundaries
-  // depend only on `trials`, never on the thread count. Each chunk
-  // accumulates its own RunningStats (trial t always draws from child
-  // stream t), workers claim whole chunks, and the chunk accumulators are
-  // merged in ascending chunk order — so the aggregate is bit-identical for
-  // every thread count, and (because a lone chunk merges into the empty
-  // aggregate by copy) bit-identical to a plain serial loop whenever
-  // trials <= kTrialChunk, which covers the paper's 10-trial runs.
-  constexpr std::size_t kTrialChunk = 32;
-  const std::size_t chunks = (trials + kTrialChunk - 1) / kTrialChunk;
-  struct ChunkStats {
-    util::RunningStats cables;
-    util::RunningStats nodes;
-  };
-  std::vector<ChunkStats> per_chunk(chunks);
-  const util::Rng base(seed);
-
-  if (table_ptr != nullptr && config_.engine != TrialEngine::kScalar) {
-    // Bit-parallel path: one 64-lane batch covers exactly two chunks
-    // (kLanes == 2 * kTrialChunk), so each batch task owns whole chunks and
-    // the per-chunk accumulators — filled in ascending lane order from
-    // integer counts, with the same percentage arithmetic as the scalar
-    // loop — stay bit-identical for every thread count and to kScalar.
-    static_assert(TrialBatchKernel::kLanes == 2 * kTrialChunk);
-    const TrialBatchKernel kernel(*this, table);
-    const std::size_t tasks =
-        (trials + TrialBatchKernel::kLanes - 1) / TrialBatchKernel::kLanes;
-    const std::size_t workers =
-        std::min(util::resolve_thread_count(config_.threads), tasks);
-    struct BatchScratch {
-      TrialBatch batch;
-      std::uint32_t cables[TrialBatchKernel::kLanes];
-      std::uint32_t nodes[TrialBatchKernel::kLanes];
-    };
-    std::vector<BatchScratch> scratch(workers);
-    const std::size_t cable_count = net_.cable_count();
-    util::parallel_for(
-        tasks, workers, [&](std::size_t task, std::size_t worker) {
-          BatchScratch& s = scratch[worker];
-          const std::size_t first = task * TrialBatchKernel::kLanes;
-          const auto lanes = static_cast<unsigned>(std::min<std::size_t>(
-              TrialBatchKernel::kLanes, trials - first));
-          kernel.sample(base, first, lanes, s.batch);
-          kernel.count_cables_failed(s.batch, s.cables);
-          kernel.count_unreachable_nodes(s.batch, s.nodes);
-          for (unsigned lane = 0; lane < lanes; ++lane) {
-            ChunkStats& out = per_chunk[(first + lane) / kTrialChunk];
-            out.cables.add(cable_count > 0
-                               ? 100.0 * static_cast<double>(s.cables[lane]) /
-                                     static_cast<double>(cable_count)
-                               : 0.0);
-            out.nodes.add(connected_nodes_ > 0
-                              ? 100.0 * static_cast<double>(s.nodes[lane]) /
-                                    static_cast<double>(connected_nodes_)
-                              : 0.0);
-          }
-        });
-  } else {
-    const std::size_t workers =
-        std::min(util::resolve_thread_count(config_.threads), chunks);
-    std::vector<TrialScratch> scratch(workers);
-    util::parallel_for(
-        chunks, workers, [&](std::size_t chunk, std::size_t worker) {
-          TrialScratch& s = scratch[worker];
-          ChunkStats& out = per_chunk[chunk];
-          const std::size_t begin = chunk * kTrialChunk;
-          const std::size_t end = std::min(begin + kTrialChunk, trials);
-          for (std::size_t t = begin; t < end; ++t) {
-            util::Rng rng = base.split(t);
-            double cables_pct = 0.0;
-            double nodes_pct = 0.0;
-            trial_percentages(model, table_ptr, rng, s, cables_pct, nodes_pct);
-            out.cables.add(cables_pct);
-            out.nodes.add(nodes_pct);
-          }
-        });
-  }
-
-  for (const ChunkStats& c : per_chunk) {
-    agg.cables_failed_pct.merge(c.cables);
-    agg.nodes_unreachable_pct.merge(c.nodes);
-  }
-  return agg;
+  TrialPipeline pipeline(*this, model);
+  AggregateObserver aggregate;
+  pipeline.add_observer(aggregate);
+  pipeline.run(trials, seed);
+  return aggregate.result();
 }
 
 }  // namespace solarnet::sim

@@ -10,17 +10,12 @@
 // FailureSimulator precomputes the repeater layout (positions and the
 // per-cable max-endpoint latitude) once per (network, spacing). Under the
 // any-failure rule the per-cable death probabilities depend only on the
-// (simulator, model) pair, so run_trials folds them into a
-// DeathProbabilityTable once up front and every trial is O(cables); the
-// kFractionFails extension must draw each repeater individually and stays
-// O(repeaters) per trial.
+// (simulator, model) pair, so they fold into a DeathProbabilityTable once
+// and every trial is O(cables); the kFractionFails extension must draw each
+// repeater individually and stays O(repeaters) per trial.
 //
-// run_trials distributes trials over TrialConfig::threads workers. Trial t
-// always draws from Rng child stream t, trials are accumulated in
-// fixed-size chunks whose boundaries do not depend on the thread count, and
-// the per-chunk RunningStats are merged in ascending chunk order — so the
-// aggregate is bit-identical for every thread count (and to the serial
-// implementation for the paper's trial counts).
+// run_trials is one sim::TrialPipeline pass reduced to the two aggregate
+// percentages; its determinism is the pipeline's (sim/chunked.h).
 #pragma once
 
 #include <cstdint>
@@ -40,11 +35,11 @@ enum class CableDeathRule {
   kFractionFails,     // extension: dies when >= death_fraction of repeaters fail
 };
 
-// Which engine run_trials (and TrialPipeline::run) uses for the trial loop.
-// kAuto picks the bit-parallel TrialBatch kernel whenever the rule admits it
-// (any-repeater-fails); the result is bit-identical to the scalar loop, so
-// kScalar exists for benchmarks and A/B verification, not for correctness.
-// kFractionFails always runs scalar regardless of this setting.
+// Which engine TrialPipeline::run (and so run_trials) uses for the trial
+// loop. kAuto picks the bit-parallel TrialBatch kernel whenever the rule
+// admits it (any-repeater-fails); the result is bit-identical to the scalar
+// loop, so kScalar exists for benchmarks and A/B verification, not for
+// correctness. kFractionFails always runs scalar regardless of this setting.
 enum class TrialEngine {
   kAuto,
   kScalar,
@@ -55,8 +50,8 @@ struct TrialConfig {
   CableDeathRule rule = CableDeathRule::kAnyRepeaterFails;
   // Only used (and only validated) by kFractionFails.
   double death_fraction = 0.5;
-  // Worker threads for run_trials: 0 = hardware concurrency, 1 = serial.
-  // The aggregate is bit-identical for every value (see run_trials).
+  // Worker threads for the trial engines: 0 = hardware concurrency,
+  // 1 = serial. Aggregates are bit-identical for every value.
   std::size_t threads = 0;
   TrialEngine engine = TrialEngine::kAuto;
 };
@@ -79,15 +74,6 @@ void validate_trial_config(const TrialConfig& config);
 // sampling against it is O(cables) per draw.
 struct DeathProbabilityTable {
   std::vector<double> probability;  // indexed by CableId
-};
-
-// Reusable per-worker scratch buffers for the trial loop, so repeated
-// trials do not reallocate the cable mask and unreachable-node list. The
-// cable mask is a word-packed Bitset: counting failures is a popcount and
-// refills never touch the allocator once warm.
-struct TrialScratch {
-  util::Bitset cable_dead;
-  std::vector<topo::NodeId> unreachable;
 };
 
 class FailureSimulator {
@@ -119,8 +105,8 @@ class FailureSimulator {
   double cable_death_probability(topo::CableId cable,
                                  const gic::RepeaterFailureModel& model) const;
 
-  // All cables' death probabilities in one pass; run_trials builds this
-  // once and reuses it across trials.
+  // All cables' death probabilities in one pass; the trial engines build
+  // this once and reuse it across trials.
   DeathProbabilityTable death_probability_table(
       const gic::RepeaterFailureModel& model) const;
 
@@ -143,27 +129,19 @@ class FailureSimulator {
   TrialResult run_trial(const gic::RepeaterFailureModel& model,
                         util::Rng& rng) const;
 
-  // `trials` independent draws; trial t uses a child stream of `seed` so
-  // results are reproducible and order-independent. Runs on
-  // config().threads workers; the aggregate does not depend on the thread
-  // count (fixed chunking + in-order RunningStats::merge reduction).
+  // `trials` independent draws; trial t uses child stream t of `seed`.
+  // One TrialPipeline pass on config().threads workers with no component
+  // build; the aggregate does not depend on the thread count. Use the
+  // pipeline directly when a run needs more than these two percentages.
   AggregateResult run_trials(const gic::RepeaterFailureModel& model,
                              std::size_t trials, std::uint64_t seed) const;
 
  private:
-  // Shared sampling core: uses `table` when non-null (any-failure rule
-  // only), otherwise evaluates the model directly. DeadSet is
-  // std::vector<bool> or util::Bitset; both consume the stream identically.
+  // Shared sampling core over the model. DeadSet is std::vector<bool> or
+  // util::Bitset; both consume the stream identically.
   template <typename DeadSet>
-  void sample_into(const gic::RepeaterFailureModel& model,
-                   const DeathProbabilityTable* table, util::Rng& rng,
+  void sample_into(const gic::RepeaterFailureModel& model, util::Rng& rng,
                    DeadSet& dead) const;
-  // One trial reduced to its two aggregate percentages, allocation-free
-  // given warm scratch buffers.
-  void trial_percentages(const gic::RepeaterFailureModel& model,
-                         const DeathProbabilityTable* table, util::Rng& rng,
-                         TrialScratch& scratch, double& cables_failed_pct,
-                         double& nodes_unreachable_pct) const;
 
   const topo::InfrastructureNetwork& net_;
   TrialConfig config_;

@@ -1,11 +1,6 @@
 #include "sim/pipeline.h"
 
 #include <algorithm>
-#include <string>
-
-#include "util/checkpoint.h"
-#include "util/parallel.h"
-#include "util/status.h"
 
 namespace solarnet::sim {
 
@@ -84,44 +79,33 @@ void TrialPipeline::run(std::size_t trials, std::uint64_t seed) const {
 
 void TrialPipeline::run(std::size_t trials, std::uint64_t seed,
                         std::size_t threads) const {
-  const std::size_t chunks = chunk_count(trials);
-  const std::size_t workers =
-      trials == 0 ? 0 : std::min(util::resolve_thread_count(threads), chunks);
+  // One 64-lane batch covers exactly two chunks, so a batch task still owns
+  // whole chunks.
+  static_assert(TrialBatchKernel::kLanes == 2 * kTrialChunk);
+  const ChunkedRun chunked(trials, threads, batch_kernel_ != nullptr ? 2 : 1);
   for (TrialObserver* observer : observers_) {
-    observer->begin_run(*this, workers, chunks);
+    observer->begin_run(*this, chunked.workers(), chunked.chunks());
   }
-  if (trials > 0) {
-    const util::Rng base(seed);
-    if (batch_kernel_ != nullptr) {
-      run_batched(trials, base, workers);
-    } else {
-      std::vector<PipelineScratch> scratch(workers);
-      util::parallel_for(
-          chunks, workers, [&](std::size_t chunk, std::size_t worker) {
-            const std::size_t begin = chunk * kTrialChunk;
-            const std::size_t end = std::min(begin + kTrialChunk, trials);
-            for (std::size_t t = begin; t < end; ++t) {
-              run_trial(t, base, scratch[worker], worker, chunk);
-            }
-          });
-    }
+  const util::Rng base(seed);
+  if (batch_kernel_ != nullptr) {
+    run_batched(chunked, base);
+  } else {
+    std::vector<PipelineScratch> scratch(chunked.workers());
+    chunked.run([&](const ChunkTask& task) {
+      for (std::size_t t = task.begin; t < task.end; ++t) {
+        run_trial(t, base, scratch[task.worker], task.worker, task.first_chunk);
+      }
+    });
   }
   for (TrialObserver* observer : observers_) {
     observer->end_run();
   }
 }
 
-void TrialPipeline::run_batched(std::size_t trials, const util::Rng& base,
-                                std::size_t workers) const {
-  // One batch = kLanes trials = a whole number of chunks, so every chunk's
-  // accumulator is still written by exactly one worker, in ascending trial
-  // order — the determinism contract holds unchanged.
-  static_assert(TrialBatchKernel::kLanes % TrialPipeline::kTrialChunk == 0);
+void TrialPipeline::run_batched(const ChunkedRun& chunked,
+                                const util::Rng& base) const {
   constexpr std::size_t kLanes = TrialBatchKernel::kLanes;
-  constexpr std::size_t kChunksPerBatch = kLanes / kTrialChunk;
   const TrialBatchKernel& kernel = *batch_kernel_;
-  const std::size_t tasks = (trials + kLanes - 1) / kLanes;
-  workers = std::min(workers, tasks);
 
   struct BatchScratch {
     TrialBatch batch;
@@ -134,15 +118,15 @@ void TrialPipeline::run_batched(std::size_t trials, const util::Rng& base,
     // Scalar reconstruction for observers without a batch path.
     PipelineScratch scalar;
   };
-  std::vector<BatchScratch> scratch(workers);
+  std::vector<BatchScratch> scratch(chunked.workers());
   const std::size_t cables = network().cable_count();
 
-  util::parallel_for(tasks, workers, [&](std::size_t task, std::size_t worker) {
+  chunked.run([&](const ChunkTask& task) {
+    const std::size_t worker = task.worker;
     BatchScratch& s = scratch[worker];
-    const std::size_t first = task * kLanes;
-    const auto lanes =
-        static_cast<unsigned>(std::min<std::size_t>(kLanes, trials - first));
-    const std::size_t first_chunk = task * kChunksPerBatch;
+    const std::size_t first = task.begin;
+    const auto lanes = static_cast<unsigned>(task.end - task.begin);
+    const std::size_t first_chunk = task.first_chunk;
 
     kernel.sample(base, first, lanes, s.batch);
     kernel.count_cables_failed(s.batch, s.cables);
@@ -210,80 +194,58 @@ void TrialPipeline::run_batched(std::size_t trials, const util::Rng& base,
   });
 }
 
-void check_chunk_slot(const char* observer, const char* operation,
-                      std::size_t chunk, std::size_t slots) {
-  if (chunk < slots) return;
-  std::string message = std::string(observer) + "::" + operation + ": chunk " +
-                        std::to_string(chunk) + " has no accumulator slot (" +
-                        std::to_string(slots) + " allocated); " + operation +
-                        " is only valid between begin_run() and end_run(), "
-                        "for chunks of the current run";
-  throw util::Error(util::ErrorCode::kInvalidArgument, message);
-}
-
 void ConnectivityObserver::begin_run(const TrialPipeline& pipeline,
                                      std::size_t /*workers*/,
                                      std::size_t chunks) {
-  chunks_.assign(chunks, {});
+  slots_.assign(chunks);
   connected_nodes_ = pipeline.network().connected_node_count();
   result_ = {};
 }
 
-void ConnectivityObserver::observe(const TrialView& view, std::size_t /*worker*/,
-                                   std::size_t chunk) {
-  Chunk& slot = chunks_[chunk];
-  slot.cables.add(view.cables_failed_pct);
-  slot.nodes.add(view.nodes_unreachable_pct);
-  const std::size_t largest = view.components->largest_component_size();
+void ConnectivityObserver::add(std::size_t chunk, double cables_pct,
+                               double nodes_pct, std::size_t largest) {
+  Slot& slot = slots_.at(chunk);
+  slot.cables.add(cables_pct);
+  slot.nodes.add(nodes_pct);
   slot.largest.add(connected_nodes_ > 0
                        ? 100.0 * static_cast<double>(largest) /
                              static_cast<double>(connected_nodes_)
                        : 0.0);
 }
 
+void ConnectivityObserver::observe(const TrialView& view, std::size_t /*worker*/,
+                                   std::size_t chunk) {
+  add(chunk, view.cables_failed_pct, view.nodes_unreachable_pct,
+      view.components->largest_component_size());
+}
+
 void ConnectivityObserver::observe_batch(const BatchTrialView& view,
                                          std::size_t /*worker*/,
                                          std::size_t first_chunk) {
   // Same accumulation order and arithmetic as 64 scalar observe() calls:
-  // lanes ascending, each into its own chunk slot, percentages already
-  // computed with the scalar TrialView formulas.
+  // lanes ascending, each into its own chunk slot.
   for (unsigned lane = 0; lane < view.lanes; ++lane) {
-    Chunk& slot = chunks_[first_chunk + lane / TrialPipeline::kTrialChunk];
-    slot.cables.add(view.cables_failed_pct[lane]);
-    slot.nodes.add(view.nodes_unreachable_pct[lane]);
-    slot.largest.add(
-        connected_nodes_ > 0
-            ? 100.0 * static_cast<double>(view.largest_component[lane]) /
-                  static_cast<double>(connected_nodes_)
-            : 0.0);
+    add(first_chunk + lane / kTrialChunk, view.cables_failed_pct[lane],
+        view.nodes_unreachable_pct[lane], view.largest_component[lane]);
   }
 }
 
 void ConnectivityObserver::save_chunk(std::size_t chunk,
                                       util::ByteWriter& out) const {
-  check_chunk_slot("ConnectivityObserver", "save_chunk", chunk, chunks_.size());
-  const Chunk& slot = chunks_[chunk];
-  util::write_stats(out, slot.cables);
-  util::write_stats(out, slot.nodes);
-  util::write_stats(out, slot.largest);
+  slots_.save(chunk, out);
 }
 
 void ConnectivityObserver::load_chunk(std::size_t chunk, util::ByteReader& in) {
-  check_chunk_slot("ConnectivityObserver", "load_chunk", chunk, chunks_.size());
-  Chunk& slot = chunks_[chunk];
-  slot.cables = util::read_stats(in);
-  slot.nodes = util::read_stats(in);
-  slot.largest = util::read_stats(in);
+  slots_.load(chunk, in);
 }
 
 void ConnectivityObserver::end_run() {
-  for (const Chunk& slot : chunks_) {
-    result_.cables_failed_pct.merge(slot.cables);
-    result_.nodes_unreachable_pct.merge(slot.nodes);
-    result_.largest_component_pct.merge(slot.largest);
-  }
-  result_.trials = result_.cables_failed_pct.count();
-  chunks_.clear();
+  const Slot merged = slots_.merged();
+  result_.cables_failed_pct = merged.cables;
+  result_.nodes_unreachable_pct = merged.nodes;
+  result_.largest_component_pct = merged.largest;
+  result_.trials = merged.cables.count();
+  slots_.release();
 }
 
 }  // namespace solarnet::sim

@@ -12,23 +12,16 @@
 // the same draw — cross-metric joint statistics (e.g. P(DNS degraded AND
 // >X% cables lost)) become expressible.
 //
-// Determinism contract (the run_trials discipline):
-//  - trial t always draws from Rng child stream t of the seed;
-//  - trials are grouped into fixed-size chunks (kTrialChunk) whose
-//    boundaries depend only on the trial count, never on the thread count;
-//  - observers keep one accumulator slot per chunk, filled by whichever
-//    worker claims the chunk, and merge the slots in ascending chunk order
-//    in end_run().
-// An observer that follows this contract produces bit-identical results for
-// every thread count. Observers whose per-trial update only touches their
-// (worker, chunk) slots need no locking: a chunk is processed by exactly
-// one worker, and workers have dense private ids.
+// Determinism: every loop runs through sim::ChunkedRun and every observer
+// keeps its accumulators in sim::ChunkSlots (sim/chunked.h holds the
+// reduction rule and the recipe for writing an observer), so results are
+// bit-identical for every thread count.
 //
 // When to use which engine:
 //  - TrialPipeline: many metrics over one model/severity (the report path),
 //    or any metric needing the component decomposition per trial.
-//  - FailureSimulator::run_trials: cables/nodes aggregates only (no
-//    component build) — the cheapest single-metric path.
+//  - FailureSimulator::run_trials: one pipeline pass reduced to the
+//    cables/nodes aggregates (no component build).
 //  - sim::SweepEngine: one metric across a whole severity grid (CRN-coupled
 //    axis, incremental connectivity) — the figure-sweep path.
 #pragma once
@@ -40,17 +33,13 @@
 
 #include "gic/failure_model.h"
 #include "graph/components.h"
+#include "sim/chunked.h"
 #include "sim/monte_carlo.h"
 #include "sim/trial_batch.h"
 #include "topology/network.h"
 #include "util/bitset.h"
 #include "util/rng.h"
 #include "util/stats.h"
-
-namespace solarnet::util {
-class ByteWriter;
-class ByteReader;
-}  // namespace solarnet::util
 
 namespace solarnet::sim {
 
@@ -107,10 +96,8 @@ struct BatchTrialView {
 };
 
 // A metric registered with the pipeline. Implementations own their results;
-// the pipeline only orchestrates calls. See the determinism contract above:
-// state written by observe() must be confined to the (worker, chunk) slots
-// sized in begin_run(), and end_run() must merge chunk slots in ascending
-// order.
+// the pipeline only orchestrates calls. State written by observe() must be
+// confined to per-worker scratch and the chunk's ChunkSlots (sim/chunked.h).
 class TrialObserver {
  public:
   virtual ~TrialObserver() = default;
@@ -119,8 +106,8 @@ class TrialObserver {
   // the per-trial component build when no observer needs it.
   virtual bool needs_components() const { return true; }
 
-  // Called once before any trial: size per-worker scratch and per-chunk
-  // accumulator slots, and reset previous results.
+  // Called once before any trial: size per-worker scratch (worker ids are
+  // below `workers`) and the ChunkSlots, and reset previous results.
   virtual void begin_run(const TrialPipeline& pipeline, std::size_t workers,
                          std::size_t chunks) = 0;
 
@@ -133,7 +120,7 @@ class TrialObserver {
   // observe_batch() per 64-trial batch on the bit-parallel pipeline path
   // instead of 64 observe() calls (observe() is still required — the
   // scalar path and kFractionFails use it). The batch spans whole chunks:
-  // lane t belongs to chunk first_chunk + t / TrialPipeline::kTrialChunk,
+  // lane t belongs to chunk first_chunk + t / kTrialChunk,
   // and accumulating lanes in ascending order into those slots must match
   // the scalar observe() sequence bit-for-bit.
   virtual bool supports_batch() const { return false; }
@@ -143,24 +130,19 @@ class TrialObserver {
                              std::size_t /*first_chunk*/) {}
 
   // Called once after all trials, on the run() thread: reduce the chunk
-  // slots (in ascending chunk order) into the final result.
+  // slots (ChunkSlots::merged) into the final result.
   virtual void end_run() = 0;
 };
 
 // An observer whose per-chunk accumulator slots can be serialized, so a
 // sim::CampaignRunner can checkpoint a partially-run campaign and resume it
-// bit-identically. The contract extends the determinism contract above:
-//  - checkpoint_id() names the observer AND its wire format; bump the
-//    version suffix whenever save_chunk's layout changes, and include any
-//    configuration that changes the slot layout (e.g. a country list) so a
-//    checkpoint from a differently-configured observer is rejected instead
-//    of misapplied.
-//  - save_chunk(c) serializes chunk c's fully-accumulated slot; it is only
-//    called between segments (never concurrently with observe on c).
-//  - load_chunk(c) restores a slot previously produced by save_chunk on an
-//    observer with the same checkpoint_id; called after begin_run and
-//    before any trial of chunk c runs. A restored slot merged in end_run()
-//    must be bit-identical to one accumulated in-process.
+// bit-identically. save_chunk / load_chunk forward to ChunkSlots::save /
+// load (sim/chunked.h); the runner calls them after begin_run and between
+// segments, never concurrently with observe() on the same chunk.
+// checkpoint_id() names the observer AND its wire format: bump the version
+// suffix whenever the slot's kFields change, and include any configuration
+// that changes the slot layout (e.g. a country list) so a checkpoint from a
+// differently-configured observer is rejected instead of misapplied.
 class CheckpointableObserver : public TrialObserver {
  public:
   virtual std::string checkpoint_id() const = 0;
@@ -181,13 +163,6 @@ struct PipelineScratch {
 
 class TrialPipeline {
  public:
-  // Chunk size of the deterministic reduction; identical to run_trials so
-  // chunk-structured aggregates line up bit-for-bit.
-  static constexpr std::size_t kTrialChunk = 32;
-  static constexpr std::size_t chunk_count(std::size_t trials) {
-    return (trials + kTrialChunk - 1) / kTrialChunk;
-  }
-
   // Folds the death-probability table once (any-failure rule); under
   // kFractionFails trials sample the model directly. Simulator and model
   // must outlive the pipeline.
@@ -222,13 +197,12 @@ class TrialPipeline {
                  std::size_t chunk) const;
 
  private:
-  // The bit-parallel trial loop: batches of TrialBatchKernel::kLanes trials,
-  // batch-capable observers fed whole batches, the rest fed per-lane
-  // TrialViews reconstructed from the batch (bit-identical to the scalar
-  // loop either way). Chosen by run() when the table path is active and the
-  // simulator's TrialConfig::engine is not kScalar.
-  void run_batched(std::size_t trials, const util::Rng& base,
-                   std::size_t workers) const;
+  // The bit-parallel trial loop: one TrialBatchKernel::kLanes-trial batch
+  // (two chunks) per task, batch-capable observers fed whole batches, the
+  // rest fed per-lane TrialViews reconstructed from the batch (bit-identical
+  // to the scalar loop either way). Chosen by run() when the table path is
+  // active and the simulator's TrialConfig::engine is not kScalar.
+  void run_batched(const ChunkedRun& chunked, const util::Rng& base) const;
 
   const FailureSimulator& sim_;
   const gic::RepeaterFailureModel& model_;
@@ -247,19 +221,10 @@ class TrialPipeline {
   bool scalar_needs_components_ = false;  // any scalar observer needs them
 };
 
-// Shared lifecycle guard for checkpointable observers: throws a structured
-// util::Error (kInvalidArgument) naming the observer, the operation and the
-// violation when `chunk` has no accumulator slot — either an out-of-range
-// chunk index or a save_chunk/load_chunk call outside the
-// begin_run()/end_run() window (end_run releases the slots). Replaces the
-// bare std::out_of_range that vector::at used to throw.
-void check_chunk_slot(const char* observer, const char* operation,
-                      std::size_t chunk, std::size_t slots);
-
 // The baseline observer: per-trial cable-loss / node-unreachability
 // percentages (bit-identical to FailureSimulator::run_trials for the same
 // seed and trial count) plus the largest surviving component share, which
-// run_trials cannot see because it never decomposes components.
+// run_trials does not report because it skips the component build.
 class ConnectivityObserver final : public CheckpointableObserver {
  public:
   struct Result {
@@ -287,12 +252,17 @@ class ConnectivityObserver final : public CheckpointableObserver {
   void load_chunk(std::size_t chunk, util::ByteReader& in) override;
 
  private:
-  struct Chunk {
+  struct Slot {
     util::RunningStats cables;
     util::RunningStats nodes;
     util::RunningStats largest;
+    static constexpr auto kFields =
+        std::tuple{&Slot::cables, &Slot::nodes, &Slot::largest};
   };
-  std::vector<Chunk> chunks_;
+  void add(std::size_t chunk, double cables_pct, double nodes_pct,
+           std::size_t largest);
+
+  ChunkSlots<Slot> slots_{"ConnectivityObserver"};
   std::size_t connected_nodes_ = 0;
   Result result_;
 };

@@ -5,7 +5,7 @@
 #include <stdexcept>
 #include <string>
 
-#include "util/parallel.h"
+#include "sim/chunked.h"
 
 namespace solarnet::sim {
 
@@ -203,57 +203,46 @@ SweepResult SweepEngine::run(std::size_t trials, std::uint64_t seed) const {
   return run(trials, seed, sim_.config().threads);
 }
 
+namespace {
+
+// One grid point's per-chunk accumulators.
+struct PointSlot {
+  util::RunningStats cables;
+  util::RunningStats nodes;
+  util::RunningStats largest;
+  static constexpr auto kFields =
+      std::tuple{&PointSlot::cables, &PointSlot::nodes, &PointSlot::largest};
+};
+
+}  // namespace
+
 SweepResult SweepEngine::run(std::size_t trials, std::uint64_t seed,
                              std::size_t threads) const {
+  const ChunkedRun chunked(trials, threads);
+  ChunkSlots<PointSlot> slots("SweepEngine");
+  slots.assign(chunked.chunks(), grid_size_);
+  std::vector<SweepScratch> scratch(chunked.workers());
+  const util::Rng base(seed);
+  chunked.run([&](const ChunkTask& task) {
+    SweepScratch& s = scratch[task.worker];
+    for (std::size_t t = task.begin; t < task.end; ++t) {
+      util::Rng rng = base.split(t);
+      run_trial(rng, s);
+      for (std::size_t g = 0; g < grid_size_; ++g) {
+        PointSlot& slot = slots.at(task.first_chunk, g);
+        slot.cables.add(s.cables_pct[g]);
+        slot.nodes.add(s.nodes_pct[g]);
+        slot.largest.add(s.largest_pct[g]);
+      }
+    }
+  });
+
   SweepResult result;
   result.trials = trials;
   result.points.resize(grid_size_);
   for (std::size_t g = 0; g < grid_size_; ++g) {
-    result.points[g].axis = axis_[g];
-  }
-  if (trials == 0) return result;
-
-  // Same determinism scheme as FailureSimulator::run_trials: fixed-size
-  // trial chunks (boundaries depend only on `trials`), trial t always
-  // draws from child stream t, per-chunk accumulators merged in ascending
-  // chunk order — bit-identical aggregates for every thread count.
-  constexpr std::size_t kTrialChunk = 32;
-  const std::size_t chunks = (trials + kTrialChunk - 1) / kTrialChunk;
-  struct PointStats {
-    util::RunningStats cables;
-    util::RunningStats nodes;
-    util::RunningStats largest;
-  };
-  std::vector<PointStats> per_chunk(chunks * grid_size_);
-  const std::size_t workers =
-      std::min(util::resolve_thread_count(threads), chunks);
-  std::vector<SweepScratch> scratch(workers);
-  const util::Rng base(seed);
-
-  util::parallel_for(
-      chunks, workers, [&](std::size_t chunk, std::size_t worker) {
-        SweepScratch& s = scratch[worker];
-        PointStats* out = per_chunk.data() + chunk * grid_size_;
-        const std::size_t begin = chunk * kTrialChunk;
-        const std::size_t end = std::min(begin + kTrialChunk, trials);
-        for (std::size_t t = begin; t < end; ++t) {
-          util::Rng rng = base.split(t);
-          run_trial(rng, s);
-          for (std::size_t g = 0; g < grid_size_; ++g) {
-            out[g].cables.add(s.cables_pct[g]);
-            out[g].nodes.add(s.nodes_pct[g]);
-            out[g].largest.add(s.largest_pct[g]);
-          }
-        }
-      });
-
-  for (std::size_t chunk = 0; chunk < chunks; ++chunk) {
-    for (std::size_t g = 0; g < grid_size_; ++g) {
-      const PointStats& ps = per_chunk[chunk * grid_size_ + g];
-      result.points[g].cables_failed_pct.merge(ps.cables);
-      result.points[g].nodes_unreachable_pct.merge(ps.nodes);
-      result.points[g].largest_component_pct.merge(ps.largest);
-    }
+    const PointSlot merged = slots.merged(g);
+    result.points[g] = {axis_[g], merged.cables, merged.nodes, merged.largest};
   }
   return result;
 }

@@ -26,15 +26,13 @@
 //    All scratch lives in SweepScratch: the steady-state per-trial loop
 //    performs zero heap allocations (asserted by bench/perf_sweep.cpp).
 //
-// Determinism contract: trial t always draws from child stream t of the
-// run seed, consuming exactly one uniform per repeater-bearing cable in
-// ascending cable order (repeaterless cables are skipped, like
-// sample_cable_failures). Trials are accumulated in fixed-size chunks
-// whose boundaries depend only on the trial count, and per-chunk
-// RunningStats are merged in ascending chunk order — so the aggregates are
-// bit-identical for every thread count. Against the independent
-// (run_trials-per-point) path the engine is *statistically* equivalent:
-// identical per-point marginals, different streams.
+// Determinism: trial t draws from child stream t of the run seed,
+// consuming exactly one uniform per repeater-bearing cable in ascending
+// cable order (repeaterless cables are skipped, like
+// sample_cable_failures), and trials reduce by the chunked rule of
+// sim/chunked.h — bit-identical aggregates for every thread count. Against
+// independent per-point run_trials passes the engine is *statistically*
+// equivalent: identical per-point marginals, different streams.
 #pragma once
 
 #include <cstdint>

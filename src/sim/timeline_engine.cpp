@@ -4,8 +4,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "util/parallel.h"
-
 namespace solarnet::sim {
 
 TimelineConfig TimelineConfig::from_profile(
@@ -269,26 +267,17 @@ void TimelineEngine::run(std::size_t trials, std::uint64_t seed) const {
 
 void TimelineEngine::run(std::size_t trials, std::uint64_t seed,
                          std::size_t threads) const {
-  const std::size_t chunks = chunk_count(trials);
-  const std::size_t workers = std::min(util::resolve_thread_count(threads),
-                                       std::max<std::size_t>(chunks, 1));
+  const ChunkedRun chunked(trials, threads);
   for (TimelineObserver* observer : observers_) {
-    observer->begin_run(*this, workers, chunks);
+    observer->begin_run(*this, chunked.workers(), chunked.chunks());
   }
-  if (trials > 0) {
-    std::vector<TimelineScratch> scratch(workers);
-    const util::Rng base(seed);
-    util::parallel_for(chunks, workers,
-                       [&](std::size_t chunk, std::size_t worker) {
-                         TimelineScratch& s = scratch[worker];
-                         const std::size_t begin = chunk * kTrialChunk;
-                         const std::size_t end =
-                             std::min(begin + kTrialChunk, trials);
-                         for (std::size_t t = begin; t < end; ++t) {
-                           run_trial(t, base, s, worker, chunk);
-                         }
-                       });
-  }
+  std::vector<TimelineScratch> scratch(chunked.workers());
+  const util::Rng base(seed);
+  chunked.run([&](const ChunkTask& task) {
+    for (std::size_t t = task.begin; t < task.end; ++t) {
+      run_trial(t, base, scratch[task.worker], task.worker, task.first_chunk);
+    }
+  });
   for (TimelineObserver* observer : observers_) {
     observer->end_run();
   }
@@ -309,10 +298,8 @@ void TimelineConnectivityObserver::begin_run(const TimelineEngine& engine,
                                              std::size_t chunks) {
   engine_ = &engine;
   cutoff_pct_ = threshold_ / 100.0 * engine.baseline_largest_pct();
-  slots_.assign(chunks, Slot{});
-  for (Slot& slot : slots_) {
-    slot.steps.assign(engine.step_count(), TimelineStepStats{});
-  }
+  steps_.assign(chunks, engine.step_count());
+  trials_.assign(chunks);
   result_ = TimelineConnectivityResult{};
   result_.partition_threshold_pct = threshold_;
 }
@@ -320,43 +307,38 @@ void TimelineConnectivityObserver::begin_run(const TimelineEngine& engine,
 void TimelineConnectivityObserver::observe(const TimelineView& view,
                                            std::size_t /*worker*/,
                                            std::size_t chunk) {
-  Slot& slot = slots_[chunk];
+  TrialSlot& trial = trials_.at(chunk);
   double peak = 0.0;
   bool partitioned = false;
-  for (std::size_t i = 0; i < slot.steps.size(); ++i) {
-    TimelineStepStats& stats = slot.steps[i];
-    stats.cables_dead_pct.add(view.cables_dead_pct[i]);
-    stats.nodes_unreachable_pct.add(view.nodes_unreachable_pct[i]);
-    stats.largest_component_pct.add(view.largest_component_pct[i]);
+  for (std::size_t i = 0; i < steps_.width(); ++i) {
+    StepSlot& step = steps_.at(chunk, i);
+    step.cables.add(view.cables_dead_pct[i]);
+    step.nodes.add(view.nodes_unreachable_pct[i]);
+    step.largest.add(view.largest_component_pct[i]);
     peak = std::max(peak, view.nodes_unreachable_pct[i]);
     if (!partitioned && view.largest_component_pct[i] < cutoff_pct_) {
       partitioned = true;
-      ++slot.partitioned;
-      slot.time_to_partition.add(engine_->step_hour(i));
+      ++trial.partitioned;
+      trial.time_to_partition.add(engine_->step_hour(i));
     }
   }
-  slot.peak_unreachable.add(peak);
+  trial.peak_unreachable.add(peak);
 }
 
 void TimelineConnectivityObserver::end_run() {
-  result_.steps.assign(engine_->step_count(), TimelineStepStats{});
-  for (std::size_t i = 0; i < result_.steps.size(); ++i) {
-    result_.steps[i].hour = engine_->step_hour(i);
+  result_.steps.resize(steps_.width());
+  for (std::size_t i = 0; i < steps_.width(); ++i) {
+    const StepSlot merged = steps_.merged(i);
+    result_.steps[i] = {engine_->step_hour(i), merged.cables, merged.nodes,
+                        merged.largest};
   }
-  for (const Slot& slot : slots_) {
-    for (std::size_t i = 0; i < result_.steps.size(); ++i) {
-      result_.steps[i].cables_dead_pct.merge(slot.steps[i].cables_dead_pct);
-      result_.steps[i].nodes_unreachable_pct.merge(
-          slot.steps[i].nodes_unreachable_pct);
-      result_.steps[i].largest_component_pct.merge(
-          slot.steps[i].largest_component_pct);
-    }
-    result_.partitioned_trials += slot.partitioned;
-    result_.time_to_partition_hours.merge(slot.time_to_partition);
-    result_.peak_nodes_unreachable_pct.merge(slot.peak_unreachable);
-  }
-  result_.trials = result_.peak_nodes_unreachable_pct.count();
-  slots_.clear();
+  const TrialSlot merged = trials_.merged();
+  result_.partitioned_trials = merged.partitioned;
+  result_.time_to_partition_hours = merged.time_to_partition;
+  result_.peak_nodes_unreachable_pct = merged.peak_unreachable;
+  result_.trials = merged.peak_unreachable.count();
+  steps_.release();
+  trials_.release();
 }
 
 }  // namespace solarnet::sim

@@ -27,12 +27,11 @@
 // reversed axis accumulates failures again). A T-step playback costs ~two
 // component builds instead of T.
 //
-// Determinism contract — identical to TrialPipeline/SweepEngine: trial t
-// draws from child stream t of the run seed, consuming exactly one uniform
-// per repeater-bearing cable in ascending cable order, then fault counts
-// from split(kRepairStream) of the same child. Trials accumulate in fixed
-// 32-trial chunks merged in ascending chunk order, so every observer
-// aggregate is bit-identical for every thread count (asserted by
+// Determinism: trial t draws from child stream t of the run seed,
+// consuming exactly one uniform per repeater-bearing cable in ascending
+// cable order, then fault counts from split(kRepairStream) of the same
+// child; trials reduce by the chunked rule of sim/chunked.h, so every
+// observer aggregate is bit-identical for every thread count (asserted by
 // bench/perf_timeline.cpp, along with bit-identity against a naive
 // per-step full-recompute baseline and zero steady-state allocations).
 #pragma once
@@ -43,6 +42,7 @@
 
 #include "gic/timeline.h"
 #include "recovery/repair.h"
+#include "sim/chunked.h"
 #include "sim/incremental.h"
 #include "sim/monte_carlo.h"
 #include "util/stats.h"
@@ -111,9 +111,9 @@ struct TimelineView {
 };
 
 // Temporal observer contract — same shape and thread rules as
-// sim::TrialObserver: begin_run sizes per-chunk slots, observe() runs on
-// worker threads (chunk-distinct concurrent calls), end_run merges in
-// ascending chunk order.
+// sim::TrialObserver: begin_run sizes the ChunkSlots, observe() runs on
+// worker threads (chunk-distinct concurrent calls), end_run reads the
+// merged slots (sim/chunked.h).
 class TimelineObserver {
  public:
   virtual ~TimelineObserver() = default;
@@ -149,7 +149,6 @@ class TimelineEngine {
   // CRN draw, so adding/removing repair modelling never perturbs the
   // failure randomness (and vice versa).
   static constexpr std::uint64_t kRepairStream = 0x7265706169727321ULL;
-  static constexpr std::size_t kTrialChunk = 32;
 
   // `table` is the end-state per-cable death probability the storm spreads
   // over time (plain death_probability_table(model), or the spliced table
@@ -183,10 +182,6 @@ class TimelineEngine {
   // "partitioned" is only meaningful relative to this.
   double baseline_largest_pct() const noexcept {
     return baseline_largest_pct_;
-  }
-
-  static std::size_t chunk_count(std::size_t trials) noexcept {
-    return (trials + kTrialChunk - 1) / kTrialChunk;
   }
 
   // Observers must outlive the engine's run() calls.
@@ -270,17 +265,27 @@ class TimelineConnectivityObserver final : public TimelineObserver {
   void end_run() override;
 
  private:
-  struct Slot {
-    std::vector<TimelineStepStats> steps;
+  struct StepSlot {
+    util::RunningStats cables;
+    util::RunningStats nodes;
+    util::RunningStats largest;
+    static constexpr auto kFields =
+        std::tuple{&StepSlot::cables, &StepSlot::nodes, &StepSlot::largest};
+  };
+  struct TrialSlot {
     std::size_t partitioned = 0;
     util::RunningStats time_to_partition;
     util::RunningStats peak_unreachable;
+    static constexpr auto kFields =
+        std::tuple{&TrialSlot::partitioned, &TrialSlot::time_to_partition,
+                   &TrialSlot::peak_unreachable};
   };
   double threshold_;
   // threshold_ / 100 * baseline_largest_pct, fixed at begin_run.
   double cutoff_pct_ = 0.0;
   const TimelineEngine* engine_ = nullptr;
-  std::vector<Slot> slots_;  // one per chunk
+  ChunkSlots<StepSlot> steps_{"TimelineConnectivityObserver"};  // per step
+  ChunkSlots<TrialSlot> trials_{"TimelineConnectivityObserver"};
   TimelineConnectivityResult result_;
 };
 

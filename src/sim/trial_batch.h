@@ -29,7 +29,7 @@
 // immutable afterwards; sampling and the aggregate passes are
 // allocation-free once the caller's TrialBatch / scratch are warm.
 // kFractionFails draws each repeater individually and has no batched form
-// — callers keep the scalar path there (run_trials does this).
+// — callers keep the scalar path there (TrialPipeline does this).
 #pragma once
 
 #include <cstdint>

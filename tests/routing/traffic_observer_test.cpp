@@ -43,7 +43,7 @@ class DrawRecorder final : public sim::TrialObserver {
   bool needs_components() const override { return false; }
   void begin_run(const sim::TrialPipeline&, std::size_t,
                  std::size_t chunks) override {
-    draws_.assign(chunks * sim::TrialPipeline::kTrialChunk, {});
+    draws_.assign(chunks * sim::kTrialChunk, {});
   }
   void observe(const sim::TrialView& view, std::size_t, std::size_t) override {
     std::vector<bool> dead(view.cable_dead->size());
@@ -120,12 +120,12 @@ TEST_F(TrafficObserverTest, MatchesOneShotAssignPerTrial) {
   // Replay every recorded draw through the one-shot API with the
   // observer's chunk structure: per-chunk accumulators merged in ascending
   // order, which must reproduce the observer's statistics bit for bit.
-  const std::size_t chunks = sim::TrialPipeline::chunk_count(trials);
+  const std::size_t chunks = sim::chunk_count(trials);
   std::vector<util::RunningStats> delivered(chunks), stranded(chunks),
       max_util(chunks), overloaded(chunks), path_km(chunks);
   for (std::size_t t = 0; t < trials; ++t) {
     const AssignmentResult r = engine.assign(recorder.draw(t));
-    const std::size_t chunk = t / sim::TrialPipeline::kTrialChunk;
+    const std::size_t chunk = t / sim::kTrialChunk;
     delivered[chunk].add(r.delivered_fraction());
     stranded[chunk].add(r.undeliverable_gbps);
     max_util[chunk].add(r.max_utilization);
@@ -180,7 +180,7 @@ TEST_F(TrafficObserverTest, CheckpointRoundTripIsBitIdentical) {
   // Drive run_trial manually (the bench/campaign idiom): accumulate two
   // chunks, save them, restore into a fresh observer, and require the
   // merged results to match bit for bit.
-  const std::size_t trials = 2 * sim::TrialPipeline::kTrialChunk;
+  const std::size_t trials = 2 * sim::kTrialChunk;
   const util::Rng base(23);
   TrafficObserver direct(engine);
   pipeline.add_observer(direct);
@@ -188,7 +188,7 @@ TEST_F(TrafficObserverTest, CheckpointRoundTripIsBitIdentical) {
   sim::PipelineScratch scratch;
   for (std::size_t t = 0; t < trials; ++t) {
     pipeline.run_trial(t, base, scratch, 0,
-                       t / sim::TrialPipeline::kTrialChunk);
+                       t / sim::kTrialChunk);
   }
   util::ByteWriter chunk0, chunk1;
   direct.save_chunk(0, chunk0);

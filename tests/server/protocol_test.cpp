@@ -432,6 +432,23 @@ TEST(ServeProtocol, TimelineFieldsAreInertOutsideTimelineRequests) {
   EXPECT_EQ(engine_key(base_request()), engine_key(tweaked));
 }
 
+TEST(ServeProtocol, OnlyReportEngineKeysFoldTheEngine) {
+  // Sweep and timeline engines never read the engine choice, so requests
+  // differing only in `engine` reuse one pooled engine; report requests,
+  // whose pipeline does read it, still get one engine each.
+  for (const char* cmd : {"sweep", "timeline"}) {
+    const std::string kind = std::string(R"({"cmd":")") + cmd + '"';
+    const ScenarioRequest automatic = parse(kind + "}");
+    const ScenarioRequest scalar = parse(kind + R"(,"engine":"scalar"})");
+    EXPECT_EQ(engine_key(automatic), engine_key(scalar)) << cmd;
+    EXPECT_EQ(cache_key(automatic), cache_key(scalar)) << cmd;
+  }
+  EXPECT_NE(engine_key(parse(R"({"cmd":"report"})")),
+            engine_key(parse(R"({"cmd":"report","engine":"scalar"})")));
+  EXPECT_EQ(cache_key(parse(R"({"cmd":"report"})")),
+            cache_key(parse(R"({"cmd":"report","engine":"scalar"})")));
+}
+
 TEST(ServeProtocol, EngineKeyDropsTrialBudgetButKeepsEngine) {
   // Same scenario with a different trial budget or seed reuses the
   // resident engine bundle...

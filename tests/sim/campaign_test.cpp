@@ -324,6 +324,60 @@ TEST_F(CampaignTest, CompletedCheckpointResumesWithoutExecuting) {
   expect_bundles_eq(second, reference);
 }
 
+TEST_F(CampaignTest, EmptyCountryListStillCheckpointsAndResumes) {
+  // A country observer with no countries keeps zero slots per chunk, but
+  // its chunks still exist: every segment must checkpoint, and a resume
+  // from the saved prefix must land on the uninterrupted bits.
+  struct EmptyBundle {
+    TrialPipeline pipeline;
+    ConnectivityObserver connectivity;
+    analysis::CountryIsolationObserver isolation;
+    CampaignRunner campaign;
+
+    EmptyBundle(const FailureSimulator& simulator,
+                const gic::RepeaterFailureModel& model,
+                const topo::InfrastructureNetwork& net)
+        : pipeline(simulator, model), isolation(net, {}), campaign(pipeline) {
+      campaign.add_observer(connectivity);
+      campaign.add_observer(isolation);
+    }
+  };
+  constexpr std::size_t kEmptyTrials = 200;  // 7 chunks, 4 segments
+  const FailureSimulator simulator(net_, {});
+  EmptyBundle reference(simulator, model_, net_);
+  reference.pipeline.run(kEmptyTrials, kSeed);
+
+  EmptyBundle full(simulator, model_, net_);
+  const CampaignReport report =
+      full.campaign.run(options(kEmptyTrials, kSeed, 1));
+  EXPECT_EQ(report.checkpoints_written, 3u);
+  EXPECT_TRUE(report.checkpoint_status.is_ok())
+      << report.checkpoint_status.to_string();
+
+  {
+    EmptyBundle doomed(simulator, model_, net_);
+    const util::ScopedFault fault(util::FaultSite::kWorkerTask,
+                                  std::uint64_t{3});
+    EXPECT_THROW(doomed.campaign.run(options(kEmptyTrials, kSeed, 1)),
+                 util::Error);
+  }
+  ASSERT_TRUE(util::file_exists(checkpoint_path_));
+  EmptyBundle resumed(simulator, model_, net_);
+  const CampaignReport resumed_report =
+      resumed.campaign.run(options(kEmptyTrials, kSeed, 2));
+  EXPECT_TRUE(resumed_report.resumed);
+  EXPECT_EQ(resumed_report.chunks_resumed, 2u);
+  EXPECT_TRUE(resumed_report.resume_status.is_ok())
+      << resumed_report.resume_status.to_string();
+  expect_stats_eq(resumed.connectivity.result().cables_failed_pct,
+                  reference.connectivity.result().cables_failed_pct);
+  expect_stats_eq(resumed.connectivity.result().nodes_unreachable_pct,
+                  reference.connectivity.result().nodes_unreachable_pct);
+  expect_stats_eq(resumed.connectivity.result().largest_component_pct,
+                  reference.connectivity.result().largest_component_pct);
+  EXPECT_TRUE(resumed.isolation.results().empty());
+}
+
 // Builds a complete checkpoint file and returns its bytes.
 class CampaignCorruptionTest : public CampaignTest {
  protected:

@@ -12,6 +12,7 @@
 #include "analysis/country.h"
 #include "analysis/dns_resolution.h"
 #include "gic/failure_model.h"
+#include "reference/trial_loops.h"
 #include "services/availability.h"
 #include "util/checkpoint.h"
 #include "util/rng.h"
@@ -99,36 +100,41 @@ topo::InfrastructureNetwork random_network(util::Rng& rng, std::size_t nodes,
   return net;
 }
 
+// The three *Matches* tests compare against the frozen pre-pipeline loops of
+// bench/reference/trial_loops.h: run_trials and availability_sweep are now
+// pipeline passes themselves, so they are no longer independent references.
 TEST_F(PipelineTest, ConnectivityObserverMatchesRunTrialsBitForBit) {
   const gic::UniformFailureModel model(0.3);
   TrialConfig cfg;
   cfg.threads = 1;
   const FailureSimulator simulator(net_, cfg);
-  const AggregateResult reference = simulator.run_trials(model, 150, 9);
+  const AggregateResult frozen =
+      reference::run_trials(simulator, model, 150, 9);
 
   TrialPipeline pipeline(simulator, model);
   ConnectivityObserver connectivity;
   pipeline.add_observer(connectivity);
   pipeline.run(150, 9);
 
-  EXPECT_EQ(connectivity.result().trials, reference.trials);
+  EXPECT_EQ(connectivity.result().trials, frozen.trials);
   expect_stats_eq(connectivity.result().cables_failed_pct,
-                  reference.cables_failed_pct);
+                  frozen.cables_failed_pct);
   expect_stats_eq(connectivity.result().nodes_unreachable_pct,
-                  reference.nodes_unreachable_pct);
+                  frozen.nodes_unreachable_pct);
 }
 
 TEST_F(PipelineTest, SupportsFractionFailsRule) {
   // The pipeline falls back to direct model sampling under kFractionFails
   // (no death-probability table exists for that rule) and still matches
-  // run_trials draw for draw.
+  // the frozen run_trials loop draw for draw.
   const gic::UniformFailureModel model(0.4);
   TrialConfig cfg;
   cfg.rule = CableDeathRule::kFractionFails;
   cfg.death_fraction = 0.3;
   cfg.threads = 1;
   const FailureSimulator simulator(net_, cfg);
-  const AggregateResult reference = simulator.run_trials(model, 100, 21);
+  const AggregateResult frozen =
+      reference::run_trials(simulator, model, 100, 21);
 
   TrialPipeline pipeline(simulator, model);
   ConnectivityObserver connectivity;
@@ -136,15 +142,15 @@ TEST_F(PipelineTest, SupportsFractionFailsRule) {
   pipeline.run(100, 21);
 
   expect_stats_eq(connectivity.result().cables_failed_pct,
-                  reference.cables_failed_pct);
+                  frozen.cables_failed_pct);
   expect_stats_eq(connectivity.result().nodes_unreachable_pct,
-                  reference.nodes_unreachable_pct);
+                  frozen.nodes_unreachable_pct);
 }
 
 TEST_F(PipelineTest, AvailabilityObserverMatchesAvailabilitySweep) {
   const auto model = gic::LatitudeBandFailureModel::s1();
   const FailureSimulator simulator(net_, {});
-  const services::AvailabilitySweep reference = services::availability_sweep(
+  const services::AvailabilitySweep frozen = reference::availability_sweep(
       simulator, model, two_replica_service(), 100, 11, 1);
 
   TrialPipeline pipeline(simulator, model);
@@ -152,12 +158,12 @@ TEST_F(PipelineTest, AvailabilityObserverMatchesAvailabilitySweep) {
   pipeline.add_observer(availability);
   pipeline.run(100, 11, 1);
 
-  EXPECT_EQ(availability.result().service, reference.service);
-  EXPECT_EQ(availability.result().draws, reference.draws);
+  EXPECT_EQ(availability.result().service, frozen.service);
+  EXPECT_EQ(availability.result().draws, frozen.draws);
   expect_stats_eq(availability.result().read_availability,
-                  reference.read_availability);
+                  frozen.read_availability);
   expect_stats_eq(availability.result().write_availability,
-                  reference.write_availability);
+                  frozen.write_availability);
 }
 
 TEST_F(PipelineTest, ZeroTrialsYieldsEmptyResults) {
@@ -386,7 +392,7 @@ TEST_F(PipelineTest, ChunkMergeIsWorkerAssignmentIndependent) {
   const ConnectivityObserver::Result conn_ref = connectivity.result();
   const services::AvailabilitySweep avail_ref = availability.result();
 
-  const std::size_t chunks = TrialPipeline::chunk_count(kTrials);
+  const std::size_t chunks = chunk_count(kTrials);
   const util::Rng base(kSeed);
   // Scrambled assignment: chunk c handled by worker (c * 2 + 1) % 3, chunks
   // visited in descending order.
@@ -395,9 +401,9 @@ TEST_F(PipelineTest, ChunkMergeIsWorkerAssignmentIndependent) {
   std::vector<PipelineScratch> scratch(3);
   for (std::size_t chunk = chunks; chunk-- > 0;) {
     const std::size_t worker = (chunk * 2 + 1) % 3;
-    const std::size_t begin = chunk * TrialPipeline::kTrialChunk;
+    const std::size_t begin = chunk * kTrialChunk;
     const std::size_t end =
-        std::min(begin + TrialPipeline::kTrialChunk, kTrials);
+        std::min(begin + kTrialChunk, kTrials);
     for (std::size_t t = begin; t < end; ++t) {
       pipeline.run_trial(t, base, scratch[worker], worker, chunk);
     }

@@ -72,7 +72,7 @@ commands:
                --grid P1,P2,... (paper grid 0.001..1)
                --network submarine|intertubes|itu (submarine)
                --spacing KM (150)  --trials N (10)  --seed N (1859)
-               --threads N (auto)  --engine auto|scalar (auto)
+               --threads N (auto)
   serve      resident scenario server: keeps the networks, repeater
              layouts and evaluators hot and answers NDJSON requests from
              a content-addressed result cache (request schema and cache
@@ -269,7 +269,6 @@ int cmd_sweep(const Args& args) {
   sim::TrialConfig cfg;
   cfg.repeater_spacing_km = args.get_double_or("spacing", 150.0);
   cfg.threads = static_cast<std::size_t>(args.get_int_or("threads", 0));
-  cfg.engine = engine_from_args(args);
   const sim::FailureSimulator simulator(net, cfg);
   std::vector<double> grid;
   if (args.has("grid")) {
