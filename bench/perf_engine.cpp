@@ -127,8 +127,11 @@ BENCHMARK(BM_RunTrialsBandModel)->Arg(1)->Arg(0)
 void BM_ConnectedComponents(benchmark::State& state) {
   const auto& net = submarine();
   const auto mask = graph::AliveMask::all_alive(net.graph());
+  graph::ComponentScratch scratch;
+  graph::ComponentResult components;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(graph::connected_components(net.graph(), mask));
+    graph::connected_components(net.csr(), mask, scratch, components);
+    benchmark::DoNotOptimize(components.component.data());
   }
 }
 BENCHMARK(BM_ConnectedComponents);

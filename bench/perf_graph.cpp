@@ -303,7 +303,8 @@ constexpr std::size_t kEquivalenceDraws = 48;
 constexpr std::size_t kBenchDraws = 64;
 
 // One failure draw in both representations, sampled from the same child
-// stream so the sets are bit-equal by construction.
+// stream: the std::vector<bool> one-shot draw (a converted Bitset draw)
+// and the in-place Bitset draw must hold the same set.
 struct DrawPair {
   std::vector<bool> dead_vb;
   util::Bitset dead_bits;
@@ -316,7 +317,7 @@ std::vector<DrawPair> make_draws(std::size_t count) {
   for (std::size_t d = 0; d < count; ++d) {
     util::Rng rng_a = base.split(d);
     util::Rng rng_b = base.split(d);
-    submarine_sim().sample_cable_failures(model, rng_a, draws[d].dead_vb);
+    draws[d].dead_vb = submarine_sim().sample_cable_failures(model, rng_a);
     submarine_sim().sample_cable_failures(model, rng_b, draws[d].dead_bits);
   }
   return draws;

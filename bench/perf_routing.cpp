@@ -4,8 +4,9 @@
 // main() runs hard validation gates before any timing:
 //   1. the batched assign (hot scratch path, the one-shot wrapper, and the
 //      component-short-circuit path) is bit-identical to an inline replica
-//      of the historical per-source std::map + graph::dijkstra assign on
-//      the seed submarine network — baseline plus 32 s1-model draws,
+//      of the historical per-source std::map + Dijkstra assign (over the
+//      frozen reference::dijkstra) on the seed submarine network —
+//      baseline plus 32 s1-model draws,
 //   2. assign_capacity_aware (lazy per-source trees + fit-mask fallback)
 //      is bit-identical to an inline replica of the historical per-demand
 //      fit-mask Dijkstra over 8 s1-model draws,
@@ -36,6 +37,7 @@
 #include "gic/failure_model.h"
 #include "graph/components.h"
 #include "graph/traversal.h"
+#include "reference/graph_kernels.h"
 #include "routing/assignment.h"
 #include "routing/demand.h"
 #include "routing/traffic_observer.h"
@@ -150,9 +152,11 @@ std::vector<Draw> make_draws(std::size_t count, std::uint64_t seed) {
 
 // --- legacy replicas --------------------------------------------------------
 // Verbatim ports of the pre-PR TrafficEngine::assign /
-// assign_capacity_aware loops (per-source std::map + Graph-tier
-// graph::dijkstra; per-demand fit-mask Dijkstra), kept here as the
-// reference the batched engine must reproduce bit for bit.
+// assign_capacity_aware loops (per-source std::map + Graph-tier Dijkstra;
+// per-demand fit-mask Dijkstra), kept here as the reference the batched
+// engine must reproduce bit for bit. They run the frozen std::priority_queue
+// Dijkstra (reference/graph_kernels.h), not graph::dijkstra, which is a
+// one-shot form of the shortest_path_tree kernel under test.
 
 routing::AssignmentResult legacy_assign(
     const topo::InfrastructureNetwork& net,
@@ -175,7 +179,8 @@ routing::AssignmentResult legacy_assign(
 
   double weighted_km = 0.0;
   for (const auto& [src, demand_indices] : by_source) {
-    const graph::ShortestPaths sp = graph::dijkstra(net.graph(), mask, src);
+    const graph::ShortestPaths sp =
+        reference::dijkstra(net.graph(), mask, src);
     for (std::size_t idx : demand_indices) {
       const routing::TrafficDemand& d = demands[idx];
       if (sp.distance[d.dst] == graph::kUnreachable) {
@@ -236,7 +241,8 @@ routing::AssignmentResult legacy_capacity_aware(
         mask.edge_alive.reset(e);
       }
     }
-    const graph::ShortestPaths sp = graph::dijkstra(net.graph(), mask, d.src);
+    const graph::ShortestPaths sp =
+        reference::dijkstra(net.graph(), mask, d.src);
     if (sp.distance[d.dst] == graph::kUnreachable) {
       result.undeliverable_gbps += d.gbps;
       continue;
@@ -462,10 +468,10 @@ int main() {
   // --- timing: the acceptance comparison ------------------------------------
   // New path: one warm full-matrix assign — what TrafficObserver adds to
   // each pipeline trial (the mask and components are already computed for
-  // the other observers). Old path: one Graph-tier Dijkstra per demand,
-  // the way the per-demand capacity-aware loop searched before PR 9 —
-  // timed on a subsample and scaled, because a million of them would take
-  // minutes.
+  // the other observers). Old path: one frozen Graph-tier Dijkstra per
+  // demand, the way the per-demand capacity-aware loop searched before
+  // PR 9 — timed on a subsample and scaled, because a million of them
+  // would take minutes.
   const double trial_ms = benchutil::time_best_ms([&] {
     engine.assign(draw.dead, &mask, &components, scratch, result);
     if (result.delivered_gbps <= 0.0) std::exit(1);
@@ -480,7 +486,7 @@ int main() {
         for (std::size_t i = 0; i < kBaselineSample; ++i) {
           const routing::TrafficDemand& d = engine.demands()[i];
           const graph::ShortestPaths sp =
-              graph::dijkstra(submarine().graph(), baseline_mask, d.src);
+              reference::dijkstra(submarine().graph(), baseline_mask, d.src);
           if (sp.distance[d.dst] != graph::kUnreachable) delivered += d.gbps;
         }
         if (delivered < 0.0) std::exit(1);

@@ -3,7 +3,7 @@
 //
 // main() runs hard validation gates before any timing:
 //   1. a non-any-failure rule is rejected up front with invalid_argument,
-//   2. the CRN death indices match an independent per-point Bernoulli
+//   2. run_trial's CRN death indices match an independent per-point Bernoulli
 //      thresholding replay, and per-trial dead sets are monotone nested in
 //      the grid (the property the reverse-insertion walk relies on),
 //   3. run_trial's per-point percentages equal a brute-force recomputation
@@ -116,18 +116,19 @@ void check_rule_validation() {
   if (!threw) fail("kFractionFails rule was not rejected by the sweep");
 }
 
-// Re-derive the death indices by thresholding each cable's uniform against
-// every grid point independently, and assert the per-point dead sets are
-// monotone nested.
+// Re-derive run_trial's death indices by thresholding each cable's
+// uniform against every grid point independently, and assert the
+// per-point dead sets are monotone nested.
 void check_crn_thresholds_and_nesting() {
   const sim::SweepEngine& engine = default_engine();
   const std::size_t cables = submarine().cable_count();
   const std::size_t grid = engine.grid_size();
-  std::vector<std::uint32_t> index;
+  sim::SweepScratch scratch;
+  const std::vector<std::uint32_t>& index = scratch.death_index;
   const util::Rng base(1234);
   for (std::uint64_t trial = 0; trial < 32; ++trial) {
     util::Rng rng = base.split(trial);
-    engine.sample_death_grid_indices(rng, index);
+    engine.run_trial(rng, scratch);
     util::Rng replay = base.split(trial);
     for (topo::CableId c = 0; c < cables; ++c) {
       if (submarine_sim().cable_repeater_count(c) == 0) {
@@ -157,13 +158,11 @@ void check_trial_against_bruteforce() {
   const double connected =
       static_cast<double>(net.connected_node_count());
   sim::SweepScratch scratch;
-  std::vector<std::uint32_t> index;
+  const std::vector<std::uint32_t>& index = scratch.death_index;
   const util::Rng base(777);
   for (std::uint64_t trial = 0; trial < 8; ++trial) {
-    util::Rng rng_a = base.split(trial);
-    util::Rng rng_b = base.split(trial);
-    engine.run_trial(rng_a, scratch);
-    engine.sample_death_grid_indices(rng_b, index);
+    util::Rng rng = base.split(trial);
+    engine.run_trial(rng, scratch);
     for (std::size_t g = 0; g < engine.grid_size(); ++g) {
       std::vector<bool> dead(cables, false);
       std::size_t dead_count = 0;

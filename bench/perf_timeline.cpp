@@ -29,6 +29,7 @@
 #include "gic/timeline.h"
 #include "graph/components.h"
 #include "recovery/repair.h"
+#include "reference/graph_kernels.h"
 #include "sim/monte_carlo.h"
 #include "sim/timeline_engine.h"
 #include "util/rng.h"
@@ -98,7 +99,8 @@ sim::TimelineEngine& default_engine() {
 
 // The historical shape of a storm playback: derive the trial's event times
 // with the plain one-shot components, then pay one full connectivity
-// build per unified time step. Replays the engine's exact draw sequence
+// build (the frozen Graph-tier kernel, reference/graph_kernels.h) per
+// unified time step. Replays the engine's exact draw sequence
 // (CRN uniforms ascending over repeater-bearing cables, fault counts from
 // the split repair substream) so the comparison is bitwise, not
 // statistical.
@@ -180,7 +182,8 @@ void naive_playback(const sim::TimelineEngine& engine, util::Rng& rng,
                             static_cast<double>(connected)
                       : 0.0;
     const auto components =
-        graph::connected_components(net.graph(), net.mask_for_failures(dead));
+        reference::connected_components(net.graph(),
+                                        net.mask_for_failures(dead));
     const std::size_t largest =
         std::max<std::size_t>(components.largest_component_size(),
                               net.node_count() > 0 ? 1 : 0);

@@ -73,11 +73,9 @@ DnsResolutionReport evaluate_dns_resolution(
     const std::vector<bool>& cable_dead,
     const std::vector<datasets::DnsRootInstance>& roots) {
   DnsResolutionEvaluator evaluator(net, roots);
-  util::Bitset dead(cable_dead.size());
-  for (std::size_t i = 0; i < cable_dead.size(); ++i) {
-    if (cable_dead[i]) dead.set(i);
-  }
-  const graph::AliveMask mask = net.mask_for_failures(cable_dead);
+  const util::Bitset dead = util::Bitset::from_bools(cable_dead);
+  graph::AliveMask mask;
+  net.mask_for_failures(dead, mask);
   graph::ComponentScratch scratch;
   graph::ComponentResult components;
   graph::connected_components(net.csr(), mask, scratch, components);

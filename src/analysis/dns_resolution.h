@@ -5,13 +5,13 @@
 // stricter per-letter view (how many of the 13 letters remain reachable),
 // which bounds resolver retry behaviour.
 //
-// Two tiers mirror the services module: evaluate_dns_resolution is the
-// one-shot API (builds the 13 per-letter evaluators per call);
 // DnsResolutionEvaluator resolves every letter's instances once and then
 // answers per-draw queries against a shared component decomposition, and
 // DnsResolutionObserver runs it per trial on a sim::TrialPipeline —
 // including the joint cross-metric statistic P(resolution degraded AND
 // heavy cable loss), which only a shared-draw pipeline can measure.
+// evaluate_dns_resolution is a one-shot wrapper that builds the evaluator
+// and one decomposition for a single std::vector<bool> draw.
 #pragma once
 
 #include <array>

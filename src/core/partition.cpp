@@ -13,8 +13,7 @@ PartitionReport analyze_partition(const topo::InfrastructureNetwork& net,
                                   const std::vector<bool>& cable_dead) {
   PartitionReport report;
   const graph::AliveMask mask = net.mask_for_failures(cable_dead);
-  // Decompose over the cached CSR; produces the same dense labeling as the
-  // adjacency-list overload.
+  // Decompose over the cached CSR.
   graph::ComponentScratch scratch;
   graph::ComponentResult cc;
   graph::connected_components(net.csr(), mask, scratch, cc);

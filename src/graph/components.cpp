@@ -1,7 +1,6 @@
 #include "graph/components.h"
 
 #include <algorithm>
-#include <stdexcept>
 
 namespace solarnet::graph {
 
@@ -45,45 +44,11 @@ void relabel(std::size_t n, UnionFind& uf,
 
 }  // namespace
 
-ComponentResult connected_components(const Graph& g) {
-  // Direct path: no AliveMask materialized, every vertex participates.
-  const std::size_t n = g.vertex_count();
-  UnionFind uf(n);
-  for (const Edge& e : g.edges()) {
-    uf.unite(e.u, e.v);
-  }
-  ComponentResult result;
-  std::vector<std::uint32_t> root_to_dense;
-  relabel(n, uf, root_to_dense, [](VertexId) { return true; }, result);
-  return result;
-}
-
-ComponentResult connected_components(const Graph& g, const AliveMask& mask) {
-  const std::size_t n = g.vertex_count();
-  UnionFind uf(n);
-  for (EdgeId e = 0; e < g.edge_count(); ++e) {
-    if (!mask.traversable(g, e)) continue;
-    const Edge& ed = g.edge(e);
-    uf.unite(ed.u, ed.v);
-  }
-  ComponentResult result;
-  std::vector<std::uint32_t> root_to_dense;
-  relabel(
-      n, uf, root_to_dense,
-      [&](VertexId v) {
-        return v < mask.vertex_alive.size() && mask.vertex_alive[v];
-      },
-      result);
-  return result;
-}
-
 void connected_components(const Csr& csr, const AliveMask& mask,
                           ComponentScratch& scratch, ComponentResult& out) {
+  check_mask(csr, mask, "connected_components");
   const std::size_t n = csr.vertex_count();
   const std::size_t m = csr.edge_count();
-  if (mask.vertex_alive.size() != n || mask.edge_alive.size() != m) {
-    throw std::invalid_argument("connected_components: mask/Csr size mismatch");
-  }
   scratch.uf.reset(n);
   // mask_for_failures leaves every vertex alive, so the common trial-loop
   // case skips the per-endpoint checks entirely.
@@ -108,18 +73,11 @@ void connected_components(const Csr& csr, const AliveMask& mask,
   }
 }
 
-bool is_connected(const Graph& g, const AliveMask& mask) {
-  const ComponentResult cc = connected_components(g, mask);
-  return cc.component_count() <= 1;
-}
-
 bool is_connected(const Csr& csr, const AliveMask& mask,
                   ComponentScratch& scratch) {
+  check_mask(csr, mask, "is_connected");
   const std::size_t n = csr.vertex_count();
   const std::size_t m = csr.edge_count();
-  if (mask.vertex_alive.size() != n || mask.edge_alive.size() != m) {
-    throw std::invalid_argument("is_connected: mask/Csr size mismatch");
-  }
   scratch.uf.reset(n);
   std::size_t alive = mask.vertex_alive.count();
   std::size_t merges = 0;

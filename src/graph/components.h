@@ -1,22 +1,17 @@
-// Connected-component decomposition over (optionally masked) graphs.
+// Connected-component decomposition over masked graphs.
 //
-// Two tiers:
-//  - The Graph-based overloads are the convenient one-shot API; each call
-//    allocates its result.
-//  - The Csr + ComponentScratch overloads are the hot-path kernel: all
-//    working storage (union-find, dense-relabel table, the result vectors)
-//    is reused across calls, so the steady-state cost of a masked
-//    decomposition is zero heap allocations. Monte-Carlo style loops build
-//    one Csr and one scratch per worker and call these per trial.
-// Both tiers produce bit-identical ComponentResults: component indices are
-// dense in order of first-seen (lowest-id) alive vertex, independent of the
-// union-find merge order.
+// One kernel over a prebuilt Csr: all working storage (union-find,
+// dense-relabel table, the result vectors) lives in a reusable
+// ComponentScratch and the caller's ComponentResult, so the steady-state
+// cost of a masked decomposition is zero heap allocations. Monte-Carlo
+// style loops build one Csr and one scratch per worker and call these per
+// trial. Component indices are dense in order of first-seen (lowest-id)
+// alive vertex, independent of the union-find merge order.
 #pragma once
 
 #include <vector>
 
 #include "graph/csr.h"
-#include "graph/graph.h"
 #include "graph/union_find.h"
 
 namespace solarnet::graph {
@@ -41,24 +36,15 @@ struct ComponentScratch {
   std::vector<std::uint32_t> root_to_dense;
 };
 
-// Components of the full graph.
-ComponentResult connected_components(const Graph& g);
-
-// Components of the masked subgraph: dead vertices get kNoComponent; dead
-// edges (and edges touching dead vertices) are ignored.
-ComponentResult connected_components(const Graph& g, const AliveMask& mask);
-
-// Allocation-free kernel: decomposes the masked subgraph into `out`,
-// reusing `scratch` and `out`'s storage. The mask's sizes must match the
-// Csr's dimensions.
+// Decomposes the masked subgraph into `out`, reusing `scratch` and `out`'s
+// storage: dead vertices get kNoComponent; dead edges (and edges touching
+// dead vertices) are ignored. Throws std::invalid_argument when the mask's
+// sizes do not match the Csr's dimensions.
 void connected_components(const Csr& csr, const AliveMask& mask,
                           ComponentScratch& scratch, ComponentResult& out);
 
 // True when every alive vertex lies in one component (vacuously true when
-// fewer than two vertices are alive).
-bool is_connected(const Graph& g, const AliveMask& mask);
-
-// Allocation-free variant over a prebuilt Csr.
+// fewer than two vertices are alive). Same mask check as above.
 bool is_connected(const Csr& csr, const AliveMask& mask,
                   ComponentScratch& scratch);
 

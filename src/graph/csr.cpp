@@ -2,6 +2,7 @@
 
 #include <limits>
 #include <stdexcept>
+#include <string>
 
 namespace solarnet::graph {
 
@@ -31,6 +32,14 @@ Csr::Csr(const Graph& g) {
   for (const Edge& e : g.edges()) {
     edge_u_.push_back(e.u);
     edge_v_.push_back(e.v);
+  }
+}
+
+void check_mask(const Csr& csr, const AliveMask& mask, const char* kernel) {
+  if (mask.vertex_alive.size() != csr.vertex_count() ||
+      mask.edge_alive.size() != csr.edge_count()) {
+    throw std::invalid_argument(std::string(kernel) +
+                                ": mask/Csr size mismatch");
   }
 }
 

@@ -8,7 +8,7 @@
 // networks cache one per InfrastructureNetwork::csr()) and treat it as
 // immutable. Half-edges appear in exactly the same order as
 // Graph::incident(), so CSR-based traversals visit vertices in the same
-// order as the adjacency-list implementations and produce identical
+// order as a walk over the Graph's adjacency lists and produce identical
 // results.
 #pragma once
 
@@ -51,5 +51,11 @@ class Csr {
   std::vector<VertexId> edge_u_;
   std::vector<VertexId> edge_v_;
 };
+
+// Throws std::invalid_argument ("<kernel>: mask/Csr size mismatch") unless
+// the mask has exactly one vertex bit per Csr vertex and one edge bit per
+// Csr edge. Every Csr kernel checks this first, because util::Bitset
+// indexing is unchecked.
+void check_mask(const Csr& csr, const AliveMask& mask, const char* kernel);
 
 }  // namespace solarnet::graph

@@ -13,7 +13,7 @@ namespace {
 using HeapItem = std::pair<double, VertexId>;
 
 // Resets the scratch for a run from `source`. Returns false when the
-// source is dead or unmasked (all-unreachable tree, like graph::dijkstra).
+// source is dead (all-unreachable tree).
 bool prepare(const Csr& csr, std::span<const double> edge_weight,
              const AliveMask& mask, VertexId source, RoutingScratch& s) {
   if (source >= csr.vertex_count()) {
@@ -23,24 +23,22 @@ bool prepare(const Csr& csr, std::span<const double> edge_weight,
     throw std::invalid_argument(
         "shortest_path_tree: edge_weight size does not match edge count");
   }
+  check_mask(csr, mask, "shortest_path_tree");
   const std::size_t n = csr.vertex_count();
   s.distance.assign(n, kUnreachable);
   s.parent_edge.assign(n, kInvalidEdge);
   s.parent.assign(n, kInvalidVertex);
   s.heap.clear();
-  if (source >= mask.vertex_alive.size() || !mask.vertex_alive[source]) {
-    return false;
-  }
+  if (!mask.vertex_alive[source]) return false;
   s.distance[source] = 0.0;
   s.heap.push_back({0.0, source});
   return true;
 }
 
 // One settle step: pops the nearest queued vertex (std::pop_heap — the
-// same algorithm std::priority_queue::pop runs, so the pop order matches
-// graph::dijkstra exactly), relaxes its CSR adjacency, pushes improved
-// neighbors. Returns the settled vertex, or kInvalidVertex for a stale
-// entry (callers just keep popping).
+// same algorithm std::priority_queue::pop runs), relaxes its CSR
+// adjacency, pushes improved neighbors. Returns the settled vertex, or
+// kInvalidVertex for a stale entry (callers just keep popping).
 VertexId settle_next(const Csr& csr, std::span<const double> edge_weight,
                      const AliveMask& mask, RoutingScratch& s) {
   std::pop_heap(s.heap.begin(), s.heap.end(), std::greater<>{});

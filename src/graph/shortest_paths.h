@@ -1,24 +1,19 @@
-// Scratch-based shortest-path trees over a Csr: the batched routing kernel.
+// Scratch-based shortest-path trees over a Csr: the one Dijkstra kernel.
 //
-// graph::dijkstra (traversal.h) allocates its ShortestPaths result and a
-// fresh priority queue on every call, which is fine for one-shot analyses
-// but hopeless inside a Monte-Carlo trial loop that needs one SSSP tree per
-// gateway per trial. This kernel follows the ComponentScratch discipline:
-// all working storage (distance/parent arrays plus the binary-heap vector)
+// All working storage (distance/parent arrays plus the binary-heap vector)
 // lives in a reusable RoutingScratch, one instance per worker thread, so
-// the steady-state cost of a tree build is zero heap allocations.
+// the steady-state cost of a tree build is zero heap allocations — the
+// traffic observer builds one tree per source per trial. graph::dijkstra
+// (traversal.h) is the allocating one-shot form of shortest_path_tree.
 //
-// Determinism/equivalence contract: for any (graph, mask, source) the tree
-// produced here is bit-identical to graph::dijkstra on the same graph —
-// same distances, same parent and parent_edge choices. That holds because
-// the kernel replicates dijkstra's exact mechanics: a min-heap of
-// (distance, vertex) pairs ordered by std::greater<> (std::push_heap /
-// std::pop_heap — the same algorithms std::priority_queue runs), the same
-// stale-entry skip, the same strict-< relaxation, and the Csr's adjacency
-// order, which matches Graph::incident() half-edge for half-edge. The
-// bench (bench/perf_routing.cpp) gates this equivalence on the seed
-// network; tests/graph/shortest_paths_test.cpp property-checks it on
-// random graphs and masks.
+// Determinism: a min-heap of (distance, vertex) pairs ordered by
+// std::greater<> (std::push_heap / std::pop_heap), a stale-entry skip,
+// strict-< relaxation and the Csr's adjacency order, which matches
+// Graph::incident() half-edge for half-edge, fix every distance, parent and
+// parent_edge choice. tests/graph/shortest_paths_test.cpp property-checks
+// the trees bit for bit against a frozen std::priority_queue Dijkstra over
+// the Graph (bench/reference/graph_kernels.h) on random graphs and masks;
+// bench/perf_routing.cpp gates the same on the seed network.
 #pragma once
 
 #include <span>
@@ -44,10 +39,10 @@ struct RoutingScratch {
 // subgraph into `scratch` (arrays resized to the vertex count; heap left
 // empty). `edge_weight[e]` is the length of Csr edge e — the Csr itself
 // stores no weights, so callers snapshot them once (see
-// routing::TrafficEngine). A dead or unmasked source yields an
-// all-unreachable tree, matching graph::dijkstra. Throws
-// std::invalid_argument when the source is out of range or edge_weight
-// does not cover every edge. Allocation-free once the scratch is warm.
+// routing::TrafficEngine). A dead source yields an all-unreachable tree.
+// Throws std::invalid_argument when the source is out of range, when
+// edge_weight does not cover every edge, or when the mask's sizes do not
+// match the Csr. Allocation-free once the scratch is warm.
 void shortest_path_tree(const Csr& csr, std::span<const double> edge_weight,
                         const AliveMask& mask, VertexId source,
                         RoutingScratch& scratch);

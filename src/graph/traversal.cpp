@@ -1,39 +1,18 @@
 #include "graph/traversal.h"
 
 #include <algorithm>
-#include <queue>
+#include <utility>
+
+#include "graph/shortest_paths.h"
 
 namespace solarnet::graph {
 
-std::vector<bool> reachable_from(const Graph& g, const AliveMask& mask,
-                                 VertexId source) {
-  std::vector<bool> visited(g.vertex_count(), false);
-  if (source >= g.vertex_count() || source >= mask.vertex_alive.size() ||
-      !mask.vertex_alive[source]) {
-    return visited;
-  }
-  std::vector<VertexId> stack{source};
-  visited[source] = true;
-  while (!stack.empty()) {
-    const VertexId v = stack.back();
-    stack.pop_back();
-    for (const auto& [neighbor, edge] : g.incident(v)) {
-      if (visited[neighbor] || !mask.traversable(g, edge)) continue;
-      visited[neighbor] = true;
-      stack.push_back(neighbor);
-    }
-  }
-  return visited;
-}
-
 void reachable_from(const Csr& csr, const AliveMask& mask, VertexId source,
                     TraversalScratch& scratch, util::Bitset& out) {
+  check_mask(csr, mask, "reachable_from");
   const std::size_t n = csr.vertex_count();
   out.assign(n, false);
-  if (source >= n || source >= mask.vertex_alive.size() ||
-      !mask.vertex_alive[source]) {
-    return;
-  }
+  if (source >= n || !mask.vertex_alive[source]) return;
   // DFS over the flat adjacency; the frontier vector doubles as the stack.
   // Visiting a vertex implies it is alive, so each step only needs to check
   // the edge bit and the far endpoint's bit.
@@ -56,38 +35,12 @@ void reachable_from(const Csr& csr, const AliveMask& mask, VertexId source,
   }
 }
 
-std::vector<std::uint32_t> bfs_hops(const Graph& g, const AliveMask& mask,
-                                    VertexId source) {
-  std::vector<std::uint32_t> hops(g.vertex_count(), kUnreachableHops);
-  if (source >= g.vertex_count() || source >= mask.vertex_alive.size() ||
-      !mask.vertex_alive[source]) {
-    return hops;
-  }
-  // Vector-backed FIFO: `head` chases push_back, so the frontier never
-  // allocates per-node deque blocks and its storage is a single array.
-  std::vector<VertexId> frontier{source};
-  hops[source] = 0;
-  for (std::size_t head = 0; head < frontier.size(); ++head) {
-    const VertexId v = frontier[head];
-    for (const auto& [neighbor, edge] : g.incident(v)) {
-      if (hops[neighbor] != kUnreachableHops || !mask.traversable(g, edge)) {
-        continue;
-      }
-      hops[neighbor] = hops[v] + 1;
-      frontier.push_back(neighbor);
-    }
-  }
-  return hops;
-}
-
 void bfs_hops(const Csr& csr, const AliveMask& mask, VertexId source,
               TraversalScratch& scratch, std::vector<std::uint32_t>& out) {
+  check_mask(csr, mask, "bfs_hops");
   const std::size_t n = csr.vertex_count();
   out.assign(n, kUnreachableHops);
-  if (source >= n || source >= mask.vertex_alive.size() ||
-      !mask.vertex_alive[source]) {
-    return;
-  }
+  if (source >= n || !mask.vertex_alive[source]) return;
   scratch.frontier.clear();
   scratch.frontier.push_back(source);
   out[source] = 0;
@@ -121,37 +74,12 @@ std::vector<VertexId> ShortestPaths::path_to(VertexId target) const {
 
 ShortestPaths dijkstra(const Graph& g, const AliveMask& mask,
                        VertexId source) {
-  if (source >= g.vertex_count()) {
-    throw std::invalid_argument("dijkstra: source out of range");
-  }
-  ShortestPaths sp;
-  sp.distance.assign(g.vertex_count(), kUnreachable);
-  sp.parent_edge.assign(g.vertex_count(), kInvalidEdge);
-  sp.parent.assign(g.vertex_count(), kInvalidVertex);
-  if (source >= mask.vertex_alive.size() || !mask.vertex_alive[source]) {
-    return sp;
-  }
-
-  using Item = std::pair<double, VertexId>;
-  std::priority_queue<Item, std::vector<Item>, std::greater<>> heap;
-  sp.distance[source] = 0.0;
-  heap.push({0.0, source});
-  while (!heap.empty()) {
-    const auto [dist, v] = heap.top();
-    heap.pop();
-    if (dist > sp.distance[v]) continue;  // stale entry
-    for (const auto& [neighbor, edge] : g.incident(v)) {
-      if (!mask.traversable(g, edge)) continue;
-      const double next = dist + g.edge(edge).weight;
-      if (next < sp.distance[neighbor]) {
-        sp.distance[neighbor] = next;
-        sp.parent[neighbor] = v;
-        sp.parent_edge[neighbor] = edge;
-        heap.push({next, neighbor});
-      }
-    }
-  }
-  return sp;
+  std::vector<double> weight(g.edge_count());
+  std::ranges::transform(g.edges(), weight.begin(), &Edge::weight);
+  RoutingScratch tree;
+  shortest_path_tree(Csr(g), weight, mask, source, tree);
+  return {std::move(tree.distance), std::move(tree.parent_edge),
+          std::move(tree.parent)};
 }
 
 }  // namespace solarnet::graph

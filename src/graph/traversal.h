@@ -1,11 +1,10 @@
-// BFS reachability and Dijkstra shortest paths over masked graphs.
+// BFS/DFS reachability over masked graphs, plus the one-shot Dijkstra.
 //
-// Like components.h this comes in two tiers: the Graph-based overloads
-// allocate their result per call, while the Csr + TraversalScratch
-// overloads reuse every piece of working storage (frontier, visited bits,
-// the output arrays) and are allocation-free once warm. The CSR traversals
-// visit half-edges in the same order as Graph::incident(), so hop counts
-// and reachable sets are identical between the two tiers.
+// The traversals run over a prebuilt Csr and reuse every piece of working
+// storage (frontier, visited bits, the output arrays) through a
+// TraversalScratch, so they are allocation-free once warm. dijkstra is the
+// allocating one-shot form of graph::shortest_path_tree
+// (graph/shortest_paths.h) for callers that hold a Graph, not a Csr.
 #pragma once
 
 #include <limits>
@@ -27,23 +26,17 @@ struct TraversalScratch {
   util::Bitset visited;
 };
 
-// Vertices reachable from `source` in the masked subgraph (including the
-// source itself when alive). Returns an empty set if the source is dead.
-std::vector<bool> reachable_from(const Graph& g, const AliveMask& mask,
-                                 VertexId source);
-
-// Allocation-free kernel: fills `out` (resized to the vertex count) with
-// the reachable set.
+// Fills `out` (resized to the vertex count) with the vertices reachable
+// from `source` in the masked subgraph, including the source itself when
+// alive; all clear when the source is dead or out of range. Throws
+// std::invalid_argument when the mask's sizes do not match the Csr.
 void reachable_from(const Csr& csr, const AliveMask& mask, VertexId source,
                     TraversalScratch& scratch, util::Bitset& out);
 
-// Hop distances (edge counts) from source; kUnreachableHops when not
-// reachable or dead.
+// Fills `out` (resized to the vertex count) with hop distances (edge
+// counts) from source; kUnreachableHops when not reachable or dead. Same
+// mask check as reachable_from.
 inline constexpr std::uint32_t kUnreachableHops = ~std::uint32_t{0};
-std::vector<std::uint32_t> bfs_hops(const Graph& g, const AliveMask& mask,
-                                    VertexId source);
-
-// Allocation-free kernel: fills `out` (resized to the vertex count).
 void bfs_hops(const Csr& csr, const AliveMask& mask, VertexId source,
               TraversalScratch& scratch, std::vector<std::uint32_t>& out);
 
@@ -57,8 +50,9 @@ struct ShortestPaths {
   std::vector<VertexId> path_to(VertexId target) const;
 };
 
-// Dijkstra using edge weights (lengths). Throws std::invalid_argument if
-// the source is out of range.
+// Dijkstra using edge weights (lengths): shortest_path_tree over a Csr
+// built from `g`, returned by value. Throws std::invalid_argument if the
+// source is out of range or the mask's sizes do not match the graph.
 ShortestPaths dijkstra(const Graph& g, const AliveMask& mask, VertexId source);
 
 }  // namespace solarnet::graph

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
-#include <queue>
+#include <limits>
 #include <stdexcept>
 
 #include "topology/repeater.h"
@@ -48,102 +48,6 @@ std::vector<std::pair<double, double>> RecoveryTimeline::restoration_curve(
   return curve;
 }
 
-std::vector<std::size_t> sample_fault_counts(
-    const sim::FailureSimulator& simulator,
-    const gic::RepeaterFailureModel& model,
-    const std::vector<bool>& cable_dead, util::Rng& rng) {
-  const topo::InfrastructureNetwork& net = simulator.network();
-  if (cable_dead.size() != net.cable_count()) {
-    throw std::invalid_argument("sample_fault_counts: size mismatch");
-  }
-  std::vector<std::size_t> faults(net.cable_count(), 0);
-  for (topo::CableId c = 0; c < net.cable_count(); ++c) {
-    if (!cable_dead[c]) continue;
-    const std::size_t repeaters = topo::cable_repeater_count(
-        net.cable(c), simulator.config().repeater_spacing_km);
-    if (repeaters == 0) {
-      faults[c] = 1;  // defensive: a dead repeaterless cable has one fault
-      continue;
-    }
-    // Conditioned on death (>= 1 failure), the remaining repeaters fail
-    // independently. Use the cable's single-repeater probability by
-    // inverting the cable death probability.
-    const double death = simulator.cable_death_probability(c, model);
-    const double per_repeater =
-        1.0 - std::pow(std::max(1e-12, 1.0 - death),
-                       1.0 / static_cast<double>(repeaters));
-    std::size_t extra = 0;
-    for (std::size_t r = 1; r < repeaters; ++r) {
-      if (rng.bernoulli(per_repeater)) ++extra;
-    }
-    faults[c] = 1 + extra;
-  }
-  return faults;
-}
-
-RecoveryTimeline schedule_repairs(const topo::InfrastructureNetwork& net,
-                                  const std::vector<bool>& cable_dead,
-                                  const std::vector<std::size_t>& faults,
-                                  const RepairFleetParams& params) {
-  if (cable_dead.size() != net.cable_count() ||
-      faults.size() != net.cable_count()) {
-    throw std::invalid_argument("schedule_repairs: size mismatch");
-  }
-  if (params.cable_ships == 0 || params.land_crews == 0) {
-    throw std::invalid_argument("schedule_repairs: empty fleet");
-  }
-
-  RecoveryTimeline timeline;
-  timeline.restore_day.assign(net.cable_count(), 0.0);
-
-  // Build jobs, submarine and land pools separately.
-  std::vector<CableRepairJob> submarine_jobs;
-  std::vector<CableRepairJob> land_jobs;
-  for (topo::CableId c = 0; c < net.cable_count(); ++c) {
-    if (!cable_dead[c]) continue;
-    CableRepairJob job;
-    job.cable = c;
-    job.faults = std::max<std::size_t>(1, faults[c]);
-    if (net.cable(c).kind == topo::CableKind::kSubmarine) {
-      job.work_days = params.mobilization_days +
-                      params.repair_days_per_fault *
-                          static_cast<double>(job.faults);
-      submarine_jobs.push_back(job);
-    } else {
-      job.work_days =
-          params.land_repair_days * static_cast<double>(job.faults);
-      land_jobs.push_back(job);
-    }
-  }
-
-  // Priority: cables touching more landing points restore more
-  // connectivity per ship-day.
-  auto priority = [&](const CableRepairJob& j) {
-    return net.cable(j.cable).endpoints().size();
-  };
-  auto schedule_pool = [&](std::vector<CableRepairJob>& jobs,
-                           std::size_t workers) {
-    std::stable_sort(jobs.begin(), jobs.end(),
-                     [&](const CableRepairJob& a, const CableRepairJob& b) {
-                       return priority(a) > priority(b);
-                     });
-    // Min-heap of worker free times.
-    std::priority_queue<double, std::vector<double>, std::greater<>> free_at;
-    for (std::size_t w = 0; w < workers; ++w) free_at.push(0.0);
-    for (CableRepairJob& job : jobs) {
-      const double start = free_at.top();
-      free_at.pop();
-      job.completion_day = start + job.work_days;
-      free_at.push(job.completion_day);
-      timeline.restore_day[job.cable] = job.completion_day;
-      timeline.jobs.push_back(job);
-    }
-  };
-  schedule_pool(submarine_jobs, params.cable_ships);
-  schedule_pool(land_jobs, params.land_crews);
-  return timeline;
-}
-
 FaultSampler::FaultSampler(const sim::FailureSimulator& simulator,
                            const sim::DeathProbabilityTable& table) {
   const topo::InfrastructureNetwork& net = simulator.network();
@@ -158,9 +62,9 @@ FaultSampler::FaultSampler(const sim::FailureSimulator& simulator,
         net.cable(c), simulator.config().repeater_spacing_km);
     repeaters_[c] = static_cast<std::uint32_t>(repeaters);
     if (repeaters == 0) continue;
-    // Same inversion as sample_fault_counts; the table entry is the same
-    // double cable_death_probability returns, so per_repeater matches it
-    // bit for bit.
+    // Conditioned on death (>= 1 failure), the remaining repeaters fail
+    // independently: invert the cable death probability to the cable's
+    // single-repeater probability.
     const double death = table.probability[c];
     per_repeater_[c] =
         1.0 - std::pow(std::max(1e-12, 1.0 - death),
@@ -199,10 +103,9 @@ RepairScheduler::RepairScheduler(const topo::InfrastructureNetwork& net,
     throw std::invalid_argument("RepairScheduler: empty fleet");
   }
   // One stable sort of *all* cables by priority (landing points,
-  // descending). schedule_repairs stable-sorts the per-trial dead-job list
-  // built in ascending cable order; a stable sort of the ascending full
-  // list filtered by the dead set yields the identical sequence, so the
-  // order can be resolved once per network instead of once per trial.
+  // descending). Filtered by a dead set, it equals a stable sort of that
+  // set's jobs listed in ascending cable order, so the order is resolved
+  // once per network instead of once per draw.
   std::vector<std::uint32_t> order(net.cable_count());
   for (std::size_t c = 0; c < order.size(); ++c) {
     order[c] = static_cast<std::uint32_t>(c);
@@ -223,8 +126,8 @@ RepairScheduler::RepairScheduler(const topo::InfrastructureNetwork& net,
 
 void RepairScheduler::schedule(std::span<const std::uint8_t> dead,
                                std::span<const std::uint32_t> faults,
-                               Scratch& scratch,
-                               std::span<double> restore_day) const {
+                               Scratch& scratch, std::span<double> restore_day,
+                               std::vector<CableRepairJob>* jobs) const {
   const std::size_t cables = submarine_order_.size() + land_order_.size();
   if (dead.size() != cables || faults.size() != cables ||
       restore_day.size() != cables) {
@@ -232,30 +135,64 @@ void RepairScheduler::schedule(std::span<const std::uint8_t> dead,
   }
   std::fill(restore_day.begin(), restore_day.end(), 0.0);
 
-  // Greedy earliest-free-worker assignment with an explicit min-heap over
-  // warm storage — same values, same pop/push sequence as the
-  // priority_queue in schedule_repairs.
+  // Greedy earliest-free-worker assignment with an explicit min-heap of
+  // worker free times over warm storage (std::pop_heap / std::push_heap,
+  // the algorithms std::priority_queue runs).
   std::vector<double>& heap = scratch.free_at;
   const auto run_pool = [&](std::span<const std::uint32_t> order,
                             std::size_t workers, bool submarine) {
     heap.assign(workers, 0.0);
     for (const std::uint32_t c : order) {
       if (!dead[c]) continue;
-      const double job_faults =
-          static_cast<double>(std::max<std::uint32_t>(1, faults[c]));
+      const std::uint32_t job_faults = std::max<std::uint32_t>(1, faults[c]);
       const double work =
           submarine ? params_.mobilization_days +
-                          params_.repair_days_per_fault * job_faults
-                    : params_.land_repair_days * job_faults;
+                          params_.repair_days_per_fault *
+                              static_cast<double>(job_faults)
+                    : params_.land_repair_days *
+                          static_cast<double>(job_faults);
       std::pop_heap(heap.begin(), heap.end(), std::greater<>());
       const double start = heap.back();
       heap.back() = start + work;
       std::push_heap(heap.begin(), heap.end(), std::greater<>());
       restore_day[c] = start + work;
+      if (jobs != nullptr) jobs->push_back({c, job_faults, work, start + work});
     }
   };
   run_pool(submarine_order_, params_.cable_ships, /*submarine=*/true);
   run_pool(land_order_, params_.land_crews, /*submarine=*/false);
+}
+
+std::vector<std::size_t> sample_fault_counts(
+    const sim::FailureSimulator& simulator,
+    const gic::RepeaterFailureModel& model,
+    const std::vector<bool>& cable_dead, util::Rng& rng) {
+  const FaultSampler sampler(simulator,
+                             simulator.death_probability_table(model));
+  const std::vector<std::uint8_t> dead(cable_dead.begin(), cable_dead.end());
+  std::vector<std::uint32_t> faults(dead.size());
+  sampler.sample(dead, rng, faults);
+  return {faults.begin(), faults.end()};
+}
+
+RecoveryTimeline schedule_repairs(const topo::InfrastructureNetwork& net,
+                                  const std::vector<bool>& cable_dead,
+                                  const std::vector<std::size_t>& faults,
+                                  const RepairFleetParams& params) {
+  const RepairScheduler scheduler(net, params);
+  if (std::ranges::any_of(faults, [](std::size_t f) {
+        return f > std::numeric_limits<std::uint32_t>::max();
+      })) {
+    throw std::invalid_argument("schedule_repairs: fault count too large");
+  }
+  const std::vector<std::uint8_t> dead(cable_dead.begin(), cable_dead.end());
+  const std::vector<std::uint32_t> faults_u32(faults.begin(), faults.end());
+  RecoveryTimeline timeline;
+  timeline.restore_day.resize(net.cable_count());
+  RepairScheduler::Scratch scratch;
+  scheduler.schedule(dead, faults_u32, scratch, timeline.restore_day,
+                     &timeline.jobs);
+  return timeline;
 }
 
 std::vector<std::pair<double, double>> node_restoration_curve(

@@ -50,32 +50,16 @@ struct RecoveryTimeline {
       double step_days = 10.0) const;
 };
 
-// Samples per-cable fault counts for a failure draw: a dead cable has
+// Per-cable fault counts for a failure draw: a dead cable has
 // 1 + Binomial(repeaters - 1, p_extra) destroyed repeaters — the storm hit
-// every repeater, not just one, so multi-fault cables are the norm.
-std::vector<std::size_t> sample_fault_counts(
-    const sim::FailureSimulator& simulator,
-    const gic::RepeaterFailureModel& model, const std::vector<bool>& cable_dead,
-    util::Rng& rng);
-
-// Greedy fleet scheduling: highest-priority cables first (priority =
-// number of landing points, a proxy for restored connectivity), each
-// assigned to the earliest-free ship/crew.
-RecoveryTimeline schedule_repairs(const topo::InfrastructureNetwork& net,
-                                  const std::vector<bool>& cable_dead,
-                                  const std::vector<std::size_t>& faults,
-                                  const RepairFleetParams& params = {});
-
-// Allocation-free form of sample_fault_counts for hot trial loops
-// (sim::TimelineEngine runs one fault draw per Monte-Carlo trial). The
+// every repeater, not just one, so multi-fault cables are the norm. The
 // constructor precomputes per-cable repeater counts and the conditional
-// per-repeater probability from the end-state death table; sample() then
-// replays sample_fault_counts' exact draw sequence (dead cables ascending,
-// repeaters-1 bernoullis each) into a caller-owned buffer. Because
-// FailureSimulator::death_probability_table() evaluates
-// cable_death_probability per cable, the fault counts are bit-identical to
-// sample_fault_counts given the same rng state (asserted in
-// tests/recovery/repair_test.cpp).
+// per-repeater probability (the cable's death probability from `table`,
+// inverted over its repeaters); sample() then draws dead cables in
+// ascending order, repeaters - 1 bernoullis each, into a caller-owned
+// buffer, allocation-free (sim::TimelineEngine runs one fault draw per
+// Monte-Carlo trial). tests/recovery/repair_test.cpp checks it bit for bit
+// against a frozen copy of the original one-shot sampler.
 class FaultSampler {
  public:
   FaultSampler(const sim::FailureSimulator& simulator,
@@ -91,14 +75,15 @@ class FaultSampler {
   std::vector<double> per_repeater_;
 };
 
-// Allocation-free form of schedule_repairs for hot trial loops. The
-// constructor resolves the priority order once (stable sort of all cables
-// by landing-point count, descending — filtering that order by the
-// per-trial dead set reproduces schedule_repairs' stable_sort over the
-// per-trial job list exactly); schedule() then runs the greedy
-// earliest-free-worker assignment with an explicit binary heap in warm
-// scratch storage. Completion days are bit-identical to schedule_repairs
-// (asserted in tests/recovery/repair_test.cpp).
+// Greedy fleet scheduling: highest-priority cables first (priority =
+// number of landing points, a proxy for restored connectivity), each
+// assigned to the earliest-free ship/crew. The constructor resolves the
+// priority order once (stable sort of all cables by landing-point count,
+// descending; filtered by a dead set it is the stable order of that set's
+// jobs); schedule() then runs the earliest-free-worker assignment with an
+// explicit binary heap in warm scratch storage. tests/recovery/
+// repair_test.cpp checks it bit for bit against a frozen copy of the
+// original per-draw std::priority_queue scheduler.
 class RepairScheduler {
  public:
   struct Scratch {
@@ -112,16 +97,33 @@ class RepairScheduler {
 
   // Writes each dead cable's completion day into restore_day (0.0 for
   // cables that never failed). `faults` entries are clamped to >= 1 for
-  // dead cables, like schedule_repairs.
+  // dead cables. When `jobs` is non-null each scheduled job is appended to
+  // it in schedule order (submarine pool, then land pool); without it the
+  // call is allocation-free once `scratch` is warm.
   void schedule(std::span<const std::uint8_t> dead,
                 std::span<const std::uint32_t> faults, Scratch& scratch,
-                std::span<double> restore_day) const;
+                std::span<double> restore_day,
+                std::vector<CableRepairJob>* jobs = nullptr) const;
 
  private:
   RepairFleetParams params_;
   std::vector<std::uint32_t> submarine_order_;  // priority order, all cables
   std::vector<std::uint32_t> land_order_;
 };
+
+// One-shot form of FaultSampler for one std::vector<bool> draw under
+// `model`.
+std::vector<std::size_t> sample_fault_counts(
+    const sim::FailureSimulator& simulator,
+    const gic::RepeaterFailureModel& model, const std::vector<bool>& cable_dead,
+    util::Rng& rng);
+
+// One-shot form of RepairScheduler: the completion days and the job list
+// for one std::vector<bool> draw.
+RecoveryTimeline schedule_repairs(const topo::InfrastructureNetwork& net,
+                                  const std::vector<bool>& cable_dead,
+                                  const std::vector<std::size_t>& faults,
+                                  const RepairFleetParams& params = {});
 
 // Connectivity restoration: fraction of nodes reachable (paper definition:
 // has >= 1 live cable) as repairs complete, sampled at `step_days`.

@@ -64,14 +64,6 @@ topo::NodeId nearest_connected_node(const topo::InfrastructureNetwork& net,
 // synthetic component id above this base so co-located pairs match.
 constexpr std::uint32_t kIslandBase = 0x80000000u;
 
-util::Bitset to_bitset(const std::vector<bool>& bits) {
-  util::Bitset out(bits.size());
-  for (std::size_t i = 0; i < bits.size(); ++i) {
-    if (bits[i]) out.set(i);
-  }
-  return out;
-}
-
 }  // namespace
 
 ServiceSpec service_from_datacenters(const std::string& name,
@@ -179,7 +171,7 @@ AvailabilityReport evaluate_service(const topo::InfrastructureNetwork& net,
                                     const std::vector<bool>& cable_dead,
                                     const ServiceSpec& service) {
   ServiceEvaluator evaluator(net, service);
-  return evaluator.evaluate(to_bitset(cable_dead));
+  return evaluator.evaluate(util::Bitset::from_bools(cable_dead));
 }
 
 AvailabilitySweep availability_sweep(const sim::FailureSimulator& simulator,

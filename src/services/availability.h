@@ -7,11 +7,12 @@
 // continent under a cable-failure draw, using the surviving submarine
 // topology to decide who can reach whom.
 //
-// Two tiers mirror the graph kernels: evaluate_service is the one-shot
-// API; ServiceEvaluator resolves the replica and continent-anchor landing
+// ServiceEvaluator resolves the replica and continent-anchor landing
 // nodes once per (network, spec) and then answers per-draw queries
-// allocation-free over the network's cached CSR — AvailabilityObserver
+// allocation-free over the network's cached CSR; AvailabilityObserver
 // runs it on the trial pipeline, the Monte-Carlo hot path.
+// evaluate_service is a one-shot wrapper that builds an evaluator for one
+// std::vector<bool> draw.
 #pragma once
 
 #include <string>

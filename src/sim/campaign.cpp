@@ -220,7 +220,6 @@ CampaignReport CampaignRunner::run(const CampaignOptions& options) {
   }
 
   util::FaultInjector::probe(util::FaultSite::kAllocation);
-  std::vector<PipelineScratch> scratch(chunked.workers());
   const util::Rng base(options.seed);
 
   while (completed < chunks) {
@@ -228,12 +227,7 @@ CampaignReport CampaignRunner::run(const CampaignOptions& options) {
         checkpointing
             ? std::min(completed + options.checkpoint_every_chunks, chunks)
             : chunks;
-    chunked.run(completed, segment_end, [&](const ChunkTask& task) {
-      for (std::size_t t = task.begin; t < task.end; ++t) {
-        pipeline_.run_trial(t, base, scratch[task.worker], task.worker,
-                            task.first_chunk);
-      }
-    });
+    pipeline_.run_chunks(chunked, base, completed, segment_end);
     report.chunks_executed += segment_end - completed;
     completed = segment_end;
 

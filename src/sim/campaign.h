@@ -1,11 +1,12 @@
 // Crash-safe Monte-Carlo campaigns: TrialPipeline runs with atomic
 // checkpointing and bit-identical resume.
 //
-// A campaign is a pipeline run executed in *segments* of whole chunks.
-// After each segment the runner serializes every observer's per-chunk
-// accumulator slots for the completed prefix [0, completed) into a
-// versioned, CRC-guarded checkpoint file, written atomically
-// (write-temp-then-rename, see util::atomic_write_file). A campaign killed
+// A campaign is a pipeline run executed in *segments* of whole chunks,
+// one TrialPipeline::run_chunks call each. After each segment the runner
+// serializes every observer's per-chunk accumulator slots for the
+// completed prefix [0, completed) into a versioned, CRC-guarded checkpoint
+// file, written atomically (write-temp-then-rename, see
+// util::atomic_write_file). A campaign killed
 // at any instant — including mid-checkpoint — therefore leaves either no
 // checkpoint, or a complete previous checkpoint; resuming re-runs only the
 // chunks past the checkpointed prefix and merges, in end_run's ascending

@@ -127,26 +127,25 @@ class AggregateObserver final : public TrialObserver {
   AggregateResult result_;
 };
 
-// Uniform bit assignment over the two dead-set representations.
-inline void set_bit(std::vector<bool>& dead, std::size_t i, bool value) {
-  dead[i] = value;
-}
-inline void set_bit(util::Bitset& dead, std::size_t i, bool value) {
-  dead.set(i, value);
-}
-
 }  // namespace
 
-template <typename DeadSet>
-void FailureSimulator::sample_into(const gic::RepeaterFailureModel& model,
-                                   util::Rng& rng, DeadSet& dead) const {
+std::vector<bool> FailureSimulator::sample_cable_failures(
+    const gic::RepeaterFailureModel& model, util::Rng& rng) const {
+  util::Bitset dead;
+  sample_cable_failures(model, rng, dead);
+  return dead.to_bools();
+}
+
+void FailureSimulator::sample_cable_failures(
+    const gic::RepeaterFailureModel& model, util::Rng& rng,
+    util::Bitset& dead) const {
   dead.assign(net_.cable_count(), false);
   for (topo::CableId c = 0; c < net_.cable_count(); ++c) {
     const std::size_t begin = cable_offset_[c];
     const std::size_t end = cable_offset_[c + 1];
     if (begin == end) continue;  // repeaterless cables never die of GIC
     if (config_.rule == CableDeathRule::kAnyRepeaterFails) {
-      set_bit(dead, c, rng.bernoulli(cable_death_probability(c, model)));
+      dead.set(c, rng.bernoulli(cable_death_probability(c, model)));
     } else {
       std::size_t failed = 0;
       for (std::size_t i = begin; i < end; ++i) {
@@ -156,28 +155,9 @@ void FailureSimulator::sample_into(const gic::RepeaterFailureModel& model,
       }
       const double fraction = static_cast<double>(failed) /
                               static_cast<double>(end - begin);
-      set_bit(dead, c, fraction >= config_.death_fraction);
+      dead.set(c, fraction >= config_.death_fraction);
     }
   }
-}
-
-std::vector<bool> FailureSimulator::sample_cable_failures(
-    const gic::RepeaterFailureModel& model, util::Rng& rng) const {
-  std::vector<bool> dead;
-  sample_into(model, rng, dead);
-  return dead;
-}
-
-void FailureSimulator::sample_cable_failures(
-    const gic::RepeaterFailureModel& model, util::Rng& rng,
-    std::vector<bool>& dead) const {
-  sample_into(model, rng, dead);
-}
-
-void FailureSimulator::sample_cable_failures(
-    const gic::RepeaterFailureModel& model, util::Rng& rng,
-    util::Bitset& dead) const {
-  sample_into(model, rng, dead);
 }
 
 void FailureSimulator::sample_cable_failures(const DeathProbabilityTable& table,
@@ -200,12 +180,14 @@ void FailureSimulator::sample_cable_failures(const DeathProbabilityTable& table,
 
 TrialResult FailureSimulator::run_trial(const gic::RepeaterFailureModel& model,
                                         util::Rng& rng) const {
+  util::Bitset dead;
+  sample_cable_failures(model, rng, dead);
+  std::vector<topo::NodeId> unreachable;
+  net_.unreachable_nodes(dead, unreachable);
   TrialResult result;
-  sample_into(model, rng, result.cable_dead);
-  for (bool d : result.cable_dead) {
-    if (d) ++result.cables_failed;
-  }
-  result.nodes_unreachable = net_.unreachable_nodes(result.cable_dead).size();
+  result.cable_dead = dead.to_bools();
+  result.cables_failed = dead.count();
+  result.nodes_unreachable = unreachable.size();
   result.cables_failed_pct =
       net_.cable_count() > 0
           ? 100.0 * static_cast<double>(result.cables_failed) /

@@ -110,16 +110,16 @@ class FailureSimulator {
   DeathProbabilityTable death_probability_table(
       const gic::RepeaterFailureModel& model) const;
 
-  // Samples which cables die in one event draw.
-  std::vector<bool> sample_cable_failures(
-      const gic::RepeaterFailureModel& model, util::Rng& rng) const;
-  // In-place overloads: resize and fill `dead`, reusing its storage. Both
-  // containers consume the rng stream identically, so a Bitset draw is
-  // bit-equivalent to a vector<bool> draw from the same stream.
-  void sample_cable_failures(const gic::RepeaterFailureModel& model,
-                             util::Rng& rng, std::vector<bool>& dead) const;
+  // Samples which cables die in one event draw: resizes and fills `dead`,
+  // reusing its storage. Repeater-bearing cables draw in ascending order
+  // (one bernoulli per cable under kAnyRepeaterFails, one per repeater
+  // under kFractionFails); repeaterless cables never die and draw nothing.
   void sample_cable_failures(const gic::RepeaterFailureModel& model,
                              util::Rng& rng, util::Bitset& dead) const;
+  // One-shot form of the same draw, converted through
+  // util::Bitset::to_bools.
+  std::vector<bool> sample_cable_failures(
+      const gic::RepeaterFailureModel& model, util::Rng& rng) const;
   // Table-accelerated draw (any-failure rule only — throws otherwise):
   // O(cables) per draw against a prebuilt DeathProbabilityTable. This is
   // the entry the sweep loops use.
@@ -137,12 +137,6 @@ class FailureSimulator {
                              std::size_t trials, std::uint64_t seed) const;
 
  private:
-  // Shared sampling core over the model. DeadSet is std::vector<bool> or
-  // util::Bitset; both consume the stream identically.
-  template <typename DeadSet>
-  void sample_into(const gic::RepeaterFailureModel& model, util::Rng& rng,
-                   DeadSet& dead) const;
-
   const topo::InfrastructureNetwork& net_;
   TrialConfig config_;
   // Flattened repeater contexts: per cable, [offset, offset+count).

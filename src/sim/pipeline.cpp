@@ -86,24 +86,25 @@ void TrialPipeline::run(std::size_t trials, std::uint64_t seed,
   for (TrialObserver* observer : observers_) {
     observer->begin_run(*this, chunked.workers(), chunked.chunks());
   }
-  const util::Rng base(seed);
-  if (batch_kernel_ != nullptr) {
-    run_batched(chunked, base);
-  } else {
-    std::vector<PipelineScratch> scratch(chunked.workers());
-    chunked.run([&](const ChunkTask& task) {
-      for (std::size_t t = task.begin; t < task.end; ++t) {
-        run_trial(t, base, scratch[task.worker], task.worker, task.first_chunk);
-      }
-    });
-  }
+  run_chunks(chunked, util::Rng(seed), 0, chunked.chunks());
   for (TrialObserver* observer : observers_) {
     observer->end_run();
   }
 }
 
-void TrialPipeline::run_batched(const ChunkedRun& chunked,
-                                const util::Rng& base) const {
+void TrialPipeline::run_chunks(const ChunkedRun& chunked,
+                               const util::Rng& base, std::size_t chunk_begin,
+                               std::size_t chunk_end) const {
+  if (batch_kernel_ == nullptr) {
+    std::vector<PipelineScratch> scratch(chunked.workers());
+    chunked.run(chunk_begin, chunk_end, [&](const ChunkTask& task) {
+      for (std::size_t t = task.begin; t < task.end; ++t) {
+        run_trial(t, base, scratch[task.worker], task.worker, task.first_chunk);
+      }
+    });
+    return;
+  }
+
   constexpr std::size_t kLanes = TrialBatchKernel::kLanes;
   const TrialBatchKernel& kernel = *batch_kernel_;
 
@@ -121,7 +122,7 @@ void TrialPipeline::run_batched(const ChunkedRun& chunked,
   std::vector<BatchScratch> scratch(chunked.workers());
   const std::size_t cables = network().cable_count();
 
-  chunked.run([&](const ChunkTask& task) {
+  chunked.run(chunk_begin, chunk_end, [&](const ChunkTask& task) {
     const std::size_t worker = task.worker;
     BatchScratch& s = scratch[worker];
     const std::size_t first = task.begin;

@@ -187,6 +187,20 @@ class TrialPipeline {
   void run(std::size_t trials, std::uint64_t seed) const;
   void run(std::size_t trials, std::uint64_t seed, std::size_t threads) const;
 
+  // The trial loop itself: runs chunks [chunk_begin, chunk_end) of
+  // `chunked` (trial t from base.split(t)) and fans every trial out to the
+  // observers, which the caller has brought between begin_run() and
+  // end_run() for chunked.chunks() chunks. run() calls it once for all
+  // chunks; sim::CampaignRunner once per checkpoint segment. Per-worker
+  // scratch is allocated per call. When the table path is active and the
+  // simulator's TrialConfig::engine is not kScalar, each task samples one
+  // TrialBatch over its chunks (so tasks may span at most two chunks):
+  // batch-capable observers get whole batches, the rest per-lane
+  // TrialViews reconstructed from the batch — bit-identical to the scalar
+  // loop either way.
+  void run_chunks(const ChunkedRun& chunked, const util::Rng& base,
+                  std::size_t chunk_begin, std::size_t chunk_end) const;
+
   // One trial of the loop, for benches/tests that drive it manually: draw
   // from base.split(trial) into `scratch`, rebuild mask/components, call
   // every observer with the given (worker, chunk) slots. Callers must
@@ -197,13 +211,6 @@ class TrialPipeline {
                  std::size_t chunk) const;
 
  private:
-  // The bit-parallel trial loop: one TrialBatchKernel::kLanes-trial batch
-  // (two chunks) per task, batch-capable observers fed whole batches, the
-  // rest fed per-lane TrialViews reconstructed from the batch (bit-identical
-  // to the scalar loop either way). Chosen by run() when the table path is
-  // active and the simulator's TrialConfig::engine is not kScalar.
-  void run_batched(const ChunkedRun& chunked, const util::Rng& base) const;
-
   const FailureSimulator& sim_;
   const gic::RepeaterFailureModel& model_;
   const graph::Csr* csr_;  // the network's cached CSR, resolved once

@@ -126,41 +126,23 @@ double SweepEngine::grid_probability(std::size_t g,
   return probability_[cable * grid_size_ + g];
 }
 
-void SweepEngine::sample_death_grid_indices(
-    util::Rng& rng, std::vector<std::uint32_t>& out) const {
-  const std::size_t cables = sim_.network().cable_count();
-  const auto grid = static_cast<std::uint32_t>(grid_size_);
-  // Repeaterless cables never die of GIC and consume no randomness,
-  // exactly like sample_cable_failures; only the mortal list draws.
-  out.assign(cables, grid);
-  for (const std::uint32_t c : mortal_) {
-    const double u = rng.uniform();
-    // The cable is dead at point g iff u < probability[g] (the Bernoulli
-    // rule); its row is non-decreasing, so `u < row[g]` is a monotone
-    // predicate and the suffix count gives the first dead point. The
-    // branchless sweep beats a binary search at figure-scale grid sizes
-    // (no data-dependent branches to mispredict).
-    const double* row = probability_.data() + c * grid_size_;
-    std::uint32_t dead_points = 0;
-    for (std::size_t g = 0; g < grid_size_; ++g) {
-      dead_points += u < row[g] ? 1u : 0u;
-    }
-    out[c] = grid - dead_points;
-  }
-}
-
 void SweepEngine::run_trial(util::Rng& rng, SweepScratch& s) const {
   const std::size_t cables = sim_.network().cable_count();
   const std::size_t grid = grid_size_;
 
-  // Same draws as sample_death_grid_indices (one uniform per mortal cable
-  // in ascending cable order), but batched: the serial rng dependency
-  // chain runs alone, then the threshold counting loop vectorizes without
-  // it. perf_sweep's brute-force gate checks the two stay identical.
+  // The CRN draw: one uniform per mortal cable in ascending cable order
+  // (repeaterless cables never die of GIC and consume no randomness,
+  // exactly like sample_cable_failures). The serial rng dependency chain
+  // runs alone, then the threshold counting loop vectorizes without it.
   s.uniforms.resize(mortal_.size());
   for (std::size_t i = 0; i < mortal_.size(); ++i) {
     s.uniforms[i] = rng.uniform();
   }
+  // The cable is dead at point g iff u < probability[g] (the Bernoulli
+  // rule); its row is non-decreasing, so `u < row[g]` is a monotone
+  // predicate and the suffix count gives the first dead point. The
+  // branchless sweep beats a binary search at figure-scale grid sizes (no
+  // data-dependent branches to mispredict).
   s.death_index.assign(cables, static_cast<std::uint32_t>(grid));
   for (std::size_t i = 0; i < mortal_.size(); ++i) {
     const double u = s.uniforms[i];

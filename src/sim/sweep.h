@@ -112,17 +112,15 @@ class SweepEngine {
   SweepResult run(std::size_t trials, std::uint64_t seed,
                   std::size_t threads) const;
 
-  // The CRN kernel: draws one uniform per repeater-bearing cable (in
-  // ascending cable order) and writes, per cable, the first grid index at
-  // which it is dead — grid_size() when it survives the whole axis. The
-  // dead set at point g is exactly {c : out[c] <= g}, so nesting holds by
-  // construction; bench/perf_sweep.cpp re-derives the sets independently
-  // to prove the thresholds match per-point Bernoulli draws.
-  void sample_death_grid_indices(util::Rng& rng,
-                                 std::vector<std::uint32_t>& out) const;
-
-  // One full batched trial: fills scratch.cables_pct / nodes_pct /
-  // largest_pct (indexed by grid point) via the reverse-resurrection walk.
+  // One full batched trial. The CRN draw takes one uniform per
+  // repeater-bearing cable (in ascending cable order) and writes
+  // scratch.death_index: per cable, the first grid index at which it is
+  // dead — grid_size() when it survives the whole axis. The dead set at
+  // point g is exactly {c : death_index[c] <= g}, so nesting holds by
+  // construction; SweepTest and bench/perf_sweep.cpp re-derive the indices
+  // from an independent replay of the stream to prove they match per-point
+  // Bernoulli draws. The reverse-resurrection walk then fills
+  // scratch.cables_pct / nodes_pct / largest_pct (indexed by grid point).
   // Allocation-free once `scratch` is warm.
   void run_trial(util::Rng& rng, SweepScratch& scratch) const;
 

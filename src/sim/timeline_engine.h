@@ -17,8 +17,8 @@
 // After the storm ends, repairs heal the dead set monotonically: fault
 // counts per dead cable (recovery::FaultSampler, drawn from a split
 // substream so the CRN draw stays untouched), fleet scheduling
-// (recovery::RepairScheduler — bit-identical to schedule_repairs), and a
-// cable is alive at repair step r iff its restoration hour has passed.
+// (recovery::RepairScheduler), and a cable is alive at repair step r iff
+// its restoration hour has passed.
 //
 // Both phases are nested dead-set sequences, so each is one
 // IncrementalConnectivity resurrection walk: the storm walk runs the step

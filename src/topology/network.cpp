@@ -164,13 +164,8 @@ const std::vector<graph::EdgeId>& InfrastructureNetwork::edges_of_cable(
 
 graph::AliveMask InfrastructureNetwork::mask_for_failures(
     const std::vector<bool>& cable_dead) const {
-  if (cable_dead.size() != cables_.size()) {
-    throw std::invalid_argument("mask_for_failures: size mismatch");
-  }
-  graph::AliveMask mask = graph::AliveMask::all_alive(graph_);
-  for (graph::EdgeId e = 0; e < edge_to_cable_.size(); ++e) {
-    if (cable_dead[edge_to_cable_[e]]) mask.edge_alive.reset(e);
-  }
+  graph::AliveMask mask;
+  mask_for_failures(util::Bitset::from_bools(cable_dead), mask);
   return mask;
 }
 
@@ -195,18 +190,7 @@ std::vector<NodeId> InfrastructureNetwork::unreachable_nodes(
 
 void InfrastructureNetwork::unreachable_nodes(
     const std::vector<bool>& cable_dead, std::vector<NodeId>& out) const {
-  if (cable_dead.size() != cables_.size()) {
-    throw std::invalid_argument("unreachable_nodes: size mismatch");
-  }
-  out.clear();
-  for (NodeId n = 0; n < nodes_.size(); ++n) {
-    const auto& incident = cables_at_node_[n];
-    if (incident.empty()) continue;
-    const bool all_dead =
-        std::all_of(incident.begin(), incident.end(),
-                    [&](CableId c) { return cable_dead[c]; });
-    if (all_dead) out.push_back(n);
-  }
+  unreachable_nodes(util::Bitset::from_bools(cable_dead), out);
 }
 
 void InfrastructureNetwork::unreachable_nodes(const util::Bitset& cable_dead,

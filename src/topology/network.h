@@ -80,24 +80,25 @@ class InfrastructureNetwork {
   CableId cable_of_edge(graph::EdgeId e) const;
   const std::vector<graph::EdgeId>& edges_of_cable(CableId c) const;
 
-  // Mask for the subgraph that survives when `cable_dead[c]` cables fail.
+  // Mask for the subgraph that survives when `cable_dead[c]` cables fail,
+  // refilled in place over the precomputed edge->cable table (reusing the
+  // mask's storage; the trial loops call this once per draw per worker).
   // All vertices stay alive (a node with no surviving cable is detected via
   // unreachable_nodes below, matching the paper's definition).
-  graph::AliveMask mask_for_failures(const std::vector<bool>& cable_dead) const;
-  // Allocation-free overload: refills `mask` in place over the precomputed
-  // edge->cable table, reusing its storage. The trial loops call this once
-  // per draw per worker.
   void mask_for_failures(const util::Bitset& cable_dead,
                          graph::AliveMask& mask) const;
+  // One-shot form: converts through util::Bitset::from_bools.
+  graph::AliveMask mask_for_failures(const std::vector<bool>& cable_dead) const;
 
   // Paper §4.3.1: "a node is unreachable when all its connected links have
-  // failed". Returns ids of nodes that had >= 1 cable and lost all of them.
-  std::vector<NodeId> unreachable_nodes(const std::vector<bool>& cable_dead) const;
-  // In-place overloads: clear and fill `out`, reusing its storage — the
-  // Monte-Carlo trial loop calls this once per trial per worker.
-  void unreachable_nodes(const std::vector<bool>& cable_dead,
-                         std::vector<NodeId>& out) const;
+  // failed". Clears and fills `out` (reusing its storage — the Monte-Carlo
+  // trial loop calls this once per trial per worker) with the ids of nodes
+  // that had >= 1 cable and lost all of them.
   void unreachable_nodes(const util::Bitset& cable_dead,
+                         std::vector<NodeId>& out) const;
+  // std::vector<bool> forms: convert through util::Bitset::from_bools.
+  std::vector<NodeId> unreachable_nodes(const std::vector<bool>& cable_dead) const;
+  void unreachable_nodes(const std::vector<bool>& cable_dead,
                          std::vector<NodeId>& out) const;
   // True when node `id` has >= 1 cable and every one of them is dead.
   bool node_unreachable(NodeId id, const util::Bitset& cable_dead) const;

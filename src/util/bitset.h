@@ -26,6 +26,21 @@ class Bitset {
   Bitset() = default;
   explicit Bitset(std::size_t n, bool value = false) { assign(n, value); }
 
+  // The one conversion to and from std::vector<bool>, for the one-shot
+  // APIs that take or return one and forward to a Bitset kernel.
+  static Bitset from_bools(const std::vector<bool>& bits) {
+    Bitset out(bits.size());
+    for (std::size_t i = 0; i < bits.size(); ++i) {
+      if (bits[i]) out.set(i);
+    }
+    return out;
+  }
+  std::vector<bool> to_bools() const {
+    std::vector<bool> out(size_);
+    for (std::size_t i = 0; i < size_; ++i) out[i] = (*this)[i];
+    return out;
+  }
+
   // Resizes to n bits, all set to `value` (like vector::assign). Reuses
   // existing word storage when capacity allows.
   void assign(std::size_t n, bool value) {

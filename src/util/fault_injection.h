@@ -7,8 +7,10 @@
 // results or fail with a structured, actionable error.
 //
 // Site registry (each site is probed at exactly the points documented):
-//   kAllocation      — campaign-scale buffer allocation (per-worker scratch
-//                      in sim::CampaignRunner::run)
+//   kAllocation      — campaign-scale buffer allocation: probed once in
+//                      sim::CampaignRunner::run before the first segment,
+//                      for the per-worker trial scratch each segment's
+//                      TrialPipeline::run_chunks call allocates
 //   kWorkerTask      — entry of every util::parallel_for task
 //   kFileRead        — util::read_file (dataset CSV loads, checkpoint loads)
 //   kCheckpointWrite — util::atomic_write_file (checkpoint persistence)

@@ -5,6 +5,22 @@
 namespace solarnet::graph {
 namespace {
 
+ComponentResult components_of(const Graph& g, const AliveMask& mask) {
+  ComponentScratch scratch;
+  ComponentResult out;
+  connected_components(Csr(g), mask, scratch, out);
+  return out;
+}
+
+ComponentResult components_of(const Graph& g) {
+  return components_of(g, AliveMask::all_alive(g));
+}
+
+bool connected(const Graph& g, const AliveMask& mask) {
+  ComponentScratch scratch;
+  return is_connected(Csr(g), mask, scratch);
+}
+
 Graph triangle_plus_isolated() {
   Graph g(4);
   g.add_edge(0, 1);
@@ -15,7 +31,7 @@ Graph triangle_plus_isolated() {
 
 TEST(Components, FullGraph) {
   const Graph g = triangle_plus_isolated();
-  const ComponentResult cc = connected_components(g);
+  const ComponentResult cc = components_of(g);
   EXPECT_EQ(cc.component_count(), 2u);
   EXPECT_TRUE(cc.same_component(0, 2));
   EXPECT_FALSE(cc.same_component(0, 3));
@@ -24,7 +40,7 @@ TEST(Components, FullGraph) {
 
 TEST(Components, EmptyGraph) {
   const Graph g;
-  const ComponentResult cc = connected_components(g);
+  const ComponentResult cc = components_of(g);
   EXPECT_EQ(cc.component_count(), 0u);
   EXPECT_EQ(cc.largest_component_size(), 0u);
 }
@@ -35,7 +51,7 @@ TEST(Components, DeadEdgeSplits) {
   const EdgeId bridge = g.add_edge(1, 2);
   AliveMask mask = AliveMask::all_alive(g);
   mask.edge_alive.reset(bridge);
-  const ComponentResult cc = connected_components(g, mask);
+  const ComponentResult cc = components_of(g, mask);
   EXPECT_EQ(cc.component_count(), 2u);
   EXPECT_TRUE(cc.same_component(0, 1));
   EXPECT_FALSE(cc.same_component(1, 2));
@@ -47,7 +63,7 @@ TEST(Components, DeadVertexExcluded) {
   g.add_edge(1, 2);
   AliveMask mask = AliveMask::all_alive(g);
   mask.vertex_alive.reset(1);
-  const ComponentResult cc = connected_components(g, mask);
+  const ComponentResult cc = components_of(g, mask);
   EXPECT_EQ(cc.component[1], ComponentResult::kNoComponent);
   EXPECT_EQ(cc.component_count(), 2u);  // {0} and {2}
   EXPECT_FALSE(cc.same_component(0, 2));
@@ -58,7 +74,7 @@ TEST(Components, ParallelEdgesDontConfuse) {
   Graph g(2);
   g.add_edge(0, 1);
   g.add_edge(0, 1);
-  const ComponentResult cc = connected_components(g);
+  const ComponentResult cc = components_of(g);
   EXPECT_EQ(cc.component_count(), 1u);
 }
 
@@ -68,7 +84,7 @@ TEST(Components, ComponentSizesSumToAliveVertices) {
   g.add_edge(2, 3);
   AliveMask mask = AliveMask::all_alive(g);
   mask.vertex_alive.reset(5);
-  const ComponentResult cc = connected_components(g, mask);
+  const ComponentResult cc = components_of(g, mask);
   std::size_t total = 0;
   for (std::size_t s : cc.component_sizes) total += s;
   EXPECT_EQ(total, 5u);  // 6 vertices - 1 dead
@@ -77,21 +93,21 @@ TEST(Components, ComponentSizesSumToAliveVertices) {
 TEST(IsConnected, Basics) {
   Graph g(3);
   g.add_edge(0, 1);
-  EXPECT_FALSE(is_connected(g, AliveMask::all_alive(g)));
+  EXPECT_FALSE(connected(g, AliveMask::all_alive(g)));
   g.add_edge(1, 2);
-  EXPECT_TRUE(is_connected(g, AliveMask::all_alive(g)));
+  EXPECT_TRUE(connected(g, AliveMask::all_alive(g)));
 }
 
 TEST(IsConnected, VacuouslyTrueWhenNothingAlive) {
   Graph g(3);
   AliveMask mask = AliveMask::all_alive(g);
   mask.vertex_alive.assign(3, false);
-  EXPECT_TRUE(is_connected(g, mask));
+  EXPECT_TRUE(connected(g, mask));
 }
 
 TEST(Components, SameComponentRejectsBadIds) {
   const Graph g = triangle_plus_isolated();
-  const ComponentResult cc = connected_components(g);
+  const ComponentResult cc = components_of(g);
   EXPECT_FALSE(cc.same_component(0, 99));
   EXPECT_FALSE(cc.same_component(99, 0));
 }

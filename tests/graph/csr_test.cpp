@@ -7,6 +7,7 @@
 #include "graph/components.h"
 #include "graph/graph.h"
 #include "graph/traversal.h"
+#include "reference/graph_kernels.h"
 #include "util/bitset.h"
 #include "util/rng.h"
 
@@ -87,8 +88,9 @@ TEST(Csr, HalfEdgeOrderMatchesIncident) {
   }
 }
 
-// Property sweep: on randomized graphs the CSR scratch kernels must return
-// exactly what the Graph-based implementations return, masked or not.
+// Property sweep: on randomized masked graphs the CSR scratch kernels must
+// return exactly what the frozen Graph-tier kernels
+// (bench/reference/graph_kernels.h) return.
 TEST(Csr, ScratchKernelsMatchGraphKernelsOnRandomGraphs) {
   util::Rng rng(2024);
   ComponentScratch comp_scratch;
@@ -105,40 +107,27 @@ TEST(Csr, ScratchKernelsMatchGraphKernelsOnRandomGraphs) {
     const AliveMask mask = random_mask(rng, g, 0.2, 0.3);
 
     // Components.
-    const ComponentResult ref = connected_components(g, mask);
+    const ComponentResult ref = reference::connected_components(g, mask);
     connected_components(csr, mask, comp_scratch, cc);
     EXPECT_EQ(cc.component, ref.component) << "round " << round;
     EXPECT_EQ(cc.component_sizes, ref.component_sizes) << "round " << round;
-    EXPECT_EQ(is_connected(csr, mask, comp_scratch), is_connected(g, mask))
+    EXPECT_EQ(is_connected(csr, mask, comp_scratch),
+              reference::is_connected(g, mask))
         << "round " << round;
 
     // Traversals from every vertex (small graphs, exhaustive is cheap).
     for (VertexId s = 0; s < g.vertex_count(); ++s) {
-      const auto ref_reach = reachable_from(g, mask, s);
+      const auto ref_reach = reference::reachable_from(g, mask, s);
       reachable_from(csr, mask, s, trav_scratch, reach);
       ASSERT_EQ(reach.size(), ref_reach.size());
       for (std::size_t v = 0; v < ref_reach.size(); ++v) {
         EXPECT_EQ(reach[v], ref_reach[v])
             << "round " << round << " source " << s << " vertex " << v;
       }
-      const auto ref_hops = bfs_hops(g, mask, s);
+      const auto ref_hops = reference::bfs_hops(g, mask, s);
       bfs_hops(csr, mask, s, trav_scratch, hops);
       EXPECT_EQ(hops, ref_hops) << "round " << round << " source " << s;
     }
-  }
-}
-
-// The unmasked overload takes the direct path (no AliveMask); it must agree
-// with the masked overload under an all-alive mask.
-TEST(Csr, UnmaskedComponentsMatchAllAliveMask) {
-  util::Rng rng(99);
-  for (int round = 0; round < 10; ++round) {
-    const Graph g = random_graph(rng, 2 + rng.uniform_below(40), 60);
-    const ComponentResult direct = connected_components(g);
-    const ComponentResult masked =
-        connected_components(g, AliveMask::all_alive(g));
-    EXPECT_EQ(direct.component, masked.component);
-    EXPECT_EQ(direct.component_sizes, masked.component_sizes);
   }
 }
 
@@ -182,6 +171,21 @@ TEST(Csr, KernelsRejectMismatchedMask) {
   EXPECT_THROW(connected_components(csr, wrong, scratch, cc),
                std::invalid_argument);
   EXPECT_THROW(is_connected(csr, wrong, scratch), std::invalid_argument);
+  TraversalScratch trav;
+  util::Bitset reach;
+  std::vector<std::uint32_t> hops;
+  EXPECT_THROW(reachable_from(csr, wrong, 0, trav, reach),
+               std::invalid_argument);
+  EXPECT_THROW(bfs_hops(csr, wrong, 0, trav, hops), std::invalid_argument);
+  // A short edge mask is rejected too, not read past its end.
+  AliveMask short_edges = AliveMask::all_alive(g);
+  short_edges.edge_alive.assign(0, true);
+  EXPECT_THROW(connected_components(csr, short_edges, scratch, cc),
+               std::invalid_argument);
+  EXPECT_THROW(reachable_from(csr, short_edges, 0, trav, reach),
+               std::invalid_argument);
+  EXPECT_THROW(bfs_hops(csr, short_edges, 0, trav, hops),
+               std::invalid_argument);
 }
 
 }  // namespace

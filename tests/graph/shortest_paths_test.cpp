@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "graph/traversal.h"
+#include "reference/graph_kernels.h"
 #include "util/rng.h"
 
 namespace solarnet::graph {
@@ -42,12 +43,15 @@ AliveMask random_mask(util::Rng& rng, const Graph& g, double dead_fraction) {
   return mask;
 }
 
+// The kernel and its one-shot graph::dijkstra form against the frozen
+// std::priority_queue Dijkstra (bench/reference/graph_kernels.h).
 void expect_matches_dijkstra(const Graph& g, const AliveMask& mask,
                              VertexId source, RoutingScratch& scratch) {
   const Csr csr(g);
   const std::vector<double> w = weights_of(g);
   shortest_path_tree(csr, w, mask, source, scratch);
-  const ShortestPaths sp = dijkstra(g, mask, source);
+  const ShortestPaths sp = reference::dijkstra(g, mask, source);
+  const ShortestPaths one_shot = dijkstra(g, mask, source);
   ASSERT_EQ(scratch.distance.size(), sp.distance.size());
   for (VertexId v = 0; v < g.vertex_count(); ++v) {
     // Bit-identical, not approximately equal: the kernels must run the
@@ -56,6 +60,9 @@ void expect_matches_dijkstra(const Graph& g, const AliveMask& mask,
     EXPECT_EQ(scratch.parent[v], sp.parent[v]) << "vertex " << v;
     EXPECT_EQ(scratch.parent_edge[v], sp.parent_edge[v]) << "vertex " << v;
   }
+  EXPECT_EQ(one_shot.distance, scratch.distance);
+  EXPECT_EQ(one_shot.parent, scratch.parent);
+  EXPECT_EQ(one_shot.parent_edge, scratch.parent_edge);
 }
 
 TEST(ShortestPathTree, MatchesDijkstraOnSmallGraph) {
@@ -120,7 +127,7 @@ TEST(ShortestPathTo, EarlyExitSettlesTarget) {
     const AliveMask mask = random_mask(rng, g, rng.uniform() * 0.4);
     const auto src = static_cast<VertexId>(rng.uniform_below(n));
     const auto dst = static_cast<VertexId>(rng.uniform_below(n));
-    const ShortestPaths sp = dijkstra(g, mask, src);
+    const ShortestPaths sp = reference::dijkstra(g, mask, src);
     const bool reachable = shortest_path_to(Csr(g), weights_of(g), mask, src,
                                             dst, scratch);
     EXPECT_EQ(reachable, sp.distance[dst] != kUnreachable);
@@ -149,6 +156,20 @@ TEST(ShortestPathTree, ValidatesArguments) {
   EXPECT_THROW(shortest_path_tree(csr, short_w, mask, 0, scratch),
                std::invalid_argument);
   EXPECT_THROW(shortest_path_to(csr, w, mask, 0, 9, scratch),
+               std::invalid_argument);
+  // Mask sizes must match the Csr: the kernels index the bits unchecked.
+  AliveMask wrong = mask;
+  wrong.vertex_alive.assign(1, true);
+  EXPECT_THROW(shortest_path_tree(csr, w, wrong, 0, scratch),
+               std::invalid_argument);
+  EXPECT_THROW(shortest_path_to(csr, w, wrong, 0, 1, scratch),
+               std::invalid_argument);
+  EXPECT_THROW(dijkstra(g, wrong, 0), std::invalid_argument);
+  wrong = mask;
+  wrong.edge_alive.assign(0, true);
+  EXPECT_THROW(shortest_path_tree(csr, w, wrong, 0, scratch),
+               std::invalid_argument);
+  EXPECT_THROW(shortest_path_to(csr, w, wrong, 0, 1, scratch),
                std::invalid_argument);
 }
 

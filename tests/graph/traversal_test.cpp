@@ -5,6 +5,22 @@
 namespace solarnet::graph {
 namespace {
 
+util::Bitset reach_of(const Graph& g, const AliveMask& mask,
+                      VertexId source) {
+  TraversalScratch scratch;
+  util::Bitset out;
+  reachable_from(Csr(g), mask, source, scratch, out);
+  return out;
+}
+
+std::vector<std::uint32_t> hops_of(const Graph& g, const AliveMask& mask,
+                                   VertexId source) {
+  TraversalScratch scratch;
+  std::vector<std::uint32_t> out;
+  bfs_hops(Csr(g), mask, source, scratch, out);
+  return out;
+}
+
 // 0 --1-- 1 --1-- 2
 //  \------5------/      (direct heavy edge 0-2)
 Graph weighted_triangle() {
@@ -19,7 +35,7 @@ TEST(Reachability, BasicFlood) {
   Graph g(4);
   g.add_edge(0, 1);
   g.add_edge(1, 2);
-  const auto reach = reachable_from(g, AliveMask::all_alive(g), 0);
+  const auto reach = reach_of(g, AliveMask::all_alive(g), 0);
   EXPECT_TRUE(reach[0]);
   EXPECT_TRUE(reach[1]);
   EXPECT_TRUE(reach[2]);
@@ -31,7 +47,7 @@ TEST(Reachability, DeadSourceReachesNothing) {
   g.add_edge(0, 1);
   AliveMask mask = AliveMask::all_alive(g);
   mask.vertex_alive.reset(0);
-  const auto reach = reachable_from(g, mask, 0);
+  const auto reach = reach_of(g, mask, 0);
   EXPECT_FALSE(reach[0]);
   EXPECT_FALSE(reach[1]);
 }
@@ -42,7 +58,7 @@ TEST(Reachability, MaskBlocksEdges) {
   const EdgeId e = g.add_edge(1, 2);
   AliveMask mask = AliveMask::all_alive(g);
   mask.edge_alive.reset(e);
-  const auto reach = reachable_from(g, mask, 0);
+  const auto reach = reach_of(g, mask, 0);
   EXPECT_TRUE(reach[1]);
   EXPECT_FALSE(reach[2]);
 }
@@ -52,7 +68,7 @@ TEST(BfsHops, CountsEdges) {
   g.add_edge(0, 1);
   g.add_edge(1, 2);
   g.add_edge(0, 2);  // shortcut
-  const auto hops = bfs_hops(g, AliveMask::all_alive(g), 0);
+  const auto hops = hops_of(g, AliveMask::all_alive(g), 0);
   EXPECT_EQ(hops[0], 0u);
   EXPECT_EQ(hops[1], 1u);
   EXPECT_EQ(hops[2], 1u);

@@ -179,15 +179,26 @@ graph::Graph random_graph(util::Rng& rng, std::size_t vertices,
   return g;
 }
 
+graph::ComponentResult components_of(const graph::Graph& g,
+                                     const graph::AliveMask& mask) {
+  graph::ComponentScratch scratch;
+  graph::ComponentResult out;
+  graph::connected_components(graph::Csr(g), mask, scratch, out);
+  return out;
+}
+
 class RandomGraphTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(RandomGraphTest, ComponentsAgreeWithReachability) {
   util::Rng rng(static_cast<std::uint64_t>(GetParam()));
   const auto g = random_graph(rng, 60, 70);
   const auto mask = graph::AliveMask::all_alive(g);
-  const auto cc = graph::connected_components(g, mask);
+  const auto cc = components_of(g, mask);
+  const graph::Csr csr(g);
+  graph::TraversalScratch scratch;
+  util::Bitset reach;
   for (graph::VertexId src : {0u, 7u, 31u}) {
-    const auto reach = graph::reachable_from(g, mask, src);
+    graph::reachable_from(csr, mask, src, scratch, reach);
     for (graph::VertexId v = 0; v < g.vertex_count(); ++v) {
       EXPECT_EQ(reach[v], cc.same_component(src, v))
           << "src=" << src << " v=" << v;
@@ -200,7 +211,9 @@ TEST_P(RandomGraphTest, DijkstraMatchesBfsOnUnitWeights) {
   const auto g = random_graph(rng, 50, 90);
   const auto mask = graph::AliveMask::all_alive(g);
   const auto sp = graph::dijkstra(g, mask, 0);
-  const auto hops = graph::bfs_hops(g, mask, 0);
+  graph::TraversalScratch scratch;
+  std::vector<std::uint32_t> hops;
+  graph::bfs_hops(graph::Csr(g), mask, 0, scratch, hops);
   for (graph::VertexId v = 0; v < g.vertex_count(); ++v) {
     if (hops[v] == graph::kUnreachableHops) {
       EXPECT_EQ(sp.distance[v], graph::kUnreachable);
@@ -215,11 +228,11 @@ TEST_P(RandomGraphTest, RemovingBridgeSplitsComponent) {
   const auto g = random_graph(rng, 40, 45);
   const auto mask = graph::AliveMask::all_alive(g);
   const auto cuts = graph::find_cuts(g, mask);
-  const auto before = graph::connected_components(g, mask);
+  const auto before = components_of(g, mask);
   for (graph::EdgeId bridge : cuts.bridges) {
     auto masked = mask;
     masked.edge_alive.reset(bridge);
-    const auto after = graph::connected_components(g, masked);
+    const auto after = components_of(g, masked);
     EXPECT_EQ(after.component_count(), before.component_count() + 1)
         << "bridge " << bridge;
   }
@@ -231,7 +244,7 @@ TEST_P(RandomGraphTest, RemovingBridgeSplitsComponent) {
     }
     auto masked = mask;
     masked.edge_alive.reset(e);
-    const auto after = graph::connected_components(g, masked);
+    const auto after = components_of(g, masked);
     EXPECT_EQ(after.component_count(), before.component_count())
         << "edge " << e;
   }

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "datasets/submarine.h"
+#include "reference/repair.h"
 
 namespace solarnet::recovery {
 namespace {
@@ -139,15 +140,35 @@ TEST_F(RepairTest, Validation) {
   EXPECT_THROW(
       schedule_repairs(net_, {true, false, false}, {1, 0, 0}, fleet),
       std::invalid_argument);
+  // Fault counts must fit the scheduler's 32-bit per-cable counts.
+  EXPECT_THROW(schedule_repairs(net_, {true, false, false},
+                                {std::size_t{1} << 40, 0, 0}, {}),
+               std::invalid_argument);
   std::vector<bool> dead = {true, false, false};
   const RecoveryTimeline t = schedule_repairs(net_, dead, {1, 0, 0}, {});
   EXPECT_THROW(t.days_to_restore_fraction(1.5), std::invalid_argument);
   EXPECT_THROW(t.restoration_curve(0.0), std::invalid_argument);
 }
 
-// The allocation-free trial-loop forms must replay the one-shot APIs'
-// exact draw sequences and schedules — sim::TimelineEngine leans on this
-// parity for its determinism contract.
+// Same schedule, job for job: completion days, and the job list in
+// schedule order.
+void expect_same_timeline(const RecoveryTimeline& got,
+                          const RecoveryTimeline& want) {
+  EXPECT_EQ(got.restore_day, want.restore_day);
+  ASSERT_EQ(got.jobs.size(), want.jobs.size());
+  for (std::size_t i = 0; i < want.jobs.size(); ++i) {
+    EXPECT_EQ(got.jobs[i].cable, want.jobs[i].cable) << "job " << i;
+    EXPECT_EQ(got.jobs[i].faults, want.jobs[i].faults) << "job " << i;
+    EXPECT_EQ(got.jobs[i].work_days, want.jobs[i].work_days) << "job " << i;
+    EXPECT_EQ(got.jobs[i].completion_day, want.jobs[i].completion_day)
+        << "job " << i;
+  }
+}
+
+// The allocation-free kernels, and the one-shot forms that forward to
+// them, must replay the frozen original one-shot implementations'
+// (bench/reference/repair.h) exact draw sequences and schedules —
+// sim::TimelineEngine leans on this parity for its determinism contract.
 TEST_F(RepairTest, FaultSamplerMatchesSampleFaultCounts) {
   const sim::FailureSimulator simulator(net_, {});
   const gic::UniformFailureModel model(0.35);
@@ -156,9 +177,9 @@ TEST_F(RepairTest, FaultSamplerMatchesSampleFaultCounts) {
   const std::vector<std::vector<bool>> dead_sets = {
       {true, false, true}, {true, true, true}, {false, false, false}};
   for (const std::vector<bool>& dead : dead_sets) {
-    util::Rng one_shot_rng(97);
+    util::Rng reference_rng(97);
     const auto expected =
-        sample_fault_counts(simulator, model, dead, one_shot_rng);
+        reference::sample_fault_counts(simulator, model, dead, reference_rng);
     std::vector<std::uint8_t> dead_u8(dead.size());
     for (std::size_t c = 0; c < dead.size(); ++c) dead_u8[c] = dead[c];
     std::vector<std::uint32_t> faults(dead.size(), 777);
@@ -168,8 +189,13 @@ TEST_F(RepairTest, FaultSamplerMatchesSampleFaultCounts) {
     for (std::size_t c = 0; c < faults.size(); ++c) {
       EXPECT_EQ(faults[c], expected[c]) << "cable " << c;
     }
-    // Identical rng consumption: the next draw from both streams agrees.
-    EXPECT_EQ(one_shot_rng.uniform(), loop_rng.uniform());
+    util::Rng one_shot_rng(97);
+    EXPECT_EQ(sample_fault_counts(simulator, model, dead, one_shot_rng),
+              expected);
+    // Identical rng consumption: the next draw from every stream agrees.
+    const double next = reference_rng.uniform();
+    EXPECT_EQ(loop_rng.uniform(), next);
+    EXPECT_EQ(one_shot_rng.uniform(), next);
   }
 }
 
@@ -186,7 +212,9 @@ TEST_F(RepairTest, RepairSchedulerMatchesScheduleRepairs) {
     RepairScheduler::Scratch scratch;
     for (const std::vector<bool>& dead : dead_sets) {
       const RecoveryTimeline expected =
-          schedule_repairs(net_, dead, faults, fleet);
+          reference::schedule_repairs(net_, dead, faults, fleet);
+      expect_same_timeline(schedule_repairs(net_, dead, faults, fleet),
+                           expected);
       std::vector<std::uint8_t> dead_u8(dead.size());
       std::vector<std::uint32_t> faults_u32(dead.size());
       for (std::size_t c = 0; c < dead.size(); ++c) {
@@ -214,7 +242,8 @@ TEST(RepairFullScale, SchedulerParityOnFullNetwork) {
   const auto dead = simulator.sample_cable_failures(s1, rng);
 
   util::Rng fault_rng_a(5);
-  const auto faults = sample_fault_counts(simulator, s1, dead, fault_rng_a);
+  const auto faults =
+      reference::sample_fault_counts(simulator, s1, dead, fault_rng_a);
   const FaultSampler sampler(simulator, simulator.death_probability_table(s1));
   std::vector<std::uint8_t> dead_u8(dead.size());
   for (std::size_t c = 0; c < dead.size(); ++c) dead_u8[c] = dead[c];
@@ -228,7 +257,9 @@ TEST(RepairFullScale, SchedulerParityOnFullNetwork) {
   }
   ASSERT_GT(dead_count, 50u);
 
-  const RecoveryTimeline expected = schedule_repairs(net, dead, faults, {});
+  const RecoveryTimeline expected =
+      reference::schedule_repairs(net, dead, faults, {});
+  expect_same_timeline(schedule_repairs(net, dead, faults, {}), expected);
   const RepairScheduler scheduler(net, {});
   RepairScheduler::Scratch scratch;
   std::vector<double> restore(dead.size());

@@ -373,8 +373,14 @@ TEST_F(ChunkedEngineTest, TimelineIsThreadCountInvariant) {
   }
 }
 
+// Campaign segments run through TrialPipeline::run_chunks with one chunk
+// per task, so on the batch path each task samples a 32-lane batch, and a
+// segment of 3 chunks starts at odd chunks. The scalar
+// CountryIsolationObserver is fed per-lane views reconstructed inside
+// those sub-range segments. Both must match a plain run bit for bit.
 TEST_F(ChunkedEngineTest, CampaignIsThreadCountInvariant) {
   const FailureSimulator simulator(net_, config(TrialEngine::kAuto, 1));
+  const std::vector<std::string> countries = {"US", "BR"};
   const std::string path =
       (std::filesystem::temp_directory_path() / "solarnet_chunked_test.ck")
           .string();
@@ -382,31 +388,46 @@ TEST_F(ChunkedEngineTest, CampaignIsThreadCountInvariant) {
     // The plain pipeline (batched) is the reference for every campaign.
     TrialPipeline plain(simulator, model_);
     ConnectivityObserver want;
+    analysis::CountryIsolationObserver want_iso(net_, countries);
     plain.add_observer(want);
+    plain.add_observer(want_iso);
     plain.run(trials, kSeed, 1);
-    for (const std::size_t threads : {1u, 2u, 4u}) {
-      SCOPED_TRACE("trials=" + std::to_string(trials) +
-                   " threads=" + std::to_string(threads));
-      TrialPipeline pipeline(simulator, model_);
-      ConnectivityObserver got;
-      CampaignRunner campaign(pipeline);
-      campaign.add_observer(got);
-      CampaignOptions options;
-      options.trials = trials;
-      options.seed = kSeed;
-      options.threads = threads;
-      options.checkpoint_path = path;
-      options.checkpoint_every_chunks = 1;
-      std::filesystem::remove(path);
-      const CampaignReport report = campaign.run(options);
-      EXPECT_EQ(report.chunks_executed, chunk_count(trials));
-      EXPECT_EQ(report.checkpoints_written, chunk_count(trials) - 1);
-      expect_bits_eq(got.result().cables_failed_pct,
-                     want.result().cables_failed_pct);
-      expect_bits_eq(got.result().nodes_unreachable_pct,
-                     want.result().nodes_unreachable_pct);
-      expect_bits_eq(got.result().largest_component_pct,
-                     want.result().largest_component_pct);
+    for (const std::size_t every : {1u, 3u}) {
+      for (const std::size_t threads : {1u, 2u, 4u}) {
+        SCOPED_TRACE("trials=" + std::to_string(trials) +
+                     " every=" + std::to_string(every) +
+                     " threads=" + std::to_string(threads));
+        TrialPipeline pipeline(simulator, model_);
+        ConnectivityObserver got;
+        analysis::CountryIsolationObserver got_iso(net_, countries);
+        CampaignRunner campaign(pipeline);
+        campaign.add_observer(got);
+        campaign.add_observer(got_iso);
+        CampaignOptions options;
+        options.trials = trials;
+        options.seed = kSeed;
+        options.threads = threads;
+        options.checkpoint_path = path;
+        options.checkpoint_every_chunks = every;
+        std::filesystem::remove(path);
+        const CampaignReport report = campaign.run(options);
+        const std::size_t chunks = chunk_count(trials);
+        EXPECT_EQ(report.chunks_executed, chunks);
+        EXPECT_EQ(report.checkpoints_written, (chunks + every - 1) / every - 1);
+        expect_bits_eq(got.result().cables_failed_pct,
+                       want.result().cables_failed_pct);
+        expect_bits_eq(got.result().nodes_unreachable_pct,
+                       want.result().nodes_unreachable_pct);
+        expect_bits_eq(got.result().largest_component_pct,
+                       want.result().largest_component_pct);
+        ASSERT_EQ(got_iso.results().size(), want_iso.results().size());
+        for (std::size_t i = 0; i < want_iso.results().size(); ++i) {
+          EXPECT_EQ(got_iso.results()[i].isolated_trials,
+                    want_iso.results()[i].isolated_trials);
+          expect_bits_eq(got_iso.results()[i].surviving_cables,
+                         want_iso.results()[i].surviving_cables);
+        }
+      }
     }
   }
   std::filesystem::remove(path);

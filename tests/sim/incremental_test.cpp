@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "graph/components.h"
+#include "reference/graph_kernels.h"
 #include "topology/network.h"
 #include "util/rng.h"
 
@@ -40,7 +41,7 @@ topo::InfrastructureNetwork random_network(util::Rng& rng, std::size_t nodes,
 }
 
 // Naive reference for step g of a first-dead axis: dead set
-// {c : first_dead[c] <= g}, aggregates from the one-shot graph kernels.
+// {c : first_dead[c] <= g}, aggregates from the frozen Graph-tier kernels.
 IncrementalAggregates naive_step(const topo::InfrastructureNetwork& net,
                                  const std::vector<std::uint32_t>& first_dead,
                                  std::size_t g) {
@@ -53,7 +54,7 @@ IncrementalAggregates naive_step(const topo::InfrastructureNetwork& net,
   agg.lit_nodes =
       net.connected_node_count() - net.unreachable_nodes(dead).size();
   const auto components =
-      graph::connected_components(net.graph(), net.mask_for_failures(dead));
+      reference::connected_components(net.graph(), net.mask_for_failures(dead));
   // The walk's union-find spans all graph nodes, so isolated vertices are
   // singleton components and the largest is floored at 1 on non-empty
   // graphs. mask_for_failures keeps every vertex alive, so the masked
@@ -142,7 +143,8 @@ TEST(IncrementalTest, OneStepAllAliveReproducesFullNetwork) {
     EXPECT_EQ(g, 0u);
     EXPECT_EQ(agg.alive_cables, net.cable_count());
     EXPECT_EQ(agg.lit_nodes, net.connected_node_count());
-    const auto full = graph::connected_components(net.graph());
+    const auto full = reference::connected_components(
+        net.graph(), graph::AliveMask::all_alive(net.graph()));
     EXPECT_EQ(agg.largest, full.largest_component_size());
   });
   EXPECT_EQ(calls, 1u);
@@ -151,7 +153,7 @@ TEST(IncrementalTest, OneStepAllAliveReproducesFullNetwork) {
 // The core property: for random networks and random monotone axes, the
 // resurrection walk reports, at every step g, exactly the aggregates of the
 // alive set {c : first_dead[c] > g} — checked against per-step full
-// recomputation through the one-shot graph kernels.
+// recomputation through the frozen Graph-tier kernels.
 TEST(IncrementalTest, WalkMatchesNaivePerStepRecompute) {
   util::Rng rng(2024);
   for (int round = 0; round < 8; ++round) {

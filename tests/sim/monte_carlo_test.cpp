@@ -256,10 +256,10 @@ TEST_F(SimTest, InPlaceSamplingMatchesAllocatingOverload) {
   const gic::UniformFailureModel m(0.3);
   util::Rng a(11);
   util::Rng b(11);
-  std::vector<bool> reused(99, true);  // wrong size + stale contents on entry
+  util::Bitset reused(99, true);  // wrong size + stale contents on entry
   for (int i = 0; i < 5; ++i) {
     sim.sample_cable_failures(m, a, reused);
-    EXPECT_EQ(reused, sim.sample_cable_failures(m, b));
+    EXPECT_EQ(reused.to_bools(), sim.sample_cable_failures(m, b));
   }
 }
 

@@ -145,17 +145,19 @@ TEST_F(SweepTest, UniformRejectsNonFiniteGridPoints) {
   EXPECT_NO_THROW(SweepEngine::uniform(sim, std::vector<double>{0.0, 0.5, 1.0}));
 }
 
-// The CRN kernel must consume exactly one uniform per repeater-bearing
-// cable in ascending cable order and threshold it against the grid — so an
-// independent replay of the same child stream predicts every death index.
+// run_trial's CRN draw must consume exactly one uniform per
+// repeater-bearing cable in ascending cable order and threshold it against
+// the grid — so an independent replay of the same child stream predicts
+// every death index the trial wrote.
 TEST_F(SweepTest, DeathIndicesMatchManualThresholding) {
   const FailureSimulator sim(net_, {});
   const auto grid = analysis::default_probability_grid();
   const SweepEngine engine = SweepEngine::uniform(sim, grid);
+  SweepScratch scratch;
   for (std::uint64_t trial = 0; trial < 16; ++trial) {
     util::Rng rng = util::Rng(99).split(trial);
-    std::vector<std::uint32_t> got;
-    engine.sample_death_grid_indices(rng, got);
+    engine.run_trial(rng, scratch);
+    const std::vector<std::uint32_t>& got = scratch.death_index;
 
     util::Rng replay = util::Rng(99).split(trial);
     ASSERT_EQ(got.size(), net_.cable_count());

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "graph/components.h"
+#include "reference/graph_kernels.h"
 #include "topology/network.h"
 #include "util/rng.h"
 
@@ -259,7 +260,7 @@ TEST_F(TimelineEngineTest, PlaybackMatchesNaivePerStepRecompute) {
                         : 0.0;
       EXPECT_EQ(scratch.nodes_unreachable_pct[i], unreachable_pct)
           << "trial " << trial << " step " << i;
-      const auto components = graph::connected_components(
+      const auto components = reference::connected_components(
           net_.graph(), net_.mask_for_failures(dead));
       const std::size_t largest = std::max<std::size_t>(
           components.largest_component_size(), net_.node_count() > 0 ? 1 : 0);

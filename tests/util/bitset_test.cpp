@@ -152,6 +152,9 @@ TEST(Bitset, MatchesVectorBoolReference) {
     EXPECT_EQ(b.find_first(), ref_first);
     EXPECT_EQ(b.any(), ref_count > 0);
     EXPECT_EQ(b.all(), ref_count == n);
+    // The std::vector<bool> conversion round-trips both ways.
+    EXPECT_EQ(b.to_bools(), ref);
+    EXPECT_EQ(Bitset::from_bools(ref), b);
   }
 }
 

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -368,10 +369,11 @@ class QuantileMonotoneTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(QuantileMonotoneTest, MonotoneInQ) {
   std::vector<double> v;
-  int seed = GetParam();
+  // Unsigned LCG: wraps mod 2^32 instead of overflowing a signed int.
+  auto seed = static_cast<std::uint32_t>(GetParam());
   for (int i = 0; i < 50; ++i) {
-    seed = seed * 1103515245 + 12345;
-    v.push_back(static_cast<double>(seed % 1000));
+    seed = seed * 1103515245u + 12345u;
+    v.push_back(static_cast<double>(seed % 1000u));
   }
   std::sort(v.begin(), v.end());
   double prev = quantile(v, 0.0);

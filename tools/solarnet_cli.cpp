@@ -53,7 +53,6 @@ commands:
                  (a physical storm: carrington|1921|1989|moderate)
                --spacing KM (150)  --trials N (10)  --seed N (7)
                --threads N (auto; aggregates are thread-count independent)
-               --engine auto|scalar (auto; bit-identical results either way)
                --quorum N (2)  --dns-threshold PCT (10)
                --traffic (adds the post-failure traffic-routing section:
                  every trial routes a demand matrix over the survivors)
@@ -136,14 +135,6 @@ int cmd_risk(const Args& args) {
   return 0;
 }
 
-sim::TrialEngine engine_from_args(const Args& args) {
-  const std::string name = args.get_or("engine", "auto");
-  if (name == "auto") return sim::TrialEngine::kAuto;
-  if (name == "scalar") return sim::TrialEngine::kScalar;
-  throw std::invalid_argument("unknown engine '" + name +
-                              "' (auto|scalar)");
-}
-
 // The full multi-metric report: connectivity, service availability, DNS
 // resolution, country isolation — every metric observed on the same
 // per-trial failure draws via sim::TrialPipeline. --threads controls the
@@ -157,7 +148,6 @@ int cmd_report(const Args& args) {
   opts.trials = args.get_trials_or(10);
   // 0 = hardware concurrency; results do not depend on the thread count.
   opts.threads = static_cast<std::size_t>(args.get_int_or("threads", 0));
-  opts.engine = engine_from_args(args);
   opts.seed = static_cast<std::uint64_t>(
       args.get_int_or("seed", static_cast<long long>(opts.seed)));
   opts.service_write_quorum = static_cast<std::size_t>(args.get_int_or(
