@@ -178,7 +178,7 @@ int main() {
   {
     server::ScenarioRequest req;
     server::parse_request(report_line, req);
-    const std::string direct = direct_report_body(req, options.countries);
+    const std::string direct = direct_report_body(req, core::kReportCountries);
     if (*served_report != direct) {
       fail("served report body differs from direct TrialPipeline bytes");
     }

@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <iostream>
 
+#include "analysis/connectivity.h"
 #include "analysis/country.h"
 #include "datasets/datacenters.h"
+#include "gic/timeline.h"
 #include "routing/demand.h"
 #include "sim/pipeline.h"
 
@@ -34,11 +36,22 @@ services::ServiceSpec datacenter_service(datasets::DataCenterOperator op,
       std::max<std::size_t>(1, std::min(write_quorum, sites.size())));
 }
 
-sim::TrialConfig trial_config(const ScenarioOptions& options) {
-  sim::TrialConfig config;
-  config.repeater_spacing_km = options.repeater_spacing_km;
-  config.threads = options.threads;
-  config.engine = options.engine;
+sim::TrialConfig trial_config(const server::ScenarioRequest& req,
+                              std::size_t threads) {
+  return {.repeater_spacing_km = req.spacing_km,
+          .threads = threads,
+          .engine = req.engine};
+}
+
+sim::TimelineConfig timeline_config(const server::ScenarioRequest& req,
+                                    std::optional<sim::TimelineConfig> storm) {
+  sim::TimelineConfig config =
+      storm ? std::move(*storm)
+            : sim::TimelineConfig::from_profile(gic::StormPhaseProfile{},
+                                                req.timeline_step_hours);
+  config.repair_steps = req.repair_steps;
+  config.repair_step_hours = req.repair_step_days * 24.0;
+  config.fleet.cable_ships = req.ships;
   return config;
 }
 
@@ -64,32 +77,41 @@ void print_campaign_notes(const sim::CampaignReport& campaign) {
 
 }  // namespace
 
+std::unique_ptr<gic::RepeaterFailureModel> make_model(
+    const server::ScenarioRequest& req) {
+  if (req.model == "uniform") return gic::make_uniform(req.uniform_p);
+  if (req.model == "s2") return gic::make_s2();
+  return gic::make_s1();
+}
+
 ReportBundle::ReportBundle(
     const topo::InfrastructureNetwork& net,
     const std::vector<datasets::DnsRootInstance>& dns_roots,
-    const gic::RepeaterFailureModel& model, const ScenarioOptions& options)
-    : simulator(net, trial_config(options)),
+    const gic::RepeaterFailureModel& model,
+    const server::ScenarioRequest& req, std::size_t threads,
+    const std::optional<ReportCheckpoint>& checkpoint)
+    : simulator(net, trial_config(req, threads)),
       pipeline(simulator, model),
       google(net, datacenter_service(datasets::DataCenterOperator::kGoogle,
-                                     options.service_write_quorum)),
+                                     req.quorum)),
       facebook(net,
                datacenter_service(datasets::DataCenterOperator::kFacebook,
-                                  options.service_write_quorum)),
-      dns(net, dns_roots, options.dns_cable_loss_threshold_pct),
-      isolation(net, options.countries) {
-  if (options.traffic) {
+                                  req.quorum)),
+      dns(net, dns_roots, req.dns_threshold_pct),
+      isolation(net, kReportCountries) {
+  if (req.traffic) {
     traffic_engine.emplace(
-        net, options.traffic_demand_pairs == 0
+        net, req.demand_pairs == 0
                  ? routing::gravity_demands(net)
-                 : routing::sampled_node_demands(
-                       net, options.traffic_demand_pairs, 400.0, kDemandSeed));
+                 : routing::sampled_node_demands(net, req.demand_pairs, 400.0,
+                                                 kDemandSeed));
     traffic_observer.emplace(*traffic_engine);
   }
-  if (!options.checkpoint_path.empty()) {
+  if (checkpoint) {
     campaign_.emplace(pipeline);
-    campaign_options_.threads = options.threads;
-    campaign_options_.checkpoint_path = options.checkpoint_path;
-    campaign_options_.checkpoint_every_chunks = options.checkpoint_every_chunks;
+    campaign_options_.threads = threads;
+    campaign_options_.checkpoint_path = checkpoint->path;
+    campaign_options_.checkpoint_every_chunks = checkpoint->every_chunks;
   }
   std::vector<sim::CheckpointableObserver*> observers = {
       &connectivity, &google, &facebook, &dns, &isolation};
@@ -114,33 +136,63 @@ std::optional<sim::CampaignReport> ReportBundle::run(std::size_t trials,
   return campaign_->run(campaign_options_);
 }
 
+SweepBundle::SweepBundle(const topo::InfrastructureNetwork& net,
+                         const server::ScenarioRequest& req,
+                         std::size_t threads)
+    : simulator(net, trial_config(req, threads)),
+      engine(sim::SweepEngine::uniform(
+          simulator, req.grid.empty() ? analysis::default_probability_grid()
+                                      : req.grid)) {}
+
+TimelineBundle::TimelineBundle(const topo::InfrastructureNetwork& net,
+                               const server::ScenarioRequest& req,
+                               std::size_t threads,
+                               std::optional<sim::TimelineConfig> storm,
+                               const std::optional<ShutdownPolicy>& shutdown)
+    : model(make_model(req)),
+      simulator(net, trial_config(req, threads)),
+      engine(simulator,
+             [&] {
+               if (!shutdown) return simulator.death_probability_table(*model);
+               ShutdownPlan plan = plan_shutdown(simulator, *model, *shutdown);
+               shutdown_cables = plan.cables.size();
+               return std::move(plan.table);
+             }(),
+             timeline_config(req, std::move(storm))),
+      connectivity(req.partition_threshold_pct),
+      outage(net, kReportCountries) {
+  engine.add_observer(connectivity);
+  engine.add_observer(outage);
+}
+
 analysis::ResilienceReport ScenarioRunner::run(
-    const gic::RepeaterFailureModel& model,
-    const ScenarioOptions& options) const {
+    const gic::RepeaterFailureModel& model, const server::ScenarioRequest& req,
+    std::size_t threads,
+    const std::optional<ReportCheckpoint>& checkpoint) const {
   analysis::ResilienceReport report;
   report.title = "solarnet resilience report — model " + model.name();
 
-  report.length_summaries.push_back(analysis::summarize_lengths(
-      world_.submarine(), options.repeater_spacing_km));
-  report.length_summaries.push_back(analysis::summarize_lengths(
-      world_.intertubes(), options.repeater_spacing_km));
+  report.length_summaries.push_back(
+      analysis::summarize_lengths(world_.submarine(), req.spacing_km));
+  report.length_summaries.push_back(
+      analysis::summarize_lengths(world_.intertubes(), req.spacing_km));
   if (world_.has_itu()) {
-    report.length_summaries.push_back(analysis::summarize_lengths(
-        world_.itu(), options.repeater_spacing_km));
+    report.length_summaries.push_back(
+        analysis::summarize_lengths(world_.itu(), req.spacing_km));
   }
 
   // Submarine network: one pipeline pass carries every Monte-Carlo metric —
   // connectivity, DC service availability, DNS resolution, country
   // isolation, optional traffic — over the *same* trial draws.
   {
-    ReportBundle bundle(world_.submarine(), world_.dns_roots(), model,
-                        options);
-    if (const auto campaign = bundle.run(options.trials, options.seed)) {
+    ReportBundle bundle(world_.submarine(), world_.dns_roots(), model, req,
+                        threads, checkpoint);
+    if (const auto campaign = bundle.run(req.trials, req.seed)) {
       print_campaign_notes(*campaign);
     }
     report.failure_results.push_back(
         to_band_result(bundle.connectivity.result(), model.name(),
-                       options.repeater_spacing_km, " [submarine]"));
+                       req.spacing_km, " [submarine]"));
     report.service_availability = {bundle.google.result(),
                                    bundle.facebook.result()};
     report.dns_resolution = bundle.dns.result();
@@ -153,7 +205,7 @@ analysis::ResilienceReport ScenarioRunner::run(
     // Analytic country connectivity (exact products, no Monte-Carlo noise)
     // from the same simulator — the observed isolation rates above converge
     // to these probabilities.
-    for (const std::string& country : options.countries) {
+    for (const std::string& country : kReportCountries) {
       report.countries.push_back(analysis::country_connectivity(
           world_.submarine(), bundle.simulator, model, country));
     }
@@ -163,17 +215,17 @@ analysis::ResilienceReport ScenarioRunner::run(
   // historical per-network seed offsets.
   const auto connectivity_pass = [&](const topo::InfrastructureNetwork& net,
                                      std::uint64_t seed, const char* tag) {
-    const sim::FailureSimulator simulator(net, trial_config(options));
+    const sim::FailureSimulator simulator(net, trial_config(req, threads));
     sim::TrialPipeline pipeline(simulator, model);
     sim::ConnectivityObserver connectivity;
     pipeline.add_observer(connectivity);
-    pipeline.run(options.trials, seed);
+    pipeline.run(req.trials, seed);
     report.failure_results.push_back(to_band_result(
-        connectivity.result(), model.name(), options.repeater_spacing_km, tag));
+        connectivity.result(), model.name(), req.spacing_km, tag));
   };
-  connectivity_pass(world_.intertubes(), options.seed + 1, " [intertubes]");
+  connectivity_pass(world_.intertubes(), req.seed + 1, " [intertubes]");
   if (world_.has_itu()) {
-    connectivity_pass(world_.itu(), options.seed + 2, " [itu]");
+    connectivity_pass(world_.itu(), req.seed + 2, " [itu]");
   }
 
   report.datacenter_footprints.push_back(
@@ -186,9 +238,11 @@ analysis::ResilienceReport ScenarioRunner::run(
 }
 
 analysis::ResilienceReport ScenarioRunner::run_storm(
-    const gic::StormScenario& storm, const ScenarioOptions& options) const {
+    const gic::StormScenario& storm, const server::ScenarioRequest& req,
+    std::size_t threads,
+    const std::optional<ReportCheckpoint>& checkpoint) const {
   const gic::FieldDrivenFailureModel model{gic::GeoelectricFieldModel(storm)};
-  analysis::ResilienceReport report = run(model, options);
+  analysis::ResilienceReport report = run(model, req, threads, checkpoint);
   report.title =
       "solarnet resilience report — storm " + storm.name + " (field-driven)";
   return report;

@@ -1,9 +1,9 @@
 #include "server/request.h"
 
 #include <algorithm>
-#include <cctype>
 #include <charconv>
 #include <cmath>
+#include <utility>
 
 #include "util/status.h"
 
@@ -48,7 +48,6 @@ struct Cursor {
   std::size_t pos = 0;
 
   bool at_end() const noexcept { return pos >= text.size(); }
-  char peek() const noexcept { return text[pos]; }
 
   void skip_ws() noexcept {
     while (pos < text.size() &&
@@ -57,12 +56,18 @@ struct Cursor {
     }
   }
 
-  void expect(char c, std::string_view what) {
+  // Skips whitespace, then steps over `c` when it comes next.
+  bool consume(char c) noexcept {
     skip_ws();
-    if (at_end() || text[pos] != c) {
+    if (at_end() || text[pos] != c) return false;
+    ++pos;
+    return true;
+  }
+
+  void expect(char c, std::string_view what) {
+    if (!consume(c)) {
       parse_fail("expected '" + std::string(1, c) + "' " + std::string(what));
     }
-    ++pos;
   }
 
   // Quoted string without escapes; the protocol's legal values never need
@@ -94,39 +99,165 @@ struct Cursor {
     return value;
   }
 
-  // A JSON boolean, or the numbers 0 and 1.
-  bool flag_token(std::string_view field) {
+  // A JSON boolean as 1 or 0, or a number.
+  double flag_token(std::string_view field) {
     skip_ws();
     const bool is_true = text.substr(pos, 4) == "true";
     if (is_true || text.substr(pos, 5) == "false") {
       pos += is_true ? 4 : 5;
-      return is_true;
+      return is_true ? 1.0 : 0.0;
     }
-    const double v = number_token(field);
-    if (v != 0.0 && v != 1.0) value_fail("must be true, false, 0 or 1", field);
-    return v == 1.0;
+    return number_token(field);
   }
 };
 
-std::size_t positive_integer(double value, std::string_view field) {
-  if (!(value >= 1.0) || value != std::floor(value) || value > 1e15) {
-    value_fail("must be an integer >= 1", field);
+// The fields, in the order field_named tries them; text fields first.
+enum class Field : std::uint8_t {
+  kCmd, kNetwork, kModel, kEngine, kP, kSpacing, kTrials, kSeed, kQuorum,
+  kDnsThreshold, kTraffic, kDemandPairs, kStepHours, kRepairSteps,
+  kRepairStepDays, kShips, kPartitionThreshold, kGrid
+};
+
+constexpr std::string_view kFieldNames[] = {
+    "cmd", "network", "model", "engine", "p", "spacing", "trials", "seed",
+    "quorum", "dns_threshold", "traffic", "demand_pairs", "step_hours",
+    "repair_steps", "repair_step_days", "ships", "partition_threshold", "grid"};
+static_assert(std::size(kFieldNames) ==
+              static_cast<std::size_t>(Field::kGrid) + 1);
+
+constexpr std::string_view kKindNames[] = {  // indexed by RequestKind
+    "report", "sweep", "stats", "shutdown", "timeline"};
+constexpr std::string_view kNetworks[] = {"submarine", "intertubes", "itu"};
+constexpr std::string_view kModels[] = {"s1", "s2", "uniform"};
+
+// The index of `v` in `names`; value_fail(message) when it is not there.
+template <std::size_t N>
+std::size_t one_of(std::string_view v, const std::string_view (&names)[N],
+                   const char* message, std::string_view field) {
+  for (std::size_t i = 0; i < N; ++i) {
+    if (names[i] == v) return i;
   }
-  return static_cast<std::size_t>(value);
+  value_fail(message, field);
 }
 
-std::uint64_t nonnegative_integer(double value, std::string_view field) {
-  if (!(value >= 0.0) || value != std::floor(value) || value > 1e15) {
-    value_fail("must be an integer >= 0", field);
+Field field_named(std::string_view name) {
+  return static_cast<Field>(one_of(name, kFieldNames, "unknown field", name));
+}
+
+// The number fields' checks; each rejects NaN.
+std::uint64_t integer_at_least(double value, int min, std::string_view field) {
+  if (!(value >= min) || value != std::floor(value) || value > 1e15) {
+    value_fail(min == 0 ? "must be an integer >= 0" : "must be an integer >= 1",
+               field);
   }
   return static_cast<std::uint64_t>(value);
 }
 
-double probability(double value, std::string_view field) {
-  if (!(value >= 0.0 && value <= 1.0)) {  // rejects NaN too
-    value_fail("must be in [0, 1]", field);
+double at_most_from_zero(double value, double max, const char* message,
+                         std::string_view field) {
+  if (!(value >= 0.0 && value <= max)) value_fail(message, field);
+  return value;
+}
+
+double positive_at_most(double value, double max, const char* message,
+                        std::string_view field) {
+  if (!std::isfinite(value) || value <= 0.0 || value > max) {
+    value_fail(message, field);
   }
   return value;
+}
+
+std::size_t at_most(std::size_t value, std::size_t max, const char* message,
+                    std::string_view field) {
+  if (value > max) value_fail(message, field);
+  return value;
+}
+
+void set_text(ScenarioRequest& req, Field field, std::string_view v) {
+  const std::string_view name = kFieldNames[static_cast<std::size_t>(field)];
+  switch (field) {
+    case Field::kCmd:
+      req.kind = static_cast<RequestKind>(one_of(
+          v, kKindNames, "must be report|sweep|timeline|stats|shutdown",
+          name));
+      return;
+    case Field::kNetwork:
+      req.network =
+          kNetworks[one_of(v, kNetworks, "must be submarine|intertubes|itu",
+                           name)];
+      return;
+    case Field::kModel:
+      req.model = kModels[one_of(v, kModels, "must be s1|s2|uniform", name)];
+      return;
+    case Field::kEngine:
+      if (v != "auto" && v != "scalar") value_fail("must be auto|scalar", name);
+      req.engine = v == "auto" ? sim::TrialEngine::kAuto
+                               : sim::TrialEngine::kScalar;
+      return;
+    default:
+      value_fail("must be a number", name);
+  }
+}
+
+void set_number(ScenarioRequest& req, Field field, double v) {
+  const std::string_view name = kFieldNames[static_cast<std::size_t>(field)];
+  switch (field) {
+    case Field::kP:
+      req.uniform_p = at_most_from_zero(v, 1.0, "must be in [0, 1]", name);
+      return;
+    case Field::kSpacing:
+      req.spacing_km =
+          positive_at_most(v, HUGE_VAL, "must be finite and > 0", name);
+      return;
+    case Field::kTrials:
+      req.trials = integer_at_least(v, 1, name);
+      return;
+    case Field::kSeed:
+      req.seed = integer_at_least(v, 0, name);
+      return;
+    case Field::kQuorum:
+      req.quorum = integer_at_least(v, 1, name);
+      return;
+    case Field::kDnsThreshold:
+      req.dns_threshold_pct =
+          at_most_from_zero(v, 100.0, "must be in [0, 100]", name);
+      return;
+    case Field::kTraffic:
+      if (v != 0.0 && v != 1.0) value_fail("must be true, false, 0 or 1", name);
+      req.traffic = v == 1.0;
+      return;
+    case Field::kDemandPairs:
+      req.demand_pairs = at_most(integer_at_least(v, 0, name), kMaxDemandPairs,
+                                 "too many demand pairs (max 10000000)", name);
+      return;
+    case Field::kStepHours:
+      req.timeline_step_hours =
+          positive_at_most(v, 72.0, "must be in (0, 72]", name);
+      return;
+    case Field::kRepairSteps:
+      req.repair_steps = at_most(integer_at_least(v, 1, name), kMaxRepairSteps,
+                                 "too many repair steps (max 4096)", name);
+      return;
+    case Field::kRepairStepDays:
+      req.repair_step_days =
+          positive_at_most(v, 365.0, "must be in (0, 365]", name);
+      return;
+    case Field::kShips:
+      req.ships = at_most(integer_at_least(v, 1, name), kMaxShips,
+                          "too many ships (max 100000)", name);
+      return;
+    case Field::kPartitionThreshold:
+      req.partition_threshold_pct =
+          at_most_from_zero(v, 100.0, "must be in [0, 100]", name);
+      return;
+    case Field::kGrid:
+      at_most(req.grid.size() + 1, kMaxGridPoints,
+              "too many grid points (max 4096)", name);
+      req.grid.push_back(at_most_from_zero(v, 1.0, "must be in [0, 1]", name));
+      return;
+    default:
+      value_fail("must be a string", name);
+  }
 }
 
 // Shared tail of both key builders: everything except (trials, seed,
@@ -161,191 +292,67 @@ void fold_common(const ScenarioRequest& req, std::uint64_t network_fingerprint,
 }  // namespace
 
 std::string_view to_string(RequestKind kind) noexcept {
-  switch (kind) {
-    case RequestKind::kReport:
-      return "report";
-    case RequestKind::kSweep:
-      return "sweep";
-    case RequestKind::kStats:
-      return "stats";
-    case RequestKind::kShutdown:
-      return "shutdown";
-    case RequestKind::kTimeline:
-      return "timeline";
-  }
-  return "?";
+  const auto i = static_cast<std::size_t>(kind);
+  return i < std::size(kKindNames) ? kKindNames[i] : "?";
 }
 
 void ScenarioRequest::reset() {
-  kind = RequestKind::kReport;
-  network = "submarine";
-  model = "s1";
-  uniform_p = 0.01;
-  spacing_km = 150.0;
-  trials = 10;
-  seed = 7;
-  quorum = 2;
-  dns_threshold_pct = 10.0;
-  engine = sim::TrialEngine::kAuto;
-  traffic = false;
-  demand_pairs = 0;
-  grid.clear();
-  timeline_step_hours = 6.0;
-  repair_steps = 24;
-  repair_step_days = 15.0;
-  ships = 60;
-  partition_threshold_pct = 50.0;
+  std::vector<double> points = std::move(grid);  // keeps its capacity
+  points.clear();
+  *this = ScenarioRequest{};
+  grid = std::move(points);
+}
+
+void set_field(ScenarioRequest& req, std::string_view field,
+               std::string_view value) {
+  set_text(req, field_named(field), value);
+}
+
+void set_field(ScenarioRequest& req, std::string_view field, double value) {
+  set_number(req, field_named(field), value);
+}
+
+void finish_request(ScenarioRequest& req) {
+  // Canonical order: responses report points ascending, so two
+  // permutations of the same grid are the same scenario (and hash to the
+  // same cache key).
+  std::sort(req.grid.begin(), req.grid.end());
+  // Sampled demand pairs imply the traffic section; this also gives both
+  // spellings one cache and engine key.
+  if (req.demand_pairs > 0) req.traffic = true;
 }
 
 void parse_request(std::string_view line, ScenarioRequest& out) {
   out.reset();
   Cursor cur{line};
   cur.expect('{', "to open the request object");
-  cur.skip_ws();
-  bool first = true;
-  while (true) {
-    cur.skip_ws();
-    if (!cur.at_end() && cur.peek() == '}') {
-      ++cur.pos;
-      break;
-    }
-    if (!first) parse_fail("expected ',' or '}' after value");
-    first = false;
-    while (true) {
-      const std::string_view field = cur.string_token();
+  if (!cur.consume('}')) {
+    do {
+      const std::string_view name = cur.string_token();
       cur.expect(':', "after field name");
-      if (field == "cmd") {
-        const std::string_view v = cur.string_token();
-        if (v == "report") {
-          out.kind = RequestKind::kReport;
-        } else if (v == "sweep") {
-          out.kind = RequestKind::kSweep;
-        } else if (v == "stats") {
-          out.kind = RequestKind::kStats;
-        } else if (v == "shutdown") {
-          out.kind = RequestKind::kShutdown;
-        } else if (v == "timeline") {
-          out.kind = RequestKind::kTimeline;
-        } else {
-          value_fail("must be report|sweep|timeline|stats|shutdown", field);
-        }
-      } else if (field == "network") {
-        const std::string_view v = cur.string_token();
-        if (v != "submarine" && v != "intertubes" && v != "itu") {
-          value_fail("must be submarine|intertubes|itu", field);
-        }
-        out.network = v;
-      } else if (field == "model") {
-        const std::string_view v = cur.string_token();
-        if (v != "s1" && v != "s2" && v != "uniform") {
-          value_fail("must be s1|s2|uniform", field);
-        }
-        out.model = v;
-      } else if (field == "engine") {
-        const std::string_view v = cur.string_token();
-        if (v == "auto") {
-          out.engine = sim::TrialEngine::kAuto;
-        } else if (v == "scalar") {
-          out.engine = sim::TrialEngine::kScalar;
-        } else {
-          value_fail("must be auto|scalar", field);
-        }
-      } else if (field == "p") {
-        out.uniform_p = probability(cur.number_token(field), field);
-      } else if (field == "spacing") {
-        const double v = cur.number_token(field);
-        if (!std::isfinite(v) || v <= 0.0) {
-          value_fail("must be finite and > 0", field);
-        }
-        out.spacing_km = v;
-      } else if (field == "trials") {
-        out.trials = positive_integer(cur.number_token(field), field);
-      } else if (field == "seed") {
-        out.seed = nonnegative_integer(cur.number_token(field), field);
-      } else if (field == "quorum") {
-        out.quorum = positive_integer(cur.number_token(field), field);
-      } else if (field == "dns_threshold") {
-        const double v = cur.number_token(field);
-        if (!(v >= 0.0 && v <= 100.0)) {
-          value_fail("must be in [0, 100]", field);
-        }
-        out.dns_threshold_pct = v;
-      } else if (field == "traffic") {
-        out.traffic = cur.flag_token(field);
-      } else if (field == "demand_pairs") {
-        out.demand_pairs = static_cast<std::size_t>(
-            nonnegative_integer(cur.number_token(field), field));
-        if (out.demand_pairs > kMaxDemandPairs) {
-          value_fail("too many demand pairs (max 10000000)", field);
-        }
-      } else if (field == "step_hours") {
-        const double v = cur.number_token(field);
-        if (!std::isfinite(v) || v <= 0.0 || v > 72.0) {
-          value_fail("must be in (0, 72]", field);
-        }
-        out.timeline_step_hours = v;
-      } else if (field == "repair_steps") {
-        out.repair_steps = positive_integer(cur.number_token(field), field);
-        if (out.repair_steps > kMaxRepairSteps) {
-          value_fail("too many repair steps (max 4096)", field);
-        }
-      } else if (field == "repair_step_days") {
-        const double v = cur.number_token(field);
-        if (!std::isfinite(v) || v <= 0.0 || v > 365.0) {
-          value_fail("must be in (0, 365]", field);
-        }
-        out.repair_step_days = v;
-      } else if (field == "ships") {
-        out.ships = positive_integer(cur.number_token(field), field);
-        if (out.ships > kMaxShips) {
-          value_fail("too many ships (max 100000)", field);
-        }
-      } else if (field == "partition_threshold") {
-        const double v = cur.number_token(field);
-        if (!(v >= 0.0 && v <= 100.0)) {
-          value_fail("must be in [0, 100]", field);
-        }
-        out.partition_threshold_pct = v;
-      } else if (field == "grid") {
-        cur.expect('[', "to open the grid array");
-        cur.skip_ws();
-        if (!cur.at_end() && cur.peek() == ']') {
-          ++cur.pos;
-        } else {
-          while (true) {
-            if (out.grid.size() >= kMaxGridPoints) {
-              value_fail("too many grid points (max 4096)", field);
-            }
-            out.grid.push_back(probability(cur.number_token(field), field));
-            cur.skip_ws();
-            if (!cur.at_end() && cur.peek() == ',') {
-              ++cur.pos;
-              continue;
-            }
-            cur.expect(']', "to close the grid array");
-            break;
-          }
-        }
-        // Canonical order: responses report points ascending, so two
-        // permutations of the same grid are the same scenario (and hash to
-        // the same cache key).
-        std::sort(out.grid.begin(), out.grid.end());
+      // Before the value, so an unknown field is named whatever its type.
+      const Field field = field_named(name);
+      if (field <= Field::kEngine) {
+        set_text(out, field, cur.string_token());
+      } else if (field == Field::kTraffic) {
+        set_number(out, field, cur.flag_token(name));
+      } else if (field != Field::kGrid) {
+        set_number(out, field, cur.number_token(name));
       } else {
-        value_fail("unknown field", field);
+        cur.expect('[', "to open the grid array");
+        if (!cur.consume(']')) {
+          do {
+            set_number(out, field, cur.number_token(name));
+          } while (cur.consume(','));
+          cur.expect(']', "to close the grid array");
+        }
       }
-      cur.skip_ws();
-      if (!cur.at_end() && cur.peek() == ',') {
-        ++cur.pos;
-        continue;
-      }
-      break;
-    }
+    } while (cur.consume(','));
+    if (!cur.consume('}')) parse_fail("expected ',' or '}' after value");
   }
   cur.skip_ws();
   if (!cur.at_end()) parse_fail("trailing characters after request object");
-  // Sampled demand pairs imply the traffic section, as --demand-pairs does
-  // on the CLI; this also gives both spellings one cache and engine key.
-  if (out.demand_pairs > 0) out.traffic = true;
+  finish_request(out);
 }
 
 void build_cache_key(const ScenarioRequest& req,

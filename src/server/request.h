@@ -34,8 +34,8 @@
 //                  traffic-routing section to report responses
 //                  (default false)
 //   demand_pairs   0 = gravity demand matrix; N > 0 routes N sampled
-//                  demand entries per trial and turns traffic on, like the
-//                  CLI's --demand-pairs (integer, max 10000000; default 0).
+//                  demand entries per trial and turns traffic on
+//                  (integer, max 10000000; default 0).
 //                  Sampled matrices use the fixed core::kDemandSeed, NOT
 //                  the request seed — pooled engines are keyed without
 //                  (trials, seed) and must be reusable across them
@@ -52,6 +52,9 @@
 //                  (default 60)
 //   partition_threshold  timeline partition threshold, % in [0, 100]
 //                  (default 50)
+//
+// Both front ends fill a request through set_field (the CLI maps --uniform
+// P to model and p, ...): a value meets the same check from either.
 //
 // Cache-key semantics: build_cache_key produces the canonical
 // content-addressed key of a request — an injective binary encoding of
@@ -104,7 +107,7 @@ struct ScenarioRequest {
   // unconditionally — like quorum/dns_threshold, these shape the resident
   // observer bundle, so two requests differing only here must never share
   // an engine or a cached body.
-  bool traffic = false;  // parse_request sets it when demand_pairs > 0
+  bool traffic = false;  // finish_request sets it when demand_pairs > 0
   std::size_t demand_pairs = 0;
   std::vector<double> grid;  // sorted ascending after parse; sweep only
   // Timeline playback axis (timeline requests only; folded kind-gated).
@@ -119,10 +122,21 @@ struct ScenarioRequest {
   void reset();
 };
 
-// Parses one request line into `out` (reset first). Throws
-// util::Error(kParseError) on malformed JSON and
-// util::Error(kInvalidArgument) on a well-formed but invalid field value,
-// with the offending field named in the error's SourceContext.
+// Sets the field named `field` (e.g. "ships"): the string form cmd,
+// network, model and engine, the number form the rest (traffic 1 or 0; a
+// grid value appends a point). Throws util::Error(kInvalidArgument) naming
+// the field on an unknown field or invalid value.
+void set_field(ScenarioRequest& req, std::string_view field,
+               std::string_view value);
+void set_field(ScenarioRequest& req, std::string_view field, double value);
+
+// The step after the last set_field: sorts the grid ascending and turns
+// traffic on when demand_pairs > 0.
+void finish_request(ScenarioRequest& req);
+
+// Parses one request line into `out`: reset, set_field per field, then
+// finish_request. Throws util::Error(kParseError) on malformed JSON or a
+// value of the wrong JSON type, and set_field's errors otherwise.
 // Allocation-free once `out`'s buffers are warm.
 void parse_request(std::string_view line, ScenarioRequest& out);
 

@@ -5,12 +5,9 @@
 #include <stdexcept>
 #include <utility>
 
-#include "analysis/connectivity.h"
 #include "core/world.h"
 #include "datasets/datacenters.h"
 #include "gic/failure_model.h"
-#include "gic/timeline.h"
-#include "sim/monte_carlo.h"
 #include "util/fingerprint.h"
 #include "util/status.h"
 
@@ -93,59 +90,27 @@ void append_request_echo(std::string& out, const ScenarioRequest& req) {
   append_u64(out, req.seed);
 }
 
-std::unique_ptr<gic::RepeaterFailureModel> make_model(
-    const ScenarioRequest& req) {
-  if (req.model == "uniform") return gic::make_uniform(req.uniform_p);
-  if (req.model == "s2") return gic::make_s2();
-  return gic::make_s1();
-}
-
-sim::TrialConfig trial_config_for(const ScenarioRequest& req,
-                                  std::size_t threads) {
-  sim::TrialConfig config;
-  config.repeater_spacing_km = req.spacing_km;
-  config.threads = threads;
-  config.engine = req.engine;
-  return config;
-}
-
-// The report bundle's configuration: the request's scenario fields plus the
-// service's thread count and country list (trials and seed are per run).
-core::ScenarioOptions report_options(const ScenarioRequest& req,
-                                     const ServiceOptions& options) {
-  core::ScenarioOptions out;
-  out.repeater_spacing_km = req.spacing_km;
-  out.threads = options.threads;
-  out.engine = req.engine;
-  out.countries = options.countries;
-  out.service_write_quorum = req.quorum;
-  out.dns_cable_loss_threshold_pct = req.dns_threshold_pct;
-  out.traffic = req.traffic;
-  out.traffic_demand_pairs = req.demand_pairs;
-  return out;
-}
-
-sim::TimelineConfig timeline_config_for(const ScenarioRequest& req) {
-  sim::TimelineConfig config = sim::TimelineConfig::from_profile(
-      gic::StormPhaseProfile{}, req.timeline_step_hours);
-  config.repair_steps = req.repair_steps;
-  config.repair_step_hours = req.repair_step_days * 24.0;
-  config.fleet.cable_ships = req.ships;
-  return config;
-}
-
 Body make_body(std::string text) {
   return std::make_shared<const std::string>(std::move(text));
+}
+
+// Runs a pooled bundle for `req` and serializes the result.
+std::string body(const ScenarioRequest& req, core::SweepBundle& bundle) {
+  return serialize_sweep_body(req, bundle.engine.run(req.trials, req.seed));
+}
+
+std::string body(const ScenarioRequest& req, core::TimelineBundle& bundle) {
+  bundle.engine.run(req.trials, req.seed);
+  return serialize_timeline_body(req, bundle.engine,
+                                 bundle.connectivity.result(),
+                                 bundle.outage.results());
 }
 
 }  // namespace
 
 // --- resident engine bundles ------------------------------------------------
 
-// Each bundle's thread count is fixed at construction (the service's
-// options.threads, via its TrialConfig). Member order is construction
-// order: a model outlives the pipeline or engine that references it, a
-// simulator outlives everything built on it.
+// Each bundle's thread count is fixed at construction (options.threads).
 struct ScenarioService::Engine {
   Engine() = default;
   Engine(const Engine&) = delete;
@@ -157,9 +122,9 @@ struct ScenarioService::Engine {
 struct ScenarioService::ReportEngine final : ScenarioService::Engine {
   ReportEngine(const topo::InfrastructureNetwork& net,
                const std::vector<datasets::DnsRootInstance>& roots,
-               const ScenarioRequest& req, const ServiceOptions& options)
-      : model(make_model(req)),
-        bundle(net, roots, *model, report_options(req, options)) {}
+               const ScenarioRequest& req, std::size_t threads)
+      : model(core::make_model(req)),
+        bundle(net, roots, *model, req, threads) {}
 
   std::string run(const ScenarioRequest& req) override {
     bundle.run(req.trials, req.seed);
@@ -169,53 +134,21 @@ struct ScenarioService::ReportEngine final : ScenarioService::Engine {
         bundle.isolation.results(), bundle.traffic());
   }
 
-  std::unique_ptr<gic::RepeaterFailureModel> model;
+  std::unique_ptr<gic::RepeaterFailureModel> model;  // outlives the bundle
   core::ReportBundle bundle;
 };
 
-struct ScenarioService::SweepEngineEntry final : ScenarioService::Engine {
-  SweepEngineEntry(const topo::InfrastructureNetwork& net,
-                   const ScenarioRequest& req, const ServiceOptions& options)
-      : simulator(net, trial_config_for(req, options.threads)),
-        grid(req.grid.empty() ? analysis::default_probability_grid()
-                              : req.grid),
-        engine(sim::SweepEngine::uniform(simulator, grid)) {}
+template <typename Bundle>
+struct ScenarioService::BundleEngine final : ScenarioService::Engine {
+  BundleEngine(const topo::InfrastructureNetwork& net,
+               const ScenarioRequest& req, std::size_t threads)
+      : bundle(net, req, threads) {}
 
   std::string run(const ScenarioRequest& req) override {
-    return serialize_sweep_body(
-        req, engine.run(req.trials, req.seed, simulator.config().threads));
+    return body(req, bundle);
   }
 
-  sim::FailureSimulator simulator;
-  std::vector<double> grid;
-  sim::SweepEngine engine;
-};
-
-struct ScenarioService::TimelineEngineEntry final : ScenarioService::Engine {
-  TimelineEngineEntry(const topo::InfrastructureNetwork& net,
-                      const ScenarioRequest& req,
-                      const ServiceOptions& options)
-      : model(make_model(req)),
-        simulator(net, trial_config_for(req, options.threads)),
-        engine(simulator, simulator.death_probability_table(*model),
-               timeline_config_for(req)),
-        connectivity(req.partition_threshold_pct),
-        outage(net, options.countries) {
-    engine.add_observer(connectivity);
-    engine.add_observer(outage);
-  }
-
-  std::string run(const ScenarioRequest& req) override {
-    engine.run(req.trials, req.seed, simulator.config().threads);
-    return serialize_timeline_body(req, engine, connectivity.result(),
-                                   outage.results());
-  }
-
-  std::unique_ptr<gic::RepeaterFailureModel> model;
-  sim::FailureSimulator simulator;
-  sim::TimelineEngine engine;
-  sim::TimelineConnectivityObserver connectivity;
-  analysis::CountryOutageObserver outage;
+  Bundle bundle;
 };
 
 // --- body serializers -------------------------------------------------------
@@ -448,8 +381,8 @@ ScenarioService::ScenarioService(ServiceContext context,
   // the data-center operator set, and the DNS root deployment.
   util::Fingerprint salt(0x7372762d73616c74ULL);  // "srv-salt"
   salt.fold_bytes("serve-body/v2");
-  salt.fold(options_.countries.size());
-  for (const std::string& country : options_.countries) {
+  salt.fold(core::kReportCountries.size());
+  for (const std::string& country : core::kReportCountries) {
     salt.fold_bytes(country);
   }
   for (const auto op : {datasets::DataCenterOperator::kGoogle,
@@ -592,12 +525,14 @@ Body ScenarioService::compute(const ScenarioRequest& req,
       pool_.acquire(engine_key, [&]() -> std::unique_ptr<Engine> {
         switch (req.kind) {
           case RequestKind::kSweep:
-            return std::make_unique<SweepEngineEntry>(net, req, options_);
+            return std::make_unique<BundleEngine<core::SweepBundle>>(
+                net, req, options_.threads);
           case RequestKind::kTimeline:
-            return std::make_unique<TimelineEngineEntry>(net, req, options_);
+            return std::make_unique<BundleEngine<core::TimelineBundle>>(
+                net, req, options_.threads);
           default:
             return std::make_unique<ReportEngine>(net, *context_.dns_roots,
-                                                  req, options_);
+                                                  req, options_.threads);
         }
       });
   return make_body(engine->run(req));

@@ -21,9 +21,8 @@
 //      one EnginePool, keyed by everything except (trials, seed) — so
 //      re-asking a scenario with a bigger trial budget or a different seed
 //      reuses the repeater layout, death-probability table and resolved
-//      evaluators and pays only the trial loop. A report bundle is the
-//      CLI's own core::ReportBundle, so `solarnet report` and the served
-//      report compute the same statistics.
+//      evaluators and pays only the trial loop. The pooled bundles are the
+//      CLI's own (core/scenario.h), so both compute the same statistics.
 //
 // Served bodies are produced by the serialize_*_body free functions below,
 // which tests and benches also call directly on the results of plain
@@ -81,9 +80,6 @@ struct ServiceOptions {
   // Worker threads per computed request (TrialConfig::threads semantics;
   // results are thread-count invariant, so this is not part of any key).
   std::size_t threads = 0;
-  // Countries of the isolation observer — fixed per service, folded into
-  // the observer salt so differently-configured services never share keys.
-  std::vector<std::string> countries = core::ScenarioOptions{}.countries;
 };
 
 // A served response body. Immutable and shared: the cache, in-flight
@@ -164,18 +160,13 @@ class ScenarioService {
 
   Stats stats() const;
 
-  const ServiceOptions& options() const noexcept { return options_; }
-
  private:
   // A resident engine bundle, built for one engine key and rerun by every
-  // request with that key; run() computes the request's body. The three
-  // kinds: the request's model plus a core::ReportBundle; simulator + CRN
-  // sweep engine; simulator + death table + TimelineEngine + temporal
-  // observers.
+  // request with that key; run() computes the request's body. The kinds:
+  // the request's model plus a core::ReportBundle, and the other bundles.
   struct Engine;
   struct ReportEngine;
-  struct SweepEngineEntry;
-  struct TimelineEngineEntry;
+  template <typename Bundle> struct BundleEngine;
 
   struct InFlight {
     std::shared_ptr<std::promise<Body>> promise;
@@ -200,8 +191,8 @@ class ScenarioService {
   std::uint64_t submarine_fp_ = 0;
   std::uint64_t intertubes_fp_ = 0;
   std::uint64_t itu_fp_ = 0;
-  // Digest of the fixed observer configuration (countries, operators, DNS
-  // root set, body format version); part of every key.
+  // Digest of the fixed observer configuration (core::kReportCountries,
+  // operators, DNS root set, body format version); part of every key.
   std::uint64_t observer_salt_ = 0;
 
   ResultCache cache_;

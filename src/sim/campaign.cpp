@@ -1,6 +1,7 @@
 #include "sim/campaign.h"
 
 #include <algorithm>
+#include <chrono>
 #include <filesystem>
 #include <stdexcept>
 
@@ -232,6 +233,7 @@ CampaignReport CampaignRunner::run(const CampaignOptions& options) {
     completed = segment_end;
 
     if (checkpointing && (completed < chunks || options.keep_checkpoint)) {
+      const auto write_start = std::chrono::steady_clock::now();
       try {
         util::atomic_write_file(options.checkpoint_path,
                                 serialize(options, chunks, completed));
@@ -244,6 +246,9 @@ CampaignReport CampaignRunner::run(const CampaignOptions& options) {
           report.checkpoint_status = e.status();
         }
       }
+      const std::chrono::duration<double, std::milli> write_time =
+          std::chrono::steady_clock::now() - write_start;
+      report.checkpoint_ms += write_time.count();
     }
   }
 

@@ -79,6 +79,8 @@ struct CampaignReport {
   std::size_t chunks_resumed = 0;
   std::size_t chunks_executed = 0;
   std::size_t checkpoints_written = 0;
+  // Time spent serializing and writing checkpoints, over all writes.
+  double checkpoint_ms = 0.0;
   bool resumed = false;
   // Why resume did not happen (kOk when it did or was not attempted).
   util::Status resume_status;

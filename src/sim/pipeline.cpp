@@ -67,7 +67,6 @@ void TrialPipeline::run_trial(std::size_t trial, const util::Rng& base,
           : 0.0;
   view.components = needs_components_ ? &scratch.components : nullptr;
   view.mask = needs_components_ ? &scratch.mask : nullptr;
-  view.rng = &rng;
   for (TrialObserver* observer : observers_) {
     observer->observe(view, worker, chunk);
   }
@@ -151,7 +150,6 @@ void TrialPipeline::run_chunks(const ChunkedRun& chunked,
       BatchTrialView bview;
       bview.first_trial = first;
       bview.lanes = lanes;
-      bview.batch = &s.batch;
       bview.cables_failed = s.cables;
       bview.cables_failed_pct = s.cables_pct;
       bview.nodes_unreachable = s.nodes;
@@ -164,8 +162,8 @@ void TrialPipeline::run_chunks(const ChunkedRun& chunked,
 
     if (!scalar_observers_.empty()) {
       // Reconstruct each lane as a scalar TrialView: same dead bits, same
-      // unreachable list, same component decomposition, and the lane's
-      // post-draw rng state — everything a scalar observer would have seen.
+      // unreachable list, same component decomposition — everything a
+      // scalar observer would have seen.
       for (unsigned lane = 0; lane < lanes; ++lane) {
         kernel.extract_lane(s.batch, lane, s.scalar.cable_dead);
         network().unreachable_nodes(s.scalar.cable_dead, s.scalar.unreachable);
@@ -185,7 +183,6 @@ void TrialPipeline::run_chunks(const ChunkedRun& chunked,
         view.components =
             scalar_needs_components_ ? &s.scalar.components : nullptr;
         view.mask = scalar_needs_components_ ? &s.scalar.mask : nullptr;
-        view.rng = &s.batch.lane_rng[lane];
         const std::size_t chunk = first_chunk + lane / kTrialChunk;
         for (TrialObserver* observer : scalar_observers_) {
           observer->observe(view, worker, chunk);

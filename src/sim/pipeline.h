@@ -65,12 +65,6 @@ struct TrialView {
   // (e.g. routing::TrafficObserver's SSSP trees) read it instead of
   // rebuilding the mask from cable_dead.
   const graph::AliveMask* mask = nullptr;
-  // The trial's child rng after the failure draw. Observers that need
-  // extra randomness derive independent substreams from it instead of
-  // consuming the stream directly (which would couple observers).
-  const util::Rng* rng = nullptr;
-
-  util::Rng substream(std::uint64_t key) const { return rng->split(key); }
 };
 
 // Everything a batch-capable observer may read about one 64-trial batch on
@@ -83,9 +77,6 @@ struct TrialView {
 struct BatchTrialView {
   std::size_t first_trial = 0;
   unsigned lanes = 0;
-  // Raw cable-major lane words (and per-lane post-draw rng states) for
-  // observers that want word-level access or extra randomness.
-  const TrialBatch* batch = nullptr;
   const std::uint32_t* cables_failed = nullptr;
   const double* cables_failed_pct = nullptr;
   const std::uint32_t* nodes_unreachable = nullptr;

@@ -255,7 +255,6 @@ void TimelineEngine::run_trial(std::size_t trial, const util::Rng& base,
   view.cables_dead_pct = s.cables_dead_pct;
   view.nodes_unreachable_pct = s.nodes_unreachable_pct;
   view.largest_component_pct = s.largest_component_pct;
-  view.rng = &rng;
   for (TimelineObserver* observer : observers_) {
     observer->observe(view, worker, chunk);
   }

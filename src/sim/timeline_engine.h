@@ -103,11 +103,6 @@ struct TimelineView {
   std::span<const double> cables_dead_pct;
   std::span<const double> nodes_unreachable_pct;
   std::span<const double> largest_component_pct;
-
-  // The trial's child rng, positioned after the failure + fault draws.
-  // Observers needing extra randomness must use split substreams.
-  const util::Rng* rng = nullptr;
-  util::Rng substream(std::uint64_t key) const { return rng->split(key); }
 };
 
 // Temporal observer contract — same shape and thread rules as

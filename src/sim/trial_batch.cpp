@@ -77,7 +77,6 @@ void TrialBatchKernel::sample(const util::Rng& base, std::size_t first_trial,
   out.lane_mask = lanes == kLanes ? ~std::uint64_t{0}
                                   : (std::uint64_t{1} << lanes) - 1;
   out.cable_dead.assign(cables_, 0);
-  out.lane_rng.resize(lanes, util::Rng(0));
   for (const std::uint32_t c : certain_dead_) {
     out.cable_dead[c] = out.lane_mask;
   }
@@ -104,10 +103,6 @@ void TrialBatchKernel::sample(const util::Rng& base, std::size_t first_trial,
       const std::uint64_t b3 = (r3.next_u64() >> 11) < k ? 1u : 0u;
       dead[cable[i]] |= (b0 | (b1 << 1) | (b2 << 2) | (b3 << 3)) << lane;
     }
-    out.lane_rng[lane + 0] = r0;
-    out.lane_rng[lane + 1] = r1;
-    out.lane_rng[lane + 2] = r2;
-    out.lane_rng[lane + 3] = r3;
   }
   for (; lane < lanes; ++lane) {
     util::Rng r = base.split(first_trial + lane);
@@ -115,7 +110,6 @@ void TrialBatchKernel::sample(const util::Rng& base, std::size_t first_trial,
       const std::uint64_t bit = (r.next_u64() >> 11) < threshold[i] ? 1u : 0u;
       dead[cable[i]] |= bit << lane;
     }
-    out.lane_rng[lane] = r;
   }
 }
 

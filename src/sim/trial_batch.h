@@ -16,9 +16,7 @@
 // consumes exactly the uniforms the scalar sampler would (one per cable
 // with death probability in (0, 1), ascending cable order), so the batch
 // dead sets are bit-identical to FailureSimulator::sample_cable_failures
-// on the same stream, and batch.lane_rng[t - first_trial] is the trial's
-// stream state after the draw — an observer that derives substreams from
-// it sees exactly what the scalar path would hand it. The Bernoulli
+// on the same stream. The Bernoulli
 // comparison uniform() < p is evaluated as the exact integer test
 // (next_u64() >> 11) < ceil(p * 2^53): uniform() is k * 2^-53 with k and
 // the product exactly representable, so the two forms decide identically
@@ -50,9 +48,6 @@ struct TrialBatch {
   std::uint64_t lane_mask = 0;
   // cable_dead[c] bit t: cable c dead in trial first_trial + t.
   std::vector<std::uint64_t> cable_dead;
-  // Per-lane stream state after the failure draw (what TrialView::rng
-  // points at on the scalar path).
-  std::vector<util::Rng> lane_rng;
 };
 
 // Scratch for the batched component pass (per worker).

@@ -26,15 +26,16 @@ const World& light_world() {
 
 TEST(ScenarioRunner, RunProducesFullReport) {
   const ScenarioRunner runner(light_world());
-  ScenarioOptions opts;
-  opts.trials = 5;
+  server::ScenarioRequest req;
+  req.trials = 5;
   const auto s1 = gic::LatitudeBandFailureModel::s1();
-  const analysis::ResilienceReport report = runner.run(s1, opts);
+  const analysis::ResilienceReport report = runner.run(s1, req);
 
   EXPECT_NE(report.title.find("S1"), std::string::npos);
   EXPECT_EQ(report.length_summaries.size(), 2u);  // no ITU in light world
   EXPECT_EQ(report.failure_results.size(), 2u);
-  EXPECT_EQ(report.countries.size(), opts.countries.size());
+  ASSERT_EQ(report.countries.size(), kReportCountries.size());
+  EXPECT_EQ(report.countries[0].country, kReportCountries[0]);
   EXPECT_EQ(report.datacenter_footprints.size(), 2u);
   EXPECT_TRUE(report.has_dns);
   EXPECT_FALSE(report.render().empty());
@@ -44,10 +45,10 @@ TEST(ScenarioRunner, SubmarineSuffersMoreThanLand) {
   // The paper's core claim, via the façade: submarine cable failures exceed
   // land failures under the same model.
   const ScenarioRunner runner(light_world());
-  ScenarioOptions opts;
-  opts.trials = 20;
+  server::ScenarioRequest req;
+  req.trials = 20;
   const auto s1 = gic::LatitudeBandFailureModel::s1();
-  const auto report = runner.run(s1, opts);
+  const auto report = runner.run(s1, req);
   double submarine = -1.0;
   double land = -1.0;
   for (const auto& r : report.failure_results) {
@@ -65,29 +66,29 @@ TEST(ScenarioRunner, SubmarineSuffersMoreThanLand) {
 
 TEST(ScenarioRunner, StormVariant) {
   const ScenarioRunner runner(light_world());
-  ScenarioOptions opts;
-  opts.trials = 5;
-  const auto report = runner.run_storm(gic::carrington_1859(), opts);
+  server::ScenarioRequest req;
+  req.trials = 5;
+  const auto report = runner.run_storm(gic::carrington_1859(), req);
   EXPECT_NE(report.title.find("Carrington"), std::string::npos);
   EXPECT_FALSE(report.failure_results.empty());
 }
 
 TEST(ScenarioRunner, StrongerStormDoesMoreDamage) {
   const ScenarioRunner runner(light_world());
-  ScenarioOptions opts;
-  opts.trials = 10;
-  const auto strong = runner.run_storm(gic::carrington_1859(), opts);
-  const auto weak = runner.run_storm(gic::moderate_storm(), opts);
+  server::ScenarioRequest req;
+  req.trials = 10;
+  const auto strong = runner.run_storm(gic::carrington_1859(), req);
+  const auto weak = runner.run_storm(gic::moderate_storm(), req);
   EXPECT_GE(strong.failure_results[0].cables_failed_mean_pct,
             weak.failure_results[0].cables_failed_mean_pct);
 }
 
 TEST(ScenarioRunner, RenderedReportContainsEverySection) {
   const ScenarioRunner runner(light_world());
-  ScenarioOptions opts;
-  opts.trials = 3;
+  server::ScenarioRequest req;
+  req.trials = 3;
   const std::string text =
-      runner.run(gic::LatitudeBandFailureModel::s2(), opts).render();
+      runner.run(gic::LatitudeBandFailureModel::s2(), req).render();
   for (const char* section :
        {"Cable length / repeater inventory", "Failure simulation",
         "Country connectivity", "Hyperscale data center footprints",
@@ -98,11 +99,11 @@ TEST(ScenarioRunner, RenderedReportContainsEverySection) {
 
 TEST(ScenarioRunner, SpacingFlowsThroughToSummaries) {
   const ScenarioRunner runner(light_world());
-  ScenarioOptions wide;
+  server::ScenarioRequest wide;
   wide.trials = 2;
-  wide.repeater_spacing_km = 150.0;
-  ScenarioOptions tight = wide;
-  tight.repeater_spacing_km = 50.0;
+  wide.spacing_km = 150.0;
+  server::ScenarioRequest tight = wide;
+  tight.spacing_km = 50.0;
   const auto m = gic::UniformFailureModel(0.01);
   const auto r_wide = runner.run(m, wide);
   const auto r_tight = runner.run(m, tight);
@@ -135,13 +136,13 @@ TEST(ReportBundle, RerunsMatchAFreshBundle) {
   // what the bundle ran before.
   const World& world = light_world();
   const auto model = gic::make_uniform(0.2);
-  ScenarioOptions opts;
-  opts.traffic = true;
-  opts.traffic_demand_pairs = 32;
-  ReportBundle reused(world.submarine(), world.dns_roots(), *model, opts);
+  server::ScenarioRequest req;
+  req.traffic = true;
+  req.demand_pairs = 32;
+  ReportBundle reused(world.submarine(), world.dns_roots(), *model, req, 0);
   EXPECT_FALSE(reused.run(40, 5).has_value());
   reused.run(40, 9);
-  ReportBundle fresh(world.submarine(), world.dns_roots(), *model, opts);
+  ReportBundle fresh(world.submarine(), world.dns_roots(), *model, req, 0);
   fresh.run(40, 9);
   expect_same_results(reused, fresh);
 }
@@ -149,28 +150,19 @@ TEST(ReportBundle, RerunsMatchAFreshBundle) {
 TEST(ReportBundle, CheckpointedRunMatchesPlainRun) {
   const World& world = light_world();
   const auto model = gic::make_uniform(0.2);
-  ScenarioOptions opts;
-  opts.traffic = true;
-  ReportBundle plain(world.submarine(), world.dns_roots(), *model, opts);
+  server::ScenarioRequest req;
+  req.traffic = true;
+  ReportBundle plain(world.submarine(), world.dns_roots(), *model, req, 0);
   plain.run(70, 4);
-  opts.checkpoint_path = testing::TempDir() + "report_bundle_test.ck";
-  opts.checkpoint_every_chunks = 1;
-  ReportBundle campaign(world.submarine(), world.dns_roots(), *model, opts);
+  const ReportCheckpoint checkpoint{
+      testing::TempDir() + "report_bundle_test.ck", 1};
+  ReportBundle campaign(world.submarine(), world.dns_roots(), *model, req, 0,
+                        checkpoint);
   const auto report = campaign.run(70, 4);
   ASSERT_TRUE(report.has_value());
   EXPECT_EQ(report->chunks, 3u);
   EXPECT_EQ(report->chunks_executed, 3u);
   expect_same_results(plain, campaign);
-}
-
-TEST(ScenarioRunner, CustomCountryList) {
-  const ScenarioRunner runner(light_world());
-  ScenarioOptions opts;
-  opts.trials = 2;
-  opts.countries = {"SG"};
-  const auto report = runner.run(gic::UniformFailureModel(0.01), opts);
-  ASSERT_EQ(report.countries.size(), 1u);
-  EXPECT_EQ(report.countries[0].country, "SG");
 }
 
 }  // namespace

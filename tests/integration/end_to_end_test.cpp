@@ -43,9 +43,9 @@ const core::World& small_world() {
 
 TEST(EndToEnd, StormScenarioThroughFacade) {
   const core::ScenarioRunner runner(small_world());
-  core::ScenarioOptions opts;
-  opts.trials = 5;
-  const auto report = runner.run_storm(gic::carrington_1859(), opts);
+  server::ScenarioRequest req;
+  req.trials = 5;
+  const auto report = runner.run_storm(gic::carrington_1859(), req);
   const std::string text = report.render();
   EXPECT_NE(text.find("Carrington"), std::string::npos);
   EXPECT_NE(text.find("submarine"), std::string::npos);

@@ -114,6 +114,11 @@ TEST(ServeProtocol, RejectsMalformedAndInvalid) {
 
   expect_rejected(R"({"frobnicate":1})", util::ErrorCode::kInvalidArgument,
                   "frobnicate");
+  // Named as unknown whatever the value's JSON type.
+  expect_rejected(R"({"frobnicate":"x"})", util::ErrorCode::kInvalidArgument,
+                  "frobnicate");
+  expect_rejected(R"({"frobnicate":[1]})", util::ErrorCode::kInvalidArgument,
+                  "frobnicate");
   expect_rejected(R"({"cmd":"dance"})", util::ErrorCode::kInvalidArgument,
                   "cmd");
   expect_rejected(R"({"network":"mars"})", util::ErrorCode::kInvalidArgument,

@@ -64,42 +64,27 @@ TEST(ReportParity, CliAndServedReportsAgreeBitForBit) {
   ScenarioService service(ServiceContext::from_world(world));
   RequestScratch scratch;
 
-  struct Model {
-    const char* json;
-    std::unique_ptr<gic::RepeaterFailureModel> model;
-  };
-  Model models[] = {{R"("model":"s1")", gic::make_s1()},
-                    {R"("model":"s2")", gic::make_s2()},
-                    {R"("model":"uniform","p":0.3)", gic::make_uniform(0.3)}};
-  struct Traffic {
-    const char* json;
-    bool traffic;
-    std::size_t demand_pairs;
-  };
-  const Traffic traffics[] = {
-      {"", false, 0}, {R"(,"traffic":true)", true, 0},
-      {R"(,"demand_pairs":64)", true, 64}};
+  const char* models[] = {R"("model":"s1")", R"("model":"s2")",
+                          R"("model":"uniform","p":0.3)"};
+  const char* traffics[] = {"", R"(,"traffic":true)", R"(,"demand_pairs":64)"};
 
-  for (const Model& m : models) {
-    for (const Traffic& t : traffics) {
+  for (const char* model : models) {
+    for (const char* traffic : traffics) {
       for (const std::uint64_t seed : {3u, 11u}) {
-        const std::string line = std::string(R"({"cmd":"report",)") +
-                                 m.json + R"(,"trials":40,"seed":)" +
-                                 std::to_string(seed) + t.json + "}";
+        const std::string line = std::string(R"({"cmd":"report",)") + model +
+                                 R"(,"trials":40,"seed":)" +
+                                 std::to_string(seed) + traffic + "}";
         SCOPED_TRACE(line);
         const Body served = service.handle_line(line, scratch);
         ASSERT_NE(served->find("\"ok\":true"), std::string::npos) << *served;
 
-        core::ScenarioOptions opts;
-        opts.trials = 40;
-        opts.seed = seed;
-        opts.traffic = t.traffic;
-        opts.traffic_demand_pairs = t.demand_pairs;
-        const analysis::ResilienceReport cli = runner.run(*m.model, opts);
-        ASSERT_EQ(cli.traffic.size(), t.traffic ? 1u : 0u);
-
+        // What `solarnet report` runs for the same request.
         ScenarioRequest req;
         parse_request(line, req);
+        const analysis::ResilienceReport cli =
+            runner.run(*core::make_model(req), req);
+        ASSERT_EQ(cli.traffic.size(), req.traffic ? 1u : 0u);
+
         const std::string cli_body = serialize_report_body(
             req, {}, cli.service_availability.at(0),
             cli.service_availability.at(1), cli.dns_resolution,

@@ -149,7 +149,7 @@ TEST(ScenarioService, ServedReportMatchesDirectBytes) {
   const Body served = service.handle_line(kReportLine, scratch);
   ASSERT_NE(served, nullptr);
   EXPECT_EQ(*served, direct_report_body(parse(kReportLine),
-                                        service.options().countries));
+                                        core::kReportCountries));
 }
 
 TEST(ScenarioService, ServedSweepMatchesDirectBytes) {
@@ -416,7 +416,7 @@ TEST(ScenarioService, ServedTrafficReportMatchesDirectBytes) {
   ASSERT_NE(gravity, nullptr);
   EXPECT_NE(gravity->find("\"traffic\":{"), std::string::npos) << *gravity;
   EXPECT_EQ(*gravity, direct_report_body(parse(gravity_line),
-                                         service.options().countries));
+                                         core::kReportCountries));
 
   const std::string sampled_line =
       R"({"cmd":"report","model":"uniform","p":0.3,"trials":8,"seed":3,)"
@@ -426,7 +426,7 @@ TEST(ScenarioService, ServedTrafficReportMatchesDirectBytes) {
   EXPECT_NE(sampled->find("\"demand_pairs\":64"), std::string::npos)
       << *sampled;
   EXPECT_EQ(*sampled, direct_report_body(parse(sampled_line),
-                                         service.options().countries));
+                                         core::kReportCountries));
 
   // Three distinct scenarios: plain, gravity-traffic, sampled-traffic.
   const Body plain = service.handle_line(kReportLine, scratch);
@@ -479,7 +479,7 @@ TEST(ScenarioService, ServedTimelineMatchesDirectBytes) {
   EXPECT_NE(served->find("\"partition\":{"), std::string::npos);
   EXPECT_NE(served->find("\"outage\":["), std::string::npos);
   EXPECT_EQ(*served, direct_timeline_body(parse(kTimelineLine),
-                                          service.options().countries));
+                                          core::kReportCountries));
 }
 
 TEST(ScenarioService, RepeatedTimelineRequestHitsCacheWithSharedBody) {
@@ -503,7 +503,7 @@ TEST(ScenarioService, RepeatedTimelineRequestHitsCacheWithSharedBody) {
   EXPECT_EQ(service.stats().computed, after.computed + 1);
   EXPECT_NE(*other, *first);
   EXPECT_EQ(*other, direct_timeline_body(parse(reseeded),
-                                         service.options().countries));
+                                         core::kReportCountries));
 }
 
 TEST(ScenarioService, RejectsNullContext) {

@@ -423,60 +423,6 @@ TEST_F(PipelineTest, ChunkMergeIsWorkerAssignmentIndependent) {
                   avail_ref.write_availability);
 }
 
-TEST_F(PipelineTest, SubstreamsAreObserverIndependent) {
-  // Two observers drawing from different substream keys of the same trial
-  // rng get reproducible, distinct streams regardless of observer order.
-  const gic::UniformFailureModel model(0.2);
-  const FailureSimulator simulator(net_, {});
-
-  class SubstreamRecorder final : public TrialObserver {
-   public:
-    explicit SubstreamRecorder(std::uint64_t key) : key_(key) {}
-    bool needs_components() const override { return false; }
-    void begin_run(const TrialPipeline&, std::size_t,
-                   std::size_t chunks) override {
-      chunks_.assign(chunks, {});
-      values_.clear();
-    }
-    void observe(const TrialView& view, std::size_t, std::size_t chunk) override {
-      util::Rng sub = view.substream(key_);
-      chunks_[chunk].push_back(sub.uniform());
-    }
-    void end_run() override {
-      for (const auto& c : chunks_) {
-        values_.insert(values_.end(), c.begin(), c.end());
-      }
-    }
-    const std::vector<double>& values() const { return values_; }
-
-   private:
-    std::uint64_t key_;
-    std::vector<std::vector<double>> chunks_;
-    std::vector<double> values_;
-  };
-
-  TrialPipeline pipeline(simulator, model);
-  SubstreamRecorder a_first(1);
-  SubstreamRecorder b_first(2);
-  pipeline.add_observer(a_first);
-  pipeline.add_observer(b_first);
-  pipeline.run(40, 3);
-  const std::vector<double> a_vals = a_first.values();
-  const std::vector<double> b_vals = b_first.values();
-  EXPECT_NE(a_vals, b_vals);
-
-  // Same keys, reversed registration order: identical values — observers
-  // cannot perturb each other's randomness.
-  TrialPipeline reversed(simulator, model);
-  SubstreamRecorder b_again(2);
-  SubstreamRecorder a_again(1);
-  reversed.add_observer(b_again);
-  reversed.add_observer(a_again);
-  reversed.run(40, 3);
-  EXPECT_EQ(a_again.values(), a_vals);
-  EXPECT_EQ(b_again.values(), b_vals);
-}
-
 TEST_F(PipelineTest, ChunkCheckpointAfterEndRunThrowsStructuredError) {
   // end_run() releases the per-chunk accumulator slots; a later
   // save_chunk/load_chunk is a lifecycle violation and must surface as a

@@ -5,6 +5,8 @@
 #include <stdexcept>
 #include <string>
 
+#include "util/status.h"
+
 namespace solarnet::cli {
 namespace {
 
@@ -17,7 +19,7 @@ Args parse(std::vector<const char*> argv) {
 TEST(Args, EmptyCommandLine) {
   const Args a = parse({});
   EXPECT_TRUE(a.command().empty());
-  EXPECT_TRUE(a.keys().empty());
+  EXPECT_FALSE(a.has("trials"));
 }
 
 TEST(Args, CommandOnly) {
@@ -30,7 +32,7 @@ TEST(Args, KeyValuePairs) {
   const Args a = parse({"report", "--storm", "1989", "--trials", "5"});
   EXPECT_EQ(a.command(), "report");
   EXPECT_EQ(a.get_or("storm", "x"), "1989");
-  EXPECT_EQ(a.get_int_or("trials", 0), 5);
+  EXPECT_EQ(a.get_count_or("trials", 0), 5u);
 }
 
 TEST(Args, BareSwitches) {
@@ -50,7 +52,7 @@ TEST(Args, DefaultsWhenMissing) {
   const Args a = parse({"risk"});
   EXPECT_EQ(a.get_or("start", "2026"), "2026");
   EXPECT_DOUBLE_EQ(a.get_double_or("years", 10.0), 10.0);
-  EXPECT_EQ(a.get_int_or("trials", 10), 10);
+  EXPECT_EQ(a.get_count_or("trials", 10), 10u);
   EXPECT_FALSE(a.get("missing").has_value());
 }
 
@@ -59,31 +61,32 @@ TEST(Args, MalformedNumberThrows) {
   EXPECT_THROW(a.get_double_or("start", 0.0), std::invalid_argument);
 }
 
-TEST(Args, KeysListsEverything) {
-  const Args a = parse({"plan", "--from", "Miami", "--to", "Dakar"});
-  const auto keys = a.keys();
-  EXPECT_EQ(keys.size(), 2u);
+TEST(Args, GetCountOrReturnsValueOrFallback) {
+  EXPECT_EQ(parse({"repair", "--ships", "5000"}).get_count_or("ships", 60),
+            5000u);
+  EXPECT_EQ(parse({"repair"}).get_count_or("ships", 60), 60u);
+  EXPECT_EQ(parse({"repair", "--ships"}).get_count_or("ships", 60), 60u);
+  EXPECT_EQ(parse({"repair", "--ships", "0"}).get_count_or("ships", 60), 0u);
+  EXPECT_EQ(parse({"serve", "--threads", " 4 "}).get_count_or("threads", 0),
+            4u);
 }
 
-TEST(Args, GetTrialsOrReturnsValueOrFallback) {
-  EXPECT_EQ(parse({"risk", "--trials", "5000"}).get_trials_or(10), 5000u);
-  EXPECT_EQ(parse({"risk"}).get_trials_or(10), 10u);
-  EXPECT_EQ(parse({"risk", "--trials", "1"}).get_trials_or(10), 1u);
-}
-
-TEST(Args, GetTrialsOrRejectsNonPositiveCounts) {
-  // --trials 0 used to be accepted and silently produced a run where every
-  // statistic was an empty accumulator (reported as 0.0). Reject it with a
-  // message that says why.
-  for (const char* bad : {"0", "-3"}) {
-    const Args a = parse({"risk", "--trials", bad});
-    try {
-      a.get_trials_or(10);
-      FAIL() << "--trials " << bad << " was accepted";
-    } catch (const std::invalid_argument& e) {
-      const std::string what = e.what();
-      EXPECT_NE(what.find("--trials must be >= 1"), std::string::npos) << what;
-      EXPECT_NE(what.find(bad), std::string::npos) << what;
+TEST(Args, GetCountOrRejectsNegativeAndNonIntegerValues) {
+  // A negative value must not wrap into a huge count (a std::vector length
+  // error, an unbounded cache, a checkpoint cadence that never fires).
+  for (const char* flag : {"ships", "cables", "cache-mb", "threads",
+                           "checkpoint-every", "seed"}) {
+    for (const char* bad : {"-1", "2.5", "ten", "99999999999999999999999"}) {
+      const Args a = parse({"repair", (std::string("--") + flag).c_str(), bad});
+      try {
+        a.get_count_or(flag, 1);
+        FAIL() << "--" << flag << " " << bad << " was accepted";
+      } catch (const util::Error& e) {
+        EXPECT_EQ(e.code(), util::ErrorCode::kInvalidArgument);
+        EXPECT_EQ(e.context().field, std::string("--") + flag);
+        EXPECT_NE(std::string(e.what()).find(bad), std::string::npos)
+            << e.what();
+      }
     }
   }
 }

@@ -1,10 +1,48 @@
 #include "cli_args.h"
 
-#include <stdexcept>
+#include <charconv>
+#include <string_view>
 
+#include "util/status.h"
 #include "util/strings.h"
 
 namespace solarnet::cli {
+
+namespace {
+
+// A scenario flag (without "--"), the request field it sets and the verbs
+// that read it. The flag sets the preset if there is one, else its own
+// value: text, or numbers (comma-separated for the grid).
+struct FlagField {
+  std::string_view flag, field;
+  bool text;
+  std::string_view verbs, preset = {};
+};
+
+// Rows apply in order, so of --s1, --s2 and --uniform the last row wins.
+constexpr FlagField kFlagFields[] = {
+    {"s1", "model", true, "report timeline", "s1"},
+    {"s2", "model", true, "report timeline", "s2"},
+    {"uniform", "model", true, "report timeline", "uniform"},
+    {"uniform", "p", false, "report timeline"},
+    {"spacing", "spacing", false, "report sweep timeline"},
+    {"trials", "trials", false, "report sweep timeline"},
+    {"seed", "seed", false, "report sweep timeline"},
+    {"quorum", "quorum", false, "report"},
+    {"dns-threshold", "dns_threshold", false, "report"},
+    {"traffic", "traffic", false, "report", "1"},
+    {"demand-pairs", "traffic", false, "report", "1"},
+    {"demand-pairs", "demand_pairs", false, "report"},
+    {"network", "network", true, "sweep"},
+    {"grid", "grid", false, "sweep"},
+    {"step", "step_hours", false, "timeline"},
+    {"repair-steps", "repair_steps", false, "timeline"},
+    {"repair-step-days", "repair_step_days", false, "timeline"},
+    {"ships", "ships", false, "timeline"},
+    {"partition-threshold", "partition_threshold", false, "timeline"},
+};
+
+}  // namespace
 
 Args Args::parse(int argc, char** argv) {
   Args args;
@@ -48,28 +86,48 @@ double Args::get_double_or(const std::string& key, double fallback) const {
   return util::parse_double(*v);
 }
 
-long long Args::get_int_or(const std::string& key, long long fallback) const {
+std::size_t Args::get_count_or(const std::string& key,
+                               std::size_t fallback) const {
   const auto v = get(key);
   if (!v || v->empty()) return fallback;
-  return util::parse_int(*v);
-}
-
-std::size_t Args::get_trials_or(std::size_t fallback) const {
-  const long long trials =
-      get_int_or("trials", static_cast<long long>(fallback));
-  if (trials <= 0) {
-    throw std::invalid_argument(
-        "--trials must be >= 1 (got " + std::to_string(trials) +
-        "): zero trials would leave every statistic empty");
+  const std::string_view text = util::trim(*v);
+  std::size_t value = 0;
+  const auto [ptr, ec] =
+      std::from_chars(text.data(), text.data() + text.size(), value);
+  if (ec != std::errc() || ptr != text.data() + text.size()) {
+    throw util::Error(util::ErrorCode::kInvalidArgument,
+                      "must be an integer >= 0, got '" + *v + "'",
+                      {"command line", 0, "--" + key});
   }
-  return static_cast<std::size_t>(trials);
+  return value;
 }
 
-std::vector<std::string> Args::keys() const {
-  std::vector<std::string> out;
-  out.reserve(values_.size());
-  for (const auto& [k, v] : values_) out.push_back(k);
-  return out;
+server::ScenarioRequest scenario_request(const Args& args,
+                                         server::RequestKind verb) {
+  server::ScenarioRequest req;
+  req.kind = verb;
+  if (verb == server::RequestKind::kSweep) req.seed = 1859;
+  if (verb == server::RequestKind::kTimeline) req.trials = 64;
+  for (const FlagField& row : kFlagFields) {
+    const std::optional<std::string> given = args.get(std::string(row.flag));
+    if (!given || row.verbs.find(to_string(verb)) == std::string_view::npos) {
+      continue;
+    }
+    const std::string value =
+        row.preset.empty() ? *given : std::string(row.preset);
+    if (value.empty()) continue;  // a bare flag keeps the field's default
+    if (row.text) {
+      server::set_field(req, row.field, value);
+    } else if (row.field != "grid") {
+      server::set_field(req, row.field, util::parse_double(value));
+    } else {
+      for (const std::string& point : util::split(value, ',')) {
+        server::set_field(req, row.field, util::parse_double(point));
+      }
+    }
+  }
+  server::finish_request(req);
+  return req;
 }
 
 }  // namespace solarnet::cli

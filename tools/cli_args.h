@@ -1,11 +1,13 @@
 // Minimal flag parser for the solarnet CLI: --key value and --flag
-// switches after a positional subcommand.
+// switches after a positional subcommand, plus the mapping of the
+// scenario flags onto the served request.
 #pragma once
 
 #include <map>
 #include <optional>
 #include <string>
-#include <vector>
+
+#include "server/request.h"
 
 namespace solarnet::cli {
 
@@ -20,21 +22,22 @@ class Args {
   std::optional<std::string> get(const std::string& key) const;
   std::string get_or(const std::string& key, std::string fallback) const;
   double get_double_or(const std::string& key, double fallback) const;
-  long long get_int_or(const std::string& key, long long fallback) const;
 
-  // --trials, validated: every subcommand needs >= 1 trial, because zero
-  // trials leave every RunningStats accumulator empty and the report would
-  // render sentinel zeros as measurements. Throws std::invalid_argument
-  // with a clear message on 0 or negative values.
-  std::size_t get_trials_or(std::size_t fallback) const;
-
-  // Keys consumed by none of the accessors above — for unknown-flag
-  // warnings.
-  std::vector<std::string> keys() const;
+  // A count, size or seed, or `fallback` when the flag is absent or bare.
+  // Throws util::Error naming the flag unless it is an integer >= 0.
+  std::size_t get_count_or(const std::string& key,
+                           std::size_t fallback) const;
 
  private:
   std::string command_;
   std::map<std::string, std::string> values_;  // "" for bare switches
 };
+
+// The request a report, sweep or timeline invocation describes: the verb's
+// CLI defaults (sweep seed 1859, timeline 64 trials), then each of its
+// scenario flags through server::set_field (a bare flag keeps the default),
+// then server::finish_request.
+server::ScenarioRequest scenario_request(const Args& args,
+                                         server::RequestKind verb);
 
 }  // namespace solarnet::cli

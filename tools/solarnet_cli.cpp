@@ -1,19 +1,9 @@
-// The solarnet command-line tool: the library's analyses as subcommands.
-//
-//   solarnet risk      [--start 2026 --years 10]
-//   solarnet report    [--s1 | --s2 | --uniform P | --storm NAME]
-//                      [--trials 10 --seed 7 --threads N]
-//   solarnet countries [--model s1|s2] [--spacing 150]
-//   solarnet plan      [--from NODE --to NODE]
-//   solarnet repair    [--ships 60] [--model s1|s2]
-//   solarnet sweep     [--grid 0.001,0.01,0.1] [--trials 10] [--threads N]
-//   solarnet export    [--dir DIR]
-//   solarnet help
+// The solarnet command-line tool: the library's analyses as subcommands
+// (`solarnet help` lists them and their flags).
 #include <filesystem>
 #include <iostream>
-#include <memory>
+#include <optional>
 
-#include "analysis/connectivity.h"
 #include "analysis/country.h"
 #include "analysis/outage.h"
 #include "cli_args.h"
@@ -108,14 +98,6 @@ gic::StormScenario storm_by_name(const std::string& name) {
                               "' (carrington|1921|1989|moderate)");
 }
 
-std::unique_ptr<gic::RepeaterFailureModel> model_from_args(const Args& args) {
-  if (args.has("uniform")) {
-    return gic::make_uniform(args.get_double_or("uniform", 0.01));
-  }
-  if (args.has("s2")) return gic::make_s2();
-  return gic::make_s1();
-}
-
 int cmd_risk(const Args& args) {
   const double start = args.get_double_or("start", 2026.0);
   const double years = args.get_double_or("years", 10.0);
@@ -137,37 +119,26 @@ int cmd_risk(const Args& args) {
 
 // The full multi-metric report: connectivity, service availability, DNS
 // resolution, country isolation — every metric observed on the same
-// per-trial failure draws via sim::TrialPipeline. --threads controls the
-// pipeline's worker count; the printed aggregates are bit-identical for
-// every value.
+// per-trial failure draws. The printed aggregates are bit-identical for
+// every --threads value.
 int cmd_report(const Args& args) {
+  const server::ScenarioRequest req =
+      scenario_request(args, server::RequestKind::kReport);
+  const std::size_t threads = args.get_count_or("threads", 0);
+  const std::size_t every = args.get_count_or("checkpoint-every", 64);
+  std::optional<core::ReportCheckpoint> checkpoint;
+  if (const std::string path = args.get_or("checkpoint", ""); !path.empty()) {
+    checkpoint = core::ReportCheckpoint{path, every};
+  }
   const core::World world = core::World::generate();
   const core::ScenarioRunner runner(world);
-  core::ScenarioOptions opts;
-  opts.repeater_spacing_km = args.get_double_or("spacing", 150.0);
-  opts.trials = args.get_trials_or(10);
-  // 0 = hardware concurrency; results do not depend on the thread count.
-  opts.threads = static_cast<std::size_t>(args.get_int_or("threads", 0));
-  opts.seed = static_cast<std::uint64_t>(
-      args.get_int_or("seed", static_cast<long long>(opts.seed)));
-  opts.service_write_quorum = static_cast<std::size_t>(args.get_int_or(
-      "quorum", static_cast<long long>(opts.service_write_quorum)));
-  opts.dns_cable_loss_threshold_pct =
-      args.get_double_or("dns-threshold", opts.dns_cable_loss_threshold_pct);
-  opts.traffic = args.has("traffic") || args.has("demand-pairs");
-  opts.traffic_demand_pairs = static_cast<std::size_t>(
-      args.get_int_or("demand-pairs", 0));
-  opts.checkpoint_path = args.get_or("checkpoint", "");
-  opts.checkpoint_every_chunks = static_cast<std::size_t>(args.get_int_or(
-      "checkpoint-every",
-      static_cast<long long>(opts.checkpoint_every_chunks)));
   if (args.has("storm")) {
     const auto storm = storm_by_name(args.get_or("storm", "carrington"));
-    std::cout << runner.run_storm(storm, opts).render();
+    std::cout << runner.run_storm(storm, req, threads, checkpoint).render();
     return 0;
   }
-  const auto model = model_from_args(args);
-  std::cout << runner.run(*model, opts).render();
+  std::cout << runner.run(*core::make_model(req), req, threads, checkpoint)
+                   .render();
   return 0;
 }
 
@@ -175,7 +146,7 @@ int cmd_countries(const Args& args) {
   const auto net = datasets::make_submarine_network({});
   sim::TrialConfig cfg;
   cfg.repeater_spacing_km = args.get_double_or("spacing", 150.0);
-  cfg.threads = static_cast<std::size_t>(args.get_int_or("threads", 0));
+  cfg.threads = args.get_count_or("threads", 0);
   const sim::FailureSimulator simulator(net, cfg);
   const auto s1 = gic::LatitudeBandFailureModel::s1();
   const auto s2 = gic::LatitudeBandFailureModel::s2();
@@ -224,13 +195,12 @@ int cmd_repair(const Args& args) {
   const auto model = args.get_or("model", "s1") == "s2"
                          ? gic::LatitudeBandFailureModel::s2()
                          : gic::LatitudeBandFailureModel::s1();
-  util::Rng rng(static_cast<std::uint64_t>(args.get_int_or("seed", 1859)));
+  util::Rng rng(args.get_count_or("seed", 1859));
   const auto dead = simulator.sample_cable_failures(model, rng);
   const auto faults =
       recovery::sample_fault_counts(simulator, model, dead, rng);
   recovery::RepairFleetParams fleet;
-  fleet.cable_ships =
-      static_cast<std::size_t>(args.get_int_or("ships", 60));
+  fleet.cable_ships = args.get_count_or("ships", 60);
   const auto timeline = recovery::schedule_repairs(net, dead, faults, fleet);
   std::size_t failed = 0;
   for (bool d : dead) failed += d ? 1 : 0;
@@ -247,44 +217,27 @@ int cmd_repair(const Args& args) {
 }
 
 topo::InfrastructureNetwork network_by_name(const std::string& name) {
-  if (name == "submarine") return datasets::make_submarine_network({});
   if (name == "intertubes") return datasets::make_intertubes_network({});
   if (name == "itu") return datasets::make_itu_network({});
-  throw std::invalid_argument("unknown network '" + name +
-                              "' (submarine|intertubes|itu)");
+  return datasets::make_submarine_network({});
 }
 
 int cmd_sweep(const Args& args) {
-  const auto net = network_by_name(args.get_or("network", "submarine"));
-  sim::TrialConfig cfg;
-  cfg.repeater_spacing_km = args.get_double_or("spacing", 150.0);
-  cfg.threads = static_cast<std::size_t>(args.get_int_or("threads", 0));
-  const sim::FailureSimulator simulator(net, cfg);
-  std::vector<double> grid;
-  if (args.has("grid")) {
-    for (const std::string& part :
-         util::split(args.get_or("grid", ""), ',')) {
-      grid.push_back(util::parse_double(part));
-    }
-    if (grid.empty()) throw std::invalid_argument("--grid is empty");
-  } else {
-    grid = analysis::default_probability_grid();
-  }
-  const std::size_t trials = args.get_trials_or(10);
-  const auto seed =
-      static_cast<std::uint64_t>(args.get_int_or("seed", 1859));
-  const auto points =
-      analysis::uniform_failure_sweep(simulator, grid, trials, seed);
+  const server::ScenarioRequest req =
+      scenario_request(args, server::RequestKind::kSweep);
+  const auto net = network_by_name(req.network);
+  const core::SweepBundle bundle(net, req, args.get_count_or("threads", 0));
+  const sim::SweepResult result = bundle.engine.run(req.trials, req.seed);
   std::cout << "batched sweep: " << net.cable_count() << " cables, "
-            << trials << " trials, one CRN draw per cable per trial\n";
+            << req.trials << " trials, one CRN draw per cable per trial\n";
   util::TextTable t({"p(repeater)", "cables failed %", "sd",
                      "nodes unreachable %", "sd"});
-  for (const auto& pt : points) {
-    t.add_row({util::format_fixed(pt.repeater_failure_probability, 3),
-               util::format_fixed(pt.cables_failed_mean_pct, 1),
-               util::format_fixed(pt.cables_failed_sd_pct, 1),
-               util::format_fixed(pt.nodes_unreachable_mean_pct, 1),
-               util::format_fixed(pt.nodes_unreachable_sd_pct, 1)});
+  for (const sim::SweepPointAggregate& p : result.points) {
+    t.add_row({util::format_fixed(p.axis, 3),
+               util::format_fixed(p.cables_failed_pct.mean(), 1),
+               util::format_fixed(p.cables_failed_pct.sample_stddev(), 1),
+               util::format_fixed(p.nodes_unreachable_pct.mean(), 1),
+               util::format_fixed(p.nodes_unreachable_pct.sample_stddev(), 1)});
   }
   t.print(std::cout);
   return 0;
@@ -303,9 +256,8 @@ int cmd_serve(const Args& args) {
   const core::World world = core::World::generate(world_cfg);
 
   server::ServiceOptions opts;
-  opts.cache.byte_budget =
-      static_cast<std::size_t>(args.get_int_or("cache-mb", 64)) << 20;
-  opts.threads = static_cast<std::size_t>(args.get_int_or("threads", 0));
+  opts.cache.byte_budget = args.get_count_or("cache-mb", 64) << 20;
+  opts.threads = args.get_count_or("threads", 0);
   server::ScenarioService service(server::ServiceContext::from_world(world),
                                   opts);
 
@@ -333,8 +285,7 @@ int cmd_mitigate(const Args& args) {
   core::MitigationPlan plan;
   plan.candidate_cables =
       core::TopologyPlanner::default_low_latitude_candidates();
-  plan.cables_to_build =
-      static_cast<std::size_t>(args.get_int_or("cables", 2));
+  plan.cables_to_build = args.get_count_or("cables", 2);
   plan.shutdown.lead_time_hours = args.get_double_or("lead-hours", 13.0);
   const auto r = core::evaluate_mitigation(net, s1, plan);
   std::cout << "cables built:";
@@ -358,14 +309,12 @@ int cmd_mitigate(const Args& args) {
 // DONKI-format JSON file (--donki), whose Kp series becomes the
 // proportional-hazard dose via gic::dose_share_from_kp.
 int cmd_timeline(const Args& args) {
+  const server::ScenarioRequest req =
+      scenario_request(args, server::RequestKind::kTimeline);
+  const std::size_t threads = args.get_count_or("threads", 0);
   const auto net = datasets::make_submarine_network({});
-  sim::TrialConfig cfg;
-  cfg.repeater_spacing_km = args.get_double_or("spacing", 150.0);
-  cfg.threads = static_cast<std::size_t>(args.get_int_or("threads", 0));
-  const sim::FailureSimulator simulator(net, cfg);
-  const auto model = model_from_args(args);
 
-  sim::TimelineConfig config;
+  std::optional<sim::TimelineConfig> storm_axis;
   if (args.has("donki")) {
     const auto storm =
         datasets::load_space_weather_json(args.get_or("donki", ""));
@@ -378,8 +327,8 @@ int cmd_timeline(const Args& args) {
     gic::KpDoseParams dose;
     dose.quiet_kp = args.get_double_or("quiet-kp", 5.0);
     std::vector<double> share = gic::dose_share_from_kp(hours, kp, dose);
-    config = sim::TimelineConfig::from_dose_schedule(std::move(hours),
-                                                     std::move(share));
+    storm_axis = sim::TimelineConfig::from_dose_schedule(std::move(hours),
+                                                         std::move(share));
     std::cout << "storm: " << storm.source << " starting " << storm.start_time
               << ", " << storm.kp.size() << " Kp samples over "
               << util::format_fixed(storm.duration_hours(), 0) << " h\n";
@@ -389,48 +338,26 @@ int cmd_timeline(const Args& args) {
       if (!event.detail.empty()) std::cout << " (" << event.detail << ")";
       std::cout << "\n";
     }
-  } else {
-    config = sim::TimelineConfig::from_profile(
-        gic::StormPhaseProfile{}, args.get_double_or("step", 6.0));
   }
-  config.repair_steps =
-      static_cast<std::size_t>(args.get_int_or("repair-steps", 24));
-  config.repair_step_hours =
-      args.get_double_or("repair-step-days", 15.0) * 24.0;
-  config.fleet.cable_ships =
-      static_cast<std::size_t>(args.get_int_or("ships", 60));
-
-  // Optional lead-time shutdown gating: the spliced table prices shut-down
-  // cables at the powered-off probability for the whole playback.
-  sim::DeathProbabilityTable table =
-      simulator.death_probability_table(*model);
+  std::optional<core::ShutdownPolicy> shutdown;
   if (args.has("lead-hours")) {
-    core::ShutdownPolicy policy;
-    policy.lead_time_hours = args.get_double_or("lead-hours", 13.0);
-    core::ShutdownPlan plan = core::plan_shutdown(simulator, *model, policy);
-    std::cout << "shutdown plan: " << plan.cables.size()
-              << " cables powered off within "
-              << util::format_fixed(policy.lead_time_hours, 0)
-              << " h of warning\n";
-    table = std::move(plan.table);
+    shutdown = {.lead_time_hours = args.get_double_or("lead-hours", 13.0)};
   }
 
-  sim::TimelineEngine engine(simulator, std::move(table), std::move(config));
-  sim::TimelineConnectivityObserver connectivity(
-      args.get_double_or("partition-threshold", 50.0));
-  analysis::CountryOutageObserver outage(
-      net, {"US", "GB", "CN", "IN", "SG", "ZA", "AU", "NZ", "BR"});
-  engine.add_observer(connectivity);
-  engine.add_observer(outage);
-
-  const std::size_t trials = args.get_trials_or(64);
-  const auto seed = static_cast<std::uint64_t>(args.get_int_or("seed", 7));
-  engine.run(trials, seed);
-
-  const sim::TimelineConnectivityResult& conn = connectivity.result();
+  core::TimelineBundle bundle(net, req, threads, std::move(storm_axis),
+                              shutdown);
+  if (shutdown) {
+    std::cout << "shutdown plan: " << bundle.shutdown_cables
+              << " cables powered off within "
+              << util::format_fixed(shutdown->lead_time_hours, 0)
+              << " h of warning\n";
+  }
+  const sim::TimelineEngine& engine = bundle.engine;
+  engine.run(req.trials, req.seed);
+  const sim::TimelineConnectivityResult& conn = bundle.connectivity.result();
   std::cout << "playback: " << engine.storm_step_count() << " storm steps + "
-            << engine.repair_step_count() << " repair steps, " << trials
-            << " trials (model " << model->name() << ")\n";
+            << engine.repair_step_count() << " repair steps, " << req.trials
+            << " trials (model " << bundle.model->name() << ")\n";
   util::TextTable t({"hour", "cables dead %", "nodes unreachable %",
                      "largest component %"});
   for (const sim::TimelineStepStats& step : conn.steps) {
@@ -460,7 +387,7 @@ int cmd_timeline(const Args& args) {
 
   util::TextTable ot({"country", "intl cables", "cutoff trials",
                       "mean outage h", "max outage h"});
-  for (const analysis::CountryOutageResult& r : outage.results()) {
+  for (const analysis::CountryOutageResult& r : bundle.outage.results()) {
     ot.add_row({r.country, util::format_fixed(r.international_cable_count, 0),
                 util::format_fixed(r.cutoff_trials, 0),
                 util::format_fixed(r.outage_hours.mean(), 1),
