@@ -84,21 +84,4 @@ AsImpactSummary classify_as_impact(
   return out;
 }
 
-double direct_impact_fraction_by_spread(
-    const datasets::RouterDataset& routers,
-    const gic::GeoelectricFieldModel& field, double spread_deg,
-    const AsImpactParams& params) {
-  const auto state = classify(routers, field, {}, params);
-  std::size_t eligible = 0;
-  std::size_t hit = 0;
-  for (const auto& [id, s] : state) {
-    if (s.spread < spread_deg) continue;
-    ++eligible;
-    if (s.direct) ++hit;
-  }
-  return eligible > 0 ? static_cast<double>(hit) /
-                            static_cast<double>(eligible)
-                      : 0.0;
-}
-
 }  // namespace solarnet::analysis

@@ -54,12 +54,4 @@ AsImpactSummary classify_as_impact(
     const std::vector<powergrid::GridOutcome>& grid,
     const AsImpactParams& params = {});
 
-// The paper's spread argument, testable: among ASes with latitude spread
-// above `spread_deg`, the fraction directly impacted. Monotone increasing
-// in spread for any latitude-peaked storm.
-double direct_impact_fraction_by_spread(
-    const datasets::RouterDataset& routers,
-    const gic::GeoelectricFieldModel& field, double spread_deg,
-    const AsImpactParams& params = {});
-
 }  // namespace solarnet::analysis

@@ -83,23 +83,6 @@ double expected_survivors(const sim::FailureSimulator& simulator,
   return expected;
 }
 
-std::vector<CableRisk> rank_cable_risk(
-    const sim::FailureSimulator& simulator,
-    const gic::RepeaterFailureModel& model,
-    const std::vector<topo::CableId>& cables) {
-  std::vector<CableRisk> out;
-  out.reserve(cables.size());
-  const topo::InfrastructureNetwork& net = simulator.network();
-  for (topo::CableId c : cables) {
-    out.push_back({c, net.cable(c).name, net.cable(c).total_length_km(),
-                   simulator.cable_death_probability(c, model)});
-  }
-  std::sort(out.begin(), out.end(), [](const CableRisk& a, const CableRisk& b) {
-    return a.death_probability > b.death_probability;
-  });
-  return out;
-}
-
 CountryConnectivity country_connectivity(
     const topo::InfrastructureNetwork& net,
     const sim::FailureSimulator& simulator,

@@ -46,18 +46,6 @@ double expected_survivors(const sim::FailureSimulator& simulator,
                           const gic::RepeaterFailureModel& model,
                           const std::vector<topo::CableId>& cables);
 
-// Per-cable report row used by the country bench.
-struct CableRisk {
-  topo::CableId cable = topo::kInvalidCable;
-  std::string name;
-  double length_km = 0.0;
-  double death_probability = 0.0;
-};
-
-std::vector<CableRisk> rank_cable_risk(const sim::FailureSimulator& simulator,
-                                       const gic::RepeaterFailureModel& model,
-                                       const std::vector<topo::CableId>& cables);
-
 // Full country summary under one model.
 struct CountryConnectivity {
   std::string country;

@@ -59,9 +59,6 @@ class DnsResolutionEvaluator {
   DnsResolutionEvaluator(const topo::InfrastructureNetwork& net,
                          const std::vector<datasets::DnsRootInstance>& roots);
 
-  // Letters with at least one instance (<= 13).
-  std::size_t letter_count() const noexcept { return letters_.size(); }
-
   // Evaluates one draw into `out`, reusing its storage; `components` must
   // be the masked decomposition for the same network and cable_dead (the
   // trial pipeline's per-trial result). Allocation-free once warm.
@@ -94,16 +91,6 @@ struct DnsResolutionSweep {
   std::size_t heavy_loss_trials = 0;  // cables_failed_pct > threshold
   std::size_t joint_trials = 0;       // both, in the same trial
 
-  double degraded_rate() const noexcept {
-    return trials > 0 ? static_cast<double>(degraded_trials) /
-                            static_cast<double>(trials)
-                      : 0.0;
-  }
-  double heavy_loss_rate() const noexcept {
-    return trials > 0 ? static_cast<double>(heavy_loss_trials) /
-                            static_cast<double>(trials)
-                      : 0.0;
-  }
   // P(DNS degraded AND > threshold% cables lost).
   double joint_probability() const noexcept {
     return trials > 0

@@ -1,6 +1,5 @@
 #include "analysis/latency.h"
 
-#include <limits>
 #include <stdexcept>
 
 #include "graph/traversal.h"
@@ -28,22 +27,6 @@ RouteLatency route_latency(const topo::InfrastructureNetwork& net,
   out.path_km = sp.distance[*b];
   out.one_way_ms = out.path_km * kFiberLatencyMsPerKm;
   out.rtt_ms = 2.0 * out.one_way_ms;
-  return out;
-}
-
-double LatencyInflation::inflation_ms() const noexcept {
-  if (!before.reachable) return 0.0;
-  if (!after.reachable) return std::numeric_limits<double>::infinity();
-  return after.rtt_ms - before.rtt_ms;
-}
-
-LatencyInflation latency_inflation(const topo::InfrastructureNetwork& net,
-                                   const std::string& from,
-                                   const std::string& to,
-                                   const std::vector<bool>& cable_dead) {
-  LatencyInflation out;
-  out.before = route_latency(net, from, to);
-  out.after = route_latency(net, from, to, cable_dead);
   return out;
 }
 

@@ -1,8 +1,8 @@
 // Path latency over the cable plant. §5.1 frames the core trade-off:
 // Arctic routes cut latency but sit in the highest-GIC band, while
 // low-latitude detours are safer but slower. This module turns cable
-// kilometres into one-way light latency and measures route latency (and
-// its post-storm inflation) between named landing points.
+// kilometres into one-way light latency and measures route latency between
+// named landing points, before or after a storm.
 #pragma once
 
 #include <optional>
@@ -28,17 +28,5 @@ struct RouteLatency {
 RouteLatency route_latency(const topo::InfrastructureNetwork& net,
                            const std::string& from, const std::string& to,
                            const std::vector<bool>& cable_dead = {});
-
-struct LatencyInflation {
-  RouteLatency before;
-  RouteLatency after;
-  // RTT increase in ms; infinity when the pair is disconnected after.
-  double inflation_ms() const noexcept;
-};
-
-LatencyInflation latency_inflation(const topo::InfrastructureNetwork& net,
-                                   const std::string& from,
-                                   const std::string& to,
-                                   const std::vector<bool>& cable_dead);
 
 }  // namespace solarnet::analysis

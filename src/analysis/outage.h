@@ -30,13 +30,6 @@ struct CountryOutageResult {
   util::RunningStats outage_hours;
   // Hour the cutoff began — over cutoff trials only.
   util::RunningStats cutoff_start_hour;
-
-  double cutoff_rate() const noexcept {
-    return trials > 0
-               ? static_cast<double>(cutoff_trials) /
-                     static_cast<double>(trials)
-               : 0.0;
-  }
 };
 
 // TimelineObserver: per-country outage intervals from the per-trial event

@@ -41,9 +41,6 @@ struct MitigationReport {
   double service_availability_before = 0.0;
   double service_availability_after = 0.0;
 
-  double corridor_risk_reduction() const noexcept {
-    return corridor_cutoff_before - corridor_cutoff_after;
-  }
   double expected_cables_saved() const noexcept {
     return expected_failures_no_action - expected_failures_with_plan;
   }

@@ -1,9 +1,43 @@
 #include "core/shutdown.h"
 
 #include <algorithm>
+#include <cmath>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 namespace solarnet::core {
+
+namespace {
+
+// Throws std::invalid_argument naming the first field outside its range.
+void validate(const ShutdownPolicy& policy) {
+  const auto require = [](bool ok, const char* field, const char* range) {
+    if (!ok) {
+      throw std::invalid_argument(std::string("ShutdownPolicy: ") + field +
+                                  " must be " + range);
+    }
+  };
+  require(std::isfinite(policy.lead_time_hours) &&
+              policy.lead_time_hours >= 0.0,
+          "lead_time_hours", "finite and >= 0");
+  require(std::isfinite(policy.hours_per_cable) &&
+              policy.hours_per_cable >= 0.0,
+          "hours_per_cable", "finite and >= 0");
+  require(policy.powered_off_factor >= 0.0 && policy.powered_off_factor <= 1.0,
+          "powered_off_factor", "in [0, 1]");
+}
+
+// How many cables fit in the lead time: all of them when a shutdown costs
+// no time. Clamped in double, so the conversion is always defined.
+std::size_t cable_budget(const ShutdownPolicy& policy, std::size_t cables) {
+  if (policy.hours_per_cable == 0.0) return cables;
+  return static_cast<std::size_t>(
+      std::min(policy.lead_time_hours / policy.hours_per_cable,
+               static_cast<double>(cables)));
+}
+
+}  // namespace
 
 ShutdownOutcome evaluate_shutdown(const topo::InfrastructureNetwork& net,
                                   const gic::RepeaterFailureModel& model,
@@ -12,51 +46,14 @@ ShutdownOutcome evaluate_shutdown(const topo::InfrastructureNetwork& net,
   sim::TrialConfig config;
   config.repeater_spacing_km = repeater_spacing_km;
   const sim::FailureSimulator simulator(net, config);
-  const ShutdownAdjustedModel off_model(model, policy.powered_off_factor);
+  const ShutdownPlan plan = plan_shutdown(simulator, model, policy);
 
-  // How many cables fit in the lead time?
-  const std::size_t budget =
-      policy.hours_per_cable > 0.0
-          ? static_cast<std::size_t>(policy.lead_time_hours /
-                                     policy.hours_per_cable)
-          : net.cable_count();
-
-  std::vector<std::pair<double, topo::CableId>> risk;
-  risk.reserve(net.cable_count());
   ShutdownOutcome outcome;
+  outcome.cables_shut_down = plan.cables.size();
   for (topo::CableId c = 0; c < net.cable_count(); ++c) {
-    const double p = simulator.cable_death_probability(c, model);
-    outcome.expected_failures_no_action += p;
-    double key = 0.0;
-    switch (policy.priority) {
-      case ShutdownPriority::kByBenefit:
-        key = p - simulator.cable_death_probability(c, off_model);
-        break;
-      case ShutdownPriority::kByRisk:
-        key = p;
-        break;
-      case ShutdownPriority::kNone:
-        key = 0.0;
-        break;
-    }
-    risk.push_back({key, c});
-  }
-  if (policy.priority != ShutdownPriority::kNone) {
-    std::stable_sort(risk.begin(), risk.end(),
-                     [](const auto& a, const auto& b) {
-                       return a.first > b.first;
-                     });
-  }
-
-  std::vector<bool> shut(net.cable_count(), false);
-  for (std::size_t i = 0; i < risk.size() && i < budget; ++i) {
-    shut[risk[i].second] = true;
-    ++outcome.cables_shut_down;
-  }
-  for (topo::CableId c = 0; c < net.cable_count(); ++c) {
-    outcome.expected_failures_with_plan +=
-        shut[c] ? simulator.cable_death_probability(c, off_model)
-                : simulator.cable_death_probability(c, model);
+    outcome.expected_failures_no_action +=
+        simulator.cable_death_probability(c, model);
+    outcome.expected_failures_with_plan += plan.table.probability[c];
   }
   return outcome;
 }
@@ -64,14 +61,10 @@ ShutdownOutcome evaluate_shutdown(const topo::InfrastructureNetwork& net,
 ShutdownPlan plan_shutdown(const sim::FailureSimulator& simulator,
                            const gic::RepeaterFailureModel& model,
                            const ShutdownPolicy& policy) {
+  validate(policy);
   const topo::InfrastructureNetwork& net = simulator.network();
   const ShutdownAdjustedModel off_model(model, policy.powered_off_factor);
-
-  const std::size_t budget =
-      policy.hours_per_cable > 0.0
-          ? static_cast<std::size_t>(policy.lead_time_hours /
-                                     policy.hours_per_cable)
-          : net.cable_count();
+  const std::size_t budget = cable_budget(policy, net.cable_count());
 
   ShutdownPlan plan;
   plan.table = simulator.death_probability_table(model);
@@ -101,7 +94,7 @@ ShutdownPlan plan_shutdown(const sim::FailureSimulator& simulator,
                      });
   }
 
-  for (std::size_t i = 0; i < risk.size() && i < budget; ++i) {
+  for (std::size_t i = 0; i < budget; ++i) {
     const topo::CableId c = risk[i].second;
     plan.cables.push_back(c);
     plan.table.probability[c] = simulator.cable_death_probability(c, off_model);

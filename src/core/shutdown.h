@@ -30,7 +30,7 @@ enum class ShutdownPriority {
 
 struct ShutdownPolicy {
   double lead_time_hours = 13.0;  // minimum CME travel time
-  // Operational cost of a controlled cable shutdown.
+  // Operational cost of a controlled cable shutdown; 0 = no limit.
   double hours_per_cable = 0.5;
   // Multiplier on repeater failure probability for a powered-off cable
   // (< 1; modest, per §5.2's "powering off ... helps only when the threat
@@ -67,7 +67,9 @@ struct ShutdownOutcome {
 };
 
 // Evaluates the expected number of failed cables with and without the
-// shutdown plan (exact expectation over per-cable death probabilities).
+// shutdown plan (exact expectation over per-cable death probabilities): the
+// plan_shutdown of a simulator at `repeater_spacing_km`, summed in cable-id
+// order.
 ShutdownOutcome evaluate_shutdown(const topo::InfrastructureNetwork& net,
                                   const gic::RepeaterFailureModel& model,
                                   const ShutdownPolicy& policy,
@@ -76,9 +78,11 @@ ShutdownOutcome evaluate_shutdown(const topo::InfrastructureNetwork& net,
 // A concrete plan: which cables get powered off, plus the spliced
 // death-probability table (powered-off probability for shut cables, base
 // probability otherwise) that downstream engines — sim::TimelineEngine,
-// sim::TrialPipeline — consume directly. Same ranking and budget logic as
-// evaluate_shutdown, but against the caller's simulator so repeater
-// spacing and trial config match the rest of the run.
+// sim::TrialPipeline — consume directly. Built against the caller's
+// simulator so repeater spacing and trial config match the rest of the
+// run. Throws std::invalid_argument naming the field when lead_time_hours or
+// hours_per_cable is negative or non-finite, or powered_off_factor is
+// outside [0, 1].
 struct ShutdownPlan {
   std::vector<topo::CableId> cables;  // shut down, in priority order
   sim::DeathProbabilityTable table;

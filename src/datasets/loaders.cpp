@@ -1,6 +1,5 @@
 #include "datasets/loaders.h"
 
-#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 #include <unordered_set>
@@ -184,28 +183,6 @@ void write_network_csv(const topo::InfrastructureNetwork& net,
   util::write_csv_file(cables_path, cable_rows);
 }
 
-RouterDataset load_router_csv(const std::string& path) {
-  const util::CsvTable table(util::read_csv_document(path));
-  std::vector<RouterRecord> routers;
-  routers.reserve(table.row_count());
-  AsId max_as = 0;
-  for (std::size_t r = 0; r < table.row_count(); ++r) {
-    RouterRecord rec;
-    rec.location = cell_point(table, r);
-    const long long as_id = table.cell_int(r, "as_id");
-    if (as_id < 0) {
-      throw util::Error(util::ErrorCode::kInvalidData,
-                        "as_id must be non-negative, got " +
-                            std::to_string(as_id),
-                        table.context(r, "as_id"));
-    }
-    rec.as_id = static_cast<AsId>(as_id);
-    max_as = std::max(max_as, rec.as_id);
-    routers.push_back(rec);
-  }
-  return RouterDataset(std::move(routers), max_as + 1);
-}
-
 void write_router_csv(const RouterDataset& ds, const std::string& path) {
   std::vector<util::CsvRow> rows;
   rows.push_back({"lat", "lon", "as_id"});
@@ -215,17 +192,6 @@ void write_router_csv(const RouterDataset& ds, const std::string& path) {
                     std::to_string(r.as_id)});
   }
   util::write_csv_file(path, rows);
-}
-
-std::vector<InfraPoint> load_points_csv(const std::string& path) {
-  const util::CsvTable table(util::read_csv_document(path));
-  std::vector<InfraPoint> out;
-  out.reserve(table.row_count());
-  for (std::size_t r = 0; r < table.row_count(); ++r) {
-    out.push_back({table.cell(r, "name"), cell_point(table, r),
-                   table.cell(r, "country")});
-  }
-  return out;
 }
 
 void write_points_csv(const std::vector<InfraPoint>& points,
@@ -238,27 +204,6 @@ void write_points_csv(const std::vector<InfraPoint>& points,
                     p.country_code});
   }
   util::write_csv_file(path, rows);
-}
-
-std::vector<DnsRootInstance> load_dns_csv(const std::string& path) {
-  const util::CsvTable table(util::read_csv_document(path));
-  std::vector<DnsRootInstance> out;
-  out.reserve(table.row_count());
-  for (std::size_t r = 0; r < table.row_count(); ++r) {
-    const std::string& letter = table.cell(r, "letter");
-    if (letter.size() != 1 || letter[0] < 'a' || letter[0] > 'm') {
-      // std::invalid_argument kept for callers that pattern-match the
-      // exception type; the message carries the file:line context.
-      throw std::invalid_argument("load_dns_csv: bad root letter '" + letter +
-                                  "' (" +
-                                  table.context(r, "letter").to_string() +
-                                  ")");
-    }
-    const geo::GeoPoint loc = cell_point(table, r);
-    out.push_back(
-        {letter[0], loc, table.cell(r, "country"), geo::continent_at(loc)});
-  }
-  return out;
 }
 
 void write_dns_csv(const std::vector<DnsRootInstance>& instances,

@@ -1,6 +1,6 @@
-// CSV import/export for every dataset, so real exports (TeleGeography,
-// Intertubes, CAIDA ITDK, PCH, root-servers.org) can replace the synthetic
-// generators, and so generated worlds can be dumped for external plotting.
+// CSV export for every dataset, so generated worlds can be dumped for
+// external plotting, and CSV import for networks, so real exports
+// (TeleGeography, Intertubes) can replace the synthetic generators.
 //
 // Formats (all with a header row):
 //   nodes.csv   name,lat,lon,country,kind,coords_authoritative
@@ -35,15 +35,11 @@ topo::NodeKind parse_node_kind(const std::string& s);
 topo::CableKind parse_cable_kind(const std::string& s);
 
 // --- routers -----------------------------------------------------------------
-RouterDataset load_router_csv(const std::string& path);
 void write_router_csv(const RouterDataset& ds, const std::string& path);
 
 // --- point infrastructure -----------------------------------------------------
-std::vector<InfraPoint> load_points_csv(const std::string& path);
 void write_points_csv(const std::vector<InfraPoint>& points,
                       const std::string& path);
-
-std::vector<DnsRootInstance> load_dns_csv(const std::string& path);
 void write_dns_csv(const std::vector<DnsRootInstance>& instances,
                    const std::string& path);
 

@@ -1,8 +1,6 @@
 #include "geo/coords.h"
 
 #include <algorithm>
-#include <ostream>
-#include <sstream>
 #include <stdexcept>
 
 namespace solarnet::geo {
@@ -28,16 +26,6 @@ GeoPoint validated(GeoPoint p) {
   }
   p.lon_deg = normalize_longitude(p.lon_deg);
   return p;
-}
-
-std::string to_string(const GeoPoint& p) {
-  std::ostringstream os;
-  os << "(" << p.lat_deg << ", " << p.lon_deg << ")";
-  return os.str();
-}
-
-std::ostream& operator<<(std::ostream& os, const GeoPoint& p) {
-  return os << to_string(p);
 }
 
 Vec3 to_unit_vector(const GeoPoint& p) noexcept {

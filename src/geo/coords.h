@@ -4,9 +4,7 @@
 #pragma once
 
 #include <cmath>
-#include <iosfwd>
 #include <numbers>
-#include <string>
 
 namespace solarnet::geo {
 
@@ -42,9 +40,6 @@ struct GeoPoint {
 GeoPoint validated(GeoPoint p);
 
 bool is_valid(const GeoPoint& p) noexcept;
-
-std::string to_string(const GeoPoint& p);
-std::ostream& operator<<(std::ostream& os, const GeoPoint& p);
 
 // Unit vector on the sphere; used by great-circle interpolation.
 struct Vec3 {

@@ -17,19 +17,6 @@ double haversine_km(const GeoPoint& a, const GeoPoint& b) noexcept {
   return 2.0 * kEarthRadiusKm * std::asin(std::sqrt(std::min(1.0, h)));
 }
 
-double initial_bearing_deg(const GeoPoint& a, const GeoPoint& b) noexcept {
-  const double lat1 = deg_to_rad(a.lat_deg);
-  const double lat2 = deg_to_rad(b.lat_deg);
-  const double dlon = deg_to_rad(b.lon_deg - a.lon_deg);
-  const double y = std::sin(dlon) * std::cos(lat2);
-  const double x = std::cos(lat1) * std::sin(lat2) -
-                   std::sin(lat1) * std::cos(lat2) * std::cos(dlon);
-  if (x == 0.0 && y == 0.0) return 0.0;
-  double bearing = rad_to_deg(std::atan2(y, x));
-  if (bearing < 0.0) bearing += 360.0;
-  return bearing;
-}
-
 GeoPoint destination(const GeoPoint& start, double bearing_deg,
                      double distance_km) noexcept {
   const double delta = distance_km / kEarthRadiusKm;
@@ -88,14 +75,6 @@ std::vector<GeoPoint> sample_path(const GeoPoint& a, const GeoPoint& b,
         interpolate(a, b, static_cast<double>(i) / static_cast<double>(segments)));
   }
   return path;
-}
-
-double path_length_km(const std::vector<GeoPoint>& path) noexcept {
-  double total = 0.0;
-  for (std::size_t i = 1; i < path.size(); ++i) {
-    total += haversine_km(path[i - 1], path[i]);
-  }
-  return total;
 }
 
 double road_distance_km(const GeoPoint& a, const GeoPoint& b,

@@ -1,4 +1,4 @@
-// Great-circle geometry: distances, bearings, interpolation, and path
+// Great-circle geometry: distances, destinations, interpolation, and path
 // sampling. The GIC induction model integrates the geoelectric field along
 // great-circle cable paths, and the repeater layout spaces repeaters by
 // great-circle arc length, so these routines sit under most of the library.
@@ -13,10 +13,6 @@ namespace solarnet::geo {
 // Haversine great-circle distance in kilometres.
 double haversine_km(const GeoPoint& a, const GeoPoint& b) noexcept;
 
-// Initial bearing from `a` towards `b`, degrees clockwise from north in
-// [0, 360). Undefined (returns 0) when the points coincide.
-double initial_bearing_deg(const GeoPoint& a, const GeoPoint& b) noexcept;
-
 // Point reached by travelling `distance_km` from `start` along `bearing_deg`.
 GeoPoint destination(const GeoPoint& start, double bearing_deg,
                      double distance_km) noexcept;
@@ -30,9 +26,6 @@ GeoPoint interpolate(const GeoPoint& a, const GeoPoint& b, double t) noexcept;
 // including both endpoints. step_km <= 0 throws std::invalid_argument.
 std::vector<GeoPoint> sample_path(const GeoPoint& a, const GeoPoint& b,
                                   double step_km);
-
-// Total length of a polyline (sum of segment great-circle lengths).
-double path_length_km(const std::vector<GeoPoint>& path) noexcept;
 
 // Multiplies great-circle distance by an empirical road-circuity factor to
 // approximate driving distance. The paper measures US long-haul fiber link

@@ -1,36 +1,8 @@
 #include "geo/regions.h"
 
-#include <cmath>
 #include <stdexcept>
 
 namespace solarnet::geo {
-
-LatitudeBand latitude_band(double lat_deg) noexcept {
-  const double a = std::abs(lat_deg);
-  if (a > 60.0) return LatitudeBand::kHigh;
-  if (a > 40.0) return LatitudeBand::kMid;
-  return LatitudeBand::kLow;
-}
-
-LatitudeBand latitude_band(const GeoPoint& p) noexcept {
-  return latitude_band(p.lat_deg);
-}
-
-std::string_view to_string(LatitudeBand band) noexcept {
-  switch (band) {
-    case LatitudeBand::kHigh:
-      return "high(|lat|>60)";
-    case LatitudeBand::kMid:
-      return "mid(40<|lat|<=60)";
-    case LatitudeBand::kLow:
-      return "low(|lat|<=40)";
-  }
-  return "unknown";
-}
-
-bool in_high_risk_region(const GeoPoint& p) noexcept {
-  return p.abs_lat() > 40.0;
-}
 
 std::string_view to_string(Continent c) noexcept {
   switch (c) {

@@ -1,7 +1,7 @@
-// Coarse political/continental geography: latitude bands (the paper's
-// vulnerability levels), continents, and a bounding-box country classifier
-// used to tag synthetic infrastructure points whose generator does not
-// already know a country.
+// Coarse political/continental geography: continents and a bounding-box
+// country classifier used to tag synthetic infrastructure points whose
+// generator does not already know a country. The paper's 40°/60° latitude
+// bands live with the failure models that use them (gic/failure_model.h).
 #pragma once
 
 #include <optional>
@@ -12,22 +12,6 @@
 #include "geo/coords.h"
 
 namespace solarnet::geo {
-
-// The paper's three-level latitude classification (§4.3.3): repeaters in a
-// cable take a failure probability from the band of the cable's
-// highest-|latitude| endpoint, demarcated at 40° and 60°.
-enum class LatitudeBand {
-  kHigh,  // |lat| > 60
-  kMid,   // 40 < |lat| <= 60
-  kLow,   // |lat| <= 40
-};
-
-LatitudeBand latitude_band(double lat_deg) noexcept;
-LatitudeBand latitude_band(const GeoPoint& p) noexcept;
-std::string_view to_string(LatitudeBand band) noexcept;
-
-// True when the point lies in the paper's high-risk region (|lat| > 40°).
-bool in_high_risk_region(const GeoPoint& p) noexcept;
 
 enum class Continent {
   kNorthAmerica,

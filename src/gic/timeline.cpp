@@ -19,17 +19,6 @@ void validate(const StormPhaseProfile& p) {
 
 }  // namespace
 
-double storm_intensity_at(const StormPhaseProfile& profile, double hours) {
-  validate(profile);
-  if (hours < 0.0 || hours > profile.total_hours) return 0.0;
-  if (hours < profile.onset_hours) {
-    return profile.onset_hours > 0.0 ? hours / profile.onset_hours : 1.0;
-  }
-  const double main_end = profile.onset_hours + profile.main_phase_hours;
-  if (hours <= main_end) return 1.0;
-  return std::exp(-(hours - main_end) / profile.recovery_tau_hours);
-}
-
 double storm_dose_hours(const StormPhaseProfile& profile, double hours) {
   validate(profile);
   hours = std::clamp(hours, 0.0, profile.total_hours);

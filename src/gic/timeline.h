@@ -25,13 +25,10 @@ struct StormPhaseProfile {
   double total_hours = 72.0;
 };
 
-// Relative intensity (0..1) of the storm at `hours` after impact: linear
-// ramp over the onset, flat main phase, exponential recovery. Zero before
-// impact and after total_hours.
-double storm_intensity_at(const StormPhaseProfile& profile, double hours);
-
-// Integral of intensity over [0, hours] (in "peak-equivalent hours") —
-// the damage dose accumulated so far.
+// Integral over [0, hours] of the storm's relative intensity (0..1: a
+// linear ramp over the onset, a flat main phase, exponential recovery,
+// zero after total_hours), in "peak-equivalent hours" — the damage dose
+// accumulated so far.
 double storm_dose_hours(const StormPhaseProfile& profile, double hours);
 
 struct FailureTimePoint {

@@ -9,10 +9,6 @@ VertexId Graph::add_vertex() {
   return static_cast<VertexId>(adjacency_.size() - 1);
 }
 
-void Graph::add_vertices(std::size_t n) {
-  adjacency_.resize(adjacency_.size() + n);
-}
-
 EdgeId Graph::add_edge(VertexId u, VertexId v, double weight) {
   if (u >= adjacency_.size() || v >= adjacency_.size()) {
     throw std::out_of_range("Graph::add_edge: vertex out of range");
@@ -25,13 +21,6 @@ EdgeId Graph::add_edge(VertexId u, VertexId v, double weight) {
   adjacency_[u].push_back({v, id});
   if (u != v) adjacency_[v].push_back({u, id});
   return id;
-}
-
-VertexId Graph::opposite(EdgeId e, VertexId from) const {
-  const Edge& ed = edge(e);
-  if (ed.u == from) return ed.v;
-  if (ed.v == from) return ed.u;
-  throw std::invalid_argument("Graph::opposite: vertex not on edge");
 }
 
 AliveMask AliveMask::all_alive(const Graph& g) {

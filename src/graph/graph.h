@@ -30,10 +30,9 @@ struct Edge {
 class Graph {
  public:
   Graph() = default;
-  explicit Graph(std::size_t vertex_count) { add_vertices(vertex_count); }
+  explicit Graph(std::size_t vertex_count) : adjacency_(vertex_count) {}
 
   VertexId add_vertex();
-  void add_vertices(std::size_t n);
 
   // Adds an undirected edge. Self-loops and parallel edges are allowed
   // (several cables can join the same pair of landing stations). Throws on
@@ -63,10 +62,6 @@ class Graph {
   }
 
   std::size_t degree(VertexId v) const { return incident(v).size(); }
-
-  // The other endpoint of edge `e` as seen from `from`; throws if `from` is
-  // not an endpoint of `e`.
-  VertexId opposite(EdgeId e, VertexId from) const;
 
  private:
   std::vector<Edge> edges_;

@@ -60,18 +60,6 @@ void bfs_hops(const Csr& csr, const AliveMask& mask, VertexId source,
   }
 }
 
-std::vector<VertexId> ShortestPaths::path_to(VertexId target) const {
-  std::vector<VertexId> path;
-  if (target >= distance.size() || distance[target] == kUnreachable) {
-    return path;
-  }
-  for (VertexId v = target; v != kInvalidVertex; v = parent[v]) {
-    path.push_back(v);
-  }
-  std::reverse(path.begin(), path.end());
-  return path;
-}
-
 ShortestPaths dijkstra(const Graph& g, const AliveMask& mask,
                        VertexId source) {
   std::vector<double> weight(g.edge_count());

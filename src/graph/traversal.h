@@ -44,10 +44,6 @@ struct ShortestPaths {
   std::vector<double> distance;       // kUnreachable when not reachable
   std::vector<EdgeId> parent_edge;    // kInvalidEdge at source/unreachable
   std::vector<VertexId> parent;       // kInvalidVertex at source/unreachable
-
-  // Reconstructs the vertex sequence source..target, or empty when target
-  // is unreachable.
-  std::vector<VertexId> path_to(VertexId target) const;
 };
 
 // Dijkstra using edge weights (lengths): shortest_path_tree over a Csr

@@ -25,29 +25,6 @@ double RecoveryTimeline::days_to_restore_fraction(double fraction) const {
   return completions[idx - 1];
 }
 
-std::vector<std::pair<double, double>> RecoveryTimeline::restoration_curve(
-    double step_days) const {
-  std::vector<std::pair<double, double>> curve;
-  if (step_days <= 0.0) {
-    throw std::invalid_argument("restoration_curve: bad step");
-  }
-  if (jobs.empty()) {
-    curve.push_back({0.0, 1.0});
-    return curve;
-  }
-  const double end = days_to_restore_fraction(1.0);
-  const auto total = static_cast<double>(jobs.size());
-  for (double day = 0.0; day <= end + step_days; day += step_days) {
-    std::size_t done = 0;
-    for (const CableRepairJob& j : jobs) {
-      if (j.completion_day <= day) ++done;
-    }
-    curve.push_back({day, static_cast<double>(done) / total});
-    if (done == jobs.size()) break;
-  }
-  return curve;
-}
-
 FaultSampler::FaultSampler(const sim::FailureSimulator& simulator,
                            const sim::DeathProbabilityTable& table) {
   const topo::InfrastructureNetwork& net = simulator.network();

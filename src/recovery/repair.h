@@ -45,9 +45,6 @@ struct RecoveryTimeline {
   // Day by which `fraction` of failed cables are restored (inf-free: the
   // schedule always completes). Returns 0 when nothing failed.
   double days_to_restore_fraction(double fraction) const;
-  // (day, fraction restored) samples every `step_days` until completion.
-  std::vector<std::pair<double, double>> restoration_curve(
-      double step_days = 10.0) const;
 };
 
 // Per-cable fault counts for a failure draw: a dead cable has

@@ -31,11 +31,6 @@ double Constellation::orbital_period_s() const noexcept {
   return 2.0 * std::numbers::pi * std::sqrt(a * a * a / kMuEarth_km3_s2);
 }
 
-double Constellation::orbital_speed_km_s() const noexcept {
-  const double a = geo::kEarthRadiusKm + config_.altitude_km;
-  return std::sqrt(kMuEarth_km3_s2 / a);
-}
-
 std::vector<SatelliteState> Constellation::states_at(double t_seconds) const {
   std::vector<SatelliteState> out;
   out.reserve(size());

@@ -40,7 +40,6 @@ class Constellation {
 
   // Orbital mechanics for the shell's circular orbit.
   double orbital_period_s() const noexcept;
-  double orbital_speed_km_s() const noexcept;
 
   // Sub-satellite points at time t (seconds since epoch), accounting for
   // earth rotation.

@@ -101,7 +101,6 @@ class CampaignRunner {
   // registered directly on the pipeline would be silently absent from
   // checkpoints.
   void add_observer(CheckpointableObserver& observer);
-  std::size_t observer_count() const noexcept { return observers_.size(); }
 
   // Runs (or resumes) the campaign. Throws std::invalid_argument on bad
   // options, util::Error on strict-resume rejection, and propagates worker

@@ -189,15 +189,9 @@ TrialResult FailureSimulator::run_trial(const gic::RepeaterFailureModel& model,
   result.cables_failed = dead.count();
   result.nodes_unreachable = unreachable.size();
   result.cables_failed_pct =
-      net_.cable_count() > 0
-          ? 100.0 * static_cast<double>(result.cables_failed) /
-                static_cast<double>(net_.cable_count())
-          : 0.0;
+      percent_of(result.cables_failed, net_.cable_count());
   result.nodes_unreachable_pct =
-      connected_nodes_ > 0
-          ? 100.0 * static_cast<double>(result.nodes_unreachable) /
-                static_cast<double>(connected_nodes_)
-          : 0.0;
+      percent_of(result.nodes_unreachable, connected_nodes_);
   return result;
 }
 

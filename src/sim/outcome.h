@@ -17,6 +17,15 @@ struct TrialResult {
   double nodes_unreachable_pct = 0.0; // over nodes with >= 1 cable
 };
 
+// `part` as a percentage of `whole`, 0 when `whole` is 0: the one rule every
+// trial engine reports its cable and node shares with, so the same counts
+// give bit-identical percentages in every engine.
+inline double percent_of(std::size_t part, std::size_t whole) noexcept {
+  return whole > 0
+             ? 100.0 * static_cast<double>(part) / static_cast<double>(whole)
+             : 0.0;
+}
+
 // Mean/stddev over repeated trials — exactly what the paper's error bars
 // report (10 trials per configuration).
 struct AggregateResult {

@@ -55,16 +55,10 @@ void TrialPipeline::run_trial(std::size_t trial, const util::Rng& base,
   view.trial = trial;
   view.cable_dead = &scratch.cable_dead;
   view.cables_failed = failed;
-  view.cables_failed_pct =
-      cables > 0
-          ? 100.0 * static_cast<double>(failed) / static_cast<double>(cables)
-          : 0.0;
+  view.cables_failed_pct = percent_of(failed, cables);
   view.unreachable = &scratch.unreachable;
   view.nodes_unreachable_pct =
-      connected_nodes_ > 0
-          ? 100.0 * static_cast<double>(scratch.unreachable.size()) /
-                static_cast<double>(connected_nodes_)
-          : 0.0;
+      percent_of(scratch.unreachable.size(), connected_nodes_);
   view.components = needs_components_ ? &scratch.components : nullptr;
   view.mask = needs_components_ ? &scratch.mask : nullptr;
   for (TrialObserver* observer : observers_) {
@@ -135,15 +129,8 @@ void TrialPipeline::run_chunks(const ChunkedRun& chunked,
       kernel.largest_components(s.batch, s.components, s.largest);
     }
     for (unsigned lane = 0; lane < lanes; ++lane) {
-      s.cables_pct[lane] =
-          cables > 0 ? 100.0 * static_cast<double>(s.cables[lane]) /
-                           static_cast<double>(cables)
-                     : 0.0;
-      s.nodes_pct[lane] =
-          connected_nodes_ > 0
-              ? 100.0 * static_cast<double>(s.nodes[lane]) /
-                    static_cast<double>(connected_nodes_)
-              : 0.0;
+      s.cables_pct[lane] = percent_of(s.cables[lane], cables);
+      s.nodes_pct[lane] = percent_of(s.nodes[lane], connected_nodes_);
     }
 
     if (!batch_observers_.empty()) {
@@ -205,10 +192,7 @@ void ConnectivityObserver::add(std::size_t chunk, double cables_pct,
   Slot& slot = slots_.at(chunk);
   slot.cables.add(cables_pct);
   slot.nodes.add(nodes_pct);
-  slot.largest.add(connected_nodes_ > 0
-                       ? 100.0 * static_cast<double>(largest) /
-                             static_cast<double>(connected_nodes_)
-                       : 0.0);
+  slot.largest.add(percent_of(largest, connected_nodes_));
 }
 
 void ConnectivityObserver::observe(const TrialView& view, std::size_t /*worker*/,

@@ -168,7 +168,6 @@ class TrialPipeline {
 
   // Registers a metric (non-owning; the observer must outlive run()).
   void add_observer(TrialObserver& observer);
-  std::size_t observer_count() const noexcept { return observers_.size(); }
 
   // Runs `trials` draws (trial t from child stream t of `seed`) and fans
   // each TrialView out to every observer. `threads` follows

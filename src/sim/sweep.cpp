@@ -164,20 +164,9 @@ void SweepEngine::run_trial(util::Rng& rng, SweepScratch& s) const {
   const std::size_t connected = inc_.connected_node_count();
   inc_.walk(grid, s.inc,
             [&](std::size_t g, const IncrementalAggregates& agg) {
-              const std::size_t dead = cables - agg.alive_cables;
-              s.cables_pct[g] = cables > 0
-                                    ? 100.0 * static_cast<double>(dead) /
-                                          static_cast<double>(cables)
-                                    : 0.0;
-              const std::size_t unreachable = connected - agg.lit_nodes;
-              s.nodes_pct[g] =
-                  connected > 0 ? 100.0 * static_cast<double>(unreachable) /
-                                      static_cast<double>(connected)
-                                : 0.0;
-              s.largest_pct[g] =
-                  connected > 0 ? 100.0 * static_cast<double>(agg.largest) /
-                                      static_cast<double>(connected)
-                                : 0.0;
+              s.cables_pct[g] = percent_of(cables - agg.alive_cables, cables);
+              s.nodes_pct[g] = percent_of(connected - agg.lit_nodes, connected);
+              s.largest_pct[g] = percent_of(agg.largest, connected);
             });
 }
 

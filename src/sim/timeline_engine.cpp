@@ -125,10 +125,7 @@ TimelineEngine::TimelineEngine(const FailureSimulator& simulator,
     const std::size_t connected = inc_.connected_node_count();
     inc_.walk(1, scratch,
               [&](std::size_t, const IncrementalAggregates& agg) {
-                baseline_largest_pct_ =
-                    connected > 0 ? 100.0 * static_cast<double>(agg.largest) /
-                                        static_cast<double>(connected)
-                                  : 0.0;
+                baseline_largest_pct_ = percent_of(agg.largest, connected);
               });
   }
 }
@@ -177,19 +174,10 @@ void TimelineEngine::playback(util::Rng& rng, TimelineScratch& s) const {
   s.largest_component_pct.resize(total_steps);
   const std::size_t connected = inc_.connected_node_count();
   const auto record = [&](std::size_t at, const IncrementalAggregates& agg) {
-    const std::size_t dead = cables - agg.alive_cables;
-    s.cables_dead_pct[at] = cables > 0 ? 100.0 * static_cast<double>(dead) /
-                                             static_cast<double>(cables)
-                                       : 0.0;
-    const std::size_t unreachable = connected - agg.lit_nodes;
+    s.cables_dead_pct[at] = percent_of(cables - agg.alive_cables, cables);
     s.nodes_unreachable_pct[at] =
-        connected > 0 ? 100.0 * static_cast<double>(unreachable) /
-                            static_cast<double>(connected)
-                      : 0.0;
-    s.largest_component_pct[at] =
-        connected > 0 ? 100.0 * static_cast<double>(agg.largest) /
-                            static_cast<double>(connected)
-                      : 0.0;
+        percent_of(connected - agg.lit_nodes, connected);
+    s.largest_component_pct[at] = percent_of(agg.largest, connected);
   };
   inc_.bucket_by_first_dead(s.fail_step, storm_steps, s.inc);
   inc_.walk(storm_steps, s.inc,

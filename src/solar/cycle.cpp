@@ -62,6 +62,12 @@ ExtremeEventRisk::ExtremeEventRisk(SolarCycleModel cycle,
 
 double ExtremeEventRisk::probability_of_event(double start_year, double years,
                                               bool modulate) const {
+  if (!std::isfinite(start_year)) {
+    throw std::invalid_argument("ExtremeEventRisk: start_year is not finite");
+  }
+  if (!std::isfinite(years)) {
+    throw std::invalid_argument("ExtremeEventRisk: years is not finite");
+  }
   if (years <= 0.0) return 0.0;
   const double base_rate = params_.events_per_century / 100.0;  // per year
   double integral = 0.0;
@@ -97,26 +103,6 @@ double ExtremeEventRisk::bernoulli_decade_probability(double once_in_years) {
         "bernoulli_decade_probability: non-positive period");
   }
   return 1.0 - std::pow(1.0 - 1.0 / once_in_years, 10.0);
-}
-
-std::vector<double> ExtremeEventRisk::sample_event_years(
-    double start_year, double years, util::Rng& rng) const {
-  std::vector<double> events;
-  if (years <= 0.0) return events;
-  const double base_rate = params_.events_per_century / 100.0;
-  // Thinning: the relative rate is bounded by peak/mean ~ 4x at Gleissberg
-  // maximum; use a safe envelope.
-  const double envelope = 4.5 * base_rate;
-  if (envelope <= 0.0) return events;
-  double t = 0.0;
-  while (true) {
-    t += rng.exponential(envelope);
-    if (t >= years) break;
-    const double accept =
-        base_rate * cycle_.relative_event_rate(start_year + t) / envelope;
-    if (rng.bernoulli(accept)) events.push_back(start_year + t);
-  }
-  return events;
 }
 
 }  // namespace solarnet::solar

@@ -6,11 +6,6 @@
 // Gleissberg cycle.
 #pragma once
 
-#include <cstdint>
-#include <vector>
-
-#include "util/rng.h"
-
 namespace solarnet::solar {
 
 struct CycleModelParams {
@@ -63,7 +58,8 @@ class ExtremeEventRisk {
   ExtremeEventRisk(SolarCycleModel cycle, ExtremeEventRiskParams params = {});
 
   // P(at least one direct-impact event in [start_year, start_year+years)),
-  // integrating the cycle-modulated rate. Homogeneous when modulate=false.
+  // integrating the cycle-modulated rate in monthly steps. Homogeneous when
+  // modulate=false. Throws std::invalid_argument on a non-finite input.
   double probability_of_event(double start_year, double years,
                               bool modulate = true) const;
   // Same for Carrington-scale events only.
@@ -74,11 +70,6 @@ class ExtremeEventRisk {
   // 1 - (1-1/N)^10 per decade under an independent Bernoulli-per-year
   // model (9% for N=100).
   static double bernoulli_decade_probability(double once_in_years);
-
-  // Samples event years in [start_year, start_year+years) from the
-  // modulated Poisson process (thinning).
-  std::vector<double> sample_event_years(double start_year, double years,
-                                         util::Rng& rng) const;
 
  private:
   SolarCycleModel cycle_;

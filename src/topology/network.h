@@ -57,8 +57,6 @@ class InfrastructureNetwork {
 
   // Cables incident to a node.
   const std::vector<CableId>& cables_at(NodeId id) const;
-  // True when the node has at least one cable.
-  bool has_cables(NodeId id) const { return !cables_at(id).empty(); }
 
   // --- graph view ---------------------------------------------------------
   // One graph edge per cable segment, weighted by segment length.

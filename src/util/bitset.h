@@ -1,9 +1,10 @@
 // A 64-bit-word-packed bitset sized at runtime. This is the storage behind
 // graph::AliveMask and the Monte-Carlo cable_dead scratch: unlike
-// std::vector<bool> it exposes word-wide operations (set_all / reset_all /
-// any / count run one instruction per 64 bits) and guarantees that resizing
-// an already-warm bitset never reallocates, which is what makes the
-// per-trial loops in sim/ and services/ allocation-free in steady state.
+// std::vector<bool> it exposes word-wide operations (assign / any / count /
+// set_word run one instruction per 64 bits) and guarantees that
+// re-assigning an already-warm bitset never reallocates, which is what
+// makes the per-trial loops in sim/ and services/ allocation-free in
+// steady state.
 //
 // Invariant: bits at positions >= size() in the last word are always zero,
 // so count()/any()/operator== never need per-bit masking.
@@ -21,7 +22,6 @@ class Bitset {
  public:
   using Word = std::uint64_t;
   static constexpr std::size_t kWordBits = 64;
-  static constexpr std::size_t npos = ~std::size_t{0};
 
   Bitset() = default;
   explicit Bitset(std::size_t n, bool value = false) { assign(n, value); }
@@ -49,21 +49,7 @@ class Bitset {
     if (value) mask_tail();
   }
 
-  // Resizes to n bits; bits below min(old, new) size keep their value, new
-  // bits are `value`.
-  void resize(std::size_t n, bool value = false) {
-    const std::size_t old_size = size_;
-    words_.resize(word_count(n), Word{0});
-    size_ = n;
-    if (value && n > old_size) {
-      for (std::size_t i = old_size; i < n; ++i) set(i);
-    } else if (n < old_size) {
-      mask_tail();
-    }
-  }
-
   std::size_t size() const noexcept { return size_; }
-  bool empty() const noexcept { return size_ == 0; }
 
   bool operator[](std::size_t i) const noexcept {
     return (words_[i / kWordBits] >> (i % kWordBits)) & Word{1};
@@ -80,15 +66,6 @@ class Bitset {
     value ? set(i) : reset(i);
   }
 
-  // Word-wide fills: one store per 64 bits.
-  void set_all() noexcept {
-    for (Word& w : words_) w = ~Word{0};
-    mask_tail();
-  }
-  void reset_all() noexcept {
-    for (Word& w : words_) w = Word{0};
-  }
-
   bool any() const noexcept {
     for (Word w : words_) {
       if (w != 0) return true;
@@ -103,17 +80,6 @@ class Bitset {
     std::size_t total = 0;
     for (Word w : words_) total += static_cast<std::size_t>(std::popcount(w));
     return total;
-  }
-
-  // Index of the lowest set bit, or npos when none is set.
-  std::size_t find_first() const noexcept {
-    for (std::size_t wi = 0; wi < words_.size(); ++wi) {
-      if (words_[wi] != 0) {
-        return wi * kWordBits +
-               static_cast<std::size_t>(std::countr_zero(words_[wi]));
-      }
-    }
-    return npos;
   }
 
   std::span<const Word> words() const noexcept { return words_; }

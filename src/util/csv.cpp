@@ -123,15 +123,6 @@ CsvDocument read_csv_document(const std::string& path, CsvOptions options) {
   return parse_csv_document(read_file(path), options, path);
 }
 
-std::vector<CsvRow> parse_csv(std::string_view text, CsvOptions options) {
-  return parse_csv_document(text, options).rows;
-}
-
-std::vector<CsvRow> read_csv_file(const std::string& path,
-                                  CsvOptions options) {
-  return read_csv_document(path, options).rows;
-}
-
 std::string to_csv(const std::vector<CsvRow>& rows, CsvOptions options) {
   std::string out;
   for (const CsvRow& row : rows) {
@@ -159,9 +150,6 @@ void write_csv_file(const std::string& path, const std::vector<CsvRow>& rows,
     throw Error(ErrorCode::kIoError, "write_csv_file: write failed", {path});
   }
 }
-
-CsvTable::CsvTable(std::vector<CsvRow> rows)
-    : CsvTable(CsvDocument{{}, std::move(rows), {}}) {}
 
 CsvTable::CsvTable(CsvDocument document) : path_(std::move(document.path)) {
   if (document.rows.empty()) {
@@ -191,13 +179,6 @@ std::size_t CsvTable::source_line(std::size_t row) const noexcept {
 
 SourceContext CsvTable::context(std::size_t row, std::string_view column) const {
   return {path_, source_line(row), std::string(column)};
-}
-
-bool CsvTable::has_column(std::string_view name) const {
-  for (const std::string& h : header_) {
-    if (h == name) return true;
-  }
-  return false;
 }
 
 std::size_t CsvTable::column_index(std::string_view name) const {
@@ -231,16 +212,6 @@ double CsvTable::cell_double(std::size_t row, std::string_view column) const {
     return parse_double(text);
   } catch (const std::exception&) {
     throw Error(ErrorCode::kParseError, "'" + text + "' is not a number",
-                context(row, column));
-  }
-}
-
-long long CsvTable::cell_int(std::size_t row, std::string_view column) const {
-  const std::string& text = cell(row, column);
-  try {
-    return parse_int(text);
-  } catch (const std::exception&) {
-    throw Error(ErrorCode::kParseError, "'" + text + "' is not an integer",
                 context(row, column));
   }
 }

@@ -1,6 +1,6 @@
-// Minimal RFC-4180-style CSV reader/writer. Used by the dataset loaders so
-// that real TeleGeography / Intertubes / CAIDA exports can be plugged in
-// place of the synthetic generators, and by benches to dump figure data.
+// Minimal RFC-4180-style CSV reader/writer. Used by the network loader so
+// that real TeleGeography / Intertubes exports can be plugged in place of
+// the synthetic generators, and by the exporters and benches to dump data.
 //
 // Supported: quoted fields, embedded delimiters/newlines inside quotes,
 // doubled-quote escaping, CRLF and LF line endings, trailing blank lines,
@@ -15,7 +15,6 @@
 // the same context.
 #pragma once
 
-#include <initializer_list>
 #include <iosfwd>
 #include <string>
 #include <string_view>
@@ -53,12 +52,6 @@ CsvDocument parse_csv_document(std::string_view text, CsvOptions options = {},
 // util::Error(kParseError) if it is malformed.
 CsvDocument read_csv_document(const std::string& path, CsvOptions options = {});
 
-// Rows-only conveniences (provenance dropped), kept for callers that do
-// their own validation.
-std::vector<CsvRow> parse_csv(std::string_view text, CsvOptions options = {});
-std::vector<CsvRow> read_csv_file(const std::string& path,
-                                  CsvOptions options = {});
-
 // Serializes rows, quoting fields only when needed (delimiter, quote, CR or
 // LF present). Rows are terminated with '\n'.
 std::string to_csv(const std::vector<CsvRow>& rows, CsvOptions options = {});
@@ -67,38 +60,29 @@ void write_csv_file(const std::string& path, const std::vector<CsvRow>& rows,
                     CsvOptions options = {});
 
 // Header-aware view over parsed rows: resolves column names to indices once
-// and provides typed access. The first row is the header. Constructed from
-// a CsvDocument it reports errors with file:line context; the rows-only
-// constructor still works but reports positions as row indices.
+// and provides typed access. The first row is the header. Errors carry the
+// document's file:line context (row indices when it has no line numbers).
 class CsvTable {
  public:
   // Throws util::Error on empty input or duplicate header names.
-  explicit CsvTable(std::vector<CsvRow> rows);
   explicit CsvTable(CsvDocument document);
-  // Disambiguates CsvTable({...}) between the two overloads above.
-  CsvTable(std::initializer_list<CsvRow> rows)
-      : CsvTable(std::vector<CsvRow>(rows)) {}
 
   std::size_t row_count() const noexcept { return rows_.size(); }
-  std::size_t column_count() const noexcept { return header_.size(); }
-  const std::vector<std::string>& header() const noexcept { return header_; }
   const std::string& path() const noexcept { return path_; }
 
   // 1-based source line of data row `row`; 0 when provenance is unknown
-  // (rows-only constructor or out-of-range row).
+  // (a document without line numbers, or an out-of-range row).
   std::size_t source_line(std::size_t row) const noexcept;
   // Context for error reporting on (row, column) — used by the dataset
   // loaders to attach file:line to their semantic validation errors.
   SourceContext context(std::size_t row, std::string_view column = {}) const;
 
-  bool has_column(std::string_view name) const;
   // Throws std::out_of_range for unknown columns or row index.
   std::size_t column_index(std::string_view name) const;
   const std::string& cell(std::size_t row, std::string_view column) const;
-  // Throw util::Error(kParseError) with file/line/field context when the
+  // Throws util::Error(kParseError) with file/line/field context when the
   // cell does not parse as a number.
   double cell_double(std::size_t row, std::string_view column) const;
-  long long cell_int(std::size_t row, std::string_view column) const;
 
  private:
   std::vector<std::string> header_;

@@ -13,7 +13,6 @@
 #include <cstdint>
 #include <span>
 #include <stdexcept>
-#include <vector>
 
 namespace solarnet::util {
 
@@ -99,14 +98,6 @@ class Rng {
     return static_cast<std::uint64_t>(m >> 64);
   }
 
-  // Uniform integer in [lo, hi] inclusive. Requires lo <= hi.
-  std::int64_t uniform_int(std::int64_t lo, std::int64_t hi) {
-    if (lo > hi) throw std::invalid_argument("Rng::uniform_int: lo > hi");
-    const auto span = static_cast<std::uint64_t>(hi - lo);
-    if (span == ~std::uint64_t{0}) return static_cast<std::int64_t>(next_u64());
-    return lo + static_cast<std::int64_t>(uniform_below(span + 1));
-  }
-
   // Bernoulli trial with success probability p (clamped to [0, 1]).
   bool bernoulli(double p) noexcept {
     if (p <= 0.0) return false;
@@ -137,34 +128,10 @@ class Rng {
     return mean + stddev * normal();
   }
 
-  // Exponential with rate lambda > 0.
-  double exponential(double lambda) {
-    if (lambda <= 0.0) throw std::invalid_argument("Rng::exponential: lambda <= 0");
-    // 1 - uniform() is in (0, 1], so the log is finite.
-    return -std::log(1.0 - uniform()) / lambda;
-  }
-
   // Samples an index in [0, weights.size()) proportionally to weights.
   // Requires at least one strictly positive weight; negative weights are
   // invalid.
   std::size_t weighted_index(std::span<const double> weights);
-
-  // Fisher-Yates shuffle.
-  template <typename T>
-  void shuffle(std::vector<T>& v) {
-    for (std::size_t i = v.size(); i > 1; --i) {
-      const std::size_t j = uniform_below(i);
-      using std::swap;
-      swap(v[i - 1], v[j]);
-    }
-  }
-
-  // Picks a uniformly random element. Requires non-empty input.
-  template <typename T>
-  const T& pick(const std::vector<T>& v) {
-    if (v.empty()) throw std::invalid_argument("Rng::pick: empty vector");
-    return v[uniform_below(v.size())];
-  }
 
   // Derives an independent child generator; stream `i` of the same parent is
   // stable across runs. Used to give each Monte-Carlo trial its own stream.

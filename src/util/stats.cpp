@@ -101,10 +101,6 @@ double mean(std::span<const double> values) {
   return sum / static_cast<double>(values.size());
 }
 
-double median(std::span<const double> values) {
-  return quantile_unsorted(values, 0.5);
-}
-
 Histogram::Histogram(double lo, double hi, std::size_t bins)
     : lo_(lo), hi_(hi), width_((hi - lo) / static_cast<double>(bins)) {
   if (!(hi > lo)) throw std::invalid_argument("Histogram: hi <= lo");
@@ -132,15 +128,8 @@ double Histogram::bin_lo(std::size_t i) const {
   return lo_ + width_ * static_cast<double>(i);
 }
 
-double Histogram::bin_hi(std::size_t i) const { return bin_lo(i) + width_; }
-
 double Histogram::bin_center(std::size_t i) const {
   return bin_lo(i) + width_ / 2.0;
-}
-
-double Histogram::count(std::size_t i) const {
-  if (i >= counts_.size()) throw std::out_of_range("Histogram::count");
-  return counts_[i];
 }
 
 std::vector<double> Histogram::density() const {
@@ -148,15 +137,6 @@ std::vector<double> Histogram::density() const {
   if (total_ <= 0.0) return out;
   for (std::size_t i = 0; i < counts_.size(); ++i) {
     out[i] = counts_[i] / total_ / width_;
-  }
-  return out;
-}
-
-std::vector<double> Histogram::normalized() const {
-  std::vector<double> out(counts_.size(), 0.0);
-  if (total_ <= 0.0) return out;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    out[i] = counts_[i] / total_;
   }
   return out;
 }
@@ -186,24 +166,6 @@ double cdf_at(std::span<const CdfPoint> cdf, double x) {
       [](double lhs, const CdfPoint& p) { return lhs < p.value; });
   if (it == cdf.begin()) return 0.0;
   return std::prev(it)->cum_fraction;
-}
-
-double fraction_above(std::span<const double> values, double threshold) {
-  if (values.empty()) return 0.0;
-  std::size_t n = 0;
-  for (double v : values) {
-    if (v > threshold) ++n;
-  }
-  return static_cast<double>(n) / static_cast<double>(values.size());
-}
-
-double fraction_at_least(std::span<const double> values, double threshold) {
-  if (values.empty()) return 0.0;
-  std::size_t n = 0;
-  for (double v : values) {
-    if (v >= threshold) ++n;
-  }
-  return static_cast<double>(n) / static_cast<double>(values.size());
 }
 
 }  // namespace solarnet::util

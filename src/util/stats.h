@@ -32,7 +32,6 @@ class RunningStats {
   // 0.0 when empty — check empty() before treating these as observations.
   double min() const noexcept { return n_ > 0 ? min_ : 0.0; }
   double max() const noexcept { return n_ > 0 ? max_ : 0.0; }
-  double sum() const noexcept { return mean_ * static_cast<double>(n_); }
 
   // Merges another accumulator (parallel Welford/Chan formula).
   void merge(const RunningStats& other) noexcept;
@@ -82,7 +81,6 @@ double quantile_unsorted(std::span<const double> values, double q);
 // the offending index) on non-finite values, which would silently poison
 // the sum.
 double mean(std::span<const double> values);
-double median(std::span<const double> values);
 
 // A fixed-width binned histogram over [lo, hi). Values outside the range are
 // clamped into the first/last bin so mass is never silently dropped.
@@ -95,17 +93,13 @@ class Histogram {
 
   std::size_t bin_count() const noexcept { return counts_.size(); }
   double bin_lo(std::size_t i) const;
-  double bin_hi(std::size_t i) const;
   double bin_center(std::size_t i) const;
-  double count(std::size_t i) const;
   double total() const noexcept { return total_; }
   double bin_width() const noexcept { return width_; }
 
   // Probability density per bin: share of total mass divided by bin width.
   // Zero everywhere when no mass has been added.
   std::vector<double> density() const;
-  // Share of total mass per bin (sums to 1 when total > 0).
-  std::vector<double> normalized() const;
 
  private:
   std::size_t bin_index(double x) const noexcept;
@@ -129,9 +123,5 @@ std::vector<CdfPoint> empirical_cdf(std::span<const double> values);
 
 // Evaluates an empirical CDF (as returned above) at `x`.
 double cdf_at(std::span<const CdfPoint> cdf, double x);
-
-// Fraction of values strictly greater than / at least `threshold`.
-double fraction_above(std::span<const double> values, double threshold);
-double fraction_at_least(std::span<const double> values, double threshold);
 
 }  // namespace solarnet::util

@@ -58,10 +58,6 @@ std::string Status::to_string() const {
   return out;
 }
 
-void Status::throw_if_error() const {
-  if (!is_ok()) throw Error(*this);
-}
-
 Error::Error(ErrorCode code, const std::string& message, SourceContext context)
     : Error(Status(code, message, std::move(context))) {}
 

@@ -79,9 +79,6 @@ class [[nodiscard]] Status {
   // "parse error: malformed number '4x' [at nodes.csv:12, field 'lat']"
   std::string to_string() const;
 
-  // Throws util::Error when not OK; no-op otherwise.
-  void throw_if_error() const;
-
  private:
   ErrorCode code_ = ErrorCode::kOk;
   std::string message_;

@@ -1,6 +1,5 @@
 #include "util/strings.h"
 
-#include <algorithm>
 #include <cctype>
 #include <charconv>
 #include <cstdio>
@@ -40,31 +39,6 @@ std::string_view trim(std::string_view s) {
   return s;
 }
 
-std::string to_lower(std::string_view s) {
-  std::string out(s);
-  std::transform(out.begin(), out.end(), out.begin(), [](unsigned char c) {
-    return static_cast<char>(std::tolower(c));
-  });
-  return out;
-}
-
-std::string to_upper(std::string_view s) {
-  std::string out(s);
-  std::transform(out.begin(), out.end(), out.begin(), [](unsigned char c) {
-    return static_cast<char>(std::toupper(c));
-  });
-  return out;
-}
-
-bool starts_with(std::string_view s, std::string_view prefix) {
-  return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
-}
-
-bool ends_with(std::string_view s, std::string_view suffix) {
-  return s.size() >= suffix.size() &&
-         s.substr(s.size() - suffix.size()) == suffix;
-}
-
 bool iequals(std::string_view a, std::string_view b) {
   if (a.size() != b.size()) return false;
   for (std::size_t i = 0; i < a.size(); ++i) {
@@ -76,15 +50,6 @@ bool iequals(std::string_view a, std::string_view b) {
   return true;
 }
 
-std::string join(const std::vector<std::string>& parts, std::string_view sep) {
-  std::string out;
-  for (std::size_t i = 0; i < parts.size(); ++i) {
-    if (i > 0) out += sep;
-    out += parts[i];
-  }
-  return out;
-}
-
 double parse_double(std::string_view s) {
   const std::string_view t = trim(s);
   if (t.empty()) throw_parse_error("parse_double: empty", s);
@@ -92,17 +57,6 @@ double parse_double(std::string_view s) {
   const auto [ptr, ec] = std::from_chars(t.data(), t.data() + t.size(), value);
   if (ec != std::errc{} || ptr != t.data() + t.size()) {
     throw_parse_error("parse_double: malformed", s);
-  }
-  return value;
-}
-
-long long parse_int(std::string_view s) {
-  const std::string_view t = trim(s);
-  if (t.empty()) throw_parse_error("parse_int: empty", s);
-  long long value = 0;
-  const auto [ptr, ec] = std::from_chars(t.data(), t.data() + t.size(), value);
-  if (ec != std::errc{} || ptr != t.data() + t.size()) {
-    throw_parse_error("parse_int: malformed", s);
   }
   return value;
 }

@@ -16,22 +16,12 @@ std::vector<std::string> split(std::string_view s, char delim);
 // Removes leading/trailing ASCII whitespace.
 std::string_view trim(std::string_view s);
 
-std::string to_lower(std::string_view s);
-std::string to_upper(std::string_view s);
-
-bool starts_with(std::string_view s, std::string_view prefix);
-bool ends_with(std::string_view s, std::string_view suffix);
-
 // Case-insensitive ASCII comparison.
 bool iequals(std::string_view a, std::string_view b);
-
-// Joins with a separator.
-std::string join(const std::vector<std::string>& parts, std::string_view sep);
 
 // Strict numeric parsing: the whole (trimmed) string must be consumed.
 // Throws std::invalid_argument with the offending text on failure.
 double parse_double(std::string_view s);
-long long parse_int(std::string_view s);
 
 // printf-style helper for fixed-decimal formatting (e.g. "12.35").
 std::string format_fixed(double value, int decimals);

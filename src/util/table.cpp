@@ -5,15 +5,11 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "util/strings.h"
-
 namespace solarnet::util {
 
 TextTable::TextTable(std::vector<std::string> header)
     : header_(std::move(header)) {
   if (header_.empty()) throw std::invalid_argument("TextTable: empty header");
-  alignment_.assign(header_.size(), Align::kRight);
-  alignment_[0] = Align::kLeft;
 }
 
 void TextTable::add_row(std::vector<std::string> cells) {
@@ -24,23 +20,6 @@ void TextTable::add_row(std::vector<std::string> cells) {
                                 std::to_string(header_.size()));
   }
   rows_.push_back(std::move(cells));
-}
-
-void TextTable::add_numeric_row(const std::string& label,
-                                const std::vector<double>& values,
-                                int decimals) {
-  std::vector<std::string> cells;
-  cells.reserve(values.size() + 1);
-  cells.push_back(label);
-  for (double v : values) cells.push_back(format_fixed(v, decimals));
-  add_row(std::move(cells));
-}
-
-void TextTable::set_alignment(std::size_t column, Align align) {
-  if (column >= alignment_.size()) {
-    throw std::out_of_range("TextTable::set_alignment");
-  }
-  alignment_[column] = align;
 }
 
 std::string TextTable::render() const {
@@ -54,12 +33,12 @@ std::string TextTable::render() const {
     }
   }
 
-  auto pad = [&](const std::string& s, std::size_t width, Align align) {
+  auto pad = [&](const std::string& s, std::size_t width, bool left) {
     std::string out;
     const std::size_t fill = width > s.size() ? width - s.size() : 0;
-    if (align == Align::kRight) out.append(fill, ' ');
+    if (!left) out.append(fill, ' ');
     out += s;
-    if (align == Align::kLeft) out.append(fill, ' ');
+    if (left) out.append(fill, ' ');
     return out;
   };
 
@@ -67,7 +46,7 @@ std::string TextTable::render() const {
   auto emit_row = [&](const std::vector<std::string>& row) {
     for (std::size_t c = 0; c < row.size(); ++c) {
       if (c > 0) os << "  ";
-      os << pad(row[c], widths[c], alignment_[c]);
+      os << pad(row[c], widths[c], c == 0);
     }
     os << '\n';
   };

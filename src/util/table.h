@@ -9,9 +9,8 @@
 
 namespace solarnet::util {
 
-enum class Align { kLeft, kRight };
-
-// A simple column-aligned text table.
+// A simple column-aligned text table: the first column left-aligned, the
+// others right-aligned.
 //
 //   TextTable t({"network", "p", "cables failed %"});
 //   t.add_row({"submarine", "0.01", "14.9"});
@@ -22,13 +21,6 @@ class TextTable {
 
   // Number of cells must match the header width; throws otherwise.
   void add_row(std::vector<std::string> cells);
-  // Convenience: formats doubles with the given number of decimals.
-  void add_numeric_row(const std::string& label,
-                       const std::vector<double>& values, int decimals);
-
-  void set_alignment(std::size_t column, Align align);
-
-  std::size_t row_count() const noexcept { return rows_.size(); }
 
   std::string render() const;
   void print(std::ostream& os) const;
@@ -36,7 +28,6 @@ class TextTable {
  private:
   std::vector<std::string> header_;
   std::vector<std::vector<std::string>> rows_;
-  std::vector<Align> alignment_;
 };
 
 // Prints a section banner used by the figure harnesses:

@@ -64,18 +64,6 @@ TEST(AsImpact, GridCouplingOnlyAddsImpact) {
   EXPECT_LE(with.clear, without.clear);    // grid moves clear -> impacted
 }
 
-TEST(AsImpact, SpreadIncreasesDirectImpactProbability) {
-  // §4.4.1: "with a large spread, it is likely that an AS will be
-  // directly impacted".
-  const auto ds = datasets::make_router_dataset(
-      {.router_count = 50000, .as_count = 5000, .seed = 4});
-  const gic::GeoelectricFieldModel field(gic::ny_railroad_1921());
-  const double narrow = direct_impact_fraction_by_spread(ds, field, 0.0);
-  const double wide = direct_impact_fraction_by_spread(ds, field, 20.0);
-  EXPECT_GT(wide, narrow);
-  EXPECT_GT(wide, 0.8);  // a 20-deg spread almost guarantees exposure
-}
-
 TEST(AsImpact, Validation) {
   const auto ds = tiny_routers();
   const gic::GeoelectricFieldModel field(gic::quebec_1989());

@@ -86,18 +86,6 @@ TEST_F(CountryTest, ExpectedSurvivors) {
               (1 - p1) + (1 - p2), 1e-12);
 }
 
-TEST_F(CountryTest, RankCableRiskOrdersByDeathProbability) {
-  const sim::FailureSimulator simulator(net_, {});
-  const gic::UniformFailureModel m(0.05);
-  const auto ranked = rank_cable_risk(simulator, m, {eu_, t1_, sa_});
-  ASSERT_EQ(ranked.size(), 3u);
-  EXPECT_GE(ranked[0].death_probability, ranked[1].death_probability);
-  EXPECT_GE(ranked[1].death_probability, ranked[2].death_probability);
-  // The short GB-FR cable (no repeaters needed at 150 over 300 km -> 2
-  // repeaters actually) is the least at risk.
-  EXPECT_EQ(ranked[2].cable, eu_);
-}
-
 TEST_F(CountryTest, CountryConnectivitySummary) {
   const sim::FailureSimulator simulator(net_, {});
   const auto s1 = gic::LatitudeBandFailureModel::s1();

@@ -47,20 +47,19 @@ TEST_F(LatencyTest, ShortestPathLatency) {
 TEST_F(LatencyTest, FailureForcesLongerRoute) {
   std::vector<bool> dead(net_.cable_count(), false);
   dead[ab_] = true;
-  const LatencyInflation inflation = latency_inflation(net_, "A", "C", dead);
-  EXPECT_TRUE(inflation.after.reachable);
-  EXPECT_DOUBLE_EQ(inflation.after.path_km, 4000.0);
-  EXPECT_NEAR(inflation.inflation_ms(),
-              2.0 * 1000.0 * kFiberLatencyMsPerKm, 1e-9);
+  const RouteLatency after = route_latency(net_, "A", "C", dead);
+  EXPECT_TRUE(after.reachable);
+  EXPECT_DOUBLE_EQ(after.path_km, 4000.0);
+  EXPECT_NEAR(after.rtt_ms, 2.0 * 4000.0 * kFiberLatencyMsPerKm, 1e-9);
 }
 
 TEST_F(LatencyTest, DisconnectionIsInfiniteInflation) {
   std::vector<bool> dead(net_.cable_count(), false);
   dead[ab_] = true;
   dead[ac_] = true;
-  const LatencyInflation inflation = latency_inflation(net_, "A", "C", dead);
-  EXPECT_FALSE(inflation.after.reachable);
-  EXPECT_TRUE(std::isinf(inflation.inflation_ms()));
+  const RouteLatency after = route_latency(net_, "A", "C", dead);
+  EXPECT_FALSE(after.reachable);
+  EXPECT_EQ(after.rtt_ms, 0.0);
 }
 
 TEST_F(LatencyTest, UnknownNodesThrow) {

@@ -85,7 +85,6 @@ TEST_F(OutageTest, CertainFailureCutsOffBothEndsOfTheOnlyIntlCable) {
     EXPECT_EQ(r.international_cable_count, 1u);
     EXPECT_EQ(r.trials, trials);
     EXPECT_EQ(r.cutoff_trials, trials);
-    EXPECT_EQ(r.cutoff_rate(), 1.0);
     // Cutoff opens when the cable fails...
     EXPECT_EQ(r.cutoff_start_hour.count(), trials);
     EXPECT_EQ(r.cutoff_start_hour.min(), fail_hour);
@@ -106,7 +105,6 @@ TEST_F(OutageTest, CertainFailureCutsOffBothEndsOfTheOnlyIntlCable) {
   EXPECT_EQ(jp.international_cable_count, 0u);
   EXPECT_EQ(jp.trials, trials);
   EXPECT_EQ(jp.cutoff_trials, 0u);
-  EXPECT_EQ(jp.cutoff_rate(), 0.0);
   EXPECT_EQ(jp.outage_hours.mean(), 0.0);
 }
 

@@ -31,7 +31,6 @@ TEST(Mitigation, PackageReducesCorridorRisk) {
       evaluate_mitigation(small_net(), s1, default_plan());
   EXPECT_EQ(r.cables_built.size(), 2u);
   EXPECT_LE(r.corridor_cutoff_after, r.corridor_cutoff_before + 1e-12);
-  EXPECT_GE(r.corridor_risk_reduction(), 0.0);
   EXPECT_GE(r.expected_cables_saved(), 0.0);
 }
 

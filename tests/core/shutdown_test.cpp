@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
+#include <string>
+
 namespace solarnet::core {
 namespace {
 
@@ -124,6 +128,72 @@ TEST(EvaluateShutdown, ProtectionIsOnlyPartial) {
   const ShutdownOutcome out = evaluate_shutdown(net, m, ShutdownPolicy{});
   EXPECT_GT(out.expected_failures_with_plan, 0.0);
   EXPECT_LT(out.expected_cables_saved(), out.expected_failures_no_action);
+}
+
+TEST(EvaluateShutdown, SumsThePlanTable) {
+  const auto net = risky_net(6);
+  const gic::UniformFailureModel m(0.1);
+  ShutdownPolicy policy;
+  policy.lead_time_hours = 2.0;
+  policy.hours_per_cable = 1.0;
+  const ShutdownOutcome out = evaluate_shutdown(net, m, policy);
+  const sim::FailureSimulator simulator(net, {});
+  const ShutdownPlan plan = plan_shutdown(simulator, m, policy);
+  ASSERT_EQ(plan.cables.size(), 2u);
+  EXPECT_EQ(out.cables_shut_down, plan.cables.size());
+  double with_plan = 0.0;
+  for (double p : plan.table.probability) with_plan += p;
+  EXPECT_EQ(out.expected_failures_with_plan, with_plan);
+}
+
+TEST(PlanShutdown, BudgetIsClampedToTheCableCount) {
+  const auto net = risky_net(5);
+  const sim::FailureSimulator simulator(net, {});
+  const gic::UniformFailureModel m(0.1);
+  ShutdownPolicy policy;
+  policy.hours_per_cable = 0.0;  // no limit
+  EXPECT_EQ(plan_shutdown(simulator, m, policy).cables.size(), 5u);
+  policy.lead_time_hours = 1e300;
+  policy.hours_per_cable = 1e-300;  // the quotient overflows to +inf
+  EXPECT_EQ(plan_shutdown(simulator, m, policy).cables.size(), 5u);
+  policy.lead_time_hours = 0.0;
+  policy.hours_per_cable = 0.5;
+  EXPECT_TRUE(plan_shutdown(simulator, m, policy).cables.empty());
+}
+
+TEST(PlanShutdown, RejectsOutOfRangePolicies) {
+  const auto net = risky_net(3);
+  const sim::FailureSimulator simulator(net, {});
+  const gic::UniformFailureModel m(0.1);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const struct {
+    double lead_time_hours, hours_per_cable, powered_off_factor;
+    const char* field;
+  } rows[] = {
+      {nan, 0.5, 0.65, "lead_time_hours"},
+      {-1.0, 0.5, 0.65, "lead_time_hours"},
+      {inf, 0.5, 0.65, "lead_time_hours"},
+      {13.0, -0.5, 0.65, "hours_per_cable"},
+      {13.0, nan, 0.65, "hours_per_cable"},
+      {13.0, 0.5, 1.5, "powered_off_factor"},
+      {13.0, 0.5, -0.1, "powered_off_factor"},
+      {13.0, 0.5, nan, "powered_off_factor"},
+  };
+  for (const auto& row : rows) {
+    ShutdownPolicy policy;
+    policy.lead_time_hours = row.lead_time_hours;
+    policy.hours_per_cable = row.hours_per_cable;
+    policy.powered_off_factor = row.powered_off_factor;
+    try {
+      plan_shutdown(simulator, m, policy);
+      FAIL() << row.field << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(row.field), std::string::npos)
+          << e.what();
+    }
+    EXPECT_THROW(evaluate_shutdown(net, m, policy), std::invalid_argument);
+  }
 }
 
 }  // namespace

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <sstream>
 
 namespace solarnet::geo {
 namespace {
@@ -53,12 +52,6 @@ TEST(IsValid, MirrorsValidated) {
   EXPECT_TRUE(is_valid({45.0, 90.0}));
   EXPECT_FALSE(is_valid({95.0, 0.0}));
   EXPECT_FALSE(is_valid({std::nan(""), 0.0}));
-}
-
-TEST(ToString, Streams) {
-  std::ostringstream os;
-  os << GeoPoint{1.5, -2.5};
-  EXPECT_EQ(os.str(), "(1.5, -2.5)");
 }
 
 TEST(UnitVector, RoundTripsAtVariousPoints) {

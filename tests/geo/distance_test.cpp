@@ -48,17 +48,6 @@ TEST(Haversine, CrossesAntimeridianCorrectly) {
   EXPECT_LT(haversine_km(a, b), 250.0);
 }
 
-TEST(InitialBearing, CardinalDirections) {
-  EXPECT_NEAR(initial_bearing_deg({0.0, 0.0}, {10.0, 0.0}), 0.0, 1e-9);
-  EXPECT_NEAR(initial_bearing_deg({0.0, 0.0}, {0.0, 10.0}), 90.0, 1e-9);
-  EXPECT_NEAR(initial_bearing_deg({0.0, 0.0}, {-10.0, 0.0}), 180.0, 1e-9);
-  EXPECT_NEAR(initial_bearing_deg({0.0, 0.0}, {0.0, -10.0}), 270.0, 1e-9);
-}
-
-TEST(InitialBearing, CoincidentPointsReturnZero) {
-  EXPECT_DOUBLE_EQ(initial_bearing_deg({5.0, 5.0}, {5.0, 5.0}), 0.0);
-}
-
 TEST(Destination, InvertsHaversine) {
   const GeoPoint start{37.77, -122.42};
   for (double bearing : {0.0, 45.0, 133.0, 270.0}) {
@@ -137,18 +126,15 @@ TEST(SamplePath, RejectsBadStep) {
   EXPECT_THROW(sample_path({0, 0}, {1, 1}, -5.0), std::invalid_argument);
 }
 
-TEST(PathLength, SumsSegments) {
-  const std::vector<GeoPoint> path = {{0, 0}, {0, 1}, {0, 2}};
-  EXPECT_NEAR(path_length_km(path), haversine_km({0, 0}, {0, 2}), 0.01);
-  EXPECT_DOUBLE_EQ(path_length_km({}), 0.0);
-  EXPECT_DOUBLE_EQ(path_length_km({{1, 1}}), 0.0);
-}
-
 TEST(SamplePath, PathLengthMatchesDirectDistance) {
   const GeoPoint a{35.0, 139.0};
   const GeoPoint b{37.0, -122.0};
   const auto path = sample_path(a, b, 50.0);
-  EXPECT_NEAR(path_length_km(path), haversine_km(a, b), 1.0);
+  // Every sample lies on the great circle: the detour through it is free.
+  for (const GeoPoint& p : path) {
+    EXPECT_NEAR(haversine_km(a, p) + haversine_km(p, b), haversine_km(a, b),
+                1.0);
+  }
 }
 
 TEST(RoadDistance, AlwaysAtLeastGreatCircle) {

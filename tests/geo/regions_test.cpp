@@ -5,35 +5,6 @@
 namespace solarnet::geo {
 namespace {
 
-TEST(LatitudeBand, BoundariesMatchPaper) {
-  // The paper splits at 40 and 60 degrees (§4.3.3).
-  EXPECT_EQ(latitude_band(0.0), LatitudeBand::kLow);
-  EXPECT_EQ(latitude_band(39.99), LatitudeBand::kLow);
-  EXPECT_EQ(latitude_band(40.0), LatitudeBand::kLow);   // 40 < L strict
-  EXPECT_EQ(latitude_band(40.01), LatitudeBand::kMid);
-  EXPECT_EQ(latitude_band(60.0), LatitudeBand::kMid);
-  EXPECT_EQ(latitude_band(60.01), LatitudeBand::kHigh);
-  EXPECT_EQ(latitude_band(90.0), LatitudeBand::kHigh);
-}
-
-TEST(LatitudeBand, SymmetricInHemisphere) {
-  EXPECT_EQ(latitude_band(-45.0), LatitudeBand::kMid);
-  EXPECT_EQ(latitude_band(-65.0), LatitudeBand::kHigh);
-  EXPECT_EQ(latitude_band(-10.0), LatitudeBand::kLow);
-  EXPECT_EQ(latitude_band(GeoPoint{-45.0, 10.0}), LatitudeBand::kMid);
-}
-
-TEST(LatitudeBand, ToStringIsDistinct) {
-  EXPECT_NE(to_string(LatitudeBand::kHigh), to_string(LatitudeBand::kLow));
-  EXPECT_NE(to_string(LatitudeBand::kHigh), to_string(LatitudeBand::kMid));
-}
-
-TEST(HighRiskRegion, UsesAbsoluteLatitude) {
-  EXPECT_TRUE(in_high_risk_region({50.0, 0.0}));
-  EXPECT_TRUE(in_high_risk_region({-50.0, 0.0}));
-  EXPECT_FALSE(in_high_risk_region({39.0, 0.0}));
-}
-
 TEST(GeoBox, ContainsBasics) {
   const GeoBox box{10.0, 20.0, -5.0, 5.0};
   EXPECT_TRUE(box.contains({15.0, 0.0}));

@@ -72,6 +72,29 @@ TEST(PerRepeaterModel, UsesRepeaterLatitude) {
   EXPECT_DOUBLE_EQ(m.failure_probability(c), 1.0);
 }
 
+// The paper's 40°/60° band rule (§4.3.3) on a point's own latitude, as
+// PerRepeaterBandModel applies it: one probability per band.
+double band_of(double lat_deg) {
+  const PerRepeaterBandModel m("bands", {1.0, 0.5, 0.0});
+  return m.failure_probability({{lat_deg, 10.0}, 0.0});
+}
+
+TEST(LatitudeBand, BoundariesMatchPaper) {
+  EXPECT_EQ(band_of(0.0), 0.0);
+  EXPECT_EQ(band_of(39.99), 0.0);
+  EXPECT_EQ(band_of(40.0), 0.0);  // 40 < L strict
+  EXPECT_EQ(band_of(40.01), 0.5);
+  EXPECT_EQ(band_of(60.0), 0.5);
+  EXPECT_EQ(band_of(60.01), 1.0);
+  EXPECT_EQ(band_of(90.0), 1.0);
+}
+
+TEST(LatitudeBand, SymmetricInHemisphere) {
+  EXPECT_EQ(band_of(-45.0), 0.5);
+  EXPECT_EQ(band_of(-65.0), 1.0);
+  EXPECT_EQ(band_of(-10.0), 0.0);
+}
+
 TEST(FieldDrivenModel, MonotoneInLatitude) {
   // Disable land/ocean classification so the pure latitude profile shows
   // through (the meridian crosses land and ocean alternately).

@@ -11,22 +11,10 @@
 namespace solarnet::gic {
 namespace {
 
-TEST(StormIntensity, PhaseShape) {
-  const StormPhaseProfile p;  // onset 2h, main 10h, tau 18h, total 72h
-  EXPECT_DOUBLE_EQ(storm_intensity_at(p, -1.0), 0.0);
-  EXPECT_DOUBLE_EQ(storm_intensity_at(p, 0.0), 0.0);
-  EXPECT_DOUBLE_EQ(storm_intensity_at(p, 1.0), 0.5);   // mid-onset
-  EXPECT_DOUBLE_EQ(storm_intensity_at(p, 2.0), 1.0);   // onset done
-  EXPECT_DOUBLE_EQ(storm_intensity_at(p, 7.0), 1.0);   // main phase
-  EXPECT_DOUBLE_EQ(storm_intensity_at(p, 12.0), 1.0);  // main phase end
-  EXPECT_NEAR(storm_intensity_at(p, 12.0 + 18.0), std::exp(-1.0), 1e-12);
-  EXPECT_DOUBLE_EQ(storm_intensity_at(p, 100.0), 0.0);  // past the end
-}
-
 TEST(StormIntensity, RejectsBadProfile) {
   StormPhaseProfile bad;
   bad.recovery_tau_hours = 0.0;
-  EXPECT_THROW(storm_intensity_at(bad, 1.0), std::invalid_argument);
+  EXPECT_THROW(storm_dose_hours(bad, 1.0), std::invalid_argument);
   bad = StormPhaseProfile{};
   bad.total_hours = -1.0;
   EXPECT_THROW(storm_dose_hours(bad, 1.0), std::invalid_argument);

@@ -25,8 +25,7 @@ TEST(Graph, AddVertexReturnsSequentialIds) {
   Graph g;
   EXPECT_EQ(g.add_vertex(), 0u);
   EXPECT_EQ(g.add_vertex(), 1u);
-  g.add_vertices(3);
-  EXPECT_EQ(g.vertex_count(), 5u);
+  EXPECT_EQ(g.vertex_count(), 2u);
 }
 
 TEST(Graph, IncidenceIsSymmetric) {
@@ -53,14 +52,6 @@ TEST(Graph, SelfLoopCountsOnce) {
   Graph g(1);
   g.add_edge(0, 0);
   EXPECT_EQ(g.degree(0), 1u);
-}
-
-TEST(Graph, OppositeEndpoint) {
-  Graph g(3);
-  const EdgeId e = g.add_edge(1, 2);
-  EXPECT_EQ(g.opposite(e, 1), 2u);
-  EXPECT_EQ(g.opposite(e, 2), 1u);
-  EXPECT_THROW(g.opposite(e, 0), std::invalid_argument);
 }
 
 TEST(Graph, RejectsBadInput) {

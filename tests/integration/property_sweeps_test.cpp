@@ -13,7 +13,6 @@
 #include "topology/repeater.h"
 #include "datasets/submarine.h"
 #include "graph/components.h"
-#include "graph/cut.h"
 #include "graph/traversal.h"
 #include "sim/monte_carlo.h"
 #include "util/rng.h"
@@ -220,33 +219,6 @@ TEST_P(RandomGraphTest, DijkstraMatchesBfsOnUnitWeights) {
     } else {
       EXPECT_DOUBLE_EQ(sp.distance[v], static_cast<double>(hops[v]));
     }
-  }
-}
-
-TEST_P(RandomGraphTest, RemovingBridgeSplitsComponent) {
-  util::Rng rng(static_cast<std::uint64_t>(GetParam()) * 104729);
-  const auto g = random_graph(rng, 40, 45);
-  const auto mask = graph::AliveMask::all_alive(g);
-  const auto cuts = graph::find_cuts(g, mask);
-  const auto before = components_of(g, mask);
-  for (graph::EdgeId bridge : cuts.bridges) {
-    auto masked = mask;
-    masked.edge_alive.reset(bridge);
-    const auto after = components_of(g, masked);
-    EXPECT_EQ(after.component_count(), before.component_count() + 1)
-        << "bridge " << bridge;
-  }
-  // And removing a non-bridge must NOT split.
-  for (graph::EdgeId e = 0; e < g.edge_count(); ++e) {
-    if (std::find(cuts.bridges.begin(), cuts.bridges.end(), e) !=
-        cuts.bridges.end()) {
-      continue;
-    }
-    auto masked = mask;
-    masked.edge_alive.reset(e);
-    const auto after = components_of(g, masked);
-    EXPECT_EQ(after.component_count(), before.component_count())
-        << "edge " << e;
   }
 }
 

@@ -108,20 +108,6 @@ TEST_F(RepairTest, MoreFaultsMeansLongerRepair) {
   EXPECT_GT(many.restore_day[sub1_], few.restore_day[sub1_]);
 }
 
-TEST_F(RepairTest, RestorationCurveMonotone) {
-  std::vector<bool> dead = {true, true, true};
-  const RecoveryTimeline timeline =
-      schedule_repairs(net_, dead, {2, 3, 1}, {});
-  const auto curve = timeline.restoration_curve(5.0);
-  ASSERT_FALSE(curve.empty());
-  double prev = -1.0;
-  for (const auto& [day, frac] : curve) {
-    EXPECT_GE(frac, prev);
-    prev = frac;
-  }
-  EXPECT_DOUBLE_EQ(curve.back().second, 1.0);
-}
-
 TEST_F(RepairTest, NodeRestorationReachesFull) {
   std::vector<bool> dead = {true, true, true};
   const RecoveryTimeline timeline =
@@ -147,7 +133,6 @@ TEST_F(RepairTest, Validation) {
   std::vector<bool> dead = {true, false, false};
   const RecoveryTimeline t = schedule_repairs(net_, dead, {1, 0, 0}, {});
   EXPECT_THROW(t.days_to_restore_fraction(1.5), std::invalid_argument);
-  EXPECT_THROW(t.restoration_curve(0.0), std::invalid_argument);
 }
 
 // Same schedule, job for job: completion days, and the job list in

@@ -28,7 +28,6 @@ TEST(Constellation, OrbitalPeriodMatchesKepler) {
   const Constellation c;  // 550 km
   // ISS-like LEO periods are ~90-96 minutes.
   EXPECT_NEAR(c.orbital_period_s(), 5730.0, 60.0);
-  EXPECT_NEAR(c.orbital_speed_km_s(), 7.59, 0.05);
 }
 
 TEST(Constellation, GroundTracksBoundedByInclination) {

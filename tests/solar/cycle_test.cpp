@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <stdexcept>
+#include <utility>
 
 namespace solarnet::solar {
 namespace {
@@ -116,29 +119,20 @@ TEST(ExtremeEventRisk, ProbabilityMonotoneInHorizon) {
   EXPECT_DOUBLE_EQ(risk.probability_of_event(2025.0, 0.0), 0.0);
 }
 
-TEST(ExtremeEventRisk, SampledEventsMatchRate) {
+TEST(ExtremeEventRisk, RejectsNonFiniteInputs) {
+  // An infinite horizon would integrate forever; NaN would print as -nan%.
   const ExtremeEventRisk risk{SolarCycleModel{}};
-  util::Rng rng(99);
-  double total_events = 0.0;
-  constexpr int kRuns = 200;
-  for (int i = 0; i < kRuns; ++i) {
-    total_events +=
-        static_cast<double>(risk.sample_event_years(2020.0, 100.0, rng).size());
-  }
-  // Long-run: ~3.9 events per century.
-  EXPECT_NEAR(total_events / kRuns, 3.9, 0.5);
-}
-
-TEST(ExtremeEventRisk, SampledEventsInWindowAndSorted) {
-  const ExtremeEventRisk risk{SolarCycleModel{}};
-  util::Rng rng(7);
-  const auto events = risk.sample_event_years(2030.0, 50.0, rng);
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    EXPECT_GE(events[i], 2030.0);
-    EXPECT_LT(events[i], 2080.0);
-    if (i > 0) {
-      EXPECT_GE(events[i], events[i - 1]);
-    }
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const auto& [start, years] : {std::pair{nan, 10.0}, {inf, 10.0},
+                                     {2026.0, nan}, {2026.0, inf},
+                                     {2026.0, -inf}}) {
+    EXPECT_THROW(risk.probability_of_event(start, years),
+                 std::invalid_argument)
+        << start << " +" << years;
+    EXPECT_THROW(risk.probability_of_carrington(start, years, false),
+                 std::invalid_argument)
+        << start << " +" << years;
   }
 }
 

@@ -61,6 +61,26 @@ TEST(Args, MalformedNumberThrows) {
   EXPECT_THROW(a.get_double_or("start", 0.0), std::invalid_argument);
 }
 
+TEST(Args, GetDoubleOrRejectsNonFiniteValues) {
+  EXPECT_EQ(parse({"risk", "--years", "1e3"}).get_double_or("years", 10.0),
+            1000.0);
+  EXPECT_EQ(parse({"risk", "--years"}).get_double_or("years", 10.0), 10.0);
+  for (const char* flag : {"start", "years", "lead-hours", "spacing"}) {
+    for (const char* bad : {"nan", "NaN", "inf", "-inf", "infinity"}) {
+      const Args a = parse({"risk", (std::string("--") + flag).c_str(), bad});
+      try {
+        a.get_double_or(flag, 1.0);
+        FAIL() << "--" << flag << " " << bad << " was accepted";
+      } catch (const util::Error& e) {
+        EXPECT_EQ(e.code(), util::ErrorCode::kInvalidArgument);
+        EXPECT_EQ(e.context().field, std::string("--") + flag);
+        EXPECT_NE(std::string(e.what()).find(bad), std::string::npos)
+            << e.what();
+      }
+    }
+  }
+}
+
 TEST(Args, GetCountOrReturnsValueOrFallback) {
   EXPECT_EQ(parse({"repair", "--ships", "5000"}).get_count_or("ships", 60),
             5000u);

@@ -87,8 +87,6 @@ TEST_F(NetworkTest, CablesAtNode) {
   EXPECT_EQ(net_.cables_at(a_).size(), 2u);
   EXPECT_EQ(net_.cables_at(b_).size(), 2u);
   EXPECT_TRUE(net_.cables_at(d_).empty());
-  EXPECT_TRUE(net_.has_cables(a_));
-  EXPECT_FALSE(net_.has_cables(d_));
 }
 
 TEST_F(NetworkTest, GraphViewMatchesTopology) {

@@ -12,11 +12,9 @@ namespace {
 TEST(Bitset, DefaultIsEmpty) {
   Bitset b;
   EXPECT_EQ(b.size(), 0u);
-  EXPECT_TRUE(b.empty());
   EXPECT_TRUE(b.none());
   EXPECT_TRUE(b.all());  // vacuously
   EXPECT_EQ(b.count(), 0u);
-  EXPECT_EQ(b.find_first(), Bitset::npos);
 }
 
 TEST(Bitset, ConstructSized) {
@@ -48,21 +46,10 @@ TEST(Bitset, SetResetTest) {
   EXPECT_FALSE(b[0]);
 }
 
-TEST(Bitset, WordWideFills) {
-  Bitset b(100);
-  b.set_all();
-  EXPECT_EQ(b.count(), 100u);
-  EXPECT_TRUE(b.all());
-  b.reset_all();
-  EXPECT_TRUE(b.none());
-  EXPECT_EQ(b.count(), 0u);
-}
-
 // The tail-bits-zero invariant: whole-word operations must never let bits
 // beyond size() leak into count/any/equality.
 TEST(Bitset, TailBitsStayZeroAfterSetAll) {
-  Bitset b(65);  // one full word + one bit
-  b.set_all();
+  const Bitset b(65, true);  // one full word + one bit, all set
   EXPECT_EQ(b.count(), 65u);
   ASSERT_EQ(b.words().size(), 2u);
   EXPECT_EQ(b.words()[1], std::uint64_t{1});
@@ -70,10 +57,10 @@ TEST(Bitset, TailBitsStayZeroAfterSetAll) {
 
 TEST(Bitset, TailBitsStayZeroAfterShrink) {
   Bitset b(128, true);
-  b.resize(65);
+  b.assign(65, true);  // reuses the warm storage
   EXPECT_EQ(b.size(), 65u);
   EXPECT_EQ(b.count(), 65u);
-  b.resize(3);
+  b.assign(3, true);
   EXPECT_EQ(b.count(), 3u);
   EXPECT_EQ(b.words()[0], std::uint64_t{0b111});
 }
@@ -86,32 +73,6 @@ TEST(Bitset, AssignIsVectorAssignSemantics) {
   b.assign(3, true);
   EXPECT_EQ(b.size(), 3u);
   EXPECT_EQ(b.count(), 3u);
-}
-
-TEST(Bitset, ResizeKeepsPrefixAndFillsNewBits) {
-  Bitset b(4);
-  b.set(1);
-  b.set(3);
-  b.resize(100, true);
-  EXPECT_TRUE(b[1]);
-  EXPECT_TRUE(b[3]);
-  EXPECT_FALSE(b[0]);
-  EXPECT_FALSE(b[2]);
-  for (std::size_t i = 4; i < 100; ++i) {
-    EXPECT_TRUE(b[i]) << i;
-  }
-  EXPECT_EQ(b.count(), 98u);
-}
-
-TEST(Bitset, FindFirst) {
-  Bitset b(200);
-  EXPECT_EQ(b.find_first(), Bitset::npos);
-  b.set(130);
-  EXPECT_EQ(b.find_first(), 130u);
-  b.set(64);
-  EXPECT_EQ(b.find_first(), 64u);
-  b.set(0);
-  EXPECT_EQ(b.find_first(), 0u);
 }
 
 TEST(Bitset, Equality) {
@@ -140,16 +101,11 @@ TEST(Bitset, MatchesVectorBoolReference) {
       ref[i] = value;
     }
     std::size_t ref_count = 0;
-    std::size_t ref_first = Bitset::npos;
     for (std::size_t i = 0; i < n; ++i) {
       EXPECT_EQ(b[i], ref[i]) << "n=" << n << " i=" << i;
-      if (ref[i]) {
-        ++ref_count;
-        if (ref_first == Bitset::npos) ref_first = i;
-      }
+      if (ref[i]) ++ref_count;
     }
     EXPECT_EQ(b.count(), ref_count);
-    EXPECT_EQ(b.find_first(), ref_first);
     EXPECT_EQ(b.any(), ref_count > 0);
     EXPECT_EQ(b.all(), ref_count == n);
     // The std::vector<bool> conversion round-trips both ways.

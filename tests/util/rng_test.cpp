@@ -121,31 +121,6 @@ TEST(Rng, UniformBelowIsApproximatelyUnbiased) {
   }
 }
 
-TEST(Rng, UniformIntInclusiveBounds) {
-  Rng rng(13);
-  bool saw_lo = false;
-  bool saw_hi = false;
-  for (int i = 0; i < 2000; ++i) {
-    const auto v = rng.uniform_int(-2, 2);
-    EXPECT_GE(v, -2);
-    EXPECT_LE(v, 2);
-    saw_lo |= v == -2;
-    saw_hi |= v == 2;
-  }
-  EXPECT_TRUE(saw_lo);
-  EXPECT_TRUE(saw_hi);
-}
-
-TEST(Rng, UniformIntSingleValue) {
-  Rng rng(1);
-  EXPECT_EQ(rng.uniform_int(5, 5), 5);
-}
-
-TEST(Rng, UniformIntThrowsOnInvertedBounds) {
-  Rng rng(1);
-  EXPECT_THROW(rng.uniform_int(2, 1), std::invalid_argument);
-}
-
 TEST(Rng, BernoulliEdgeCases) {
   Rng rng(17);
   for (int i = 0; i < 100; ++i) {
@@ -186,20 +161,6 @@ TEST(Rng, NormalWithParams) {
   EXPECT_NEAR(sum / kN, 10.0, 0.1);
 }
 
-TEST(Rng, ExponentialMeanIsInverseRate) {
-  Rng rng(31);
-  double sum = 0.0;
-  constexpr int kN = 100000;
-  for (int i = 0; i < kN; ++i) sum += rng.exponential(2.0);
-  EXPECT_NEAR(sum / kN, 0.5, 0.02);
-}
-
-TEST(Rng, ExponentialRejectsNonPositiveRate) {
-  Rng rng(1);
-  EXPECT_THROW(rng.exponential(0.0), std::invalid_argument);
-  EXPECT_THROW(rng.exponential(-1.0), std::invalid_argument);
-}
-
 TEST(Rng, WeightedIndexRespectsWeights) {
   Rng rng(37);
   const std::vector<double> w = {1.0, 0.0, 3.0};
@@ -218,39 +179,6 @@ TEST(Rng, WeightedIndexRejectsBadInput) {
   EXPECT_THROW(rng.weighted_index(zeros), std::invalid_argument);
   const std::vector<double> negative = {1.0, -1.0};
   EXPECT_THROW(rng.weighted_index(negative), std::invalid_argument);
-}
-
-TEST(Rng, ShuffleIsPermutation) {
-  Rng rng(41);
-  std::vector<int> v = {1, 2, 3, 4, 5, 6, 7, 8};
-  auto sorted = v;
-  rng.shuffle(v);
-  std::sort(v.begin(), v.end());
-  EXPECT_EQ(v, sorted);
-}
-
-TEST(Rng, ShuffleActuallyMoves) {
-  Rng rng(43);
-  std::vector<int> v(100);
-  for (int i = 0; i < 100; ++i) v[i] = i;
-  const auto original = v;
-  rng.shuffle(v);
-  EXPECT_NE(v, original);  // probability of identity is ~1/100!
-}
-
-TEST(Rng, PickThrowsOnEmpty) {
-  Rng rng(1);
-  const std::vector<int> empty;
-  EXPECT_THROW(rng.pick(empty), std::invalid_argument);
-}
-
-TEST(Rng, PickReturnsElements) {
-  Rng rng(47);
-  const std::vector<int> v = {10, 20, 30};
-  for (int i = 0; i < 100; ++i) {
-    const int x = rng.pick(v);
-    EXPECT_TRUE(x == 10 || x == 20 || x == 30);
-  }
 }
 
 TEST(Rng, SplitStreamsAreIndependentAndStable) {

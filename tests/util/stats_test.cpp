@@ -101,7 +101,6 @@ TEST(RunningStats, KnownMoments) {
   EXPECT_NEAR(s.sample_variance(), 32.0 / 7.0, 1e-12);
   EXPECT_EQ(s.min(), 2.0);
   EXPECT_EQ(s.max(), 9.0);
-  EXPECT_DOUBLE_EQ(s.sum(), 40.0);
 }
 
 TEST(RunningStats, MergeMatchesSequential) {
@@ -250,7 +249,6 @@ TEST(Quantile, UnsortedRejectsNonFiniteWithIndex) {
                std::invalid_argument);
   EXPECT_THROW(quantile_unsorted(std::vector<double>{-inf}, 0.0),
                std::invalid_argument);
-  EXPECT_THROW(median(with_nan), std::invalid_argument);
 }
 
 TEST(MeanMedian, MeanRejectsNonFiniteWithIndex) {
@@ -271,7 +269,6 @@ TEST(MeanMedian, MeanRejectsNonFiniteWithIndex) {
 TEST(MeanMedian, Basics) {
   const std::vector<double> v = {1.0, 2.0, 6.0};
   EXPECT_DOUBLE_EQ(mean(v), 3.0);
-  EXPECT_DOUBLE_EQ(median(v), 2.0);
   EXPECT_THROW(mean({}), std::invalid_argument);
 }
 
@@ -283,10 +280,10 @@ TEST(Histogram, BinsAndDensity) {
   h.add(3.0);
   h.add(3.5);
   h.add(9.9);
-  EXPECT_DOUBLE_EQ(h.count(0), 1.0);
-  EXPECT_DOUBLE_EQ(h.count(1), 2.0);
-  EXPECT_DOUBLE_EQ(h.count(4), 1.0);
-  const auto density = h.density();
+  const auto density = h.density();  // count / total / width
+  EXPECT_DOUBLE_EQ(density[0], 1.0 / 8.0);
+  EXPECT_DOUBLE_EQ(density[1], 2.0 / 8.0);
+  EXPECT_DOUBLE_EQ(density[4], 1.0 / 8.0);
   // Density integrates to 1: sum(density * width) == 1.
   double integral = 0.0;
   for (double d : density) integral += d * h.bin_width();
@@ -297,18 +294,19 @@ TEST(Histogram, ClampsOutOfRange) {
   Histogram h(0.0, 10.0, 5);
   h.add(-100.0);
   h.add(100.0);
-  EXPECT_DOUBLE_EQ(h.count(0), 1.0);
-  EXPECT_DOUBLE_EQ(h.count(4), 1.0);
   EXPECT_DOUBLE_EQ(h.total(), 2.0);
+  const auto density = h.density();
+  EXPECT_DOUBLE_EQ(density[0], 0.25);
+  EXPECT_DOUBLE_EQ(density[4], 0.25);
 }
 
 TEST(Histogram, WeightedMass) {
   Histogram h(0.0, 1.0, 2);
   h.add(0.25, 3.0);
   h.add(0.75, 1.0);
-  const auto norm = h.normalized();
-  EXPECT_DOUBLE_EQ(norm[0], 0.75);
-  EXPECT_DOUBLE_EQ(norm[1], 0.25);
+  const auto density = h.density();  // mass share / width 0.5
+  EXPECT_DOUBLE_EQ(density[0], 1.5);
+  EXPECT_DOUBLE_EQ(density[1], 0.5);
 }
 
 TEST(Histogram, RejectsBadConstruction) {
@@ -327,7 +325,7 @@ TEST(Histogram, RejectsNonFinite) {
 TEST(Histogram, BinEdges) {
   Histogram h(-10.0, 10.0, 4);
   EXPECT_DOUBLE_EQ(h.bin_lo(0), -10.0);
-  EXPECT_DOUBLE_EQ(h.bin_hi(3), 10.0);
+  EXPECT_DOUBLE_EQ(h.bin_lo(3), 5.0);
   EXPECT_DOUBLE_EQ(h.bin_center(1), -2.5);
   EXPECT_THROW(h.bin_lo(4), std::out_of_range);
 }
@@ -355,13 +353,6 @@ TEST(CdfAt, Evaluation) {
   EXPECT_DOUBLE_EQ(cdf_at(cdf, 2.5), 0.5);
   EXPECT_DOUBLE_EQ(cdf_at(cdf, 100.0), 1.0);
   EXPECT_DOUBLE_EQ(cdf_at({}, 1.0), 0.0);
-}
-
-TEST(Fractions, AboveAndAtLeast) {
-  const std::vector<double> v = {1.0, 2.0, 3.0, 4.0};
-  EXPECT_DOUBLE_EQ(fraction_above(v, 2.0), 0.5);
-  EXPECT_DOUBLE_EQ(fraction_at_least(v, 2.0), 0.75);
-  EXPECT_DOUBLE_EQ(fraction_above({}, 0.0), 0.0);
 }
 
 // Property-style sweep: quantile is monotone in q for arbitrary data.

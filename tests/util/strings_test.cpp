@@ -26,31 +26,11 @@ TEST(Trim, StripsWhitespace) {
   EXPECT_EQ(trim("no-trim"), "no-trim");
 }
 
-TEST(Case, LowerUpper) {
-  EXPECT_EQ(to_lower("HeLLo 123"), "hello 123");
-  EXPECT_EQ(to_upper("HeLLo 123"), "HELLO 123");
-}
-
-TEST(StartsEndsWith, Basics) {
-  EXPECT_TRUE(starts_with("submarine", "sub"));
-  EXPECT_FALSE(starts_with("sub", "submarine"));
-  EXPECT_TRUE(ends_with("cable.csv", ".csv"));
-  EXPECT_FALSE(ends_with("csv", "cable.csv"));
-  EXPECT_TRUE(starts_with("x", ""));
-  EXPECT_TRUE(ends_with("x", ""));
-}
-
 TEST(IEquals, CaseInsensitive) {
   EXPECT_TRUE(iequals("TRUE", "true"));
   EXPECT_TRUE(iequals("MiXeD", "mIxEd"));
   EXPECT_FALSE(iequals("abc", "abd"));
   EXPECT_FALSE(iequals("abc", "ab"));
-}
-
-TEST(Join, Basics) {
-  EXPECT_EQ(join({"a", "b", "c"}, ", "), "a, b, c");
-  EXPECT_EQ(join({}, ","), "");
-  EXPECT_EQ(join({"only"}, ","), "only");
 }
 
 TEST(ParseDouble, Valid) {
@@ -64,18 +44,6 @@ TEST(ParseDouble, Invalid) {
   EXPECT_THROW(parse_double("abc"), std::invalid_argument);
   EXPECT_THROW(parse_double("1.5x"), std::invalid_argument);
   EXPECT_THROW(parse_double("1.5 2.5"), std::invalid_argument);
-}
-
-TEST(ParseInt, Valid) {
-  EXPECT_EQ(parse_int("42"), 42);
-  EXPECT_EQ(parse_int(" -7 "), -7);
-  EXPECT_EQ(parse_int("0"), 0);
-}
-
-TEST(ParseInt, Invalid) {
-  EXPECT_THROW(parse_int(""), std::invalid_argument);
-  EXPECT_THROW(parse_int("4.2"), std::invalid_argument);
-  EXPECT_THROW(parse_int("x"), std::invalid_argument);
 }
 
 TEST(FormatFixed, Decimals) {

@@ -29,14 +29,6 @@ TEST(TextTable, RejectsEmptyHeader) {
   EXPECT_THROW(TextTable({}), std::invalid_argument);
 }
 
-TEST(TextTable, NumericRowFormatting) {
-  TextTable t({"label", "x", "y"});
-  t.add_numeric_row("row", {1.2345, 2.0}, 2);
-  const std::string out = t.render();
-  EXPECT_NE(out.find("1.23"), std::string::npos);
-  EXPECT_NE(out.find("2.00"), std::string::npos);
-}
-
 TEST(TextTable, ColumnsAligned) {
   TextTable t({"h", "v"});
   t.add_row({"xxxx", "1"});
@@ -50,14 +42,6 @@ TEST(TextTable, ColumnsAligned) {
     if (len == 0) len = line.size();
     EXPECT_EQ(line.size(), len);
   }
-}
-
-TEST(TextTable, AlignmentSetting) {
-  TextTable t({"a", "b"});
-  t.set_alignment(1, Align::kLeft);
-  t.add_row({"x", "1"});
-  EXPECT_THROW(t.set_alignment(5, Align::kLeft), std::out_of_range);
-  EXPECT_EQ(t.row_count(), 1u);
 }
 
 TEST(PrintBanner, ContainsTitle) {

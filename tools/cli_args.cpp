@@ -1,6 +1,7 @@
 #include "cli_args.h"
 
 #include <charconv>
+#include <cmath>
 #include <string_view>
 
 #include "util/status.h"
@@ -83,7 +84,13 @@ std::string Args::get_or(const std::string& key, std::string fallback) const {
 double Args::get_double_or(const std::string& key, double fallback) const {
   const auto v = get(key);
   if (!v || v->empty()) return fallback;
-  return util::parse_double(*v);
+  const double value = util::parse_double(*v);
+  if (!std::isfinite(value)) {
+    throw util::Error(util::ErrorCode::kInvalidArgument,
+                      "must be a finite number, got '" + *v + "'",
+                      {"command line", 0, "--" + key});
+  }
+  return value;
 }
 
 std::size_t Args::get_count_or(const std::string& key,

@@ -21,6 +21,8 @@ class Args {
   bool has(const std::string& key) const;
   std::optional<std::string> get(const std::string& key) const;
   std::string get_or(const std::string& key, std::string fallback) const;
+  // A number, or `fallback` when the flag is absent or bare. Throws
+  // util::Error naming the flag when it is not finite.
   double get_double_or(const std::string& key, double fallback) const;
 
   // A count, size or seed, or `fallback` when the flag is absent or bare.

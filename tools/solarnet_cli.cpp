@@ -22,6 +22,7 @@
 #include "server/serve_loop.h"
 #include "sim/timeline_engine.h"
 #include "solar/cycle.h"
+#include "util/status.h"
 #include "util/strings.h"
 #include "util/table.h"
 
@@ -101,6 +102,13 @@ gic::StormScenario storm_by_name(const std::string& name) {
 int cmd_risk(const Args& args) {
   const double start = args.get_double_or("start", 2026.0);
   const double years = args.get_double_or("years", 10.0);
+  // The risk integral takes monthly steps: at most 12,000 of them.
+  if (!(years > 0.0 && years <= 1000.0)) {
+    throw util::Error(util::ErrorCode::kInvalidArgument,
+                      "must be in (0, 1000], got '" +
+                          args.get_or("years", "") + "'",
+                      {"command line", 0, "--years"});
+  }
   const solar::SolarCycleModel cycle;
   const solar::ExtremeEventRisk risk{cycle};
   util::TextTable t({"window", "P(direct impact)", "P(Carrington-scale)"});
