@@ -37,35 +37,30 @@ int main(int argc, char** argv) {
     const auto itu_sweep =
         analysis::uniform_failure_sweep(itu_sim, probs, kTrials, 1989);
 
+    // The probability, then the mean and sd of the cable share on each
+    // network.
+    const auto row = [&](std::size_t i, int p_digits, int digits) {
+      util::CsvRow cells = {util::format_fixed(probs[i], p_digits)};
+      for (const auto* sweep : {&sub, &land, &itu_sweep}) {
+        const util::RunningStats& s = (*sweep)[i].cables_failed_pct;
+        cells.push_back(util::format_fixed(s.mean(), digits));
+        cells.push_back(util::format_fixed(s.sample_stddev(), digits));
+      }
+      return cells;
+    };
+
     util::TextTable t({"p(repeater)", "submarine", "sd", "intertubes", "sd",
                        "ITU", "sd"});
+    std::vector<util::CsvRow> rows = {
+        {"probability", "submarine_mean", "submarine_sd", "intertubes_mean",
+         "intertubes_sd", "itu_mean", "itu_sd"}};
     for (std::size_t i = 0; i < probs.size(); ++i) {
-      t.add_row({util::format_fixed(probs[i], 3),
-                 util::format_fixed(sub[i].cables_failed_mean_pct, 1),
-                 util::format_fixed(sub[i].cables_failed_sd_pct, 1),
-                 util::format_fixed(land[i].cables_failed_mean_pct, 1),
-                 util::format_fixed(land[i].cables_failed_sd_pct, 1),
-                 util::format_fixed(itu_sweep[i].cables_failed_mean_pct, 1),
-                 util::format_fixed(itu_sweep[i].cables_failed_sd_pct, 1)});
+      t.add_row(row(i, 3, 1));
+      rows.push_back(row(i, 4, 3));
     }
     t.print(std::cout);
-    {
-      std::vector<util::CsvRow> rows = {
-          {"probability", "submarine_mean", "submarine_sd",
-           "intertubes_mean", "intertubes_sd", "itu_mean", "itu_sd"}};
-      for (std::size_t i = 0; i < probs.size(); ++i) {
-        rows.push_back(
-            {util::format_fixed(probs[i], 4),
-             util::format_fixed(sub[i].cables_failed_mean_pct, 3),
-             util::format_fixed(sub[i].cables_failed_sd_pct, 3),
-             util::format_fixed(land[i].cables_failed_mean_pct, 3),
-             util::format_fixed(land[i].cables_failed_sd_pct, 3),
-             util::format_fixed(itu_sweep[i].cables_failed_mean_pct, 3),
-             util::format_fixed(itu_sweep[i].cables_failed_sd_pct, 3)});
-      }
-      benchutil::write_series(
-          csv, "fig6_spacing_" + util::format_fixed(spacing, 0), rows);
-    }
+    benchutil::write_series(
+        csv, "fig6_spacing_" + util::format_fixed(spacing, 0), rows);
   }
   std::cout << "\npaper checkpoints @150 km: p=0.01 -> 14.9% submarine / "
                "1.7% intertubes / 0.6% ITU; p=1 -> ~80% submarine / 52% "

@@ -46,24 +46,6 @@ void BM_SimulatorConstruction(benchmark::State& state) {
 }
 BENCHMARK(BM_SimulatorConstruction)->Arg(50)->Arg(150);
 
-void BM_MonteCarloTrial(benchmark::State& state) {
-  const gic::UniformFailureModel model(0.01);
-  util::Rng rng(7);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(submarine_sim().run_trial(model, rng));
-  }
-}
-BENCHMARK(BM_MonteCarloTrial);
-
-void BM_MonteCarloTrialBandModel(benchmark::State& state) {
-  const auto model = gic::LatitudeBandFailureModel::s1();
-  util::Rng rng(7);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(submarine_sim().run_trial(model, rng));
-  }
-}
-BENCHMARK(BM_MonteCarloTrialBandModel);
-
 // --- run_trials throughput --------------------------------------------------
 // The acceptance bench for the cached-probability + parallel engine: 1000
 // any-failure trials, swept over thread counts (1 = serial path, 0 = auto /

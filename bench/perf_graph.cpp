@@ -4,15 +4,14 @@
 // The `legacy` namespace below is a faithful reimplementation of the
 // pre-CSR kernels this PR replaced: std::vector<bool> alive masks built
 // fresh per draw, a per-call UnionFind + relabel-table allocation in
-// connected_components, a std::queue BFS frontier, and a service
-// availability evaluation that re-resolves every replica/anchor landing
-// point on every draw. Benchmarks compare those against the current
-// Csr/ComponentScratch/ServiceEvaluator hot path on the paper-scale
-// synthetic submarine network (470 cables).
+// connected_components, and a service availability evaluation that
+// re-resolves every replica/anchor landing point on every draw. Benchmarks
+// compare those against the current Csr/ComponentScratch/ServiceEvaluator
+// hot path on the paper-scale synthetic submarine network (470 cables).
 //
 // main() runs hard equivalence checks before any timing:
-//   1. legacy vs CSR connected_components / is_connected / reachable_from /
-//      bfs_hops are result-identical over S1 failure draws,
+//   1. legacy vs CSR connected_components are result-identical over S1
+//      failure draws,
 //   2. legacy per-draw availability == ServiceEvaluator availability,
 //   3. availability_sweep is bit-identical across thread counts,
 //   4. the steady-state trial loop performs ZERO heap allocations
@@ -25,7 +24,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <new>
-#include <queue>
 #include <vector>
 
 #include "bench_util.h"
@@ -33,7 +31,6 @@
 #include "datasets/submarine.h"
 #include "geo/distance.h"
 #include "graph/components.h"
-#include "graph/traversal.h"
 #include "graph/union_find.h"
 #include "services/availability.h"
 #include "sim/monte_carlo.h"
@@ -130,54 +127,6 @@ graph::ComponentResult connected_components(const graph::Graph& g,
     ++result.component_sizes[root_to_dense[root]];
   }
   return result;
-}
-
-bool is_connected(const graph::Graph& g, const AliveMask& mask) {
-  return connected_components(g, mask).component_count() <= 1;
-}
-
-std::vector<bool> reachable_from(const graph::Graph& g, const AliveMask& mask,
-                                 graph::VertexId source) {
-  std::vector<bool> visited(g.vertex_count(), false);
-  if (source >= g.vertex_count() || !mask.vertex_alive[source]) {
-    return visited;
-  }
-  std::vector<graph::VertexId> stack{source};
-  visited[source] = true;
-  while (!stack.empty()) {
-    const graph::VertexId v = stack.back();
-    stack.pop_back();
-    for (const auto& [neighbor, edge] : g.incident(v)) {
-      if (visited[neighbor] || !traversable(g, mask, edge)) continue;
-      visited[neighbor] = true;
-      stack.push_back(neighbor);
-    }
-  }
-  return visited;
-}
-
-// std::queue frontier, one push/pop pair of deque traffic per vertex.
-std::vector<std::uint32_t> bfs_hops(const graph::Graph& g,
-                                    const AliveMask& mask,
-                                    graph::VertexId source) {
-  std::vector<std::uint32_t> hops(g.vertex_count(), graph::kUnreachableHops);
-  if (source >= g.vertex_count() || !mask.vertex_alive[source]) return hops;
-  std::queue<graph::VertexId> queue;
-  queue.push(source);
-  hops[source] = 0;
-  while (!queue.empty()) {
-    const graph::VertexId v = queue.front();
-    queue.pop();
-    for (const auto& [neighbor, edge] : g.incident(v)) {
-      if (hops[neighbor] != graph::kUnreachableHops ||
-          !traversable(g, mask, edge)) {
-        continue;
-      }
-      hops[neighbor] = hops[v] + 1;
-      queue.push(neighbor);
-    }
-  }
-  return hops;
 }
 
 // The old evaluate_service: nearest-landing-point scans re-run per draw,
@@ -347,10 +296,7 @@ void check_kernel_equivalence() {
 
   graph::ComponentScratch comp_scratch;
   graph::ComponentResult cc;
-  graph::TraversalScratch trav_scratch;
   graph::AliveMask mask;
-  util::Bitset reach;
-  std::vector<std::uint32_t> hops;
 
   for (std::size_t d = 0; d < kEquivalenceDraws; ++d) {
     const DrawPair& draw = bench_draws()[d];
@@ -374,26 +320,6 @@ void check_kernel_equivalence() {
     if (cc.component != ref.component ||
         cc.component_sizes != ref.component_sizes) {
       fail("connected_components(Csr) != legacy connected_components");
-    }
-    if (graph::is_connected(csr, mask, comp_scratch) !=
-        legacy::is_connected(g, old_mask)) {
-      fail("is_connected(Csr) != legacy is_connected");
-    }
-
-    // Traversals from a few spread-out sources.
-    for (const graph::VertexId source :
-         {graph::VertexId{0}, static_cast<graph::VertexId>(g.vertex_count() / 2),
-          static_cast<graph::VertexId>(g.vertex_count() - 1)}) {
-      const auto ref_reach = legacy::reachable_from(g, old_mask, source);
-      graph::reachable_from(csr, mask, source, trav_scratch, reach);
-      for (std::size_t v = 0; v < ref_reach.size(); ++v) {
-        if (ref_reach[v] != reach[v]) {
-          fail("reachable_from(Csr) != legacy reachable_from");
-        }
-      }
-      const auto ref_hops = legacy::bfs_hops(g, old_mask, source);
-      graph::bfs_hops(csr, mask, source, trav_scratch, hops);
-      if (hops != ref_hops) fail("bfs_hops(Csr) != legacy bfs_hops");
     }
   }
 }
@@ -519,31 +445,6 @@ void BM_CsrMaskedComponents(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_CsrMaskedComponents);
-
-void BM_LegacyBfsHops(benchmark::State& state) {
-  const auto& net = submarine();
-  const legacy::AliveMask mask = legacy::all_alive(net.graph());
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(legacy::bfs_hops(net.graph(), mask, 0));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_LegacyBfsHops);
-
-void BM_CsrBfsHops(benchmark::State& state) {
-  const auto& net = submarine();
-  const graph::Csr& csr = net.csr();
-  graph::AliveMask mask;
-  mask.reset_to_all_alive(net.graph());
-  graph::TraversalScratch scratch;
-  std::vector<std::uint32_t> hops;
-  for (auto _ : state) {
-    graph::bfs_hops(csr, mask, 0, scratch, hops);
-    benchmark::DoNotOptimize(hops.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_CsrBfsHops);
 
 // Availability per trial: draw + evaluate, old shape (allocating sample,
 // per-call landing-point resolution) vs new (table draw into warm Bitset,

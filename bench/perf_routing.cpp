@@ -36,7 +36,7 @@
 #include "datasets/submarine.h"
 #include "gic/failure_model.h"
 #include "graph/components.h"
-#include "graph/traversal.h"
+#include "graph/shortest_paths.h"
 #include "reference/graph_kernels.h"
 #include "routing/assignment.h"
 #include "routing/demand.h"

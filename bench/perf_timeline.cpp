@@ -107,7 +107,7 @@ sim::TimelineEngine& default_engine() {
 struct NaiveTrial {
   std::vector<std::uint32_t> fail_step;
   std::vector<double> restore_hour;
-  std::vector<double> cables_dead_pct;
+  std::vector<double> cables_failed_pct;
   std::vector<double> nodes_unreachable_pct;
   std::vector<double> largest_component_pct;
 };
@@ -158,7 +158,7 @@ void naive_playback(const sim::TimelineEngine& engine, util::Rng& rng,
 
   // One full connectivity build per unified step, identical percentage
   // arithmetic to TimelineEngine::playback's record lambda.
-  out.cables_dead_pct.resize(total_steps);
+  out.cables_failed_pct.resize(total_steps);
   out.nodes_unreachable_pct.resize(total_steps);
   out.largest_component_pct.resize(total_steps);
   std::vector<bool> dead(cables);
@@ -172,7 +172,7 @@ void naive_playback(const sim::TimelineEngine& engine, util::Rng& rng,
       dead[c] = d;
       dead_count += d ? 1 : 0;
     }
-    out.cables_dead_pct[i] =
+    out.cables_failed_pct[i] =
         cables > 0 ? 100.0 * static_cast<double>(dead_count) /
                          static_cast<double>(cables)
                    : 0.0;
@@ -255,7 +255,7 @@ void check_playback_against_naive() {
       }
     }
     for (std::size_t i = 0; i < engine.step_count(); ++i) {
-      if (scratch.cables_dead_pct[i] != naive.cables_dead_pct[i] ||
+      if (scratch.cables_failed_pct[i] != naive.cables_failed_pct[i] ||
           scratch.nodes_unreachable_pct[i] !=
               naive.nodes_unreachable_pct[i] ||
           scratch.largest_component_pct[i] !=
@@ -303,8 +303,8 @@ void check_thread_bit_identity() {
                      p.peak_nodes_unreachable_pct.sample_stddev();
     for (std::size_t i = 0; equal && i < serial.steps.size(); ++i) {
       equal = serial.steps[i].hour == p.steps[i].hour &&
-              serial.steps[i].cables_dead_pct.mean() ==
-                  p.steps[i].cables_dead_pct.mean() &&
+              serial.steps[i].cables_failed_pct.mean() ==
+                  p.steps[i].cables_failed_pct.mean() &&
               serial.steps[i].nodes_unreachable_pct.sample_stddev() ==
                   p.steps[i].nodes_unreachable_pct.sample_stddev() &&
               serial.steps[i].largest_component_pct.mean() ==
@@ -364,7 +364,7 @@ int main() {
     for (std::uint64_t t = 0; t < kTrials; ++t) {
       util::Rng rng = base.split(t);
       naive_playback(engine, rng, naive);
-      if (naive.cables_dead_pct.size() != engine.step_count()) std::exit(1);
+      if (naive.cables_failed_pct.size() != engine.step_count()) std::exit(1);
     }
   }, 5);
 
@@ -374,7 +374,7 @@ int main() {
     for (std::uint64_t t = 0; t < kTrials; ++t) {
       util::Rng rng = base.split(t);
       engine.playback(rng, scratch);
-      if (scratch.cables_dead_pct.size() != engine.step_count()) std::exit(1);
+      if (scratch.cables_failed_pct.size() != engine.step_count()) std::exit(1);
     }
   }, 5);
 

@@ -1,13 +1,16 @@
 // Frozen reference graph kernels: verbatim copies of the Graph-tier
-// connected_components, is_connected, reachable_from, bfs_hops and
-// dijkstra that lived in src/graph/ beside the Csr kernels. They walk
-// Graph::incident() and the Graph's edge array with AliveMask::traversable,
-// allocate their results per call, and run std::priority_queue Dijkstra —
-// an implementation that shares nothing with the Csr kernels except the
+// connected_components, reachable_from, bfs_hops and dijkstra that lived in
+// src/graph/ beside the Csr kernels. They walk Graph::incident() and the
+// Graph's edge array with the traversable() predicate below, allocate their
+// results per call, and run std::priority_queue Dijkstra — an
+// implementation that shares nothing with the Csr kernels except the
 // union-find. Tests and bench gates that check the Csr kernels (and the
-// dijkstra forward) bit for bit compare against these, and perf_routing
-// times its old path on the frozen dijkstra. Do not route these through
-// graph/csr.h or graph/shortest_paths.h; they are deliberately frozen.
+// dijkstra forward) bit for bit compare against these, reachable_from and
+// bfs_hops are the oracles of the components and Dijkstra property tests,
+// and perf_routing times its old path on the frozen dijkstra. Do not route
+// the kernels through graph/csr.h or graph/shortest_paths.h (only the
+// ShortestPaths result type comes from there); they are deliberately
+// frozen.
 #pragma once
 
 #include <cstdint>
@@ -19,12 +22,22 @@
 
 #include "graph/components.h"
 #include "graph/graph.h"
-#include "graph/traversal.h"
+#include "graph/shortest_paths.h"
 #include "graph/union_find.h"
 
 namespace solarnet::reference {
 
+inline constexpr std::uint32_t kUnreachableHops = ~std::uint32_t{0};
+
 namespace detail {
+
+// An edge is traversable when it is alive and both endpoints are alive.
+inline bool traversable(const graph::AliveMask& mask, const graph::Graph& g,
+                        graph::EdgeId e) {
+  if (e >= mask.edge_alive.size() || !mask.edge_alive[e]) return false;
+  const graph::Edge& ed = g.edge(e);
+  return mask.vertex_alive[ed.u] && mask.vertex_alive[ed.v];
+}
 
 // Dense-relabel pass: maps union-find roots to component indices in order
 // of first-seen alive vertex and fills sizes.
@@ -57,7 +70,7 @@ inline graph::ComponentResult connected_components(
   const std::size_t n = g.vertex_count();
   graph::UnionFind uf(n);
   for (graph::EdgeId e = 0; e < g.edge_count(); ++e) {
-    if (!mask.traversable(g, e)) continue;
+    if (!detail::traversable(mask, g, e)) continue;
     const graph::Edge& ed = g.edge(e);
     uf.unite(ed.u, ed.v);
   }
@@ -70,13 +83,6 @@ inline graph::ComponentResult connected_components(
       },
       result);
   return result;
-}
-
-// True when every alive vertex lies in one component (vacuously true when
-// fewer than two vertices are alive).
-inline bool is_connected(const graph::Graph& g, const graph::AliveMask& mask) {
-  const graph::ComponentResult cc = connected_components(g, mask);
-  return cc.component_count() <= 1;
 }
 
 // Vertices reachable from `source` in the masked subgraph (including the
@@ -95,7 +101,7 @@ inline std::vector<bool> reachable_from(const graph::Graph& g,
     const graph::VertexId v = stack.back();
     stack.pop_back();
     for (const auto& [neighbor, edge] : g.incident(v)) {
-      if (visited[neighbor] || !mask.traversable(g, edge)) continue;
+      if (visited[neighbor] || !detail::traversable(mask, g, edge)) continue;
       visited[neighbor] = true;
       stack.push_back(neighbor);
     }
@@ -108,7 +114,7 @@ inline std::vector<bool> reachable_from(const graph::Graph& g,
 inline std::vector<std::uint32_t> bfs_hops(const graph::Graph& g,
                                            const graph::AliveMask& mask,
                                            graph::VertexId source) {
-  std::vector<std::uint32_t> hops(g.vertex_count(), graph::kUnreachableHops);
+  std::vector<std::uint32_t> hops(g.vertex_count(), kUnreachableHops);
   if (source >= g.vertex_count() || source >= mask.vertex_alive.size() ||
       !mask.vertex_alive[source]) {
     return hops;
@@ -120,8 +126,8 @@ inline std::vector<std::uint32_t> bfs_hops(const graph::Graph& g,
   for (std::size_t head = 0; head < frontier.size(); ++head) {
     const graph::VertexId v = frontier[head];
     for (const auto& [neighbor, edge] : g.incident(v)) {
-      if (hops[neighbor] != graph::kUnreachableHops ||
-          !mask.traversable(g, edge)) {
+      if (hops[neighbor] != kUnreachableHops ||
+          !detail::traversable(mask, g, edge)) {
         continue;
       }
       hops[neighbor] = hops[v] + 1;
@@ -156,7 +162,7 @@ inline graph::ShortestPaths dijkstra(const graph::Graph& g,
     heap.pop();
     if (dist > sp.distance[v]) continue;  // stale entry
     for (const auto& [neighbor, edge] : g.incident(v)) {
-      if (!mask.traversable(g, edge)) continue;
+      if (!detail::traversable(mask, g, edge)) continue;
       const double next = dist + g.edge(edge).weight;
       if (next < sp.distance[neighbor]) {
         sp.distance[neighbor] = next;

@@ -1,27 +1,32 @@
 #!/usr/bin/env python3
-"""List the functions in src/ that no program links.
+"""List the functions in src/ that no production program links.
 
     scripts/list_unlinked.py [--source DIR] [--jobs N] [--no-build]
 
-A program is the `solarnet` CLI, every bench/ binary, every example and
-perfbench's `solarbench` driver. Whether a program keeps a function is
-decided by the linker: everything is built at -O0 -g with
--ffunction-sections and linked with -Wl,--gc-sections, so a function stays
-in a program binary only if something the program runs reaches it.
+A production program is the `solarnet` CLI, the fig*, t* and a* benches,
+every example and perfbench's `solarbench` program. A perf harness is a
+bench/perf_* binary or bench/robust_campaign: it gates or times src/ code
+against frozen references, so code that only a harness runs is not kept by
+it. Whether a program keeps a function is decided by the linker: everything
+is built at -O0 -g with -ffunction-sections and linked with
+-Wl,--gc-sections, so a function stays in a program binary only if
+something the program runs reaches it.
 
 The script configures and builds two trees in the source directory:
 build-unlinked/ (the CLI, benches, examples and test suites) and
 build-unlinked-perfbench/ (`cmake -S perfbench`, target solarbench). It then
 collects every solarnet:: function that libsolarnet.a or a test binary
 defines in a src/ file (`nm -C -l --defined-only`) and prints, as
-`file:line  name`, each one that no program binary contains.
+`file:line  name`, each one that no production program contains, split into
+those a perf harness links and those that only tests call.
 
 Compiler-generated members (implicit or defaulted constructors, destructors
 and assignments) and lambdas are skipped: they follow the code that uses
 them. A template counts as kept when a program instantiates it with any
-arguments. A function on ALLOWLIST is printed with its reason. The script
-exits 1 if any unlinked function is not on the allowlist, or if an
-allowlist entry matches nothing (a program now keeps it, or it is gone).
+arguments. A function on ALLOWLIST is printed with its reason; a harness-only
+entry names the seam the harness needs. The script exits 1 if any unlinked
+function is not on the allowlist, or if an allowlist entry matches nothing
+(a production program now keeps it, or it is gone).
 """
 
 import argparse
@@ -49,6 +54,7 @@ ALLOWLIST = [
     ("solarnet::graph::ComponentResult::same_component", "component tests check the labelling the engines read"),
     ("solarnet::graph::Csr::half_edge_count", "CSR tests check the layout every kernel reads"),
     ("solarnet::graph::Graph::Graph", "the Graph(n) fixture constructor graph tests build networks with"),
+    ("solarnet::graph::UnionFind::UnionFind", "seam: perf_graph's legacy components kernel and the frozen reference kernels build a sized union-find"),
     ("solarnet::graph::UnionFind::connected", "union-find tests check the structure the sweep engine uses"),
     ("solarnet::graph::UnionFind::element_count", "union-find tests check the structure the sweep engine uses"),
     ("solarnet::graph::UnionFind::set_count", "union-find tests check the structure the sweep engine uses"),
@@ -58,6 +64,9 @@ ALLOWLIST = [
     ("solarnet::sim::IncrementalConnectivity::cable_count", "incremental-connectivity tests check its shape"),
     ("solarnet::sim::IncrementalConnectivity::node_count", "incremental-connectivity tests check its shape"),
     ("solarnet::sim::SweepEngine::axis", "sweep tests check the probability axis the engine walks"),
+    ("solarnet::sim::SweepEngine::grid_probability", "seam: perf_sweep replays the CRN draw as independent per-point Bernoulli draws"),
+    ("solarnet::sim::SweepEngine::grid_size", "seam: perf_sweep replays the CRN draw as independent per-point Bernoulli draws"),
+    ("solarnet::util::Bitset::test", "seam: perf_routing converts its Bitset draws into the legacy std::vector<bool> form"),
     ("solarnet::util::Bitset::words", "bitset tests check the tail-bits-zero invariant count() relies on"),
     ("solarnet::util::ByteReader::u8", "checkpoint tests read back what ByteWriter::u8 writes into cache keys"),
     ("solarnet::util::Error::code", "error API: tests drive every error path through it"),
@@ -70,20 +79,28 @@ ALLOWLIST = [
     ("solarnet::util::RunningStats::stddev", "stats tests check the Welford add and merge every engine runs"),
     ("solarnet::util::RunningStats::variance", "stats tests check the Welford add and merge every engine runs"),
     ("solarnet::util::ScopedFault::*", "fault injection: tests arm every fault site through it"),
+    ("solarnet::util::Status::code", "error API: tests and robust_campaign's gates read every error code through it"),
     ("solarnet::util::Status::context", "error API: tests drive every error path through it"),
     ("solarnet::util::Status::message", "error API: tests drive every error path through it"),
     ("solarnet::util::Status::ok", "error API: tests drive every error path through it"),
+    ("solarnet::util::all_fault_sites", "seam: robust_campaign's fault-site sweep arms every site"),
+    ("solarnet::util::operator==", "seam: perf_batch compares each extracted lane with the scalar dead set"),
 ]
 
-PROGRAMS = [
+# Production programs under build-unlinked/; perfbench's solarbench is added
+# from its own tree.
+PRODUCTION = [
     "tools/solarnet",
-    "bench/*",
+    "bench/fig*",
+    "bench/t[0-9]*",
+    "bench/a[0-9]*",
     "examples/quickstart",
     "examples/storm_drill",
     "examples/cable_planner",
     "examples/dataset_export",
     "examples/apocalypse_timeline",
 ]
+HARNESSES = ["bench/perf_*", "bench/robust_campaign"]
 
 FLAGS = [
     "-DCMAKE_BUILD_TYPE=Debug",
@@ -209,20 +226,27 @@ def main():
     if not args.no_build:
         build(source, tree, perf_tree, args.jobs)
 
-    programs = [p for pattern in PROGRAMS for p in executables(tree, pattern)]
+    programs = [p for pattern in PRODUCTION for p in executables(tree, pattern)]
     programs += executables(perf_tree, "solarbench")
+    harnesses = [p for pattern in HARNESSES for p in executables(tree, pattern)]
     defining = [os.path.join(tree, "src", "libsolarnet.a")] + executables(tree, "tests/test_*")
-    if len(programs) < 35 or len(defining) < 2:
-        sys.exit(f"list_unlinked: expected the CLI, 28 benches, 5 examples, solarbench and the "
-                 f"test suites under {tree} and {perf_tree}; found {len(programs)} programs")
+    if len(programs) < 26 or len(harnesses) < 9 or len(defining) < 2:
+        sys.exit(f"list_unlinked: expected the CLI, 19 fig/t/a benches, 5 examples, solarbench, "
+                 f"9 perf harnesses and the test suites under {tree} and {perf_tree}; found "
+                 f"{len(programs)} production programs and {len(harnesses)} harnesses")
 
-    kept = set()
-    for symbols in collect(programs, False, args.jobs):
-        for name, _ in symbols:
-            kept.add(name)
-            qual, template = qualified_name(name)
-            if template:
-                kept.add(qual)
+    def linked(binaries):
+        names = set()
+        for symbols in collect(binaries, False, args.jobs):
+            for name, _ in symbols:
+                names.add(name)
+                qual, template = qualified_name(name)
+                if template:
+                    names.add(qual)
+        return names
+
+    kept = linked(programs)
+    harness_linked = linked(harnesses)
 
     unlinked = {}
     for symbols in collect(defining, True, args.jobs):
@@ -238,20 +262,22 @@ def main():
     matched = set()
     allowed, refused = [], []
     for name, (where, qual) in sorted(unlinked.items(), key=lambda kv: kv[1]):
+        by = "harness-only" if name in harness_linked or qual in harness_linked else "test-only"
         entry = next(((pat, why) for pat, why in ALLOWLIST if fnmatch.fnmatchcase(qual, pat)), None)
         if entry is None:
-            refused.append(f"{where}  {name}")
+            refused.append(f"{where}  {name}  [{by}]")
         else:
             matched.add(entry[0])
-            allowed.append(f"{where}  {name}  -- {entry[1]}")
+            allowed.append(f"{where}  {name}  [{by}] -- {entry[1]}")
     stale = [pat for pat, _ in ALLOWLIST if pat not in matched]
 
-    print(f"{len(programs)} programs; {len(unlinked)} solarnet:: functions in src/ that no program links")
+    print(f"{len(programs)} production programs, {len(harnesses)} perf harnesses; "
+          f"{len(unlinked)} solarnet:: functions in src/ that no production program links")
     if allowed:
-        print(f"\nkept for tests ({len(allowed)}, on the allowlist):")
+        print(f"\nkept for tests and perf harnesses ({len(allowed)}, on the allowlist):")
         print("\n".join(allowed))
     if refused:
-        print(f"\nnot linked by any program and not on the allowlist ({len(refused)}):")
+        print(f"\nnot linked by any production program and not on the allowlist ({len(refused)}):")
         print("\n".join(refused))
     if stale:
         print(f"\nallowlist entries that match no unlinked function ({len(stale)}):")

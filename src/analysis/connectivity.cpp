@@ -3,12 +3,11 @@
 #include <algorithm>
 #include <numeric>
 #include <stdexcept>
-
-#include "sim/sweep.h"
+#include <utility>
 
 namespace solarnet::analysis {
 
-std::vector<SweepPoint> uniform_failure_sweep(
+std::vector<sim::SweepPointAggregate> uniform_failure_sweep(
     const sim::FailureSimulator& simulator, std::span<const double> probs,
     std::size_t trials, std::uint64_t seed) {
   if (simulator.config().rule != sim::CableDeathRule::kAnyRepeaterFails) {
@@ -28,16 +27,12 @@ std::vector<SweepPoint> uniform_failure_sweep(
   sorted.reserve(probs.size());
   for (const std::size_t i : order) sorted.push_back(probs[i]);
 
-  std::vector<SweepPoint> out(probs.size());
+  std::vector<sim::SweepPointAggregate> out(probs.size());
   if (probs.empty()) return out;
   const sim::SweepEngine engine = sim::SweepEngine::uniform(simulator, sorted);
-  const sim::SweepResult result = engine.run(trials, seed);
+  sim::SweepResult result = engine.run(trials, seed);
   for (std::size_t g = 0; g < order.size(); ++g) {
-    const sim::SweepPointAggregate& point = result.points[g];
-    out[order[g]] = {point.axis, point.cables_failed_pct.mean(),
-                     point.cables_failed_pct.sample_stddev(),
-                     point.nodes_unreachable_pct.mean(),
-                     point.nodes_unreachable_pct.sample_stddev()};
+    out[order[g]] = std::move(result.points[g]);
   }
   return out;
 }

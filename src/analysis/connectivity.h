@@ -13,23 +13,16 @@
 
 #include "gic/failure_model.h"
 #include "sim/monte_carlo.h"
+#include "sim/sweep.h"
 
 namespace solarnet::analysis {
 
-struct SweepPoint {
-  double repeater_failure_probability = 0.0;
-  double cables_failed_mean_pct = 0.0;
-  double cables_failed_sd_pct = 0.0;
-  double nodes_unreachable_mean_pct = 0.0;
-  double nodes_unreachable_sd_pct = 0.0;
-};
-
-// Uniform-probability sweep (Figures 6 and 7): one point per probability.
-// Accepts probabilities in any order (results keep the input order) and
-// throws std::invalid_argument up front when the simulator's rule is not
-// kAnyRepeaterFails. Trial t shares one uniform per cable across all
-// points, so per-trial curves are exactly monotone in p.
-std::vector<SweepPoint> uniform_failure_sweep(
+// Uniform-probability sweep (Figures 6 and 7): one point per probability,
+// its axis the probability. Accepts probabilities in any order (results
+// keep the input order) and throws std::invalid_argument up front when the
+// simulator's rule is not kAnyRepeaterFails. Trial t shares one uniform per
+// cable across all points, so per-trial curves are exactly monotone in p.
+std::vector<sim::SweepPointAggregate> uniform_failure_sweep(
     const sim::FailureSimulator& simulator, std::span<const double> probs,
     std::size_t trials, std::uint64_t seed);
 

@@ -1,5 +1,6 @@
 #include "analysis/dns_resolution.h"
 
+#include <charconv>
 #include <string>
 
 #include "graph/components.h"
@@ -113,6 +114,13 @@ void DnsResolutionObserver::observe(const sim::TrialView& view,
   if (degraded) ++slot.degraded;
   if (heavy) ++slot.heavy;
   if (degraded && heavy) ++slot.joint;
+}
+
+std::string DnsResolutionObserver::checkpoint_id() const {
+  // Shortest round-trip form: distinct thresholds give distinct ids.
+  char buf[32];
+  const auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), threshold_pct_);
+  return "dns-resolution/v2/threshold=" + std::string(buf, end);
 }
 
 void DnsResolutionObserver::save_chunk(std::size_t chunk,

@@ -117,7 +117,9 @@ class DnsResolutionObserver final : public sim::CheckpointableObserver {
                std::size_t chunk) override;
   void end_run() override;
 
-  std::string checkpoint_id() const override { return "dns-resolution/v1"; }
+  // The id carries the cable-loss threshold, which decides the heavy-loss
+  // and joint counts a chunk holds.
+  std::string checkpoint_id() const override;
   void save_chunk(std::size_t chunk, util::ByteWriter& out) const override;
   void load_chunk(std::size_t chunk, util::ByteReader& in) override;
 

@@ -2,7 +2,7 @@
 
 #include <stdexcept>
 
-#include "graph/traversal.h"
+#include "graph/shortest_paths.h"
 
 namespace solarnet::analysis {
 

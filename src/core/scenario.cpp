@@ -14,9 +14,11 @@ namespace solarnet::core {
 
 namespace {
 
-analysis::BandSweepResult to_band_result(
-    const sim::ConnectivityObserver::Result& r, const std::string& model_name,
-    double spacing_km, const char* tag) {
+// `r` is a ConnectivityObserver::Result or a run_trials AggregateResult.
+template <typename Stats>
+analysis::BandSweepResult to_band_result(const Stats& r,
+                                         const std::string& model_name,
+                                         double spacing_km, const char* tag) {
   return {model_name + tag,
           spacing_km,
           r.cables_failed_pct.mean(),
@@ -211,17 +213,14 @@ analysis::ResilienceReport ScenarioRunner::run(
     }
   }
 
-  // Land networks: connectivity-only pipeline passes, keeping the
-  // historical per-network seed offsets.
+  // Land networks: cable and node shares only (run_trials skips the
+  // component build), keeping the historical per-network seed offsets.
   const auto connectivity_pass = [&](const topo::InfrastructureNetwork& net,
                                      std::uint64_t seed, const char* tag) {
     const sim::FailureSimulator simulator(net, trial_config(req, threads));
-    sim::TrialPipeline pipeline(simulator, model);
-    sim::ConnectivityObserver connectivity;
-    pipeline.add_observer(connectivity);
-    pipeline.run(req.trials, seed);
-    report.failure_results.push_back(to_band_result(
-        connectivity.result(), model.name(), req.spacing_km, tag));
+    report.failure_results.push_back(
+        to_band_result(simulator.run_trials(model, req.trials, seed),
+                       model.name(), req.spacing_km, tag));
   };
   connectivity_pass(world_.intertubes(), req.seed + 1, " [intertubes]");
   if (world_.has_itu()) {

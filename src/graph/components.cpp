@@ -73,29 +73,4 @@ void connected_components(const Csr& csr, const AliveMask& mask,
   }
 }
 
-bool is_connected(const Csr& csr, const AliveMask& mask,
-                  ComponentScratch& scratch) {
-  check_mask(csr, mask, "is_connected");
-  const std::size_t n = csr.vertex_count();
-  const std::size_t m = csr.edge_count();
-  scratch.uf.reset(n);
-  std::size_t alive = mask.vertex_alive.count();
-  std::size_t merges = 0;
-  const bool all_vertices_alive = alive == n;
-  for (EdgeId e = 0; e < m; ++e) {
-    if (!mask.edge_alive[e]) continue;
-    const VertexId u = csr.edge_u(e);
-    const VertexId v = csr.edge_v(e);
-    if (!all_vertices_alive &&
-        (!mask.vertex_alive[u] || !mask.vertex_alive[v])) {
-      continue;
-    }
-    if (scratch.uf.unite(u, v)) {
-      // Early exit once the alive vertices form a single set.
-      if (++merges + 1 == alive) return true;
-    }
-  }
-  return alive <= 1;
-}
-
 }  // namespace solarnet::graph

@@ -43,9 +43,4 @@ struct ComponentScratch {
 void connected_components(const Csr& csr, const AliveMask& mask,
                           ComponentScratch& scratch, ComponentResult& out);
 
-// True when every alive vertex lies in one component (vacuously true when
-// fewer than two vertices are alive). Same mask check as above.
-bool is_connected(const Csr& csr, const AliveMask& mask,
-                  ComponentScratch& scratch);
-
 }  // namespace solarnet::graph

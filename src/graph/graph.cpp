@@ -34,10 +34,4 @@ void AliveMask::reset_to_all_alive(const Graph& g) {
   edge_alive.assign(g.edge_count(), true);
 }
 
-bool AliveMask::traversable(const Graph& g, EdgeId e) const {
-  if (e >= edge_alive.size() || !edge_alive[e]) return false;
-  const Edge& ed = g.edge(e);
-  return vertex_alive[ed.u] && vertex_alive[ed.v];
-}
-
 }  // namespace solarnet::graph

@@ -82,9 +82,6 @@ struct AliveMask {
   // In-place variant: resizes both masks to g's dimensions and sets every
   // bit. Allocation-free once the masks are warm.
   void reset_to_all_alive(const Graph& g);
-
-  // An edge is traversable when it is alive and both endpoints are alive.
-  bool traversable(const Graph& g, EdgeId e) const;
 };
 
 }  // namespace solarnet::graph

@@ -4,8 +4,6 @@
 #include <functional>
 #include <stdexcept>
 
-#include "graph/traversal.h"
-
 namespace solarnet::graph {
 
 namespace {
@@ -92,6 +90,16 @@ bool shortest_path_to(const Csr& csr, std::span<const double> edge_weight,
     }
   }
   return false;
+}
+
+ShortestPaths dijkstra(const Graph& g, const AliveMask& mask,
+                       VertexId source) {
+  std::vector<double> weight(g.edge_count());
+  std::ranges::transform(g.edges(), weight.begin(), &Edge::weight);
+  RoutingScratch tree;
+  shortest_path_tree(Csr(g), weight, mask, source, tree);
+  return {std::move(tree.distance), std::move(tree.parent_edge),
+          std::move(tree.parent)};
 }
 
 }  // namespace solarnet::graph

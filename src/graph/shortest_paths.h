@@ -4,7 +4,7 @@
 // lives in a reusable RoutingScratch, one instance per worker thread, so
 // the steady-state cost of a tree build is zero heap allocations — the
 // traffic observer builds one tree per source per trial. graph::dijkstra
-// (traversal.h) is the allocating one-shot form of shortest_path_tree.
+// is the allocating one-shot form of shortest_path_tree.
 //
 // Determinism: a min-heap of (distance, vertex) pairs ordered by
 // std::greater<> (std::push_heap / std::pop_heap), a stale-entry skip,
@@ -16,6 +16,7 @@
 // bench/perf_routing.cpp gates the same on the seed network.
 #pragma once
 
+#include <limits>
 #include <span>
 #include <utility>
 #include <vector>
@@ -24,6 +25,8 @@
 #include "graph/graph.h"
 
 namespace solarnet::graph {
+
+inline constexpr double kUnreachable = std::numeric_limits<double>::infinity();
 
 // Reusable working storage for shortest_path_tree / shortest_path_to. The
 // output arrays double as working state, so the tree is read directly from
@@ -57,5 +60,16 @@ void shortest_path_tree(const Csr& csr, std::span<const double> edge_weight,
 bool shortest_path_to(const Csr& csr, std::span<const double> edge_weight,
                       const AliveMask& mask, VertexId source, VertexId target,
                       RoutingScratch& scratch);
+
+struct ShortestPaths {
+  std::vector<double> distance;       // kUnreachable when not reachable
+  std::vector<EdgeId> parent_edge;    // kInvalidEdge at source/unreachable
+  std::vector<VertexId> parent;       // kInvalidVertex at source/unreachable
+};
+
+// Dijkstra using edge weights (lengths): shortest_path_tree over a Csr
+// built from `g`, returned by value. Throws std::invalid_argument if the
+// source is out of range or the mask's sizes do not match the graph.
+ShortestPaths dijkstra(const Graph& g, const AliveMask& mask, VertexId source);
 
 }  // namespace solarnet::graph

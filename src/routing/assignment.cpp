@@ -4,8 +4,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "graph/traversal.h"
-
 namespace solarnet::routing {
 
 TrafficEngine::TrafficEngine(const topo::InfrastructureNetwork& net,

@@ -45,6 +45,21 @@ void append_stats(std::string& out, const util::RunningStats& s) {
   out += '}';
 }
 
+// ,"<cables_key>":{..},"nodes_unreachable_pct":{..},
+// "largest_component_pct":{..}; the timeline body keys its cable share
+// "cables_dead_pct".
+void append_connectivity(std::string& out, const sim::ConnectivityStats& s,
+                         std::string_view cables_key = "cables_failed_pct") {
+  out += ",\"";
+  out += cables_key;
+  out += "\":";
+  append_stats(out, s.cables_failed_pct);
+  out += ",\"nodes_unreachable_pct\":";
+  append_stats(out, s.nodes_unreachable_pct);
+  out += ",\"largest_component_pct\":";
+  append_stats(out, s.largest_component_pct);
+}
+
 void append_escaped(std::string& out, std::string_view s) {
   for (const char c : s) {
     switch (c) {
@@ -173,12 +188,7 @@ std::string serialize_report_body(
 
   out += ",\"connectivity\":{\"trials\":";
   append_u64(out, conn.trials);
-  out += ",\"cables_failed_pct\":";
-  append_stats(out, conn.cables_failed_pct);
-  out += ",\"nodes_unreachable_pct\":";
-  append_stats(out, conn.nodes_unreachable_pct);
-  out += ",\"largest_component_pct\":";
-  append_stats(out, conn.largest_component_pct);
+  append_connectivity(out, conn);
   out += '}';
 
   out += ",\"services\":[";
@@ -266,12 +276,7 @@ std::string serialize_sweep_body(const ScenarioRequest& req,
     first = false;
     out += "{\"p\":";
     append_double(out, point.axis);
-    out += ",\"cables_failed_pct\":";
-    append_stats(out, point.cables_failed_pct);
-    out += ",\"nodes_unreachable_pct\":";
-    append_stats(out, point.nodes_unreachable_pct);
-    out += ",\"largest_component_pct\":";
-    append_stats(out, point.largest_component_pct);
+    append_connectivity(out, point);
     out += '}';
   }
   out += "]}";
@@ -303,12 +308,7 @@ std::string serialize_timeline_body(
     first = false;
     out += "{\"hour\":";
     append_double(out, step.hour);
-    out += ",\"cables_dead_pct\":";
-    append_stats(out, step.cables_dead_pct);
-    out += ",\"nodes_unreachable_pct\":";
-    append_stats(out, step.nodes_unreachable_pct);
-    out += ",\"largest_component_pct\":";
-    append_stats(out, step.largest_component_pct);
+    append_connectivity(out, step, "cables_dead_pct");
     out += '}';
   }
   out += "],\"partition\":{\"threshold_pct\":";

@@ -155,10 +155,12 @@ class AvailabilityObserver final : public sim::CheckpointableObserver {
                std::size_t chunk) override;
   void end_run() override;
 
-  // The id carries the service name: a checkpoint written for one service
-  // is rejected for another even with identical chunk counts.
+  // The id carries the service name and write quorum: a checkpoint written
+  // for one service or quorum is rejected for another even with identical
+  // chunk counts.
   std::string checkpoint_id() const override {
-    return "availability/v1/" + prototype_.spec().name;
+    return "availability/v2/" + prototype_.spec().name + "/quorum=" +
+           std::to_string(prototype_.spec().write_quorum);
   }
   void save_chunk(std::size_t chunk, util::ByteWriter& out) const override;
   void load_chunk(std::size_t chunk, util::ByteReader& in) override;

@@ -38,6 +38,14 @@ std::uint64_t CampaignRunner::fingerprint(const CampaignOptions& options,
   fp.fold(chunks);
   fp.fold(pipeline_.network().cable_count());
   fp.fold(pipeline_.network().connected_node_count());
+  // The draw law: network, spacing and model all enter through the
+  // per-cable death probabilities, and the rule decides how they are drawn.
+  const TrialConfig& config = pipeline_.simulator().config();
+  fp.fold(static_cast<std::uint64_t>(config.rule));
+  fp.fold_double(config.death_fraction);
+  for (const double p : pipeline_.death_table().probability) {
+    fp.fold_double(p);
+  }
   for (const CheckpointableObserver* observer : observers_) {
     fp.fold_bytes(observer->checkpoint_id());
   }

@@ -23,10 +23,17 @@
 //   payload           (see below)
 //   u32  crc32(payload)
 // payload:
-//   u64  fingerprint  — SplitMix64 fold of trials, seed, chunk size, the
-//                       network's cable/connected-node counts and every
-//                       observer checkpoint_id, so a checkpoint is never
-//                       applied to a different campaign configuration
+//   u64  fingerprint  — SplitMix64 fold of trials, seed, chunk size and
+//                       count, the network's cable/connected-node counts,
+//                       the draw law (the cable death rule and fraction,
+//                       and every per-cable death probability of the
+//                       pipeline's table, bit-exact — so the model, its
+//                       uniform p or storm field, the repeater spacing and
+//                       the network all count) and every observer
+//                       checkpoint_id (which carries the observer's own
+//                       settings, e.g. a write quorum or DNS threshold),
+//                       so a checkpoint is never applied to a different
+//                       campaign configuration
 //   u64  trials, u64 seed, u32 chunk_size, u64 chunks_total
 //   u32  observer_count, then per observer: length-prefixed checkpoint_id
 //   u64  completed_chunks

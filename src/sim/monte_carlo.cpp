@@ -48,7 +48,6 @@ FailureSimulator::FailureSimulator(const topo::InfrastructureNetwork& net,
     total_repeaters_ += positions.size();
     cable_offset_.push_back(repeaters_.size());
   }
-  connected_nodes_ = net.connected_node_count();
 }
 
 double FailureSimulator::average_repeaters_per_cable() const noexcept {
@@ -176,23 +175,6 @@ void FailureSimulator::sample_cable_failures(const DeathProbabilityTable& table,
     if (cable_offset_[c] == cable_offset_[c + 1]) continue;
     dead.set(c, rng.bernoulli(table.probability[c]));
   }
-}
-
-TrialResult FailureSimulator::run_trial(const gic::RepeaterFailureModel& model,
-                                        util::Rng& rng) const {
-  util::Bitset dead;
-  sample_cable_failures(model, rng, dead);
-  std::vector<topo::NodeId> unreachable;
-  net_.unreachable_nodes(dead, unreachable);
-  TrialResult result;
-  result.cable_dead = dead.to_bools();
-  result.cables_failed = dead.count();
-  result.nodes_unreachable = unreachable.size();
-  result.cables_failed_pct =
-      percent_of(result.cables_failed, net_.cable_count());
-  result.nodes_unreachable_pct =
-      percent_of(result.nodes_unreachable, connected_nodes_);
-  return result;
 }
 
 AggregateResult FailureSimulator::run_trials(

@@ -126,9 +126,6 @@ class FailureSimulator {
   void sample_cable_failures(const DeathProbabilityTable& table,
                              util::Rng& rng, util::Bitset& dead) const;
 
-  TrialResult run_trial(const gic::RepeaterFailureModel& model,
-                        util::Rng& rng) const;
-
   // `trials` independent draws; trial t uses child stream t of `seed`.
   // One TrialPipeline pass on config().threads workers with no component
   // build; the aggregate does not depend on the thread count. Use the
@@ -144,7 +141,6 @@ class FailureSimulator {
   std::vector<std::size_t> cable_offset_;  // size cables+1
   std::size_t total_repeaters_ = 0;
   std::size_t repeaterless_cables_ = 0;
-  std::size_t connected_nodes_ = 0;
 };
 
 }  // namespace solarnet::sim

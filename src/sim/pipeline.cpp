@@ -9,13 +9,12 @@ TrialPipeline::TrialPipeline(const FailureSimulator& simulator,
     : sim_(simulator),
       model_(model),
       csr_(&simulator.network().csr()),
+      table_(simulator.death_probability_table(model)),
+      use_table_(simulator.config().rule ==
+                 CableDeathRule::kAnyRepeaterFails),
       connected_nodes_(simulator.network().connected_node_count()) {
-  use_table_ = sim_.config().rule == CableDeathRule::kAnyRepeaterFails;
-  if (use_table_) {
-    table_ = sim_.death_probability_table(model_);
-    if (sim_.config().engine != TrialEngine::kScalar) {
-      batch_kernel_ = std::make_unique<const TrialBatchKernel>(sim_, table_);
-    }
+  if (use_table_ && sim_.config().engine != TrialEngine::kScalar) {
+    batch_kernel_ = std::make_unique<const TrialBatchKernel>(sim_, table_);
   }
 }
 
@@ -42,8 +41,6 @@ void TrialPipeline::run_trial(std::size_t trial, const util::Rng& base,
   } else {
     sim_.sample_cable_failures(model_, rng, scratch.cable_dead);
   }
-  const std::size_t failed = scratch.cable_dead.count();
-  const std::size_t cables = network().cable_count();
   network().unreachable_nodes(scratch.cable_dead, scratch.unreachable);
   if (needs_components_) {
     network().mask_for_failures(scratch.cable_dead, scratch.mask);
@@ -54,9 +51,8 @@ void TrialPipeline::run_trial(std::size_t trial, const util::Rng& base,
   TrialView view;
   view.trial = trial;
   view.cable_dead = &scratch.cable_dead;
-  view.cables_failed = failed;
-  view.cables_failed_pct = percent_of(failed, cables);
-  view.unreachable = &scratch.unreachable;
+  view.cables_failed_pct =
+      percent_of(scratch.cable_dead.count(), network().cable_count());
   view.nodes_unreachable_pct =
       percent_of(scratch.unreachable.size(), connected_nodes_);
   view.components = needs_components_ ? &scratch.components : nullptr;
@@ -135,11 +131,8 @@ void TrialPipeline::run_chunks(const ChunkedRun& chunked,
 
     if (!batch_observers_.empty()) {
       BatchTrialView bview;
-      bview.first_trial = first;
       bview.lanes = lanes;
-      bview.cables_failed = s.cables;
       bview.cables_failed_pct = s.cables_pct;
-      bview.nodes_unreachable = s.nodes;
       bview.nodes_unreachable_pct = s.nodes_pct;
       bview.largest_component = batch_needs_components_ ? s.largest : nullptr;
       for (TrialObserver* observer : batch_observers_) {
@@ -149,11 +142,10 @@ void TrialPipeline::run_chunks(const ChunkedRun& chunked,
 
     if (!scalar_observers_.empty()) {
       // Reconstruct each lane as a scalar TrialView: same dead bits, same
-      // unreachable list, same component decomposition — everything a
-      // scalar observer would have seen.
+      // percentages, same component decomposition — everything a scalar
+      // observer would have seen.
       for (unsigned lane = 0; lane < lanes; ++lane) {
         kernel.extract_lane(s.batch, lane, s.scalar.cable_dead);
-        network().unreachable_nodes(s.scalar.cable_dead, s.scalar.unreachable);
         if (scalar_needs_components_) {
           network().mask_for_failures(s.scalar.cable_dead, s.scalar.mask);
           graph::connected_components(*csr_, s.scalar.mask,
@@ -163,9 +155,7 @@ void TrialPipeline::run_chunks(const ChunkedRun& chunked,
         TrialView view;
         view.trial = first + lane;
         view.cable_dead = &s.scalar.cable_dead;
-        view.cables_failed = s.cables[lane];
         view.cables_failed_pct = s.cables_pct[lane];
-        view.unreachable = &s.scalar.unreachable;
         view.nodes_unreachable_pct = s.nodes_pct[lane];
         view.components =
             scalar_needs_components_ ? &s.scalar.components : nullptr;
@@ -189,10 +179,8 @@ void ConnectivityObserver::begin_run(const TrialPipeline& pipeline,
 
 void ConnectivityObserver::add(std::size_t chunk, double cables_pct,
                                double nodes_pct, std::size_t largest) {
-  Slot& slot = slots_.at(chunk);
-  slot.cables.add(cables_pct);
-  slot.nodes.add(nodes_pct);
-  slot.largest.add(percent_of(largest, connected_nodes_));
+  slots_.at(chunk).add(cables_pct, nodes_pct,
+                       percent_of(largest, connected_nodes_));
 }
 
 void ConnectivityObserver::observe(const TrialView& view, std::size_t /*worker*/,
@@ -222,11 +210,8 @@ void ConnectivityObserver::load_chunk(std::size_t chunk, util::ByteReader& in) {
 }
 
 void ConnectivityObserver::end_run() {
-  const Slot merged = slots_.merged();
-  result_.cables_failed_pct = merged.cables;
-  result_.nodes_unreachable_pct = merged.nodes;
-  result_.largest_component_pct = merged.largest;
-  result_.trials = merged.cables.count();
+  const ConnectivityStats merged = slots_.merged();
+  result_ = {merged, merged.cables_failed_pct.count()};
   slots_.release();
 }
 

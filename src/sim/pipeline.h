@@ -51,10 +51,9 @@ struct TrialView {
   std::size_t trial = 0;
   // Per-cable death flags for this draw (size = network cable count).
   const util::Bitset* cable_dead = nullptr;
-  std::size_t cables_failed = 0;
   double cables_failed_pct = 0.0;
-  // Nodes that had >= 1 cable and lost all of them (paper §4.3.1).
-  const std::vector<topo::NodeId>* unreachable = nullptr;
+  // Share of nodes that had >= 1 cable and lost all of them (paper
+  // §4.3.1).
   double nodes_unreachable_pct = 0.0;
   // Masked component decomposition over the network's CSR; null when no
   // registered observer reports needs_components().
@@ -68,18 +67,15 @@ struct TrialView {
 };
 
 // Everything a batch-capable observer may read about one 64-trial batch on
-// the bit-parallel path. Lane t is trial first_trial + t; the per-lane
-// arrays hold `lanes` entries each. The counts come from the word-parallel
-// kernels and the percentages use the exact arithmetic of the scalar
-// TrialView, so accumulating them is bit-identical to observing the scalar
-// trials one by one. Pointers reference per-worker scratch and are only
-// valid during the observe_batch() call.
+// the bit-parallel path. The per-lane arrays hold `lanes` entries each,
+// lane t for the batch's t-th trial. The percentages come from the
+// word-parallel counts with the exact arithmetic of the scalar TrialView,
+// so accumulating them is bit-identical to observing the scalar trials one
+// by one. Pointers reference per-worker scratch and are only valid during
+// the observe_batch() call.
 struct BatchTrialView {
-  std::size_t first_trial = 0;
   unsigned lanes = 0;
-  const std::uint32_t* cables_failed = nullptr;
   const double* cables_failed_pct = nullptr;
-  const std::uint32_t* nodes_unreachable = nullptr;
   const double* nodes_unreachable_pct = nullptr;
   // Largest surviving component size per lane; null when no batch-capable
   // observer reports needs_components().
@@ -154,9 +150,9 @@ struct PipelineScratch {
 
 class TrialPipeline {
  public:
-  // Folds the death-probability table once (any-failure rule); under
-  // kFractionFails trials sample the model directly. Simulator and model
-  // must outlive the pipeline.
+  // Folds the death-probability table once; trials draw against it under
+  // the any-failure rule and sample the model directly under
+  // kFractionFails. Simulator and model must outlive the pipeline.
   TrialPipeline(const FailureSimulator& simulator,
                 const gic::RepeaterFailureModel& model);
 
@@ -165,6 +161,9 @@ class TrialPipeline {
     return sim_.network();
   }
   const gic::RepeaterFailureModel& model() const noexcept { return model_; }
+  // Per-cable death probabilities of (simulator, model) under the
+  // any-failure rule.
+  const DeathProbabilityTable& death_table() const noexcept { return table_; }
 
   // Registers a metric (non-owning; the observer must outlive run()).
   void add_observer(TrialObserver& observer);
@@ -224,12 +223,8 @@ class TrialPipeline {
 // run_trials does not report because it skips the component build.
 class ConnectivityObserver final : public CheckpointableObserver {
  public:
-  struct Result {
+  struct Result : ConnectivityStats {
     std::size_t trials = 0;
-    util::RunningStats cables_failed_pct;
-    util::RunningStats nodes_unreachable_pct;
-    // Largest component size as % of cable-bearing nodes.
-    util::RunningStats largest_component_pct;
   };
 
   const Result& result() const noexcept { return result_; }
@@ -249,17 +244,10 @@ class ConnectivityObserver final : public CheckpointableObserver {
   void load_chunk(std::size_t chunk, util::ByteReader& in) override;
 
  private:
-  struct Slot {
-    util::RunningStats cables;
-    util::RunningStats nodes;
-    util::RunningStats largest;
-    static constexpr auto kFields =
-        std::tuple{&Slot::cables, &Slot::nodes, &Slot::largest};
-  };
   void add(std::size_t chunk, double cables_pct, double nodes_pct,
            std::size_t largest);
 
-  ChunkSlots<Slot> slots_{"ConnectivityObserver"};
+  ChunkSlots<ConnectivityStats> slots_{"ConnectivityObserver"};
   std::size_t connected_nodes_ = 0;
   Result result_;
 };

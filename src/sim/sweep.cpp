@@ -174,23 +174,10 @@ SweepResult SweepEngine::run(std::size_t trials, std::uint64_t seed) const {
   return run(trials, seed, sim_.config().threads);
 }
 
-namespace {
-
-// One grid point's per-chunk accumulators.
-struct PointSlot {
-  util::RunningStats cables;
-  util::RunningStats nodes;
-  util::RunningStats largest;
-  static constexpr auto kFields =
-      std::tuple{&PointSlot::cables, &PointSlot::nodes, &PointSlot::largest};
-};
-
-}  // namespace
-
 SweepResult SweepEngine::run(std::size_t trials, std::uint64_t seed,
                              std::size_t threads) const {
   const ChunkedRun chunked(trials, threads);
-  ChunkSlots<PointSlot> slots("SweepEngine");
+  ChunkSlots<ConnectivityStats> slots("SweepEngine");
   slots.assign(chunked.chunks(), grid_size_);
   std::vector<SweepScratch> scratch(chunked.workers());
   const util::Rng base(seed);
@@ -200,10 +187,8 @@ SweepResult SweepEngine::run(std::size_t trials, std::uint64_t seed,
       util::Rng rng = base.split(t);
       run_trial(rng, s);
       for (std::size_t g = 0; g < grid_size_; ++g) {
-        PointSlot& slot = slots.at(task.first_chunk, g);
-        slot.cables.add(s.cables_pct[g]);
-        slot.nodes.add(s.nodes_pct[g]);
-        slot.largest.add(s.largest_pct[g]);
+        slots.at(task.first_chunk, g)
+            .add(s.cables_pct[g], s.nodes_pct[g], s.largest_pct[g]);
       }
     }
   });
@@ -212,8 +197,7 @@ SweepResult SweepEngine::run(std::size_t trials, std::uint64_t seed,
   result.trials = trials;
   result.points.resize(grid_size_);
   for (std::size_t g = 0; g < grid_size_; ++g) {
-    const PointSlot merged = slots.merged(g);
-    result.points[g] = {axis_[g], merged.cables, merged.nodes, merged.largest};
+    result.points[g] = {slots.merged(g), axis_[g]};
   }
   return result;
 }

@@ -41,21 +41,16 @@
 
 #include "sim/incremental.h"
 #include "sim/monte_carlo.h"
-#include "util/stats.h"
+#include "sim/outcome.h"
 
 namespace solarnet::sim {
 
 // Aggregates for one grid point, in grid order (least severe first).
-struct SweepPointAggregate {
+struct SweepPointAggregate : ConnectivityStats {
   // The axis value this point was evaluated at: the uniform repeater
   // failure probability for uniform() grids, the caller-supplied label (or
   // the grid index) for explicit table grids.
   double axis = 0.0;
-  util::RunningStats cables_failed_pct;
-  util::RunningStats nodes_unreachable_pct;
-  // Largest surviving component, as % of nodes with >= 1 cable. Isolated
-  // vertices count as singleton components.
-  util::RunningStats largest_component_pct;
 };
 
 struct SweepResult {

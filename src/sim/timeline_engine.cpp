@@ -169,12 +169,12 @@ void TimelineEngine::playback(util::Rng& rng, TimelineScratch& s) const {
 
   // 3. Storm walk: failures accumulate forward in time, so the
   // resurrection walk runs the axis backward, recording in place.
-  s.cables_dead_pct.resize(total_steps);
+  s.cables_failed_pct.resize(total_steps);
   s.nodes_unreachable_pct.resize(total_steps);
   s.largest_component_pct.resize(total_steps);
   const std::size_t connected = inc_.connected_node_count();
   const auto record = [&](std::size_t at, const IncrementalAggregates& agg) {
-    s.cables_dead_pct[at] = percent_of(cables - agg.alive_cables, cables);
+    s.cables_failed_pct[at] = percent_of(cables - agg.alive_cables, cables);
     s.nodes_unreachable_pct[at] =
         percent_of(connected - agg.lit_nodes, connected);
     s.largest_component_pct[at] = percent_of(agg.largest, connected);
@@ -236,11 +236,9 @@ void TimelineEngine::run_trial(std::size_t trial, const util::Rng& base,
   util::Rng rng = base.split(trial);
   playback(rng, s);
   TimelineView view;
-  view.trial = trial;
-  view.engine = this;
   view.fail_step = s.fail_step;
   view.restore_hour = s.restore_hour;
-  view.cables_dead_pct = s.cables_dead_pct;
+  view.cables_failed_pct = s.cables_failed_pct;
   view.nodes_unreachable_pct = s.nodes_unreachable_pct;
   view.largest_component_pct = s.largest_component_pct;
   for (TimelineObserver* observer : observers_) {
@@ -298,10 +296,9 @@ void TimelineConnectivityObserver::observe(const TimelineView& view,
   double peak = 0.0;
   bool partitioned = false;
   for (std::size_t i = 0; i < steps_.width(); ++i) {
-    StepSlot& step = steps_.at(chunk, i);
-    step.cables.add(view.cables_dead_pct[i]);
-    step.nodes.add(view.nodes_unreachable_pct[i]);
-    step.largest.add(view.largest_component_pct[i]);
+    steps_.at(chunk, i).add(view.cables_failed_pct[i],
+                            view.nodes_unreachable_pct[i],
+                            view.largest_component_pct[i]);
     peak = std::max(peak, view.nodes_unreachable_pct[i]);
     if (!partitioned && view.largest_component_pct[i] < cutoff_pct_) {
       partitioned = true;
@@ -315,9 +312,7 @@ void TimelineConnectivityObserver::observe(const TimelineView& view,
 void TimelineConnectivityObserver::end_run() {
   result_.steps.resize(steps_.width());
   for (std::size_t i = 0; i < steps_.width(); ++i) {
-    const StepSlot merged = steps_.merged(i);
-    result_.steps[i] = {engine_->step_hour(i), merged.cables, merged.nodes,
-                        merged.largest};
+    result_.steps[i] = {steps_.merged(i), engine_->step_hour(i)};
   }
   const TrialSlot merged = trials_.merged();
   result_.partitioned_trials = merged.partitioned;

@@ -45,6 +45,7 @@
 #include "sim/chunked.h"
 #include "sim/incremental.h"
 #include "sim/monte_carlo.h"
+#include "sim/outcome.h"
 #include "util/stats.h"
 
 namespace solarnet::sim {
@@ -86,11 +87,9 @@ class TimelineEngine;
 
 // Per-trial read view handed to observers: the raw event times plus the
 // per-step connectivity percentages the two walks produced. Spans point
-// into per-worker scratch — valid only during observe().
+// into per-worker scratch — valid only during observe(). Observers get the
+// engine in begin_run.
 struct TimelineView {
-  std::size_t trial = 0;
-  const TimelineEngine* engine = nullptr;
-
   // Per cable: first storm step at which the cable is dead;
   // == storm_step_count() when it survives the whole storm.
   std::span<const std::uint32_t> fail_step;
@@ -99,8 +98,8 @@ struct TimelineView {
   std::span<const double> restore_hour;
 
   // Per unified playback step (storm steps then repair steps; the hour
-  // axis is engine->step_hour(i)).
-  std::span<const double> cables_dead_pct;
+  // axis is TimelineEngine::step_hour(i)).
+  std::span<const double> cables_failed_pct;
   std::span<const double> nodes_unreachable_pct;
   std::span<const double> largest_component_pct;
 };
@@ -132,7 +131,7 @@ struct TimelineScratch {
   recovery::RepairScheduler::Scratch repair;
   IncrementalScratch inc;
   // Per unified step, filled by the two walks.
-  std::vector<double> cables_dead_pct;
+  std::vector<double> cables_failed_pct;
   std::vector<double> nodes_unreachable_pct;
   std::vector<double> largest_component_pct;
 };
@@ -225,11 +224,8 @@ class TimelineEngine {
 // TimelineEngine::baseline_largest_pct), and the per-trial peak
 // unreachable share. Thread-count bit-identical via per-chunk slots merged
 // ascending.
-struct TimelineStepStats {
+struct TimelineStepStats : ConnectivityStats {
   double hour = 0.0;
-  util::RunningStats cables_dead_pct;
-  util::RunningStats nodes_unreachable_pct;
-  util::RunningStats largest_component_pct;
 };
 
 struct TimelineConnectivityResult {
@@ -260,13 +256,6 @@ class TimelineConnectivityObserver final : public TimelineObserver {
   void end_run() override;
 
  private:
-  struct StepSlot {
-    util::RunningStats cables;
-    util::RunningStats nodes;
-    util::RunningStats largest;
-    static constexpr auto kFields =
-        std::tuple{&StepSlot::cables, &StepSlot::nodes, &StepSlot::largest};
-  };
   struct TrialSlot {
     std::size_t partitioned = 0;
     util::RunningStats time_to_partition;
@@ -279,7 +268,7 @@ class TimelineConnectivityObserver final : public TimelineObserver {
   // threshold_ / 100 * baseline_largest_pct, fixed at begin_run.
   double cutoff_pct_ = 0.0;
   const TimelineEngine* engine_ = nullptr;
-  ChunkSlots<StepSlot> steps_{"TimelineConnectivityObserver"};  // per step
+  ChunkSlots<ConnectivityStats> steps_{"TimelineConnectivityObserver"};
   ChunkSlots<TrialSlot> trials_{"TimelineConnectivityObserver"};
   TimelineConnectivityResult result_;
 };

@@ -31,7 +31,6 @@ TrialBatchKernel::TrialBatchKernel(const FailureSimulator& simulator,
   if (table.probability.size() != cables_) {
     throw std::invalid_argument("TrialBatchKernel: table size mismatch");
   }
-  connected_nodes_ = net.connected_node_count();
 
   // Mirror the scalar sampler's stream discipline exactly: cables ascending;
   // repeaterless cables and p <= 0 never draw and never die; p >= 1 dies

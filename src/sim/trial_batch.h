@@ -96,7 +96,6 @@ class TrialBatchKernel {
  private:
   const FailureSimulator& sim_;
   std::size_t cables_ = 0;
-  std::size_t connected_nodes_ = 0;
   // Cables whose draw consumes one uniform per trial (0 < p < 1), in
   // ascending cable order — the scalar sampler's exact stream discipline.
   std::vector<std::uint32_t> consumer_cable_;

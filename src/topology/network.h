@@ -63,9 +63,9 @@ class InfrastructureNetwork {
   const graph::Graph& graph() const noexcept { return graph_; }
   // Flat CSR snapshot of graph(), built lazily on first use and cached
   // until the next add_node/add_cable invalidates it. This is the substrate
-  // the scratch-based connectivity kernels (graph/components.h,
-  // graph/traversal.h) traverse; build it (by calling this once) before
-  // fanning trial workers out over the network.
+  // the scratch-based kernels (graph/components.h, graph/shortest_paths.h)
+  // traverse; build it (by calling this once) before fanning trial workers
+  // out over the network.
   const graph::Csr& csr() const;
   // Order-sensitive 64-bit digest of the network's content: every node
   // (name, coordinates, country, kind, authoritativeness) and cable (name,

@@ -33,13 +33,13 @@ TEST(UniformSweep, MonotoneInProbability) {
   const auto sweep = uniform_failure_sweep(simulator, probs, 30, 11);
   ASSERT_EQ(sweep.size(), 4u);
   for (std::size_t i = 1; i < sweep.size(); ++i) {
-    EXPECT_GE(sweep[i].cables_failed_mean_pct,
-              sweep[i - 1].cables_failed_mean_pct - 1.0);
-    EXPECT_GE(sweep[i].nodes_unreachable_mean_pct,
-              sweep[i - 1].nodes_unreachable_mean_pct - 1.0);
+    EXPECT_GE(sweep[i].cables_failed_pct.mean(),
+              sweep[i - 1].cables_failed_pct.mean() - 1.0);
+    EXPECT_GE(sweep[i].nodes_unreachable_pct.mean(),
+              sweep[i - 1].nodes_unreachable_pct.mean() - 1.0);
   }
-  EXPECT_DOUBLE_EQ(sweep.back().cables_failed_mean_pct, 100.0);
-  EXPECT_DOUBLE_EQ(sweep.back().nodes_unreachable_mean_pct, 100.0);
+  EXPECT_DOUBLE_EQ(sweep.back().cables_failed_pct.mean(), 100.0);
+  EXPECT_DOUBLE_EQ(sweep.back().nodes_unreachable_pct.mean(), 100.0);
 }
 
 TEST(UniformSweep, RecordsProbability) {
@@ -47,8 +47,8 @@ TEST(UniformSweep, RecordsProbability) {
   const sim::FailureSimulator simulator(net, {});
   const std::vector<double> probs = {0.05};
   const auto sweep = uniform_failure_sweep(simulator, probs, 10, 1);
-  EXPECT_DOUBLE_EQ(sweep[0].repeater_failure_probability, 0.05);
-  EXPECT_GE(sweep[0].cables_failed_sd_pct, 0.0);
+  EXPECT_DOUBLE_EQ(sweep[0].axis, 0.05);
+  EXPECT_GE(sweep[0].cables_failed_pct.sample_stddev(), 0.0);
 }
 
 TEST(DefaultProbabilityGrid, SpansPaperRange) {

@@ -16,11 +16,6 @@ ComponentResult components_of(const Graph& g) {
   return components_of(g, AliveMask::all_alive(g));
 }
 
-bool connected(const Graph& g, const AliveMask& mask) {
-  ComponentScratch scratch;
-  return is_connected(Csr(g), mask, scratch);
-}
-
 Graph triangle_plus_isolated() {
   Graph g(4);
   g.add_edge(0, 1);
@@ -88,21 +83,6 @@ TEST(Components, ComponentSizesSumToAliveVertices) {
   std::size_t total = 0;
   for (std::size_t s : cc.component_sizes) total += s;
   EXPECT_EQ(total, 5u);  // 6 vertices - 1 dead
-}
-
-TEST(IsConnected, Basics) {
-  Graph g(3);
-  g.add_edge(0, 1);
-  EXPECT_FALSE(connected(g, AliveMask::all_alive(g)));
-  g.add_edge(1, 2);
-  EXPECT_TRUE(connected(g, AliveMask::all_alive(g)));
-}
-
-TEST(IsConnected, VacuouslyTrueWhenNothingAlive) {
-  Graph g(3);
-  AliveMask mask = AliveMask::all_alive(g);
-  mask.vertex_alive.assign(3, false);
-  EXPECT_TRUE(connected(g, mask));
 }
 
 TEST(Components, SameComponentRejectsBadIds) {

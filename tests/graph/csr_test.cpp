@@ -6,9 +6,7 @@
 
 #include "graph/components.h"
 #include "graph/graph.h"
-#include "graph/traversal.h"
 #include "reference/graph_kernels.h"
-#include "util/bitset.h"
 #include "util/rng.h"
 
 namespace solarnet::graph {
@@ -88,16 +86,13 @@ TEST(Csr, HalfEdgeOrderMatchesIncident) {
   }
 }
 
-// Property sweep: on randomized masked graphs the CSR scratch kernels must
-// return exactly what the frozen Graph-tier kernels
-// (bench/reference/graph_kernels.h) return.
+// Property sweep: on randomized masked graphs the CSR components kernel
+// must return exactly what the frozen Graph-tier kernel
+// (bench/reference/graph_kernels.h) returns.
 TEST(Csr, ScratchKernelsMatchGraphKernelsOnRandomGraphs) {
   util::Rng rng(2024);
   ComponentScratch comp_scratch;
   ComponentResult cc;
-  TraversalScratch trav_scratch;
-  util::Bitset reach;
-  std::vector<std::uint32_t> hops;
 
   for (int round = 0; round < 30; ++round) {
     const std::size_t vertices = 2 + rng.uniform_below(60);
@@ -106,28 +101,10 @@ TEST(Csr, ScratchKernelsMatchGraphKernelsOnRandomGraphs) {
     const Csr csr(g);
     const AliveMask mask = random_mask(rng, g, 0.2, 0.3);
 
-    // Components.
     const ComponentResult ref = reference::connected_components(g, mask);
     connected_components(csr, mask, comp_scratch, cc);
     EXPECT_EQ(cc.component, ref.component) << "round " << round;
     EXPECT_EQ(cc.component_sizes, ref.component_sizes) << "round " << round;
-    EXPECT_EQ(is_connected(csr, mask, comp_scratch),
-              reference::is_connected(g, mask))
-        << "round " << round;
-
-    // Traversals from every vertex (small graphs, exhaustive is cheap).
-    for (VertexId s = 0; s < g.vertex_count(); ++s) {
-      const auto ref_reach = reference::reachable_from(g, mask, s);
-      reachable_from(csr, mask, s, trav_scratch, reach);
-      ASSERT_EQ(reach.size(), ref_reach.size());
-      for (std::size_t v = 0; v < ref_reach.size(); ++v) {
-        EXPECT_EQ(reach[v], ref_reach[v])
-            << "round " << round << " source " << s << " vertex " << v;
-      }
-      const auto ref_hops = reference::bfs_hops(g, mask, s);
-      bfs_hops(csr, mask, s, trav_scratch, hops);
-      EXPECT_EQ(hops, ref_hops) << "round " << round << " source " << s;
-    }
   }
 }
 
@@ -136,8 +113,6 @@ TEST(Csr, ScratchReuseAcrossGraphSizesIsDeterministic) {
   util::Rng rng(5);
   ComponentScratch scratch;
   ComponentResult first, again;
-  TraversalScratch trav;
-  std::vector<std::uint32_t> hops_first, hops_again;
 
   const Graph big = random_graph(rng, 80, 200);
   const Graph small = random_graph(rng, 5, 4);
@@ -152,11 +127,6 @@ TEST(Csr, ScratchReuseAcrossGraphSizesIsDeterministic) {
   connected_components(big_csr, big_mask, scratch, again);
   EXPECT_EQ(again.component, first.component);
   EXPECT_EQ(again.component_sizes, first.component_sizes);
-
-  bfs_hops(big_csr, big_mask, 0, trav, hops_first);
-  bfs_hops(small_csr, small_mask, 0, trav, hops_again);
-  bfs_hops(big_csr, big_mask, 0, trav, hops_again);
-  EXPECT_EQ(hops_again, hops_first);
 }
 
 TEST(Csr, KernelsRejectMismatchedMask) {
@@ -170,21 +140,10 @@ TEST(Csr, KernelsRejectMismatchedMask) {
   ComponentResult cc;
   EXPECT_THROW(connected_components(csr, wrong, scratch, cc),
                std::invalid_argument);
-  EXPECT_THROW(is_connected(csr, wrong, scratch), std::invalid_argument);
-  TraversalScratch trav;
-  util::Bitset reach;
-  std::vector<std::uint32_t> hops;
-  EXPECT_THROW(reachable_from(csr, wrong, 0, trav, reach),
-               std::invalid_argument);
-  EXPECT_THROW(bfs_hops(csr, wrong, 0, trav, hops), std::invalid_argument);
   // A short edge mask is rejected too, not read past its end.
   AliveMask short_edges = AliveMask::all_alive(g);
   short_edges.edge_alive.assign(0, true);
   EXPECT_THROW(connected_components(csr, short_edges, scratch, cc),
-               std::invalid_argument);
-  EXPECT_THROW(reachable_from(csr, short_edges, 0, trav, reach),
-               std::invalid_argument);
-  EXPECT_THROW(bfs_hops(csr, short_edges, 0, trav, hops),
                std::invalid_argument);
 }
 

@@ -68,30 +68,6 @@ TEST(AliveMask, AllAliveMatchesGraph) {
   const AliveMask mask = AliveMask::all_alive(g);
   EXPECT_EQ(mask.vertex_alive.size(), 3u);
   EXPECT_EQ(mask.edge_alive.size(), 1u);
-  EXPECT_TRUE(mask.traversable(g, 0));
-}
-
-TEST(AliveMask, DeadEdgeNotTraversable) {
-  Graph g(2);
-  const EdgeId e = g.add_edge(0, 1);
-  AliveMask mask = AliveMask::all_alive(g);
-  mask.edge_alive.reset(e);
-  EXPECT_FALSE(mask.traversable(g, e));
-}
-
-TEST(AliveMask, DeadEndpointBlocksEdge) {
-  Graph g(2);
-  const EdgeId e = g.add_edge(0, 1);
-  AliveMask mask = AliveMask::all_alive(g);
-  mask.vertex_alive.reset(1);
-  EXPECT_FALSE(mask.traversable(g, e));
-}
-
-TEST(AliveMask, OutOfRangeEdgeIsNotTraversable) {
-  Graph g(2);
-  g.add_edge(0, 1);
-  const AliveMask mask = AliveMask::all_alive(g);
-  EXPECT_FALSE(mask.traversable(g, 42));
 }
 
 }  // namespace

@@ -4,7 +4,6 @@
 
 #include <vector>
 
-#include "graph/traversal.h"
 #include "reference/graph_kernels.h"
 #include "util/rng.h"
 
@@ -171,6 +170,91 @@ TEST(ShortestPathTree, ValidatesArguments) {
                std::invalid_argument);
   EXPECT_THROW(shortest_path_to(csr, w, wrong, 0, 1, scratch),
                std::invalid_argument);
+}
+
+// 0 --1-- 1 --1-- 2
+//  \------5------/      (direct heavy edge 0-2)
+Graph weighted_triangle() {
+  Graph g(3);
+  g.add_edge(0, 1, 1.0);
+  g.add_edge(1, 2, 1.0);
+  g.add_edge(0, 2, 5.0);
+  return g;
+}
+
+TEST(Dijkstra, PrefersLightPath) {
+  const Graph g = weighted_triangle();
+  const ShortestPaths sp = dijkstra(g, AliveMask::all_alive(g), 0);
+  EXPECT_DOUBLE_EQ(sp.distance[2], 2.0);  // via vertex 1, not the 5.0 edge
+  EXPECT_EQ(sp.parent[2], 1u);
+  EXPECT_EQ(sp.parent[1], 0u);
+  EXPECT_EQ(sp.parent[0], kInvalidVertex);
+}
+
+TEST(Dijkstra, DirectWhenCheaper) {
+  Graph g(3);
+  g.add_edge(0, 1, 10.0);
+  g.add_edge(1, 2, 10.0);
+  g.add_edge(0, 2, 5.0);
+  const ShortestPaths sp = dijkstra(g, AliveMask::all_alive(g), 0);
+  EXPECT_DOUBLE_EQ(sp.distance[2], 5.0);
+  EXPECT_EQ(sp.parent[2], 0u);
+}
+
+TEST(Dijkstra, UnreachableIsInfinity) {
+  Graph g(3);
+  g.add_edge(0, 1, 1.0);
+  const ShortestPaths sp = dijkstra(g, AliveMask::all_alive(g), 0);
+  EXPECT_EQ(sp.distance[2], kUnreachable);
+  EXPECT_EQ(sp.parent[2], kInvalidVertex);
+}
+
+TEST(Dijkstra, MaskChangesRoute) {
+  const Graph g = weighted_triangle();
+  AliveMask mask = AliveMask::all_alive(g);
+  mask.vertex_alive.reset(1);  // force the heavy direct edge
+  const ShortestPaths sp = dijkstra(g, mask, 0);
+  EXPECT_DOUBLE_EQ(sp.distance[2], 5.0);
+}
+
+TEST(Dijkstra, SourceProperties) {
+  const Graph g = weighted_triangle();
+  const ShortestPaths sp = dijkstra(g, AliveMask::all_alive(g), 1);
+  EXPECT_DOUBLE_EQ(sp.distance[1], 0.0);
+  EXPECT_EQ(sp.parent[1], kInvalidVertex);
+}
+
+TEST(Dijkstra, ThrowsOnBadSource) {
+  const Graph g = weighted_triangle();
+  EXPECT_THROW(dijkstra(g, AliveMask::all_alive(g), 99),
+               std::invalid_argument);
+}
+
+TEST(Dijkstra, DeadSourceHasNoDistances) {
+  const Graph g = weighted_triangle();
+  AliveMask mask = AliveMask::all_alive(g);
+  mask.vertex_alive.reset(0);
+  const ShortestPaths sp = dijkstra(g, mask, 0);
+  EXPECT_EQ(sp.distance[0], kUnreachable);
+  EXPECT_EQ(sp.distance[1], kUnreachable);
+}
+
+TEST(Dijkstra, ZeroWeightEdges) {
+  Graph g(3);
+  g.add_edge(0, 1, 0.0);
+  g.add_edge(1, 2, 0.0);
+  const ShortestPaths sp = dijkstra(g, AliveMask::all_alive(g), 0);
+  EXPECT_DOUBLE_EQ(sp.distance[2], 0.0);
+}
+
+TEST(Dijkstra, LargeLineGraph) {
+  constexpr std::size_t kN = 10000;
+  Graph g(kN);
+  for (std::size_t i = 1; i < kN; ++i) {
+    g.add_edge(static_cast<VertexId>(i - 1), static_cast<VertexId>(i), 1.0);
+  }
+  const ShortestPaths sp = dijkstra(g, AliveMask::all_alive(g), 0);
+  EXPECT_DOUBLE_EQ(sp.distance[kN - 1], static_cast<double>(kN - 1));
 }
 
 }  // namespace

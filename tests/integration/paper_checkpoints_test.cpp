@@ -105,14 +105,14 @@ TEST(PaperCheckpoints, SweepShape) {
   const auto sim150 = make_sim(submarine(), 150.0);
   const auto sweep = analysis::uniform_failure_sweep(sim150, probs, 5, 11);
   for (std::size_t i = 1; i < sweep.size(); ++i) {
-    EXPECT_GE(sweep[i].cables_failed_mean_pct,
-              sweep[i - 1].cables_failed_mean_pct - 2.0);
+    EXPECT_GE(sweep[i].cables_failed_pct.mean(),
+              sweep[i - 1].cables_failed_pct.mean() - 2.0);
   }
   const auto sim50 = make_sim(submarine(), 50.0);
   const std::vector<double> one_prob = {probs[1]};
   const auto sweep50 = analysis::uniform_failure_sweep(sim50, one_prob, 5, 11);
-  EXPECT_GE(sweep50[0].cables_failed_mean_pct,
-            sweep[1].cables_failed_mean_pct - 2.0);
+  EXPECT_GE(sweep50[0].cables_failed_pct.mean(),
+            sweep[1].cables_failed_pct.mean() - 2.0);
 }
 
 // §4.2.2: infrastructure skew — 31% submarine endpoints above 40 vs 16% of

@@ -1,8 +1,9 @@
 // Property-based sweeps (TEST_P) over the simulation engine and the graph
 // substrate: invariants that must hold for every (spacing, model,
 // probability, seed) combination, and randomized cross-checks between
-// independent implementations (union-find components vs BFS reachability,
-// Dijkstra vs BFS on unit weights, analytic death probability vs sampled
+// independent implementations (union-find components vs the frozen DFS
+// reachability, Dijkstra vs the frozen BFS on unit weights, both in
+// bench/reference/graph_kernels.h; analytic death probability vs sampled
 // frequency).
 #include <gtest/gtest.h>
 
@@ -13,7 +14,8 @@
 #include "topology/repeater.h"
 #include "datasets/submarine.h"
 #include "graph/components.h"
-#include "graph/traversal.h"
+#include "graph/shortest_paths.h"
+#include "reference/graph_kernels.h"
 #include "sim/monte_carlo.h"
 #include "util/rng.h"
 
@@ -49,24 +51,28 @@ TEST_P(EngineInvariantTest, TrialOutputsAreConsistent) {
   const sim::FailureSimulator simulator(net(), cfg);
   const gic::UniformFailureModel model(p);
   util::Rng rng(static_cast<std::uint64_t>(spacing * 1000 + p * 1e6));
-  const sim::TrialResult r = simulator.run_trial(model, rng);
+  util::Bitset dead;
+  simulator.sample_cable_failures(model, rng, dead);
+  std::vector<topo::NodeId> unreachable;
+  net().unreachable_nodes(dead, unreachable);
 
-  // Counts match flags.
-  std::size_t dead = 0;
-  for (bool d : r.cable_dead) dead += d ? 1 : 0;
-  EXPECT_EQ(dead, r.cables_failed);
-  // Percentages in range and consistent with counts.
-  EXPECT_GE(r.cables_failed_pct, 0.0);
-  EXPECT_LE(r.cables_failed_pct, 100.0);
-  EXPECT_GE(r.nodes_unreachable_pct, 0.0);
-  EXPECT_LE(r.nodes_unreachable_pct, 100.0);
-  // Unreachable nodes recomputed from the network agree.
-  EXPECT_EQ(net().unreachable_nodes(r.cable_dead).size(),
-            r.nodes_unreachable);
+  // Percentages in range.
+  const double cables_pct = sim::percent_of(dead.count(), net().cable_count());
+  const double nodes_pct =
+      sim::percent_of(unreachable.size(), net().connected_node_count());
+  EXPECT_GE(cables_pct, 0.0);
+  EXPECT_LE(cables_pct, 100.0);
+  EXPECT_GE(nodes_pct, 0.0);
+  EXPECT_LE(nodes_pct, 100.0);
+  // Every unreachable node had cables and lost all of them.
+  for (const topo::NodeId n : unreachable) {
+    ASSERT_FALSE(net().cables_at(n).empty());
+    for (const topo::CableId c : net().cables_at(n)) EXPECT_TRUE(dead[c]);
+  }
   // Repeaterless cables never die.
   for (topo::CableId c = 0; c < net().cable_count(); ++c) {
     if (topo::cable_repeater_count(net().cable(c), spacing) == 0) {
-      EXPECT_FALSE(r.cable_dead[c]);
+      EXPECT_FALSE(dead[c]);
     }
   }
 }
@@ -193,11 +199,8 @@ TEST_P(RandomGraphTest, ComponentsAgreeWithReachability) {
   const auto g = random_graph(rng, 60, 70);
   const auto mask = graph::AliveMask::all_alive(g);
   const auto cc = components_of(g, mask);
-  const graph::Csr csr(g);
-  graph::TraversalScratch scratch;
-  util::Bitset reach;
   for (graph::VertexId src : {0u, 7u, 31u}) {
-    graph::reachable_from(csr, mask, src, scratch, reach);
+    const std::vector<bool> reach = reference::reachable_from(g, mask, src);
     for (graph::VertexId v = 0; v < g.vertex_count(); ++v) {
       EXPECT_EQ(reach[v], cc.same_component(src, v))
           << "src=" << src << " v=" << v;
@@ -210,11 +213,9 @@ TEST_P(RandomGraphTest, DijkstraMatchesBfsOnUnitWeights) {
   const auto g = random_graph(rng, 50, 90);
   const auto mask = graph::AliveMask::all_alive(g);
   const auto sp = graph::dijkstra(g, mask, 0);
-  graph::TraversalScratch scratch;
-  std::vector<std::uint32_t> hops;
-  graph::bfs_hops(graph::Csr(g), mask, 0, scratch, hops);
+  const std::vector<std::uint32_t> hops = reference::bfs_hops(g, mask, 0);
   for (graph::VertexId v = 0; v < g.vertex_count(); ++v) {
-    if (hops[v] == graph::kUnreachableHops) {
+    if (hops[v] == reference::kUnreachableHops) {
       EXPECT_EQ(sp.distance[v], graph::kUnreachable);
     } else {
       EXPECT_DOUBLE_EQ(sp.distance[v], static_cast<double>(hops[v]));

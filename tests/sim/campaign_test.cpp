@@ -95,10 +95,11 @@ class CampaignTest : public ::testing::Test {
            const gic::RepeaterFailureModel& model,
            const topo::InfrastructureNetwork& net,
            const services::ServiceSpec& spec,
-           const std::vector<datasets::DnsRootInstance>& roots)
+           const std::vector<datasets::DnsRootInstance>& roots,
+           double dns_threshold_pct = 10.0)
         : pipeline(simulator, model),
           availability(net, spec),
-          dns(net, roots, 10.0),
+          dns(net, roots, dns_threshold_pct),
           isolation(net, {"US", "GB"}),
           campaign(pipeline) {
       campaign.add_observer(connectivity);
@@ -432,21 +433,50 @@ TEST_F(CampaignCorruptionTest, CorruptCheckpointsRestartFreshWithRightCode) {
   }
 }
 
+// A checkpoint from another campaign on the same network is rejected and
+// the run restarts fresh under the new configuration: a different seed, or
+// at the same seed a different draw law (model, repeater spacing) or
+// observer setting (write quorum, DNS threshold).
 TEST_F(CampaignCorruptionTest, MismatchedCampaignRejectsCheckpoint) {
-  const FailureSimulator simulator(net_, {});
-  write_full_checkpoint(simulator);
+  struct Case {
+    const char* name;
+    std::uint64_t seed;
+    double spacing_km;
+    bool s2;
+    std::size_t write_quorum;
+    double dns_threshold_pct;
+  };
+  const Case cases[] = {
+      {"seed", kSeed + 1, 150.0, false, 2, 10.0},
+      {"model", kSeed, 150.0, true, 2, 10.0},
+      {"spacing", kSeed, 100.0, false, 2, 10.0},
+      {"quorum", kSeed, 150.0, false, 1, 10.0},
+      {"threshold", kSeed, 150.0, false, 2, 1.0},
+  };
+  const FailureSimulator written_by(net_, {});
+  for (const Case& c : cases) {
+    write_full_checkpoint(written_by);
+    TrialConfig config;
+    config.repeater_spacing_km = c.spacing_km;
+    const FailureSimulator simulator(net_, config);
+    const gic::LatitudeBandFailureModel model =
+        c.s2 ? gic::LatitudeBandFailureModel::s2() : model_;
+    services::ServiceSpec spec = service_spec();
+    spec.write_quorum = c.write_quorum;
 
-  // Same file, different seed: fingerprint mismatch, fresh run under the
-  // *new* seed.
-  Bundle reference = make_bundle(simulator);
-  reference.pipeline.run(kTrials, kSeed + 1);
-
-  Bundle campaign = make_bundle(simulator);
-  const CampaignReport report =
-      campaign.campaign.run(options(kTrials, kSeed + 1, 1));
-  EXPECT_FALSE(report.resumed);
-  EXPECT_EQ(report.resume_status.code(), util::ErrorCode::kMismatch);
-  expect_bundles_eq(campaign, reference);
+    Bundle reference(simulator, model, net_, spec, dns_roots(),
+                     c.dns_threshold_pct);
+    reference.pipeline.run(kTrials, c.seed);
+    Bundle campaign(simulator, model, net_, spec, dns_roots(),
+                    c.dns_threshold_pct);
+    const CampaignReport report =
+        campaign.campaign.run(options(kTrials, c.seed, 1));
+    EXPECT_FALSE(report.resumed) << c.name;
+    EXPECT_EQ(report.chunks_executed, 5u) << c.name;
+    EXPECT_EQ(report.resume_status.code(), util::ErrorCode::kMismatch)
+        << c.name;
+    expect_bundles_eq(campaign, reference);
+  }
 }
 
 TEST_F(CampaignCorruptionTest, StrictResumeThrowsInsteadOfRestarting) {

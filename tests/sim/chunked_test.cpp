@@ -354,8 +354,8 @@ TEST_F(ChunkedEngineTest, TimelineIsThreadCountInvariant) {
       ASSERT_EQ(got.steps.size(), want.steps.size());
       for (std::size_t i = 0; i < want.steps.size(); ++i) {
         EXPECT_EQ(got.steps[i].hour, want.steps[i].hour);
-        expect_bits_eq(got.steps[i].cables_dead_pct,
-                       want.steps[i].cables_dead_pct);
+        expect_bits_eq(got.steps[i].cables_failed_pct,
+                       want.steps[i].cables_failed_pct);
         expect_bits_eq(got.steps[i].nodes_unreachable_pct,
                        want.steps[i].nodes_unreachable_pct);
         expect_bits_eq(got.steps[i].largest_component_pct,

@@ -104,13 +104,18 @@ TEST_F(SimTest, TrialCountsNodesPerPaperDefinition) {
   const FailureSimulator sim(net_, {});
   const gic::UniformFailureModel certain(1.0);
   util::Rng rng(1);
-  const TrialResult r = sim.run_trial(certain, rng);
-  EXPECT_EQ(r.cables_failed, 2u);
+  util::Bitset dead;
+  sim.sample_cable_failures(certain, rng, dead);
+  std::vector<topo::NodeId> unreachable;
+  net_.unreachable_nodes(dead, unreachable);
+  EXPECT_EQ(dead.count(), 2u);
   // A and B lose their only cable; C loses its only cable; D and E keep
   // the short one.
-  EXPECT_EQ(r.nodes_unreachable, 3u);
-  EXPECT_NEAR(r.cables_failed_pct, 100.0 * 2.0 / 3.0, 1e-9);
-  EXPECT_NEAR(r.nodes_unreachable_pct, 100.0 * 3.0 / 5.0, 1e-9);
+  EXPECT_EQ(unreachable.size(), 3u);
+  EXPECT_NEAR(percent_of(dead.count(), net_.cable_count()), 100.0 * 2.0 / 3.0,
+              1e-9);
+  EXPECT_NEAR(percent_of(unreachable.size(), net_.connected_node_count()),
+              100.0 * 3.0 / 5.0, 1e-9);
 }
 
 TEST_F(SimTest, TrialFrequencyMatchesDeathProbability) {
@@ -326,16 +331,23 @@ TEST_F(SimTest, RunTrialsMatchesIndependentTrialStreams) {
   double min_pct = 1e300;
   double max_pct = -1e300;
   double sum = 0.0;
+  double nodes_sum = 0.0;
+  util::Bitset dead;
+  std::vector<topo::NodeId> unreachable;
   for (std::size_t t = 0; t < kTrials; ++t) {
     util::Rng rng = base.split(t);
-    const TrialResult r = sim.run_trial(m, rng);
-    min_pct = std::min(min_pct, r.cables_failed_pct);
-    max_pct = std::max(max_pct, r.cables_failed_pct);
-    sum += r.cables_failed_pct;
+    sim.sample_cable_failures(m, rng, dead);
+    net_.unreachable_nodes(dead, unreachable);
+    const double pct = percent_of(dead.count(), net_.cable_count());
+    min_pct = std::min(min_pct, pct);
+    max_pct = std::max(max_pct, pct);
+    sum += pct;
+    nodes_sum += percent_of(unreachable.size(), net_.connected_node_count());
   }
   EXPECT_EQ(agg.cables_failed_pct.min(), min_pct);
   EXPECT_EQ(agg.cables_failed_pct.max(), max_pct);
   EXPECT_NEAR(agg.cables_failed_pct.mean(), sum / kTrials, 1e-9);
+  EXPECT_NEAR(agg.nodes_unreachable_pct.mean(), nodes_sum / kTrials, 1e-9);
 }
 
 TEST_F(SimTest, EmptyNetworkSafe) {

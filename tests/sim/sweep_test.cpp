@@ -310,11 +310,12 @@ TEST(SweepProperty, UnsortedSweepInputKeepsOrder) {
     const auto it = std::find(sorted.begin(), sorted.end(), shuffled[i]);
     ASSERT_NE(it, sorted.end());
     const auto& expect = a[static_cast<std::size_t>(it - sorted.begin())];
-    EXPECT_EQ(b[i].repeater_failure_probability, shuffled[i]);
-    EXPECT_EQ(b[i].cables_failed_mean_pct, expect.cables_failed_mean_pct);
-    EXPECT_EQ(b[i].nodes_unreachable_mean_pct,
-              expect.nodes_unreachable_mean_pct);
-    EXPECT_EQ(b[i].cables_failed_sd_pct, expect.cables_failed_sd_pct);
+    EXPECT_EQ(b[i].axis, shuffled[i]);
+    EXPECT_EQ(b[i].cables_failed_pct.mean(), expect.cables_failed_pct.mean());
+    EXPECT_EQ(b[i].nodes_unreachable_pct.mean(),
+              expect.nodes_unreachable_pct.mean());
+    EXPECT_EQ(b[i].cables_failed_pct.sample_stddev(),
+              expect.cables_failed_pct.sample_stddev());
   }
 }
 

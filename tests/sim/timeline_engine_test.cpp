@@ -251,7 +251,7 @@ TEST_F(TimelineEngineTest, PlaybackMatchesNaivePerStepRecompute) {
           cables > 0 ? 100.0 * static_cast<double>(dead_count) /
                            static_cast<double>(cables)
                      : 0.0;
-      EXPECT_EQ(scratch.cables_dead_pct[i], dead_pct)
+      EXPECT_EQ(scratch.cables_failed_pct[i], dead_pct)
           << "trial " << trial << " step " << i;
       const std::size_t unreachable = net_.unreachable_nodes(dead).size();
       const double unreachable_pct =
@@ -287,10 +287,10 @@ TEST_F(TimelineEngineTest, DeadFractionIsMonotonePerPhase)
     util::Rng rng = base.split(trial);
     engine.playback(rng, scratch);
     for (std::size_t g = 1; g < storm_steps; ++g) {
-      EXPECT_GE(scratch.cables_dead_pct[g], scratch.cables_dead_pct[g - 1]);
+      EXPECT_GE(scratch.cables_failed_pct[g], scratch.cables_failed_pct[g - 1]);
     }
     for (std::size_t i = storm_steps + 1; i < engine.step_count(); ++i) {
-      EXPECT_LE(scratch.cables_dead_pct[i], scratch.cables_dead_pct[i - 1]);
+      EXPECT_LE(scratch.cables_failed_pct[i], scratch.cables_failed_pct[i - 1]);
     }
   }
 }
@@ -330,7 +330,7 @@ TEST_F(TimelineEngineTest, ZeroProbabilityKeepsNetworkIntact) {
   EXPECT_EQ(result.trials, 40u);
   EXPECT_EQ(result.partitioned_trials, 0u);
   for (const TimelineStepStats& step : result.steps) {
-    EXPECT_EQ(step.cables_dead_pct.max(), 0.0);
+    EXPECT_EQ(step.cables_failed_pct.max(), 0.0);
     EXPECT_EQ(step.nodes_unreachable_pct.max(), 0.0);
   }
   EXPECT_EQ(result.peak_nodes_unreachable_pct.max(), 0.0);
@@ -367,10 +367,10 @@ TEST_F(TimelineEngineTest, ObserverAggregatesAreThreadCountInvariant) {
     ASSERT_EQ(r.steps.size(), ref.steps.size());
     for (std::size_t s = 0; s < ref.steps.size(); ++s) {
       EXPECT_EQ(r.steps[s].hour, ref.steps[s].hour);
-      EXPECT_EQ(r.steps[s].cables_dead_pct.mean(),
-                ref.steps[s].cables_dead_pct.mean());
-      EXPECT_EQ(r.steps[s].cables_dead_pct.sample_stddev(),
-                ref.steps[s].cables_dead_pct.sample_stddev());
+      EXPECT_EQ(r.steps[s].cables_failed_pct.mean(),
+                ref.steps[s].cables_failed_pct.mean());
+      EXPECT_EQ(r.steps[s].cables_failed_pct.sample_stddev(),
+                ref.steps[s].cables_failed_pct.sample_stddev());
       EXPECT_EQ(r.steps[s].nodes_unreachable_pct.mean(),
                 ref.steps[s].nodes_unreachable_pct.mean());
       EXPECT_EQ(r.steps[s].largest_component_pct.mean(),
@@ -391,7 +391,7 @@ TEST_F(TimelineEngineTest, ZeroTrialsStillProducesSizedResult) {
   ASSERT_EQ(result.steps.size(), engine.step_count());
   for (std::size_t i = 0; i < result.steps.size(); ++i) {
     EXPECT_EQ(result.steps[i].hour, engine.step_hour(i));
-    EXPECT_TRUE(result.steps[i].cables_dead_pct.empty());
+    EXPECT_TRUE(result.steps[i].cables_failed_pct.empty());
   }
 }
 

@@ -209,7 +209,8 @@ TEST_F(TrialBatchTest, KernelValidatesRuleAndTable) {
 
 // A deliberately scalar observer (supports_batch() == false): on the
 // batched pipeline path it must see per-lane TrialViews indistinguishable
-// from the scalar path — same draw, same counts, same components.
+// from the scalar path — same draw, same counts, same components. The
+// counts are recounted from the view's dead set.
 class RecordingObserver final : public TrialObserver {
  public:
   struct Record {
@@ -222,15 +223,18 @@ class RecordingObserver final : public TrialObserver {
   };
 
   bool needs_components() const override { return true; }
-  void begin_run(const TrialPipeline&, std::size_t, std::size_t) override {
+  void begin_run(const TrialPipeline& pipeline, std::size_t,
+                 std::size_t) override {
+    net_ = &pipeline.network();
     records_.clear();
   }
   void observe(const TrialView& view, std::size_t, std::size_t) override {
+    net_->unreachable_nodes(*view.cable_dead, unreachable_);
     Record r;
     r.trial = view.trial;
-    r.cables_failed = view.cables_failed;
+    r.cables_failed = view.cable_dead->count();
     r.cables_failed_pct = view.cables_failed_pct;
-    r.unreachable = view.unreachable->size();
+    r.unreachable = unreachable_.size();
     r.nodes_unreachable_pct = view.nodes_unreachable_pct;
     r.largest_component = view.components->largest_component_size();
     records_.push_back(r);
@@ -241,6 +245,8 @@ class RecordingObserver final : public TrialObserver {
   const std::vector<Record>& records() const { return records_; }
 
  private:
+  const topo::InfrastructureNetwork* net_ = nullptr;
+  std::vector<topo::NodeId> unreachable_;
   std::vector<Record> records_;
 };
 

@@ -370,7 +370,7 @@ int cmd_timeline(const Args& args) {
                      "largest component %"});
   for (const sim::TimelineStepStats& step : conn.steps) {
     t.add_row({util::format_fixed(step.hour, 0),
-               util::format_fixed(step.cables_dead_pct.mean(), 1),
+               util::format_fixed(step.cables_failed_pct.mean(), 1),
                util::format_fixed(step.nodes_unreachable_pct.mean(), 1),
                util::format_fixed(step.largest_component_pct.mean(), 1)});
   }
