@@ -47,9 +47,7 @@ int main() {
     plan.shutdown.lead_time_hours = c.lead_hours;
     plan.has_service = true;
     plan.service = per_landmass;
-    core::MitigationOptions opts;
-    opts.availability_draws = 10;
-    const auto r = core::evaluate_mitigation(net, s1, plan, opts);
+    const auto r = core::evaluate_mitigation(net, s1, plan);
     t.add_row({c.label, util::format_fixed(r.corridor_cutoff_after, 3),
                util::format_fixed(r.expected_failures_with_plan, 1),
                util::format_fixed(r.expected_cables_saved(), 1),

@@ -21,23 +21,18 @@ int main() {
                    1)
             << "%\n";
 
-  const satellite::DragModel drag;
   util::print_banner(std::cout,
                      "Storm drag: decay rates and fleet loss by scenario");
   util::TextTable t({"storm", "density x", "decay km/day @550",
                      "decay km/day @340", "fleet loss @550 (14d)",
                      "fleet loss @340 (14d)"});
-  satellite::ConstellationConfig low;
-  low.altitude_km = 340.0;
-  const satellite::Constellation shell340(low);
+  const satellite::Constellation shell340(340.0);
   for (const gic::StormScenario& storm :
        {gic::moderate_storm(), gic::quebec_1989(), gic::ny_railroad_1921(),
         gic::carrington_1859()}) {
     const double mult = satellite::storm_density_multiplier(storm);
-    const auto hi = satellite::evaluate_fleet_impact(shell550, storm, 14.0,
-                                                     drag);
-    const auto lo = satellite::evaluate_fleet_impact(shell340, storm, 14.0,
-                                                     drag);
+    const auto hi = satellite::evaluate_fleet_impact(shell550, storm, 14.0);
+    const auto lo = satellite::evaluate_fleet_impact(shell340, storm, 14.0);
     t.add_row({storm.name, util::format_fixed(mult, 1),
                util::format_fixed(hi.decay_rate_storm_km_day, 3),
                util::format_fixed(lo.decay_rate_storm_km_day, 3),
@@ -49,8 +44,8 @@ int main() {
   util::print_banner(std::cout, "Passive (no-thrust) orbit lifetimes");
   util::TextTable life({"altitude km", "quiet days", "Carrington-storm days"});
   for (double altitude : {340.0, 450.0, 550.0}) {
-    const double quiet = drag.passive_lifetime_days(altitude, 1.0);
-    const double storm = drag.passive_lifetime_days(
+    const double quiet = satellite::passive_lifetime_days(altitude, 1.0);
+    const double storm = satellite::passive_lifetime_days(
         altitude,
         satellite::storm_density_multiplier(gic::carrington_1859()));
     life.add_row({util::format_fixed(altitude, 0),

@@ -12,13 +12,12 @@
 int main() {
   using namespace solarnet;
 
-  const solar::SolarCycleModel cycle;
   util::print_banner(std::cout, "Solar cycle model");
   util::TextTable ssn({"year", "sunspot number", "relative CME rate"});
   for (double year : {2014.0, 2019.96, 2025.5, 2031.0, 2063.96, 2069.5}) {
     ssn.add_row({util::format_fixed(year, 1),
-                 util::format_fixed(cycle.sunspot_number(year), 0),
-                 util::format_fixed(cycle.relative_event_rate(year), 2)});
+                 util::format_fixed(solar::sunspot_number(year), 0),
+                 util::format_fixed(solar::relative_event_rate(year), 2)});
   }
   ssn.print(std::cout);
   std::cout << "paper §2.3: cycle 24 peaked at 116; cycle 25 forecasts "
@@ -31,9 +30,7 @@ int main() {
   util::TextTable risk({"events/century", "P(direct impact)/decade",
                         "P(Carrington)/decade"});
   for (double rate : {2.6, 3.9, 5.2}) {
-    solar::ExtremeEventRiskParams params;
-    params.events_per_century = rate;
-    const solar::ExtremeEventRisk r{cycle, params};
+    const solar::ExtremeEventRisk r{rate};
     risk.add_row(
         {util::format_fixed(rate, 1),
          util::format_fixed(100.0 * r.probability_of_event(2020.0, 10.0,
@@ -58,7 +55,7 @@ int main() {
   util::print_banner(std::cout,
                      "Gleissberg modulation of decade risk (modulated "
                      "Poisson)");
-  const solar::ExtremeEventRisk risk_model{cycle};
+  const solar::ExtremeEventRisk risk_model;
   util::TextTable mod({"decade", "P(direct impact)"});
   for (double start : {2020.0, 2030.0, 2040.0, 2050.0, 2060.0, 2070.0}) {
     mod.add_row(

@@ -24,10 +24,8 @@ int main() {
                      "model, Carrington, 150 km spacing)");
   util::TextTable ob({"ocean boost", "cables failed % (mean of 10)"});
   for (double boost : {1.0, 1.4, 1.8, 2.5, 3.5}) {
-    gic::FieldModelParams params;
-    params.ocean_boost = boost;
     const gic::FieldDrivenFailureModel model{
-        gic::GeoelectricFieldModel(storm, params)};
+        gic::GeoelectricFieldModel(storm, boost)};
     const auto agg = simulator.run_trials(model, 10, 31);
     ob.add_row({util::format_fixed(boost, 1),
                 util::format_fixed(agg.cables_failed_pct.mean(), 1)});
@@ -72,10 +70,8 @@ int main() {
   util::TextTable gi({"grounding interval km", "max section potential kV",
                       "peak GIC A"});
   for (double interval : {250.0, 500.0, 1000.0, 2000.0, 4000.0}) {
-    gic::InductionParams params;
-    params.grounding_interval_km = interval;
     const auto induction =
-        gic::compute_cable_induction(net, longest, field, params);
+        gic::compute_cable_induction(net, longest, field, interval);
     gi.add_row({util::format_fixed(interval, 0),
                 util::format_fixed(induction.max_section_potential_v / 1000.0,
                                    1),

@@ -23,9 +23,9 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
-#include <new>
 #include <vector>
 
+#include "alloc_counter.h"
 #include "bench_util.h"
 #include "datasets/datacenters.h"
 #include "datasets/submarine.h"
@@ -35,34 +35,6 @@
 #include "services/availability.h"
 #include "sim/monte_carlo.h"
 #include "util/rng.h"
-
-// --- global allocation counter ----------------------------------------------
-// Counts every operator-new hit so the steady-state loops can assert they
-// never touch the allocator. Relaxed atomics: the checked loops are serial;
-// the counter only needs to not tear.
-namespace {
-std::atomic<std::size_t> g_allocations{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new(std::size_t size, std::align_val_t align) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::aligned_alloc(static_cast<std::size_t>(align),
-                                   size ? size : 1)) {
-    return p;
-  }
-  throw std::bad_alloc();
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
 
 namespace {
 

@@ -29,9 +29,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <map>
-#include <new>
 #include <vector>
 
+#include "alloc_counter.h"
 #include "bench_util.h"
 #include "datasets/submarine.h"
 #include "gic/failure_model.h"
@@ -45,31 +45,6 @@
 #include "sim/pipeline.h"
 #include "util/bitset.h"
 #include "util/rng.h"
-
-// --- global allocation counter ----------------------------------------------
-namespace {
-std::atomic<std::size_t> g_allocations{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new(std::size_t size, std::align_val_t align) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::aligned_alloc(static_cast<std::size_t>(align),
-                                   size ? size : 1)) {
-    return p;
-  }
-  throw std::bad_alloc();
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
 
 namespace {
 
@@ -162,14 +137,13 @@ routing::AssignmentResult legacy_assign(
     const topo::InfrastructureNetwork& net,
     const std::vector<routing::TrafficDemand>& demands,
     const std::vector<bool>& cable_dead) {
-  const routing::CapacityModel capacity{};
   const graph::AliveMask mask = net.mask_for_failures(cable_dead);
 
   routing::AssignmentResult result;
   result.loads.resize(net.cable_count());
   for (topo::CableId c = 0; c < net.cable_count(); ++c) {
     result.loads[c].cable = c;
-    result.loads[c].capacity_gbps = 1000.0 * capacity.capacity_tbps(net.cable(c));
+    result.loads[c].capacity_gbps = 1000.0 * routing::capacity_tbps(net.cable(c));
   }
 
   std::map<topo::NodeId, std::vector<std::size_t>> by_source;
@@ -210,7 +184,6 @@ routing::AssignmentResult legacy_capacity_aware(
     const topo::InfrastructureNetwork& net,
     const std::vector<routing::TrafficDemand>& demands,
     const std::vector<bool>& cable_dead) {
-  const routing::CapacityModel capacity{};
   const graph::AliveMask base_mask = net.mask_for_failures(cable_dead);
 
   routing::AssignmentResult result;
@@ -218,7 +191,7 @@ routing::AssignmentResult legacy_capacity_aware(
   std::vector<double> residual(net.cable_count(), 0.0);
   for (topo::CableId c = 0; c < net.cable_count(); ++c) {
     result.loads[c].cable = c;
-    result.loads[c].capacity_gbps = 1000.0 * capacity.capacity_tbps(net.cable(c));
+    result.loads[c].capacity_gbps = 1000.0 * routing::capacity_tbps(net.cable(c));
     residual[c] = result.loads[c].capacity_gbps;
   }
 
@@ -310,12 +283,12 @@ void check_batched_matches_legacy() {
 }
 
 void check_capacity_aware_matches_legacy() {
-  // Stress capacity: shrink the matrix's headroom so the fit-mask fallback
-  // actually fires (plain gravity demand rarely fills a cable).
-  routing::DemandModelParams params;
-  params.total_offered_tbps = 4000.0;
-  const std::vector<routing::TrafficDemand> demands =
-      routing::gravity_demands(submarine(), params);
+  // Stress capacity: ten times the gravity matrix's volumes shrink its
+  // headroom so the fit-mask fallback actually fires (plain gravity demand
+  // rarely fills a cable).
+  std::vector<routing::TrafficDemand> demands =
+      routing::gravity_demands(submarine());
+  for (routing::TrafficDemand& d : demands) d.gbps *= 10.0;
   const routing::TrafficEngine engine(submarine(), demands);
   const std::vector<Draw> draws = make_draws(8, 99);
 

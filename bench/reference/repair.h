@@ -71,7 +71,7 @@ inline recovery::RecoveryTimeline schedule_repairs(
       faults.size() != net.cable_count()) {
     throw std::invalid_argument("schedule_repairs: size mismatch");
   }
-  if (params.cable_ships == 0 || params.land_crews == 0) {
+  if (params.cable_ships == 0 || recovery::kLandCrews == 0) {
     throw std::invalid_argument("schedule_repairs: empty fleet");
   }
 
@@ -87,13 +87,13 @@ inline recovery::RecoveryTimeline schedule_repairs(
     job.cable = c;
     job.faults = std::max<std::size_t>(1, faults[c]);
     if (net.cable(c).kind == topo::CableKind::kSubmarine) {
-      job.work_days = params.mobilization_days +
-                      params.repair_days_per_fault *
+      job.work_days = recovery::kMobilizationDays +
+                      recovery::kRepairDaysPerFault *
                           static_cast<double>(job.faults);
       submarine_jobs.push_back(job);
     } else {
       job.work_days =
-          params.land_repair_days * static_cast<double>(job.faults);
+          recovery::kLandRepairDays * static_cast<double>(job.faults);
       land_jobs.push_back(job);
     }
   }
@@ -123,7 +123,7 @@ inline recovery::RecoveryTimeline schedule_repairs(
     }
   };
   schedule_pool(submarine_jobs, params.cable_ships);
-  schedule_pool(land_jobs, params.land_crews);
+  schedule_pool(land_jobs, recovery::kLandCrews);
   return timeline;
 }
 

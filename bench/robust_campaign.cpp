@@ -388,7 +388,6 @@ int main() {
       if (checkpoint) {
         o.checkpoint_path = checkpoint_path();
         o.checkpoint_every_chunks = kPerfEvery;
-        o.resume = false;
       }
       const sim::CampaignReport report = b.campaign.run(o);
       if (b.connectivity.result().trials != kPerfTrials) std::exit(1);
@@ -409,6 +408,8 @@ int main() {
     for (int r = 0; r < kRepeats; ++r) {
       plain_ms =
           std::min(plain_ms, benchutil::time_best_ms([&] { run_once(false); }, 1));
+      // A leftover checkpoint would be resumed, not rewritten.
+      std::filesystem::remove(checkpoint_path());
       checkpointed_ms = std::min(
           checkpointed_ms, benchutil::time_best_ms([&] {
             write_ms = std::min(write_ms, run_once(true).checkpoint_ms);

@@ -26,8 +26,7 @@ int main() {
   using util::format_fixed;
 
   // ---- 1. the odds ---------------------------------------------------------
-  const solar::SolarCycleModel cycle;
-  const solar::ExtremeEventRisk risk{cycle};
+  const solar::ExtremeEventRisk risk;
   util::print_banner(std::cout, "1. The odds");
   std::cout << "P(direct CME impact, 2026-2036):      "
             << format_fixed(
@@ -58,10 +57,8 @@ int main() {
     worst_restoration = std::max(worst_restoration, g.restoration_days);
   }
 
-  satellite::ConstellationConfig low_shell;
-  low_shell.altitude_km = 340.0;
   const auto sat_impact = satellite::evaluate_fleet_impact(
-      satellite::Constellation(low_shell), storm, 14.0);
+      satellite::Constellation(340.0), storm, 14.0);
 
   util::print_banner(std::cout, "2. Impact: " + storm.name);
   std::cout << "submarine cables lost: " << cables_lost << "/"

@@ -7,6 +7,10 @@ namespace solarnet::analysis {
 
 namespace {
 
+// A router is "in the high-field region" when the local geoelectric
+// field exceeds this fraction of the storm's peak.
+constexpr double kDirectFieldFraction = 0.5;
+
 struct AsState {
   bool direct = false;
   bool grid = false;
@@ -17,18 +21,13 @@ struct AsState {
 std::unordered_map<datasets::AsId, AsState> classify(
     const datasets::RouterDataset& routers,
     const gic::GeoelectricFieldModel& field,
-    const std::vector<powergrid::GridOutcome>& grid,
-    const AsImpactParams& params) {
-  if (params.direct_field_fraction <= 0.0 ||
-      params.direct_field_fraction > 1.0) {
-    throw std::invalid_argument("classify_as_impact: bad field fraction");
-  }
+    const std::vector<powergrid::GridOutcome>& grid) {
   const bool use_grid = !grid.empty();
   if (use_grid && grid.size() != powergrid::grid_regions().size()) {
     throw std::invalid_argument("classify_as_impact: grid size mismatch");
   }
   const double threshold =
-      params.direct_field_fraction * field.storm().peak_field_v_per_km;
+      kDirectFieldFraction * field.storm().peak_field_v_per_km;
 
   std::unordered_map<datasets::AsId, AsState> state;
   state.reserve(routers.as_count());
@@ -54,9 +53,8 @@ std::unordered_map<datasets::AsId, AsState> classify(
 AsImpactSummary classify_as_impact(
     const datasets::RouterDataset& routers,
     const gic::GeoelectricFieldModel& field,
-    const std::vector<powergrid::GridOutcome>& grid,
-    const AsImpactParams& params) {
-  const auto state = classify(routers, field, grid, params);
+    const std::vector<powergrid::GridOutcome>& grid) {
+  const auto state = classify(routers, field, grid);
 
   AsImpactSummary out;
   out.as_total = state.size();

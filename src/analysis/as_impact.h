@@ -23,12 +23,6 @@ enum class AsImpactClass {
   kDirect,        // routers inside the storm's high-field region
 };
 
-struct AsImpactParams {
-  // A router is "in the high-field region" when the local geoelectric
-  // field exceeds this fraction of the storm's peak.
-  double direct_field_fraction = 0.5;
-};
-
 struct AsImpactSummary {
   std::size_t as_total = 0;
   std::size_t direct = 0;
@@ -51,7 +45,6 @@ struct AsImpactSummary {
 AsImpactSummary classify_as_impact(
     const datasets::RouterDataset& routers,
     const gic::GeoelectricFieldModel& field,
-    const std::vector<powergrid::GridOutcome>& grid,
-    const AsImpactParams& params = {});
+    const std::vector<powergrid::GridOutcome>& grid);
 
 }  // namespace solarnet::analysis

@@ -11,21 +11,25 @@ namespace solarnet::core {
 
 namespace {
 
+constexpr double kRepeaterSpacingKm = 150.0;
+const std::vector<std::string> kCorridorA = {"US"};
+const std::vector<std::string> kCorridorB = {"GB", "IE", "FR", "NL", "BE",
+                                             "DE", "DK", "NO", "PT", "ES"};
+constexpr std::size_t kAvailabilityDraws = 10;
+constexpr std::uint64_t kSeed = 5;
+
 // Mitigation scoring rides the trial pipeline (availability_sweep): draw d
 // samples from child stream d, so the score is reproducible, thread-count
 // independent, and the before/after networks are evaluated under common
 // random numbers per draw index.
 double mean_service_availability(const topo::InfrastructureNetwork& net,
                                  const gic::RepeaterFailureModel& model,
-                                 const services::ServiceSpec& service,
-                                 const MitigationOptions& options) {
+                                 const services::ServiceSpec& service) {
   sim::TrialConfig cfg;
-  cfg.repeater_spacing_km = options.repeater_spacing_km;
-  cfg.threads = options.threads;
+  cfg.repeater_spacing_km = kRepeaterSpacingKm;
   const sim::FailureSimulator simulator(net, cfg);
   return services::availability_sweep(simulator, model, service,
-                                      options.availability_draws,
-                                      options.seed, options.threads)
+                                      kAvailabilityDraws, kSeed)
       .read_availability.mean();
 }
 
@@ -33,29 +37,27 @@ double mean_service_availability(const topo::InfrastructureNetwork& net,
 
 MitigationReport evaluate_mitigation(const topo::InfrastructureNetwork& base,
                                      const gic::RepeaterFailureModel& model,
-                                     const MitigationPlan& plan,
-                                     const MitigationOptions& options) {
+                                     const MitigationPlan& plan) {
   MitigationReport report;
   sim::TrialConfig cfg;
-  cfg.repeater_spacing_km = options.repeater_spacing_km;
+  cfg.repeater_spacing_km = kRepeaterSpacingKm;
 
   // Baseline corridor risk and service availability.
   {
     const sim::FailureSimulator simulator(base, cfg);
     report.corridor_cutoff_before = analysis::all_fail_probability(
         simulator, model,
-        analysis::corridor_cables(base, options.corridor_a,
-                                  options.corridor_b));
+        analysis::corridor_cables(base, kCorridorA, kCorridorB));
     if (plan.has_service) {
       report.service_availability_before =
-          mean_service_availability(base, model, plan.service, options);
+          mean_service_availability(base, model, plan.service);
     }
   }
 
   // Rank and build the best candidates.
   const TopologyPlanner planner(base.clone_with_extra_cables(""), cfg);
-  const auto ranked = planner.rank(plan.candidate_cables, model,
-                                   options.corridor_a, options.corridor_b);
+  const auto ranked =
+      planner.rank(plan.candidate_cables, model, kCorridorA, kCorridorB);
   topo::InfrastructureNetwork augmented =
       base.clone_with_extra_cables("+mitigation");
   const std::size_t build =
@@ -71,16 +73,15 @@ MitigationReport evaluate_mitigation(const topo::InfrastructureNetwork& base,
     const sim::FailureSimulator simulator(augmented, cfg);
     report.corridor_cutoff_after = analysis::all_fail_probability(
         simulator, model,
-        analysis::corridor_cables(augmented, options.corridor_a,
-                                  options.corridor_b));
+        analysis::corridor_cables(augmented, kCorridorA, kCorridorB));
   }
   const ShutdownOutcome shutdown = evaluate_shutdown(
-      augmented, model, plan.shutdown, options.repeater_spacing_km);
+      augmented, model, plan.shutdown, kRepeaterSpacingKm);
   report.expected_failures_no_action = shutdown.expected_failures_no_action;
   report.expected_failures_with_plan = shutdown.expected_failures_with_plan;
   if (plan.has_service) {
     report.service_availability_after =
-        mean_service_availability(augmented, model, plan.service, options);
+        mean_service_availability(augmented, model, plan.service);
   }
   return report;
 }

@@ -46,25 +46,13 @@ struct MitigationReport {
   }
 };
 
-struct MitigationOptions {
-  double repeater_spacing_km = 150.0;
-  std::vector<std::string> corridor_a = {"US"};
-  std::vector<std::string> corridor_b = {"GB", "IE", "FR", "NL", "BE",
-                                         "DE", "DK", "NO", "PT", "ES"};
-  std::size_t availability_draws = 10;
-  std::uint64_t seed = 5;
-  // Worker threads for the availability pipeline (TrialConfig::threads
-  // semantics; results are thread-count independent).
-  std::size_t threads = 0;
-};
-
 // Evaluates the plan against `model` on `base` (copied; base is not
-// modified). The cables_to_build best candidates by corridor risk
-// reduction are added, then shutdown and service availability are
-// evaluated on the augmented network.
+// modified) at the paper's 150 km repeater spacing. The cables_to_build
+// best candidates by US <-> Europe corridor risk reduction are added, then
+// shutdown and service availability (10 draws of seed 5) are evaluated on
+// the augmented network.
 MitigationReport evaluate_mitigation(const topo::InfrastructureNetwork& base,
                                      const gic::RepeaterFailureModel& model,
-                                     const MitigationPlan& plan,
-                                     const MitigationOptions& options = {});
+                                     const MitigationPlan& plan);
 
 }  // namespace solarnet::core

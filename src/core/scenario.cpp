@@ -105,7 +105,8 @@ ReportBundle::ReportBundle(
     traffic_engine.emplace(
         net, req.demand_pairs == 0
                  ? routing::gravity_demands(net)
-                 : routing::sampled_node_demands(net, req.demand_pairs, 400.0,
+                 : routing::sampled_node_demands(net, req.demand_pairs,
+                                                 routing::kOfferedTbps,
                                                  kDemandSeed));
     traffic_observer.emplace(*traffic_engine);
   }

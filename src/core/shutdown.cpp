@@ -3,37 +3,33 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
-#include <string>
 #include <vector>
 
 namespace solarnet::core {
 
 namespace {
 
-// Throws std::invalid_argument naming the first field outside its range.
+// Operational cost of a controlled cable shutdown.
+constexpr double kHoursPerCable = 0.5;
+// Multiplier on repeater failure probability for a powered-off cable
+// (< 1; modest, per §5.2's "powering off ... helps only when the threat
+// is moderate").
+constexpr double kPoweredOffFactor = 0.65;
+
+// Throws std::invalid_argument naming lead_time_hours when it is out of range.
 void validate(const ShutdownPolicy& policy) {
-  const auto require = [](bool ok, const char* field, const char* range) {
-    if (!ok) {
-      throw std::invalid_argument(std::string("ShutdownPolicy: ") + field +
-                                  " must be " + range);
-    }
-  };
-  require(std::isfinite(policy.lead_time_hours) &&
-              policy.lead_time_hours >= 0.0,
-          "lead_time_hours", "finite and >= 0");
-  require(std::isfinite(policy.hours_per_cable) &&
-              policy.hours_per_cable >= 0.0,
-          "hours_per_cable", "finite and >= 0");
-  require(policy.powered_off_factor >= 0.0 && policy.powered_off_factor <= 1.0,
-          "powered_off_factor", "in [0, 1]");
+  if (!(std::isfinite(policy.lead_time_hours) &&
+        policy.lead_time_hours >= 0.0)) {
+    throw std::invalid_argument(
+        "ShutdownPolicy: lead_time_hours must be finite and >= 0");
+  }
 }
 
-// How many cables fit in the lead time: all of them when a shutdown costs
-// no time. Clamped in double, so the conversion is always defined.
+// How many cables fit in the lead time. Clamped in double, so the
+// conversion is always defined.
 std::size_t cable_budget(const ShutdownPolicy& policy, std::size_t cables) {
-  if (policy.hours_per_cable == 0.0) return cables;
   return static_cast<std::size_t>(
-      std::min(policy.lead_time_hours / policy.hours_per_cable,
+      std::min(policy.lead_time_hours / kHoursPerCable,
                static_cast<double>(cables)));
 }
 
@@ -63,7 +59,7 @@ ShutdownPlan plan_shutdown(const sim::FailureSimulator& simulator,
                            const ShutdownPolicy& policy) {
   validate(policy);
   const topo::InfrastructureNetwork& net = simulator.network();
-  const ShutdownAdjustedModel off_model(model, policy.powered_off_factor);
+  const ShutdownAdjustedModel off_model(model, kPoweredOffFactor);
   const std::size_t budget = cable_budget(policy, net.cable_count());
 
   ShutdownPlan plan;

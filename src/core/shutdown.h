@@ -28,14 +28,12 @@ enum class ShutdownPriority {
   kNone,
 };
 
+// Each controlled shutdown takes 0.5 h of the lead time, and a powered-off
+// cable keeps 65% of its repeater failure probability (modest, per §5.2's
+// "powering off ... helps only when the threat is moderate"; constants in
+// shutdown.cpp).
 struct ShutdownPolicy {
   double lead_time_hours = 13.0;  // minimum CME travel time
-  // Operational cost of a controlled cable shutdown; 0 = no limit.
-  double hours_per_cable = 0.5;
-  // Multiplier on repeater failure probability for a powered-off cable
-  // (< 1; modest, per §5.2's "powering off ... helps only when the threat
-  // is moderate").
-  double powered_off_factor = 0.65;
   ShutdownPriority priority = ShutdownPriority::kByBenefit;
 };
 
@@ -80,9 +78,9 @@ ShutdownOutcome evaluate_shutdown(const topo::InfrastructureNetwork& net,
 // probability otherwise) that downstream engines — sim::TimelineEngine,
 // sim::TrialPipeline — consume directly. Built against the caller's
 // simulator so repeater spacing and trial config match the rest of the
-// run. Throws std::invalid_argument naming the field when lead_time_hours or
-// hours_per_cable is negative or non-finite, or powered_off_factor is
-// outside [0, 1].
+// run. The lead time buys one shutdown per 0.5 h.
+// Throws std::invalid_argument naming lead_time_hours when it is negative
+// or non-finite.
 struct ShutdownPlan {
   std::vector<topo::CableId> cables;  // shut down, in priority order
   sim::DeathProbabilityTable table;

@@ -261,43 +261,41 @@ topo::InfrastructureNetwork make_submarine_network(
 
   // ---- 1. anchors ---------------------------------------------------------
   std::size_t cable_budget = config.total_cables;
-  if (config.include_anchors) {
-    for (const AnchorCable& anchor : anchor_cables()) {
-      if (cable_budget == 0) break;
-      std::vector<topo::NodeId> trunk;
-      trunk.reserve(anchor.stops.size());
-      for (const std::string& stop : anchor.stops) {
-        trunk.push_back(node_for_city(city(stop)));
-      }
-      // Great-circle per-hop lengths, scaled so the total matches the
-      // published system length (cables meander, so stated > great-circle).
-      std::vector<double> hop_gc(trunk.size() - 1, 0.0);
-      double gc_total = 0.0;
-      for (std::size_t i = 1; i < trunk.size(); ++i) {
-        hop_gc[i - 1] = geo::haversine_km(city(anchor.stops[i - 1]).location,
-                                          city(anchor.stops[i]).location);
-        gc_total += hop_gc[i - 1];
-      }
-      std::vector<topo::CableSegment> branches;
-      double branch_gc = 0.0;
-      for (const auto& [from, to] : anchor.branches) {
-        const double len =
-            geo::haversine_km(city(from).location, city(to).location);
-        branches.push_back(
-            {node_for_city(city(from)), node_for_city(city(to)), len});
-        branch_gc += len;
-      }
-      const double route_gc = gc_total + branch_gc;
-      const double scale =
-          (anchor.stated_length_km > 0.0 && route_gc > 0.0)
-              ? anchor.stated_length_km / route_gc
-              : 1.1;  // modest slack over the great circle
-      for (double& h : hop_gc) h *= scale;
-      for (auto& b : branches) b.length_km *= scale;
-      builder.branched_cable(anchor.name, trunk, branches,
-                             topo::CableKind::kSubmarine, hop_gc);
-      --cable_budget;
+  for (const AnchorCable& anchor : anchor_cables()) {
+    if (cable_budget == 0) break;
+    std::vector<topo::NodeId> trunk;
+    trunk.reserve(anchor.stops.size());
+    for (const std::string& stop : anchor.stops) {
+      trunk.push_back(node_for_city(city(stop)));
     }
+    // Great-circle per-hop lengths, scaled so the total matches the
+    // published system length (cables meander, so stated > great-circle).
+    std::vector<double> hop_gc(trunk.size() - 1, 0.0);
+    double gc_total = 0.0;
+    for (std::size_t i = 1; i < trunk.size(); ++i) {
+      hop_gc[i - 1] = geo::haversine_km(city(anchor.stops[i - 1]).location,
+                                        city(anchor.stops[i]).location);
+      gc_total += hop_gc[i - 1];
+    }
+    std::vector<topo::CableSegment> branches;
+    double branch_gc = 0.0;
+    for (const auto& [from, to] : anchor.branches) {
+      const double len =
+          geo::haversine_km(city(from).location, city(to).location);
+      branches.push_back(
+          {node_for_city(city(from)), node_for_city(city(to)), len});
+      branch_gc += len;
+    }
+    const double route_gc = gc_total + branch_gc;
+    const double scale =
+        (anchor.stated_length_km > 0.0 && route_gc > 0.0)
+            ? anchor.stated_length_km / route_gc
+            : 1.1;  // modest slack over the great circle
+    for (double& h : hop_gc) h *= scale;
+    for (auto& b : branches) b.length_km *= scale;
+    builder.branched_cable(anchor.name, trunk, branches,
+                           topo::CableKind::kSubmarine, hop_gc);
+    --cable_budget;
   }
 
   // ---- 2. synthetic filler -------------------------------------------------

@@ -32,7 +32,6 @@ struct SubmarineConfig {
   // they participate in failure analysis but not length statistics.
   std::size_t cables_without_length = 29;
   std::uint64_t seed = 1859;  // default: the Carrington year
-  bool include_anchors = true;
 };
 
 // A curated real-world cable: trunk stops are world_cities() names; a

@@ -7,8 +7,8 @@
 namespace solarnet::gic {
 
 GeoelectricFieldModel::GeoelectricFieldModel(StormScenario storm,
-                                             FieldModelParams params)
-    : storm_(std::move(storm)), params_(params) {}
+                                             double ocean_boost)
+    : storm_(std::move(storm)), ocean_boost_(ocean_boost) {}
 
 double GeoelectricFieldModel::latitude_factor(double lat_deg) const noexcept {
   const double a = std::abs(lat_deg);
@@ -25,10 +25,7 @@ double GeoelectricFieldModel::field_v_per_km_land(
 
 double GeoelectricFieldModel::field_v_per_km(const geo::GeoPoint& p) const {
   double field = field_v_per_km_land(p);
-  if (params_.classify_ocean_by_country_box &&
-      !geo::country_code_at(p).has_value()) {
-    field *= params_.ocean_boost;
-  }
+  if (!geo::country_code_at(p).has_value()) field *= ocean_boost_;
   return field;
 }
 

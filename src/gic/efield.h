@@ -11,17 +11,12 @@
 
 namespace solarnet::gic {
 
-struct FieldModelParams {
-  // Multiplier applied to the field over ocean (seawater conductance).
-  double ocean_boost = 1.8;
-  // Treat points with no country-box match as ocean.
-  bool classify_ocean_by_country_box = true;
-};
-
 class GeoelectricFieldModel {
  public:
+  // `ocean_boost` multiplies the field over ocean (seawater conductance);
+  // points with no country-box match are ocean.
   explicit GeoelectricFieldModel(StormScenario storm,
-                                 FieldModelParams params = {});
+                                 double ocean_boost = 1.8);
 
   const StormScenario& storm() const noexcept { return storm_; }
 
@@ -36,7 +31,7 @@ class GeoelectricFieldModel {
 
  private:
   StormScenario storm_;
-  FieldModelParams params_;
+  double ocean_boost_;
 };
 
 }  // namespace solarnet::gic

@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "geo/regions.h"
+#include "gic/induction.h"
 #include "util/strings.h"
 
 namespace solarnet::gic {
@@ -70,9 +71,7 @@ std::string PerRepeaterBandModel::name() const { return label_; }
 FieldDrivenFailureModel::FieldDrivenFailureModel(GeoelectricFieldModel field,
                                                  Params params)
     : field_(std::move(field)), params_(params) {
-  if (params_.overload_at_half <= 0.0 || params_.steepness <= 0.0 ||
-      params_.feed_resistance_ohm_per_km <= 0.0 ||
-      params_.operating_current_amp <= 0.0) {
+  if (params_.overload_at_half <= 0.0 || params_.steepness <= 0.0) {
     throw std::invalid_argument("FieldDrivenFailureModel: invalid params");
   }
 }
@@ -83,8 +82,8 @@ double FieldDrivenFailureModel::failure_probability(
   // (potential grows with length, resistance grows equally, so the section
   // current is set by the local field over the per-km resistance).
   const double e = field_.field_v_per_km(ctx.location);
-  const double gic = e / params_.feed_resistance_ohm_per_km;
-  const double overload = gic / params_.operating_current_amp;
+  const double gic = e / kFeedResistanceOhmPerKm;
+  const double overload = gic / kOperatingCurrentAmp;
   if (overload <= 0.0) return 0.0;
   const double x = std::log(overload / params_.overload_at_half);
   return 1.0 / (1.0 + std::exp(-params_.steepness * x));

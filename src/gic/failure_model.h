@@ -99,8 +99,6 @@ class FieldDrivenFailureModel final : public RepeaterFailureModel {
     // cable dies when ANY repeater dies, so a shallow curve would flatten
     // every long cable to "dead" regardless of latitude.
     double steepness = 3.0;
-    double feed_resistance_ohm_per_km = 0.8;
-    double operating_current_amp = 1.1;
   };
 
   explicit FieldDrivenFailureModel(GeoelectricFieldModel field)

@@ -15,16 +15,9 @@
 
 namespace solarnet::gic {
 
-struct InductionParams {
-  double feed_resistance_ohm_per_km = 0.8;
-  double operating_current_amp = 1.1;
-  // Sampling step for the path integral.
-  double integration_step_km = 50.0;
-  // Interval between sea-earth grounding points; GIC enters/exits where the
-  // conductor is grounded, and the potential between adjacent grounds
-  // drives the section current (§3.2.2).
-  double grounding_interval_km = 1000.0;
-};
+// The power-feed line; FieldDrivenFailureModel reads the same pair.
+inline constexpr double kFeedResistanceOhmPerKm = 0.8;
+inline constexpr double kOperatingCurrentAmp = 1.1;
 
 struct CableInduction {
   // |integral of E dl| over the whole route, volts (worst-case orientation:
@@ -40,14 +33,17 @@ struct CableInduction {
 };
 
 // Computes induction quantities for one cable of `net` under `field`.
+// `grounding_interval_km` is the interval between sea-earth grounding
+// points; GIC enters/exits where the conductor is grounded, and the
+// potential between adjacent grounds drives the section current (§3.2.2).
+// Throws std::invalid_argument unless it is > 0.
 CableInduction compute_cable_induction(const topo::InfrastructureNetwork& net,
                                        topo::CableId cable,
                                        const GeoelectricFieldModel& field,
-                                       const InductionParams& params = {});
+                                       double grounding_interval_km = 1000.0);
 
 // All cables of a network.
 std::vector<CableInduction> compute_network_induction(
-    const topo::InfrastructureNetwork& net, const GeoelectricFieldModel& field,
-    const InductionParams& params = {});
+    const topo::InfrastructureNetwork& net, const GeoelectricFieldModel& field);
 
 }  // namespace solarnet::gic

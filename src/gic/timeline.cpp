@@ -10,6 +10,9 @@ namespace solarnet::gic {
 
 namespace {
 
+// Exponent of the Kp damage intensity (see dose_share_from_kp).
+constexpr double kKpDoseExponent = 2.0;
+
 void validate(const StormPhaseProfile& p) {
   if (p.onset_hours < 0.0 || p.main_phase_hours < 0.0 ||
       p.recovery_tau_hours <= 0.0 || p.total_hours <= 0.0) {
@@ -77,17 +80,12 @@ std::vector<FailureTimePoint> failure_time_series(
 
 std::vector<double> dose_share_from_kp(std::span<const double> hours,
                                        std::span<const double> kp,
-                                       const KpDoseParams& params) {
+                                       double quiet_kp) {
   const util::SourceContext ctx{"kp-series", 0, ""};
-  if (!(params.quiet_kp >= 0.0 && params.quiet_kp < 9.0)) {
+  if (!(quiet_kp >= 0.0 && quiet_kp < 9.0)) {
     throw util::Error(util::ErrorCode::kInvalidArgument,
                       "dose_share_from_kp: quiet_kp must be in [0, 9)",
                       {"kp-series", 0, "quiet_kp"});
-  }
-  if (!(params.exponent > 0.0) || !std::isfinite(params.exponent)) {
-    throw util::Error(util::ErrorCode::kInvalidArgument,
-                      "dose_share_from_kp: exponent must be finite and > 0",
-                      {"kp-series", 0, "exponent"});
   }
   if (hours.size() != kp.size()) {
     throw util::Error(util::ErrorCode::kInvalidArgument,
@@ -112,15 +110,13 @@ std::vector<double> dose_share_from_kp(std::span<const double> hours,
   }
 
   // Instantaneous intensity per sample, then trapezoid cumulative dose.
-  const double span = 9.0 - params.quiet_kp;
+  const double span = 9.0 - quiet_kp;
   std::vector<double> dose(hours.size(), 0.0);
   double previous_intensity =
-      std::pow(std::max(0.0, (kp[0] - params.quiet_kp) / span),
-               params.exponent);
+      std::pow(std::max(0.0, (kp[0] - quiet_kp) / span), kKpDoseExponent);
   for (std::size_t i = 1; i < hours.size(); ++i) {
     const double intensity =
-        std::pow(std::max(0.0, (kp[i] - params.quiet_kp) / span),
-                 params.exponent);
+        std::pow(std::max(0.0, (kp[i] - quiet_kp) / span), kKpDoseExponent);
     dose[i] = dose[i - 1] + 0.5 * (previous_intensity + intensity) *
                                 (hours[i] - hours[i - 1]);
     previous_intensity = intensity;

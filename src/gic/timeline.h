@@ -55,23 +55,19 @@ double damage_fraction_by(const StormPhaseProfile& profile, double hours);
 // to the same cumulative-dose axis as damage_fraction_by. Kp at or below
 // `quiet_kp` contributes nothing (Kp 5 is the G1 storm threshold);
 // above it the instantaneous damage intensity scales as
-// ((kp - quiet_kp) / (9 - quiet_kp))^exponent, super-linear by default
-// because dB/dt — the GIC driver — grows much faster than Kp itself.
-struct KpDoseParams {
-  double quiet_kp = 5.0;
-  double exponent = 2.0;
-};
-
+// ((kp - quiet_kp) / (9 - quiet_kp))^2, super-linear because dB/dt — the
+// GIC driver — grows much faster than Kp itself.
+//
 // Cumulative normalized damage dose over an observed Kp series: trapezoid
 // integration of the intensity, divided by the total so the result is a
 // non-decreasing share in [0, 1] with back() == 1.0 exactly — the shape
 // sim::TimelineConfig requires. `hours` must be finite non-decreasing with
 // >= 2 samples, `kp` the same size with values in [0, 9]. Throws
 // util::Error(kInvalidArgument / kInvalidData) when the inputs are invalid
-// or when no interval rises above quiet_kp (an all-quiet series has no
-// storm to normalize against).
+// (quiet_kp must be in [0, 9)) or when no interval rises above quiet_kp (an
+// all-quiet series has no storm to normalize against).
 std::vector<double> dose_share_from_kp(std::span<const double> hours,
                                        std::span<const double> kp,
-                                       const KpDoseParams& params = {});
+                                       double quiet_kp = 5.0);
 
 }  // namespace solarnet::gic

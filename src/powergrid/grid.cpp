@@ -9,6 +9,22 @@
 
 namespace solarnet::powergrid {
 
+namespace {
+// GIC-vulnerability logistic on the local geoelectric field: fields
+// around kFieldAtHalfVPerKm give a 50% per-transformer failure rate.
+constexpr double kFieldAtHalfVPerKm = 12.0;
+constexpr double kTransformerSteepness = 2.0;
+// Grid-level collapse threshold: losing this fraction of HV transformers
+// takes the region down (cascading separation).
+constexpr double kBlackoutFraction = 0.20;
+// Restoration: crews swap failed units from spares, but only
+// kSpareFraction have spares — the rest wait on manufacturing (months,
+// §5.5).
+constexpr double kSpareFraction = 0.3;
+constexpr double kDaysPerSpareSwap = 10.0;
+constexpr double kManufacturingDays = 365.0;
+}  // namespace
+
 const std::vector<GridRegion>& grid_regions() {
   static const std::vector<GridRegion> regions = [] {
     std::vector<GridRegion> r;
@@ -69,45 +85,37 @@ std::size_t region_index_at(const geo::GeoPoint& p) {
 }
 
 std::vector<GridOutcome> evaluate_grid(
-    const gic::GeoelectricFieldModel& field,
-    const TransformerFailureParams& params) {
-  if (params.field_at_half_v_per_km <= 0.0 || params.steepness <= 0.0 ||
-      params.blackout_fraction <= 0.0 || params.spare_fraction < 0.0 ||
-      params.spare_fraction > 1.0) {
-    throw std::invalid_argument("evaluate_grid: invalid params");
-  }
+    const gic::GeoelectricFieldModel& field) {
   std::vector<GridOutcome> out;
   for (const GridRegion& region : grid_regions()) {
     GridOutcome o;
     o.region = region.name;
     o.field_v_per_km = field.field_v_per_km_land(region.centroid);
     const double x =
-        std::log(std::max(1e-9, o.field_v_per_km) /
-                 params.field_at_half_v_per_km);
+        std::log(std::max(1e-9, o.field_v_per_km) / kFieldAtHalfVPerKm);
     o.transformer_failure_fraction =
-        1.0 / (1.0 + std::exp(-params.steepness * x));
-    o.blackout = o.transformer_failure_fraction >= params.blackout_fraction;
+        1.0 / (1.0 + std::exp(-kTransformerSteepness * x));
+    o.blackout = o.transformer_failure_fraction >= kBlackoutFraction;
     if (o.blackout) {
       const auto failed = o.transformer_failure_fraction *
                           static_cast<double>(region.hv_transformers);
-      const double sparable = params.spare_fraction * failed;
+      const double sparable = kSpareFraction * failed;
       const double unsparable = failed - sparable;
       // Re-energizing needs the failed fraction back under the blackout
       // threshold; spares go in first, the rest wait on manufacturing.
       const double need =
-          failed - params.blackout_fraction *
-                       static_cast<double>(region.hv_transformers);
+          failed -
+          kBlackoutFraction * static_cast<double>(region.hv_transformers);
       if (need <= sparable) {
         // Spare-bound: crews swap in parallel; scale with how much of the
         // spare pool the region must consume.
         o.restoration_days = std::min(
             120.0,
-            params.days_per_spare_swap * 10.0 * need /
-                std::max(1.0, sparable));
+            kDaysPerSpareSwap * 10.0 * need / std::max(1.0, sparable));
       } else {
         // Manufacturing-bound: months to years (§5.5's roadblock).
         o.restoration_days =
-            params.manufacturing_days *
+            kManufacturingDays *
             std::clamp(need / std::max(1.0, unsparable), 0.25, 2.0);
       }
     }

@@ -35,22 +35,6 @@ const std::vector<GridRegion>& grid_regions();
 // fallback). Always returns a valid index into grid_regions().
 std::size_t region_index_at(const geo::GeoPoint& p);
 
-struct TransformerFailureParams {
-  // GIC-vulnerability logistic on the local geoelectric field: fields
-  // around `field_at_half` V/km give a 50% per-transformer failure rate.
-  double field_at_half_v_per_km = 12.0;
-  double steepness = 2.0;
-  // Grid-level collapse threshold: losing this fraction of HV transformers
-  // takes the region down (cascading separation).
-  double blackout_fraction = 0.20;
-  // Restoration: crews fix `daily_repair_fraction` of failed units per day
-  // from spares, but only `spare_fraction` have spares — the rest wait on
-  // manufacturing (months, §5.5).
-  double spare_fraction = 0.3;
-  double days_per_spare_swap = 10.0;
-  double manufacturing_days = 365.0;
-};
-
 struct GridOutcome {
   std::string region;
   double field_v_per_km = 0.0;
@@ -61,9 +45,12 @@ struct GridOutcome {
 };
 
 // Deterministic expected-value evaluation of a storm against every region.
+// Transformers fail on a logistic in the local field (50% at 12 V/km); a
+// region blacks out when it loses 20% of them; 30% of failed units are
+// swapped from spares, the rest wait a year on manufacturing (§5.5;
+// constants in grid.cpp).
 std::vector<GridOutcome> evaluate_grid(
-    const gic::GeoelectricFieldModel& field,
-    const TransformerFailureParams& params = {});
+    const gic::GeoelectricFieldModel& field);
 
 struct CoupledImpact {
   // Network nodes whose region is blacked out (and lack backup power).

@@ -76,7 +76,7 @@ void FaultSampler::sample(std::span<const std::uint8_t> dead, util::Rng& rng,
 RepairScheduler::RepairScheduler(const topo::InfrastructureNetwork& net,
                                  RepairFleetParams params)
     : params_(params) {
-  if (params_.cable_ships == 0 || params_.land_crews == 0) {
+  if (params_.cable_ships == 0) {
     throw std::invalid_argument("RepairScheduler: empty fleet");
   }
   // One stable sort of *all* cables by priority (landing points,
@@ -123,11 +123,9 @@ void RepairScheduler::schedule(std::span<const std::uint8_t> dead,
       if (!dead[c]) continue;
       const std::uint32_t job_faults = std::max<std::uint32_t>(1, faults[c]);
       const double work =
-          submarine ? params_.mobilization_days +
-                          params_.repair_days_per_fault *
-                              static_cast<double>(job_faults)
-                    : params_.land_repair_days *
-                          static_cast<double>(job_faults);
+          submarine ? kMobilizationDays +
+                          kRepairDaysPerFault * static_cast<double>(job_faults)
+                    : kLandRepairDays * static_cast<double>(job_faults);
       std::pop_heap(heap.begin(), heap.end(), std::greater<>());
       const double start = heap.back();
       heap.back() = start + work;
@@ -137,7 +135,7 @@ void RepairScheduler::schedule(std::span<const std::uint8_t> dead,
     }
   };
   run_pool(submarine_order_, params_.cable_ships, /*submarine=*/true);
-  run_pool(land_order_, params_.land_crews, /*submarine=*/false);
+  run_pool(land_order_, kLandCrews, /*submarine=*/false);
 }
 
 std::vector<std::size_t> sample_fault_counts(

@@ -17,17 +17,18 @@
 
 namespace solarnet::recovery {
 
+// Dispatch + transit to the fault area.
+inline constexpr double kMobilizationDays = 12.0;
+// On-site work per fault (splice + burial + tests).
+inline constexpr double kRepairDaysPerFault = 9.0;
+// Land cables are far easier (§4.2.2: submarine cables are "more
+// difficult to repair"); a land crew fixes a cable in a couple of days
+// and crews are plentiful.
+inline constexpr double kLandRepairDays = 2.0;
+inline constexpr std::size_t kLandCrews = 400;
+
 struct RepairFleetParams {
   std::size_t cable_ships = 60;
-  // Dispatch + transit to the fault area.
-  double mobilization_days = 12.0;
-  // On-site work per fault (splice + burial + tests).
-  double repair_days_per_fault = 9.0;
-  // Land cables are far easier (§4.2.2: submarine cables are "more
-  // difficult to repair"); a land crew fixes a cable in a couple of days
-  // and crews are plentiful.
-  double land_repair_days = 2.0;
-  std::size_t land_crews = 400;
 };
 
 struct CableRepairJob {

@@ -7,10 +7,8 @@
 namespace solarnet::routing {
 
 TrafficEngine::TrafficEngine(const topo::InfrastructureNetwork& net,
-                             std::vector<TrafficDemand> demands,
-                             CapacityModel capacity)
-    : net_(net), demands_(std::move(demands)), capacity_(capacity) {
-  validate(capacity_);
+                             std::vector<TrafficDemand> demands)
+    : net_(net), demands_(std::move(demands)) {
   for (const TrafficDemand& d : demands_) {
     if (d.src >= net_.node_count() || d.dst >= net_.node_count()) {
       throw std::out_of_range("TrafficEngine: demand endpoint out of range");
@@ -41,7 +39,7 @@ TrafficEngine::TrafficEngine(const topo::InfrastructureNetwork& net,
   source_begin_.push_back(static_cast<std::uint32_t>(grouped_.size()));
 
   // Snapshot per-edge weights (the Csr stores none) and per-cable
-  // capacities once, so the hot path never touches Graph or CapacityModel.
+  // capacities once, so the hot path never touches Graph or capacity_tbps.
   const graph::Graph& g = net_.graph();
   edge_weight_.resize(g.edge_count());
   for (graph::EdgeId e = 0; e < g.edge_count(); ++e) {
@@ -49,7 +47,7 @@ TrafficEngine::TrafficEngine(const topo::InfrastructureNetwork& net,
   }
   capacity_gbps_.resize(net_.cable_count());
   for (topo::CableId c = 0; c < net_.cable_count(); ++c) {
-    capacity_gbps_[c] = 1000.0 * capacity_.capacity_tbps(net_.cable(c));
+    capacity_gbps_[c] = 1000.0 * capacity_tbps(net_.cable(c));
   }
   net_.csr();  // build the cached CSR before any worker threads fan out
 }

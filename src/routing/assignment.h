@@ -67,12 +67,10 @@ class TrafficEngine {
  public:
   // The network must outlive the engine. Demand endpoints must be in
   // range (throws std::out_of_range) and volumes finite and non-negative
-  // (throws std::invalid_argument); the capacity model is validated via
-  // validate(CapacityModel) — util::Error(kInvalidArgument) naming the
-  // offending field.
+  // (throws std::invalid_argument). Cable capacities come from
+  // capacity_tbps.
   TrafficEngine(const topo::InfrastructureNetwork& net,
-                std::vector<TrafficDemand> demands,
-                CapacityModel capacity = {});
+                std::vector<TrafficDemand> demands);
 
   const topo::InfrastructureNetwork& network() const noexcept { return net_; }
   const std::vector<TrafficDemand>& demands() const noexcept {
@@ -139,7 +137,6 @@ class TrafficEngine {
 
   const topo::InfrastructureNetwork& net_;
   std::vector<TrafficDemand> demands_;
-  CapacityModel capacity_;
   std::vector<topo::NodeId> sources_;        // ascending distinct sources
   std::vector<std::uint32_t> source_begin_;  // sources_.size()+1 offsets
   std::vector<std::uint32_t> grouped_;       // demand indices by source

@@ -1,53 +1,30 @@
 #include "routing/capacity.h"
 
+#include <algorithm>
 #include <cmath>
-
-#include "util/status.h"
 
 namespace solarnet::routing {
 
 namespace {
-
-void require_finite_non_negative(double value, const char* field) {
-  if (!std::isfinite(value) || value < 0.0) {
-    throw util::Error(util::ErrorCode::kInvalidArgument,
-                      "CapacityModel: field must be finite and >= 0",
-                      util::SourceContext{{}, 0, field});
-  }
-}
-
+// Submarine: base capacity for a short regional system, decaying with
+// length (longer systems are older on average and carry fewer pairs).
+constexpr double kSubmarineBaseTbps = 160.0;
+constexpr double kSubmarineHalvingLengthKm = 9000.0;
 }  // namespace
 
-void validate(const CapacityModel& model) {
-  require_finite_non_negative(model.submarine_base_tbps,
-                              "submarine_base_tbps");
-  require_finite_non_negative(model.submarine_floor_tbps,
-                              "submarine_floor_tbps");
-  require_finite_non_negative(model.land_long_haul_tbps,
-                              "land_long_haul_tbps");
-  require_finite_non_negative(model.land_regional_tbps, "land_regional_tbps");
-  if (!std::isfinite(model.submarine_halving_length_km) ||
-      model.submarine_halving_length_km <= 0.0) {
-    throw util::Error(util::ErrorCode::kInvalidArgument,
-                      "CapacityModel: field must be finite and > 0",
-                      util::SourceContext{{}, 0, "submarine_halving_length_km"});
-  }
-}
-
-double CapacityModel::capacity_tbps(const topo::Cable& cable) const {
+double capacity_tbps(const topo::Cable& cable) {
   switch (cable.kind) {
     case topo::CableKind::kLandLongHaul:
-      return land_long_haul_tbps;
+      return kLandLongHaulTbps;
     case topo::CableKind::kLandRegional:
-      return land_regional_tbps;
+      return kLandRegionalTbps;
     case topo::CableKind::kSubmarine:
       break;
   }
   const double length = cable.total_length_km();
   const double capacity =
-      submarine_base_tbps *
-      std::pow(0.5, length / submarine_halving_length_km);
-  return std::max(submarine_floor_tbps, capacity);
+      kSubmarineBaseTbps * std::pow(0.5, length / kSubmarineHalvingLengthKm);
+  return std::max(kSubmarineFloorTbps, capacity);
 }
 
 }  // namespace solarnet::routing

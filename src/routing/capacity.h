@@ -1,33 +1,22 @@
 // Cable capacity model. TeleGeography-style lit capacity is not public per
 // cable, so we estimate design capacity from cable kind and length: modern
 // long-haul systems carry more fiber pairs but older/longer systems carry
-// less per pair; land conduits bundle many fibers. The absolute scale is a
-// knob — the traffic analyses only consume utilization ratios.
+// less per pair; land conduits bundle many fibers. The absolute scale is
+// fixed — the traffic analyses only consume utilization ratios.
 #pragma once
 
 #include "topology/cable.h"
 
 namespace solarnet::routing {
 
-struct CapacityModel {
-  // Submarine: base capacity for a short regional system, decaying with
-  // length (longer systems are older on average and carry fewer pairs).
-  double submarine_base_tbps = 160.0;
-  double submarine_halving_length_km = 9000.0;
-  double submarine_floor_tbps = 8.0;
-  // Land long-haul conduits and regional links.
-  double land_long_haul_tbps = 240.0;
-  double land_regional_tbps = 60.0;
+// Submarine: 160 Tbps for a short regional system, halving every 9000 km
+// (longer systems are older on average and carry fewer pairs; constants in
+// capacity.cpp), down to a floor.
+inline constexpr double kSubmarineFloorTbps = 8.0;
+// Land long-haul conduits and regional links.
+inline constexpr double kLandLongHaulTbps = 240.0;
+inline constexpr double kLandRegionalTbps = 60.0;
 
-  double capacity_tbps(const topo::Cable& cable) const;
-};
-
-// Up-front validation (PR 6 error contract): every capacity finite and
-// non-negative, the halving length finite and strictly positive. Throws
-// util::Error(kInvalidArgument) with the offending field name in the
-// SourceContext, so a bad config names its own knob instead of surfacing
-// as NaN utilizations deep inside a campaign. TrafficEngine construction
-// calls this.
-void validate(const CapacityModel& model);
+double capacity_tbps(const topo::Cable& cable);
 
 }  // namespace solarnet::routing

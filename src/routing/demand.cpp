@@ -11,30 +11,13 @@
 
 namespace solarnet::routing {
 
-void validate(const DemandModelParams& params) {
-  if (params.gateways_per_continent < 1) {
-    throw util::Error(util::ErrorCode::kInvalidArgument,
-                      "DemandModelParams: need at least one gateway per "
-                      "continent",
-                      util::SourceContext{{}, 0, "gateways_per_continent"});
-  }
-  if (!std::isfinite(params.total_offered_tbps) ||
-      params.total_offered_tbps < 0.0) {
-    throw util::Error(util::ErrorCode::kInvalidArgument,
-                      "DemandModelParams: offered load must be finite and "
-                      ">= 0",
-                      util::SourceContext{{}, 0, "total_offered_tbps"});
-  }
-  if (!std::isfinite(params.distance_exponent)) {
-    throw util::Error(util::ErrorCode::kInvalidArgument,
-                      "DemandModelParams: deterrence exponent must be finite",
-                      util::SourceContext{{}, 0, "distance_exponent"});
-  }
-}
+namespace {
+// Gravity deterrence exponent on great-circle distance.
+constexpr double kDistanceExponent = 0.5;
+}  // namespace
 
 std::vector<TrafficDemand> gravity_demands(
-    const topo::InfrastructureNetwork& net, const DemandModelParams& params) {
-  validate(params);
+    const topo::InfrastructureNetwork& net) {
   // 1. Pick gateways: per continent, the landing points with the most
   // cables.
   std::map<geo::Continent, std::vector<topo::NodeId>> by_continent;
@@ -52,7 +35,7 @@ std::vector<TrafficDemand> gravity_demands(
                 return da != db ? da > db : a < b;
               });
     const std::size_t take =
-        std::min(params.gateways_per_continent, nodes.size());
+        std::min(kGatewaysPerContinent, nodes.size());
     for (std::size_t i = 0; i < take; ++i) {
       gateways.push_back(nodes[i]);
       weight.push_back(static_cast<double>(net.cables_at(nodes[i]).size()));
@@ -67,7 +50,7 @@ std::vector<TrafficDemand> gravity_demands(
       const double d = geo::haversine_km(net.node(gateways[i]).location,
                                          net.node(gateways[j]).location);
       const double deterrence =
-          std::pow(std::max(d, 100.0), -params.distance_exponent);
+          std::pow(std::max(d, 100.0), -kDistanceExponent);
       const double g = weight[i] * weight[j] * deterrence;
       demands.push_back({gateways[i], gateways[j], g});
       gravity_total += g;
@@ -76,7 +59,7 @@ std::vector<TrafficDemand> gravity_demands(
   // 3. Normalize to the offered load.
   if (gravity_total > 0.0) {
     const double scale =
-        params.total_offered_tbps * 1000.0 / gravity_total;  // Tbps -> Gbps
+        kOfferedTbps * 1000.0 / gravity_total;  // Tbps -> Gbps
     for (TrafficDemand& t : demands) t.gbps *= scale;
   }
   return demands;

@@ -18,27 +18,17 @@ struct TrafficDemand {
   double gbps = 0.0;
 };
 
-struct DemandModelParams {
-  // Gateways per continent (the most cable-rich landing points).
-  std::size_t gateways_per_continent = 6;
-  // Total offered inter-gateway load.
-  double total_offered_tbps = 400.0;
-  // Gravity deterrence exponent on great-circle distance.
-  double distance_exponent = 0.5;
-};
+// Gateways per continent (the most cable-rich landing points).
+inline constexpr std::size_t kGatewaysPerContinent = 6;
+// Total offered inter-gateway load.
+inline constexpr double kOfferedTbps = 400.0;
 
-// Up-front validation (PR 6 error contract): gateways_per_continent >= 1,
-// total_offered_tbps finite and non-negative, distance_exponent finite.
-// Throws util::Error(kInvalidArgument) with the offending field name in
-// the SourceContext. gravity_demands calls this.
-void validate(const DemandModelParams& params);
-
-// Builds the demand matrix. Deterministic (no RNG): gateways are chosen by
+// Builds the gravity demand matrix, volumes falling with the square root
+// of great-circle distance. Deterministic (no RNG): gateways are chosen by
 // descending cable degree (ties by node id), so the matrix is invariant
 // under node-id permutations whenever degrees are distinct.
 std::vector<TrafficDemand> gravity_demands(
-    const topo::InfrastructureNetwork& net,
-    const DemandModelParams& params = {});
+    const topo::InfrastructureNetwork& net);
 
 // Stress-scale demand matrix: `pairs` demand entries between cable-bearing
 // nodes, each endpoint drawn with probability proportional to its cable

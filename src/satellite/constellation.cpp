@@ -12,44 +12,48 @@ namespace solarnet::satellite {
 namespace {
 constexpr double kMuEarth_km3_s2 = 398600.4418;
 constexpr double kEarthRotation_rad_s = 7.2921159e-5;
+// Starlink shell 1: 72 planes x 22 sats at 53 deg.
+constexpr std::size_t kPlanes = 72;
+constexpr std::size_t kSatsPerPlane = 22;
+constexpr double kInclinationDeg = 53.0;
+// Walker phasing factor F in [0, planes).
+constexpr std::size_t kPhasing = 17;
 }  // namespace
 
-Constellation::Constellation(ConstellationConfig config) : config_(config) {
-  if (config_.planes == 0 || config_.sats_per_plane == 0) {
-    throw std::invalid_argument("Constellation: empty shell");
-  }
-  if (config_.altitude_km <= 100.0) {
+Constellation::Constellation(double altitude_km) : altitude_km_(altitude_km) {
+  if (altitude_km_ <= 100.0) {
     throw std::invalid_argument("Constellation: altitude below LEO floor");
-  }
-  if (config_.inclination_deg < 0.0 || config_.inclination_deg > 180.0) {
-    throw std::invalid_argument("Constellation: invalid inclination");
   }
 }
 
+std::size_t Constellation::size() const noexcept {
+  return kPlanes * kSatsPerPlane;
+}
+
 double Constellation::orbital_period_s() const noexcept {
-  const double a = geo::kEarthRadiusKm + config_.altitude_km;
+  const double a = geo::kEarthRadiusKm + altitude_km_;
   return 2.0 * std::numbers::pi * std::sqrt(a * a * a / kMuEarth_km3_s2);
 }
 
 std::vector<SatelliteState> Constellation::states_at(double t_seconds) const {
   std::vector<SatelliteState> out;
   out.reserve(size());
-  const double inc = geo::deg_to_rad(config_.inclination_deg);
+  const double inc = geo::deg_to_rad(kInclinationDeg);
   const double mean_motion =
       2.0 * std::numbers::pi / orbital_period_s();  // rad/s
   const double earth_spin = kEarthRotation_rad_s * t_seconds;
 
-  for (std::size_t p = 0; p < config_.planes; ++p) {
+  for (std::size_t p = 0; p < kPlanes; ++p) {
     const double raan = 2.0 * std::numbers::pi * static_cast<double>(p) /
-                        static_cast<double>(config_.planes);
-    for (std::size_t s = 0; s < config_.sats_per_plane; ++s) {
+                        static_cast<double>(kPlanes);
+    for (std::size_t s = 0; s < kSatsPerPlane; ++s) {
       // Walker-delta phasing: in-plane offset advances by F between
       // adjacent planes.
       const double phase_offset =
           2.0 * std::numbers::pi *
-          (static_cast<double>(s) / static_cast<double>(config_.sats_per_plane) +
-           static_cast<double>(config_.phasing) * static_cast<double>(p) /
-               static_cast<double>(config_.planes * config_.sats_per_plane));
+          (static_cast<double>(s) / static_cast<double>(kSatsPerPlane) +
+           static_cast<double>(kPhasing) * static_cast<double>(p) /
+               static_cast<double>(kPlanes * kSatsPerPlane));
       const double u = phase_offset + mean_motion * t_seconds;
 
       const double sin_lat = std::sin(inc) * std::sin(u);
@@ -63,7 +67,7 @@ std::vector<SatelliteState> Constellation::states_at(double t_seconds) const {
       st.index_in_plane = s;
       st.ground_point = geo::validated(
           {geo::rad_to_deg(lat), geo::rad_to_deg(lon)});
-      st.altitude_km = config_.altitude_km;
+      st.altitude_km = altitude_km_;
       out.push_back(st);
     }
   }
@@ -73,7 +77,7 @@ std::vector<SatelliteState> Constellation::states_at(double t_seconds) const {
 double Constellation::coverage_half_angle_deg(double min_elevation_deg) const {
   const double eps = geo::deg_to_rad(min_elevation_deg);
   const double ratio = geo::kEarthRadiusKm /
-                       (geo::kEarthRadiusKm + config_.altitude_km);
+                       (geo::kEarthRadiusKm + altitude_km_);
   // Earth-central angle: lambda = acos(ratio * cos eps) - eps.
   const double lambda = std::acos(std::clamp(ratio * std::cos(eps), -1.0,
                                              1.0)) -

@@ -12,16 +12,6 @@
 
 namespace solarnet::satellite {
 
-struct ConstellationConfig {
-  // Defaults: Starlink shell 1 (72 planes x 22 sats, 550 km, 53 deg).
-  std::size_t planes = 72;
-  std::size_t sats_per_plane = 22;
-  double altitude_km = 550.0;
-  double inclination_deg = 53.0;
-  // Walker phasing factor F in [0, planes).
-  std::size_t phasing = 17;
-};
-
 struct SatelliteState {
   std::size_t plane = 0;
   std::size_t index_in_plane = 0;
@@ -29,14 +19,17 @@ struct SatelliteState {
   double altitude_km = 0.0;
 };
 
+// The shell is Starlink shell 1: 72 planes x 22 sats at 53 deg, Walker
+// phasing factor 17 (constants in constellation.cpp); only the altitude
+// varies.
 class Constellation {
  public:
-  explicit Constellation(ConstellationConfig config = {});
+  // Throws std::invalid_argument when `altitude_km` is not above the
+  // 100 km LEO floor.
+  explicit Constellation(double altitude_km = 550.0);
 
-  const ConstellationConfig& config() const noexcept { return config_; }
-  std::size_t size() const noexcept {
-    return config_.planes * config_.sats_per_plane;
-  }
+  double altitude_km() const noexcept { return altitude_km_; }
+  std::size_t size() const noexcept;
 
   // Orbital mechanics for the shell's circular orbit.
   double orbital_period_s() const noexcept;
@@ -56,7 +49,7 @@ class Constellation {
                            double sample_step_deg = 5.0) const;
 
  private:
-  ConstellationConfig config_;
+  double altitude_km_;
 };
 
 }  // namespace solarnet::satellite

@@ -14,52 +14,31 @@
 
 namespace solarnet::satellite {
 
-struct DragParams {
-  // Exponential atmosphere fitted to quiet thermosphere conditions.
-  double reference_altitude_km = 550.0;
-  double reference_density_kg_m3 = 1.0e-13;
-  double scale_height_km = 75.0;
-  // Ballistic coefficient Cd*A/m of the satellite (m^2/kg); Starlink-class
-  // flat-panel satellites are draggy for their mass.
-  double ballistic_coefficient_m2_kg = 0.01;
-  // Thruster authority: the altitude-loss rate (km/day) the satellite can
-  // counteract continuously.
-  double station_keeping_km_per_day = 0.35;
-  // Below this altitude drag wins unconditionally and reentry follows.
-  double reentry_altitude_km = 200.0;
-};
+// The model assumes an exponential atmosphere fitted to quiet thermosphere
+// conditions, a Starlink-class ballistic coefficient, a fixed station-
+// keeping authority and a 200 km reentry floor (constants in drag.cpp).
 
 // Thermospheric density multiplier for a storm scenario (quiet = 1).
 // Calibrated so a 1989-class storm roughly doubles density and a
 // Carrington-class storm pushes a ~10x enhancement at LEO.
 double storm_density_multiplier(const gic::StormScenario& storm);
 
-class DragModel {
- public:
-  explicit DragModel(DragParams params = {});
+// Neutral density (kg/m^3) at altitude under a storm multiplier.
+double density(double altitude_km, double storm_multiplier = 1.0);
 
-  const DragParams& params() const noexcept { return params_; }
+// Orbit-averaged decay rate (km/day) for a circular orbit.
+double decay_rate_km_per_day(double altitude_km,
+                             double storm_multiplier = 1.0);
 
-  // Neutral density (kg/m^3) at altitude under a storm multiplier.
-  double density(double altitude_km, double storm_multiplier = 1.0) const;
+// Days until decay from `altitude_km` to the reentry altitude with no
+// station keeping (numerical integration).
+double passive_lifetime_days(double altitude_km,
+                             double storm_multiplier = 1.0);
 
-  // Orbit-averaged decay rate (km/day) for a circular orbit.
-  double decay_rate_km_per_day(double altitude_km,
-                               double storm_multiplier = 1.0) const;
-
-  // Days until decay from `altitude_km` to the reentry altitude with no
-  // station keeping (numerical integration).
-  double passive_lifetime_days(double altitude_km,
-                               double storm_multiplier = 1.0) const;
-
-  // Altitude lost over a storm of `days` duration, net of station keeping
-  // (>= 0; zero when thrusters can hold the orbit).
-  double net_altitude_loss_km(double altitude_km, double storm_multiplier,
-                              double days) const;
-
- private:
-  DragParams params_;
-};
+// Altitude lost over a storm of `days` duration, net of station keeping
+// (>= 0; zero when thrusters can hold the orbit).
+double net_altitude_loss_km(double altitude_km, double storm_multiplier,
+                            double days);
 
 struct FleetImpact {
   std::size_t fleet_size = 0;
@@ -76,7 +55,6 @@ struct FleetImpact {
 // Evaluates a storm of `storm_days` against a constellation shell.
 FleetImpact evaluate_fleet_impact(const Constellation& constellation,
                                   const gic::StormScenario& storm,
-                                  double storm_days,
-                                  const DragModel& model = DragModel{});
+                                  double storm_days);
 
 }  // namespace solarnet::satellite

@@ -212,14 +212,12 @@ CampaignReport CampaignRunner::run(const CampaignOptions& options) {
   begin_all();
 
   std::size_t completed = 0;
-  if (checkpointing && options.resume &&
-      util::file_exists(options.checkpoint_path)) {
+  if (checkpointing && util::file_exists(options.checkpoint_path)) {
     try {
       completed = load_checkpoint(options, chunks);
       report.resumed = true;
       report.chunks_resumed = completed;
     } catch (const util::Error& e) {
-      if (options.strict_resume) throw;
       report.resume_status = e.status();
       // A throw mid-apply leaves observers partially restored: reset and
       // restart from nothing rather than resume from a wrong prefix.
@@ -240,7 +238,7 @@ CampaignReport CampaignRunner::run(const CampaignOptions& options) {
     report.chunks_executed += segment_end - completed;
     completed = segment_end;
 
-    if (checkpointing && (completed < chunks || options.keep_checkpoint)) {
+    if (checkpointing && completed < chunks) {
       const auto write_start = std::chrono::steady_clock::now();
       try {
         util::atomic_write_file(options.checkpoint_path,
@@ -263,7 +261,7 @@ CampaignReport CampaignRunner::run(const CampaignOptions& options) {
   for (CheckpointableObserver* observer : observers_) {
     observer->end_run();
   }
-  if (checkpointing && !options.keep_checkpoint) {
+  if (checkpointing) {
     std::error_code ec;
     std::filesystem::remove(options.checkpoint_path, ec);
   }

@@ -42,9 +42,8 @@
 //
 // Failure policy:
 //   * unreadable / corrupt / mismatched checkpoint on load -> fresh restart
-//     with the rejection recorded in CampaignReport::resume_status
-//     (strict_resume upgrades this to a throw) — never a wrong-answer
-//     resume;
+//     with the rejection recorded in CampaignReport::resume_status — never
+//     a wrong-answer resume;
 //   * checkpoint *write* failure mid-campaign -> the campaign keeps
 //     running (only crash protection degrades, correctness does not); the
 //     first failure is recorded in CampaignReport::checkpoint_status.
@@ -66,17 +65,12 @@ struct CampaignOptions {
   // concurrency). The aggregates never depend on this.
   std::size_t threads = 0;
   // Empty = no checkpointing: the whole campaign runs as one segment.
+  // Otherwise an existing checkpoint at this path is resumed, and the file
+  // is removed once the campaign completes.
   std::string checkpoint_path;
   // Segment length: a checkpoint is written after every this-many chunks
   // (of kTrialChunk trials each).
   std::size_t checkpoint_every_chunks = 64;
-  // Attempt to resume from an existing checkpoint file.
-  bool resume = true;
-  // Throw on a rejected checkpoint instead of restarting fresh.
-  bool strict_resume = false;
-  // Keep (and write) the final checkpoint instead of removing it once the
-  // campaign completes.
-  bool keep_checkpoint = false;
 };
 
 struct CampaignReport {
@@ -110,8 +104,8 @@ class CampaignRunner {
   void add_observer(CheckpointableObserver& observer);
 
   // Runs (or resumes) the campaign. Throws std::invalid_argument on bad
-  // options, util::Error on strict-resume rejection, and propagates worker
-  // exceptions (wrapped in util::ParallelError on multi-worker runs).
+  // options and propagates worker exceptions (wrapped in
+  // util::ParallelError on multi-worker runs).
   // Results live in the observers, exactly as after TrialPipeline::run.
   CampaignReport run(const CampaignOptions& options);
 

@@ -6,57 +6,58 @@
 
 namespace solarnet::solar {
 
-SolarCycleModel::SolarCycleModel(CycleModelParams params) : params_(params) {
-  if (params_.schwabe_period_years <= 0.0 ||
-      params_.gleissberg_period_years <= 0.0) {
-    throw std::invalid_argument("SolarCycleModel: periods must be positive");
-  }
-  if (params_.peak_ssn_gleissberg_max < params_.peak_ssn_gleissberg_min) {
-    throw std::invalid_argument(
-        "SolarCycleModel: Gleissberg max peak below min peak");
-  }
-}
+namespace {
+constexpr double kSchwabePeriodYears = 11.0;  // the sunspot cycle
+constexpr double kGleissbergPeriodYears = 88.0;
+// Reference epoch: cycle 24 minimum (December 2019) sits near a
+// Gleissberg minimum per Feynman & Ruzmaikin (2014).
+constexpr double kReferenceMinimumYear = 2019.96;
+// Peak smoothed sunspot number of an average cycle at Gleissberg maximum
+// and minimum; cycle 24 peaked at ~116, strong cycles reach 210-260.
+constexpr double kPeakSsnGleissbergMax = 230.0;
+constexpr double kPeakSsnGleissbergMin = 115.0;
+// Fraction of direct impacts that reach Carrington scale; tuned so the
+// per-decade Carrington probability spans the paper's 1.6 - 12% range as
+// events_per_century sweeps its cited interval.
+constexpr double kCarringtonFraction = 0.25;
+}  // namespace
 
-double SolarCycleModel::cycle_phase(double year) const noexcept {
-  const double t = (year - params_.reference_minimum_year) /
-                   params_.schwabe_period_years;
+double cycle_phase(double year) noexcept {
+  const double t = (year - kReferenceMinimumYear) / kSchwabePeriodYears;
   return t - std::floor(t);
 }
 
-double SolarCycleModel::gleissberg_factor(double year) const noexcept {
+double gleissberg_factor(double year) noexcept {
   // Cosine envelope with minimum at the reference epoch.
-  const double t = (year - params_.reference_minimum_year) /
-                   params_.gleissberg_period_years;
+  const double t = (year - kReferenceMinimumYear) / kGleissbergPeriodYears;
   return 0.5 * (1.0 - std::cos(2.0 * std::numbers::pi * t));
 }
 
-double SolarCycleModel::sunspot_number(double year) const noexcept {
+double sunspot_number(double year) noexcept {
   // Within-cycle shape: asymmetric rise/decay approximated by sin^2 of the
   // phase (zero at minima, peak near phase 0.4).
   const double phase = cycle_phase(year);
   const double shape = std::pow(std::sin(std::numbers::pi * phase), 2.0);
   const double peak =
-      params_.peak_ssn_gleissberg_min +
-      gleissberg_factor(year) *
-          (params_.peak_ssn_gleissberg_max - params_.peak_ssn_gleissberg_min);
+      kPeakSsnGleissbergMin +
+      gleissberg_factor(year) * (kPeakSsnGleissbergMax - kPeakSsnGleissbergMin);
   return peak * shape;
 }
 
-double SolarCycleModel::relative_event_rate(double year) const noexcept {
+double relative_event_rate(double year) noexcept {
   // Long-run mean of sin^2 is 1/2; of the Gleissberg envelope is 1/2.
-  const double mean_peak = params_.peak_ssn_gleissberg_min +
-                           0.5 * (params_.peak_ssn_gleissberg_max -
-                                  params_.peak_ssn_gleissberg_min);
+  const double mean_peak =
+      kPeakSsnGleissbergMin +
+      0.5 * (kPeakSsnGleissbergMax - kPeakSsnGleissbergMin);
   const double mean_ssn = 0.5 * mean_peak;
   return mean_ssn > 0.0 ? sunspot_number(year) / mean_ssn : 0.0;
 }
 
-ExtremeEventRisk::ExtremeEventRisk(SolarCycleModel cycle,
-                                   ExtremeEventRiskParams params)
-    : cycle_(std::move(cycle)), params_(params) {
-  if (params_.events_per_century < 0.0 || params_.carrington_fraction < 0.0 ||
-      params_.carrington_fraction > 1.0) {
-    throw std::invalid_argument("ExtremeEventRisk: invalid params");
+ExtremeEventRisk::ExtremeEventRisk(double events_per_century)
+    : events_per_century_(events_per_century) {
+  if (events_per_century_ < 0.0) {
+    throw std::invalid_argument(
+        "ExtremeEventRisk: events_per_century must be >= 0");
   }
 }
 
@@ -69,7 +70,7 @@ double ExtremeEventRisk::probability_of_event(double start_year, double years,
     throw std::invalid_argument("ExtremeEventRisk: years is not finite");
   }
   if (years <= 0.0) return 0.0;
-  const double base_rate = params_.events_per_century / 100.0;  // per year
+  const double base_rate = events_per_century_ / 100.0;  // per year
   double integral = 0.0;
   if (modulate) {
     // Trapezoidal integration of the modulated rate, monthly steps.
@@ -77,8 +78,8 @@ double ExtremeEventRisk::probability_of_event(double start_year, double years,
     double t = 0.0;
     while (t < years) {
       const double dt = std::min(step, years - t);
-      const double r0 = cycle_.relative_event_rate(start_year + t);
-      const double r1 = cycle_.relative_event_rate(start_year + t + dt);
+      const double r0 = relative_event_rate(start_year + t);
+      const double r1 = relative_event_rate(start_year + t + dt);
       integral += base_rate * 0.5 * (r0 + r1) * dt;
       t += dt;
     }
@@ -91,9 +92,7 @@ double ExtremeEventRisk::probability_of_event(double start_year, double years,
 double ExtremeEventRisk::probability_of_carrington(double start_year,
                                                    double years,
                                                    bool modulate) const {
-  ExtremeEventRiskParams scaled = params_;
-  scaled.events_per_century *= params_.carrington_fraction;
-  const ExtremeEventRisk sub(cycle_, scaled);
+  const ExtremeEventRisk sub(events_per_century_ * kCarringtonFraction);
   return sub.probability_of_event(start_year, years, modulate);
 }
 

@@ -8,54 +8,30 @@
 
 namespace solarnet::solar {
 
-struct CycleModelParams {
-  double schwabe_period_years = 11.0;   // the sunspot cycle
-  double gleissberg_period_years = 88.0;
-  // Reference epoch: cycle 24 minimum (December 2019) sits near a
-  // Gleissberg minimum per Feynman & Ruzmaikin (2014).
-  double reference_minimum_year = 2019.96;
-  // Peak smoothed sunspot number of an average cycle at Gleissberg maximum
-  // and minimum; cycle 24 peaked at ~116, strong cycles reach 210-260.
-  double peak_ssn_gleissberg_max = 230.0;
-  double peak_ssn_gleissberg_min = 115.0;
-};
+// Deterministic mean-field solar activity model: an 11-year sunspot cycle
+// under an 88-year Gleissberg envelope whose minimum is the cycle 24
+// minimum (December 2019); an average cycle peaks at sunspot number 115 at
+// Gleissberg minimum and 230 at maximum (constants in cycle.cpp).
 
-// Deterministic mean-field solar activity model.
-class SolarCycleModel {
- public:
-  explicit SolarCycleModel(CycleModelParams params = {});
+// Phase in [0, 1) within the current 11-year cycle (0 = minimum).
+double cycle_phase(double year) noexcept;
+// Gleissberg amplitude factor in [0, 1] (0 = centennial minimum).
+double gleissberg_factor(double year) noexcept;
+// Expected smoothed sunspot number at `year` (>= 0).
+double sunspot_number(double year) noexcept;
+// Relative CME-event rate at `year`, normalized so the long-run average
+// over a full Gleissberg cycle is 1. Tracks sunspot number (CMEs
+// originate near sunspots, §2.3).
+double relative_event_rate(double year) noexcept;
 
-  const CycleModelParams& params() const noexcept { return params_; }
-
-  // Phase in [0, 1) within the current 11-year cycle (0 = minimum).
-  double cycle_phase(double year) const noexcept;
-  // Gleissberg amplitude factor in [0, 1] (0 = centennial minimum).
-  double gleissberg_factor(double year) const noexcept;
-  // Expected smoothed sunspot number at `year` (>= 0).
-  double sunspot_number(double year) const noexcept;
-  // Relative CME-event rate at `year`, normalized so the long-run average
-  // over a full Gleissberg cycle is 1. Tracks sunspot number (CMEs
-  // originate near sunspots, §2.3).
-  double relative_event_rate(double year) const noexcept;
-
- private:
-  CycleModelParams params_;
-};
-
-struct ExtremeEventRiskParams {
-  // Long-run rate of direct-impact extreme events per century; the paper
-  // cites 2.6 - 5.2 (McCracken et al.).
-  double events_per_century = 3.9;
-  // Fraction of direct impacts that reach Carrington scale; tuned so the
-  // per-decade Carrington probability spans the paper's 1.6 - 12% range as
-  // events_per_century sweeps its cited interval.
-  double carrington_fraction = 0.25;
-};
-
-// Occurrence statistics under a (possibly modulated) Poisson model.
+// Occurrence statistics under a (possibly modulated) Poisson model. A
+// fixed quarter of direct impacts reach Carrington scale.
 class ExtremeEventRisk {
  public:
-  ExtremeEventRisk(SolarCycleModel cycle, ExtremeEventRiskParams params = {});
+  // `events_per_century` is the long-run rate of direct-impact extreme
+  // events; the paper cites 2.6 - 5.2 (McCracken et al.). Throws
+  // std::invalid_argument when it is negative.
+  explicit ExtremeEventRisk(double events_per_century = 3.9);
 
   // P(at least one direct-impact event in [start_year, start_year+years)),
   // integrating the cycle-modulated rate in monthly steps. Homogeneous when
@@ -72,8 +48,7 @@ class ExtremeEventRisk {
   static double bernoulli_decade_probability(double once_in_years);
 
  private:
-  SolarCycleModel cycle_;
-  ExtremeEventRiskParams params_;
+  double events_per_century_;
 };
 
 }  // namespace solarnet::solar

@@ -12,9 +12,9 @@ namespace solarnet::util {
 
 namespace {
 
-bool needs_quoting(std::string_view field, char delimiter) {
+bool needs_quoting(std::string_view field) {
   for (char c : field) {
-    if (c == delimiter || c == '"' || c == '\n' || c == '\r') return true;
+    if (c == ',' || c == '"' || c == '\n' || c == '\r') return true;
   }
   return false;
 }
@@ -33,8 +33,7 @@ std::string quote_field(std::string_view field) {
 
 }  // namespace
 
-CsvDocument parse_csv_document(std::string_view text, CsvOptions options,
-                               std::string path) {
+CsvDocument parse_csv_document(std::string_view text, std::string path) {
   CsvDocument doc;
   doc.path = std::move(path);
   CsvRow row;
@@ -57,7 +56,7 @@ CsvDocument parse_csv_document(std::string_view text, CsvOptions options,
   auto end_row = [&] {
     end_field();
     const bool blank = row.size() == 1 && row[0].empty() && !row_has_content;
-    if (!blank || !options.skip_blank_lines) {
+    if (!blank) {
       doc.rows.push_back(std::move(row));
       doc.lines.push_back(row_line);
     }
@@ -82,7 +81,7 @@ CsvDocument parse_csv_document(std::string_view text, CsvOptions options,
       }
       continue;
     }
-    if (c == options.delimiter) {
+    if (c == ',') {
       end_field();
       row_has_content = true;
     } else if (c == '\r' && i + 1 < text.size() && text[i + 1] == '\n') {
@@ -119,16 +118,19 @@ CsvDocument parse_csv_document(std::string_view text, CsvOptions options,
   return doc;
 }
 
-CsvDocument read_csv_document(const std::string& path, CsvOptions options) {
-  return parse_csv_document(read_file(path), options, path);
+CsvDocument read_csv_document(const std::string& path) {
+  return parse_csv_document(read_file(path), path);
 }
 
-std::string to_csv(const std::vector<CsvRow>& rows, CsvOptions options) {
+std::string to_csv(const std::vector<CsvRow>& rows) {
   std::string out;
   for (const CsvRow& row : rows) {
+    // A row whose only field is empty is written as `""`: bare, it would
+    // be a blank line, which the reader skips.
+    const bool lone_empty = row.size() == 1 && row[0].empty();
     for (std::size_t i = 0; i < row.size(); ++i) {
-      if (i > 0) out += options.delimiter;
-      if (needs_quoting(row[i], options.delimiter)) {
+      if (i > 0) out += ',';
+      if (lone_empty || needs_quoting(row[i])) {
         out += quote_field(row[i]);
       } else {
         out += row[i];
@@ -139,13 +141,12 @@ std::string to_csv(const std::vector<CsvRow>& rows, CsvOptions options) {
   return out;
 }
 
-void write_csv_file(const std::string& path, const std::vector<CsvRow>& rows,
-                    CsvOptions options) {
+void write_csv_file(const std::string& path, const std::vector<CsvRow>& rows) {
   std::ofstream out(path, std::ios::binary);
   if (!out) {
     throw Error(ErrorCode::kIoError, "write_csv_file: cannot open", {path});
   }
-  out << to_csv(rows, options);
+  out << to_csv(rows);
   if (!out) {
     throw Error(ErrorCode::kIoError, "write_csv_file: write failed", {path});
   }

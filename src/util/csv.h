@@ -2,9 +2,9 @@
 // that real TeleGeography / Intertubes exports can be plugged in place of
 // the synthetic generators, and by the exporters and benches to dump data.
 //
-// Supported: quoted fields, embedded delimiters/newlines inside quotes,
-// doubled-quote escaping, CRLF and LF line endings, trailing blank lines,
-// configurable delimiter.
+// Supported: quoted fields, embedded commas/newlines inside quotes,
+// doubled-quote escaping, CRLF and LF line endings. Blank lines are
+// skipped.
 //
 // Diagnostics: parse_csv_document / read_csv_document track the 1-based
 // source line each row starts on, and CsvTable carries that provenance
@@ -24,11 +24,6 @@
 
 namespace solarnet::util {
 
-struct CsvOptions {
-  char delimiter = ',';
-  bool skip_blank_lines = true;
-};
-
 // One parsed record (row) of fields.
 using CsvRow = std::vector<std::string>;
 
@@ -44,20 +39,19 @@ struct CsvDocument {
 // `path` only labels diagnostics. Throws util::Error(kParseError) on
 // structurally invalid input (unterminated quote, stray characters between
 // a closing quote and the next delimiter/newline).
-CsvDocument parse_csv_document(std::string_view text, CsvOptions options = {},
-                               std::string path = {});
+CsvDocument parse_csv_document(std::string_view text, std::string path = {});
 
 // Parses a CSV file from disk (via util::read_file — fault-injection site
 // kFileRead). Throws util::Error(kIoError) if the file cannot be opened,
 // util::Error(kParseError) if it is malformed.
-CsvDocument read_csv_document(const std::string& path, CsvOptions options = {});
+CsvDocument read_csv_document(const std::string& path);
 
-// Serializes rows, quoting fields only when needed (delimiter, quote, CR or
-// LF present). Rows are terminated with '\n'.
-std::string to_csv(const std::vector<CsvRow>& rows, CsvOptions options = {});
+// Serializes rows, quoting fields only when needed (comma, quote, CR or LF
+// present, or a row whose only field is empty). Rows are terminated with
+// '\n'.
+std::string to_csv(const std::vector<CsvRow>& rows);
 
-void write_csv_file(const std::string& path, const std::vector<CsvRow>& rows,
-                    CsvOptions options = {});
+void write_csv_file(const std::string& path, const std::vector<CsvRow>& rows);
 
 // Header-aware view over parsed rows: resolves column names to indices once
 // and provides typed access. The first row is the header. Errors carry the

@@ -67,10 +67,6 @@ TEST(AsImpact, GridCouplingOnlyAddsImpact) {
 TEST(AsImpact, Validation) {
   const auto ds = tiny_routers();
   const gic::GeoelectricFieldModel field(gic::quebec_1989());
-  AsImpactParams bad;
-  bad.direct_field_fraction = 0.0;
-  EXPECT_THROW(classify_as_impact(ds, field, {}, bad),
-               std::invalid_argument);
   std::vector<powergrid::GridOutcome> wrong_size(3);
   EXPECT_THROW(classify_as_impact(ds, field, wrong_size),
                std::invalid_argument);

@@ -54,9 +54,7 @@ TEST(Mitigation, ServiceAvailabilityEvaluatedWhenGiven) {
       "global",
       {{40.7, -74.0}, {50.1, 8.7}, {1.35, 103.8}, {-23.5, -46.6}},
       1};
-  MitigationOptions opts;
-  opts.availability_draws = 5;
-  const auto r = evaluate_mitigation(small_net(), s2, plan, opts);
+  const auto r = evaluate_mitigation(small_net(), s2, plan);
   EXPECT_GT(r.service_availability_before, 0.0);
   EXPECT_GT(r.service_availability_after, 0.0);
   // The augmented network can only help (same seed, more redundancy).

@@ -41,8 +41,7 @@ TEST(EvaluateShutdown, PlanReducesExpectedFailures) {
   const auto net = risky_net(10);
   const gic::UniformFailureModel m(0.05);
   ShutdownPolicy policy;
-  policy.lead_time_hours = 13.0;
-  policy.hours_per_cable = 1.0;  // budget: 13 >= all 10 cables
+  policy.lead_time_hours = 13.0;  // budget: 26 >= all 10 cables
   const ShutdownOutcome out = evaluate_shutdown(net, m, policy);
   EXPECT_EQ(out.cables_shut_down, 10u);
   EXPECT_GT(out.expected_failures_no_action, 0.0);
@@ -54,8 +53,7 @@ TEST(EvaluateShutdown, LeadTimeLimitsBudget) {
   const auto net = risky_net(10);
   const gic::UniformFailureModel m(0.05);
   ShutdownPolicy policy;
-  policy.lead_time_hours = 2.0;
-  policy.hours_per_cable = 1.0;
+  policy.lead_time_hours = 1.0;
   const ShutdownOutcome out = evaluate_shutdown(net, m, policy);
   EXPECT_EQ(out.cables_shut_down, 2u);
 }
@@ -64,8 +62,7 @@ TEST(EvaluateShutdown, PrioritizationBeatsArbitraryOrder) {
   const auto net = risky_net(10);  // longer cables = more repeaters = riskier
   const gic::UniformFailureModel m(0.05);
   ShutdownPolicy prioritized;
-  prioritized.lead_time_hours = 3.0;
-  prioritized.hours_per_cable = 1.0;
+  prioritized.lead_time_hours = 1.5;
   prioritized.priority = ShutdownPriority::kByBenefit;
   ShutdownPolicy naive = prioritized;
   naive.priority = ShutdownPriority::kNone;  // shuts cable ids 0..2 (shortest)
@@ -100,8 +97,7 @@ TEST(EvaluateShutdown, BenefitBeatsRawRiskOnSaturatedCables) {
   add(5, 1000.0);
   const gic::UniformFailureModel m(0.05);
   ShutdownPolicy by_benefit;
-  by_benefit.lead_time_hours = 3.0;
-  by_benefit.hours_per_cable = 1.0;
+  by_benefit.lead_time_hours = 1.5;
   by_benefit.priority = ShutdownPriority::kByBenefit;
   ShutdownPolicy by_risk = by_benefit;
   by_risk.priority = ShutdownPriority::kByRisk;
@@ -109,15 +105,6 @@ TEST(EvaluateShutdown, BenefitBeatsRawRiskOnSaturatedCables) {
   const ShutdownOutcome risk = evaluate_shutdown(net, m, by_risk);
   EXPECT_GT(benefit.expected_cables_saved(),
             risk.expected_cables_saved() + 0.1);
-}
-
-TEST(EvaluateShutdown, PoweredOffFactorOneIsNoop) {
-  const auto net = risky_net(5);
-  const gic::UniformFailureModel m(0.1);
-  ShutdownPolicy policy;
-  policy.powered_off_factor = 1.0;
-  const ShutdownOutcome out = evaluate_shutdown(net, m, policy);
-  EXPECT_NEAR(out.expected_cables_saved(), 0.0, 1e-12);
 }
 
 TEST(EvaluateShutdown, ProtectionIsOnlyPartial) {
@@ -134,8 +121,7 @@ TEST(EvaluateShutdown, SumsThePlanTable) {
   const auto net = risky_net(6);
   const gic::UniformFailureModel m(0.1);
   ShutdownPolicy policy;
-  policy.lead_time_hours = 2.0;
-  policy.hours_per_cable = 1.0;
+  policy.lead_time_hours = 1.0;
   const ShutdownOutcome out = evaluate_shutdown(net, m, policy);
   const sim::FailureSimulator simulator(net, {});
   const ShutdownPlan plan = plan_shutdown(simulator, m, policy);
@@ -151,13 +137,11 @@ TEST(PlanShutdown, BudgetIsClampedToTheCableCount) {
   const sim::FailureSimulator simulator(net, {});
   const gic::UniformFailureModel m(0.1);
   ShutdownPolicy policy;
-  policy.hours_per_cable = 0.0;  // no limit
   EXPECT_EQ(plan_shutdown(simulator, m, policy).cables.size(), 5u);
-  policy.lead_time_hours = 1e300;
-  policy.hours_per_cable = 1e-300;  // the quotient overflows to +inf
+  // The quotient overflows to +inf.
+  policy.lead_time_hours = std::numeric_limits<double>::max();
   EXPECT_EQ(plan_shutdown(simulator, m, policy).cables.size(), 5u);
   policy.lead_time_hours = 0.0;
-  policy.hours_per_cable = 0.5;
   EXPECT_TRUE(plan_shutdown(simulator, m, policy).cables.empty());
 }
 
@@ -167,29 +151,15 @@ TEST(PlanShutdown, RejectsOutOfRangePolicies) {
   const gic::UniformFailureModel m(0.1);
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const double inf = std::numeric_limits<double>::infinity();
-  const struct {
-    double lead_time_hours, hours_per_cable, powered_off_factor;
-    const char* field;
-  } rows[] = {
-      {nan, 0.5, 0.65, "lead_time_hours"},
-      {-1.0, 0.5, 0.65, "lead_time_hours"},
-      {inf, 0.5, 0.65, "lead_time_hours"},
-      {13.0, -0.5, 0.65, "hours_per_cable"},
-      {13.0, nan, 0.65, "hours_per_cable"},
-      {13.0, 0.5, 1.5, "powered_off_factor"},
-      {13.0, 0.5, -0.1, "powered_off_factor"},
-      {13.0, 0.5, nan, "powered_off_factor"},
-  };
-  for (const auto& row : rows) {
+  for (const double lead_time_hours : {nan, -1.0, inf}) {
     ShutdownPolicy policy;
-    policy.lead_time_hours = row.lead_time_hours;
-    policy.hours_per_cable = row.hours_per_cable;
-    policy.powered_off_factor = row.powered_off_factor;
+    policy.lead_time_hours = lead_time_hours;
     try {
       plan_shutdown(simulator, m, policy);
-      FAIL() << row.field << " was accepted";
+      FAIL() << lead_time_hours << " was accepted";
     } catch (const std::invalid_argument& e) {
-      EXPECT_NE(std::string(e.what()).find(row.field), std::string::npos)
+      EXPECT_NE(std::string(e.what()).find("lead_time_hours"),
+                std::string::npos)
           << e.what();
     }
     EXPECT_THROW(evaluate_shutdown(net, m, policy), std::invalid_argument);

@@ -156,20 +156,6 @@ TEST(SubmarineNetwork, PaperNarrativeStructure) {
   EXPECT_GE(net.cables_at(*singapore).size(), 6u);
 }
 
-TEST(SubmarineNetwork, AnchorsCanBeDisabled) {
-  SubmarineConfig cfg;
-  cfg.include_anchors = false;
-  cfg.total_cables = 50;
-  cfg.target_landing_points = 120;
-  cfg.cables_without_length = 0;
-  const auto net = make_submarine_network(cfg);
-  EXPECT_EQ(net.cable_count(), 50u);
-  EXPECT_FALSE(net.find_node("Shanghai").has_value() &&
-               !net.cables_at(*net.find_node("Shanghai")).empty() &&
-               net.cable(net.cables_at(*net.find_node("Shanghai"))[0]).name ==
-                   "SEA-ME-WE-3");
-}
-
 TEST(SubmarineNetwork, ConfigurableSize) {
   SubmarineConfig cfg;
   cfg.total_cables = 150;

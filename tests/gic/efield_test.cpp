@@ -66,21 +66,10 @@ TEST(Field, OceanBoostApplied) {
 }
 
 TEST(Field, OceanBoostConfigurable) {
-  FieldModelParams params;
-  params.ocean_boost = 3.0;
-  const GeoelectricFieldModel model(carrington_1859(), params);
+  const GeoelectricFieldModel model(carrington_1859(), 3.0);
   const geo::GeoPoint ocean{45.0, -35.0};
   EXPECT_NEAR(model.field_v_per_km(ocean) / model.field_v_per_km_land(ocean),
               3.0, 1e-9);
-}
-
-TEST(Field, OceanClassificationCanBeDisabled) {
-  FieldModelParams params;
-  params.classify_ocean_by_country_box = false;
-  const GeoelectricFieldModel model(carrington_1859(), params);
-  const geo::GeoPoint ocean{45.0, -35.0};
-  EXPECT_NEAR(model.field_v_per_km(ocean), model.field_v_per_km_land(ocean),
-              1e-12);
 }
 
 TEST(Field, HighLatitudeApproachesPeak) {

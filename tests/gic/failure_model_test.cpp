@@ -96,12 +96,10 @@ TEST(LatitudeBand, SymmetricInHemisphere) {
 }
 
 TEST(FieldDrivenModel, MonotoneInLatitude) {
-  // Disable land/ocean classification so the pure latitude profile shows
-  // through (the meridian crosses land and ocean alternately).
-  FieldModelParams params;
-  params.classify_ocean_by_country_box = false;
+  // An ocean boost of 1 lets the pure latitude profile show through (the
+  // meridian crosses land and ocean alternately).
   const FieldDrivenFailureModel m{
-      GeoelectricFieldModel(carrington_1859(), params)};
+      GeoelectricFieldModel(carrington_1859(), 1.0)};
   double prev = -1.0;
   for (double lat = 0.0; lat <= 80.0; lat += 10.0) {
     const double p = m.failure_probability(ctx(lat));

@@ -81,12 +81,9 @@ TEST_F(InductionTest, CarringtonOverloadIsTensToHundredFold) {
 
 TEST_F(InductionTest, GroundingIntervalLimitsSectionPotential) {
   const GeoelectricFieldModel field(carrington_1859());
-  InductionParams coarse;
-  coarse.grounding_interval_km = 10000.0;  // one section
-  InductionParams fine;
-  fine.grounding_interval_km = 100.0;  // many sections
-  const auto c = compute_cable_induction(net_, north_, field, coarse);
-  const auto f = compute_cable_induction(net_, north_, field, fine);
+  // One section vs many sections.
+  const auto c = compute_cable_induction(net_, north_, field, 10000.0);
+  const auto f = compute_cable_induction(net_, north_, field, 100.0);
   EXPECT_GT(c.max_section_potential_v, f.max_section_potential_v);
   // Total potential is a path integral — independent of grounding.
   EXPECT_NEAR(c.total_potential_v, f.total_potential_v, 1e-6);
@@ -110,13 +107,7 @@ TEST_F(InductionTest, MeanderStretchIncreasesPotential) {
 
 TEST_F(InductionTest, InvalidParamsThrow) {
   const GeoelectricFieldModel field(quebec_1989());
-  InductionParams bad;
-  bad.integration_step_km = 0.0;
-  EXPECT_THROW(compute_cable_induction(net_, north_, field, bad),
-               std::invalid_argument);
-  bad = InductionParams{};
-  bad.grounding_interval_km = -1.0;
-  EXPECT_THROW(compute_cable_induction(net_, north_, field, bad),
+  EXPECT_THROW(compute_cable_induction(net_, north_, field, -1.0),
                std::invalid_argument);
 }
 

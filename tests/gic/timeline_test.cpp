@@ -164,37 +164,29 @@ TEST(KpDose, RejectsBadInputs) {
     }
   };
 
-  KpDoseParams bad_quiet;
-  bad_quiet.quiet_kp = 9.0;
-  expect_error([&] { dose_share_from_kp(hours, kp, bad_quiet); },
+  expect_error([&] { dose_share_from_kp(hours, kp, 9.0); },
                util::ErrorCode::kInvalidArgument, "quiet_kp");
-  bad_quiet.quiet_kp = -1.0;
-  expect_error([&] { dose_share_from_kp(hours, kp, bad_quiet); },
+  expect_error([&] { dose_share_from_kp(hours, kp, -1.0); },
                util::ErrorCode::kInvalidArgument, "quiet_kp");
-
-  KpDoseParams bad_exponent;
-  bad_exponent.exponent = 0.0;
-  expect_error([&] { dose_share_from_kp(hours, kp, bad_exponent); },
-               util::ErrorCode::kInvalidArgument, "exponent");
 
   const std::vector<double> short_kp = {5.0, 9.0};
-  EXPECT_THROW(dose_share_from_kp(hours, short_kp, {}), util::Error);
+  EXPECT_THROW(dose_share_from_kp(hours, short_kp), util::Error);
 
   const std::vector<double> one_hour = {0.0};
   const std::vector<double> one_kp = {9.0};
-  EXPECT_THROW(dose_share_from_kp(one_hour, one_kp, {}), util::Error);
+  EXPECT_THROW(dose_share_from_kp(one_hour, one_kp), util::Error);
 
   const std::vector<double> backwards = {0.0, 3.0, 2.0};
-  expect_error([&] { dose_share_from_kp(backwards, kp, {}); },
+  expect_error([&] { dose_share_from_kp(backwards, kp); },
                util::ErrorCode::kInvalidData, "hours");
 
   const std::vector<double> out_of_range = {5.0, 9.5, 5.0};
-  expect_error([&] { dose_share_from_kp(hours, out_of_range, {}); },
+  expect_error([&] { dose_share_from_kp(hours, out_of_range); },
                util::ErrorCode::kInvalidData, "kp");
 
   // All-quiet series: nothing to normalize against.
   const std::vector<double> calm = {1.0, 2.0, 1.0};
-  expect_error([&] { dose_share_from_kp(hours, calm, {}); },
+  expect_error([&] { dose_share_from_kp(hours, calm); },
                util::ErrorCode::kInvalidData, "kp");
 }
 

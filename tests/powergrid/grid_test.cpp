@@ -113,16 +113,6 @@ TEST(EvaluateGrid, RestorationTimesScaleWithDamage) {
   EXPECT_GT(worst_bad, 90.0);
 }
 
-TEST(EvaluateGrid, RejectsBadParams) {
-  const gic::GeoelectricFieldModel field(gic::quebec_1989());
-  TransformerFailureParams bad;
-  bad.blackout_fraction = 0.0;
-  EXPECT_THROW(evaluate_grid(field, bad), std::invalid_argument);
-  bad = TransformerFailureParams{};
-  bad.spare_fraction = 1.5;
-  EXPECT_THROW(evaluate_grid(field, bad), std::invalid_argument);
-}
-
 TEST(CoupledFailure, PowerOutagesAmplifyCableDamage) {
   const auto net = datasets::make_submarine_network({});
   const sim::FailureSimulator simulator(net, {});

@@ -188,7 +188,6 @@ TEST_F(RepairTest, RepairSchedulerMatchesScheduleRepairs) {
   RepairFleetParams fleets[3];
   fleets[1].cable_ships = 1;
   fleets[2].cable_ships = 2;
-  fleets[2].land_crews = 1;
   const std::vector<std::vector<bool>> dead_sets = {
       {true, true, true}, {true, false, true}, {false, true, false}};
   const std::vector<std::size_t> faults = {2, 3, 1};
@@ -214,6 +213,47 @@ TEST_F(RepairTest, RepairSchedulerMatchesScheduleRepairs) {
       }
     }
   }
+}
+
+TEST(RepairLandCrews, QueuedLandRepairsMatchTheReference) {
+  // kLandCrews + 50 dead land cables of one fault each: every crew takes
+  // one cable at day 0, and the last 50 cables wait for a crew to free up.
+  const std::size_t cables = kLandCrews + 50;
+  topo::InfrastructureNetwork net("land");
+  for (std::size_t i = 0; i <= cables; ++i) {
+    net.add_node({"N" + std::to_string(i),
+                  {10.0, -170.0 + 0.5 * static_cast<double>(i)},
+                  "",
+                  topo::NodeKind::kLandingPoint,
+                  true});
+  }
+  for (std::size_t i = 0; i < cables; ++i) {
+    topo::Cable c;
+    c.name = "L" + std::to_string(i);
+    c.kind = topo::CableKind::kLandRegional;
+    c.segments = {{static_cast<topo::NodeId>(i),
+                   static_cast<topo::NodeId>(i + 1), 100.0}};
+    net.add_cable(std::move(c));
+  }
+  const std::vector<bool> dead(cables, true);
+  const std::vector<std::size_t> faults(cables, 1);
+  const RecoveryTimeline expected =
+      reference::schedule_repairs(net, dead, faults);
+  const RecoveryTimeline timeline = schedule_repairs(net, dead, faults);
+  expect_same_timeline(timeline, expected);
+  std::size_t queued = 0;
+  for (const double day : timeline.restore_day) {
+    if (day == 2.0 * kLandRepairDays) ++queued;
+  }
+  EXPECT_EQ(queued, 50u);
+
+  const RepairScheduler scheduler(net);
+  RepairScheduler::Scratch scratch;
+  const std::vector<std::uint8_t> dead_u8(cables, 1);
+  const std::vector<std::uint32_t> faults_u32(cables, 1);
+  std::vector<double> restore(cables);
+  scheduler.schedule(dead_u8, faults_u32, scratch, restore);
+  EXPECT_EQ(restore, expected.restore_day);
 }
 
 TEST(RepairFullScale, SchedulerParityOnFullNetwork) {

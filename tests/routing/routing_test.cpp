@@ -1,8 +1,9 @@
 #include <gtest/gtest.h>
 
-#include <cmath>
-#include <limits>
+#include <algorithm>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "datasets/submarine.h"
@@ -22,32 +23,29 @@ topo::Cable make_cable(topo::CableKind kind, double length) {
 }
 
 TEST(CapacityModel, SubmarineDecaysWithLength) {
-  const CapacityModel m;
   const double short_cap =
-      m.capacity_tbps(make_cable(topo::CableKind::kSubmarine, 500.0));
+      capacity_tbps(make_cable(topo::CableKind::kSubmarine, 500.0));
   const double long_cap =
-      m.capacity_tbps(make_cable(topo::CableKind::kSubmarine, 20000.0));
+      capacity_tbps(make_cable(topo::CableKind::kSubmarine, 20000.0));
   EXPECT_GT(short_cap, long_cap);
-  EXPECT_GE(long_cap, m.submarine_floor_tbps);
+  EXPECT_GE(long_cap, kSubmarineFloorTbps);
 }
 
 TEST(CapacityModel, HalvingLength) {
-  const CapacityModel m;
   const double c0 =
-      m.capacity_tbps(make_cable(topo::CableKind::kSubmarine, 0.0));
+      capacity_tbps(make_cable(topo::CableKind::kSubmarine, 0.0));
   const double c9000 =
-      m.capacity_tbps(make_cable(topo::CableKind::kSubmarine, 9000.0));
+      capacity_tbps(make_cable(topo::CableKind::kSubmarine, 9000.0));
   EXPECT_NEAR(c9000 / c0, 0.5, 1e-9);
 }
 
 TEST(CapacityModel, LandKindsFixed) {
-  const CapacityModel m;
   EXPECT_DOUBLE_EQ(
-      m.capacity_tbps(make_cable(topo::CableKind::kLandLongHaul, 5000.0)),
-      m.land_long_haul_tbps);
+      capacity_tbps(make_cable(topo::CableKind::kLandLongHaul, 5000.0)),
+      kLandLongHaulTbps);
   EXPECT_DOUBLE_EQ(
-      m.capacity_tbps(make_cable(topo::CableKind::kLandRegional, 100.0)),
-      m.land_regional_tbps);
+      capacity_tbps(make_cable(topo::CableKind::kLandRegional, 100.0)),
+      kLandRegionalTbps);
 }
 
 // A 4-node world: NY(NA) - Bude(EU) - Singapore(AS) - Sydney(OC) line.
@@ -81,10 +79,7 @@ class RoutingTest : public ::testing::Test {
 };
 
 TEST_F(RoutingTest, GravityDemandsCoverGatewayPairs) {
-  DemandModelParams params;
-  params.gateways_per_continent = 2;
-  params.total_offered_tbps = 10.0;
-  const auto demands = gravity_demands(net_, params);
+  const auto demands = gravity_demands(net_);
   // 4 gateways (one per continent here) -> 6 pairs.
   EXPECT_EQ(demands.size(), 6u);
   double total = 0.0;
@@ -92,7 +87,7 @@ TEST_F(RoutingTest, GravityDemandsCoverGatewayPairs) {
     EXPECT_GT(d.gbps, 0.0);
     total += d.gbps;
   }
-  EXPECT_NEAR(total, 10000.0, 1e-6);  // Tbps -> Gbps
+  EXPECT_NEAR(total, 1000.0 * kOfferedTbps, 1e-6);  // Tbps -> Gbps
 }
 
 TEST_F(RoutingTest, BaselineDeliversEverything) {
@@ -147,9 +142,8 @@ TEST_F(RoutingTest, DisconnectionIsUndeliverable) {
 
 TEST_F(RoutingTest, UtilizationAndOverload) {
   // Push more than the long submarine cable's capacity through it.
-  const CapacityModel caps;
   const double pac_cap_gbps =
-      1000.0 * caps.capacity_tbps(net_.cable(pacific_));
+      1000.0 * capacity_tbps(net_.cable(pacific_));
   const std::vector<TrafficDemand> demands = {
       {ny_, syd_, pac_cap_gbps * 1.5}};
   const TrafficEngine engine(net_, demands);
@@ -174,8 +168,7 @@ TEST_F(RoutingTest, LoadShiftValidatesSizes) {
 }
 
 TEST_F(RoutingTest, CapacityAwareSpillsOntoLongerPath) {
-  const CapacityModel caps;
-  const double atl_cap_gbps = 1000.0 * caps.capacity_tbps(net_.cable(atl_));
+  const double atl_cap_gbps = 1000.0 * capacity_tbps(net_.cable(atl_));
   // Two NY->Bude demands that together exceed the Atlantic cable: the
   // second (0.3 C, more than the 0.1 C residual) must spill onto the long
   // route via Sydney and Singapore.
@@ -198,9 +191,8 @@ TEST_F(RoutingTest, CapacityAwareSpillsOntoLongerPath) {
 }
 
 TEST_F(RoutingTest, CapacityAwareBlocksWhenNothingLeft) {
-  const CapacityModel caps;
-  const double atl_cap = 1000.0 * caps.capacity_tbps(net_.cable(atl_));
-  const double pac_cap = 1000.0 * caps.capacity_tbps(net_.cable(pacific_));
+  const double atl_cap = 1000.0 * capacity_tbps(net_.cable(atl_));
+  const double pac_cap = 1000.0 * capacity_tbps(net_.cable(pacific_));
   const std::vector<TrafficDemand> demands = {
       {ny_, bude_, atl_cap},   // fills the Atlantic exactly
       {ny_, bude_, pac_cap},   // fills the Pacific detour exactly
@@ -224,120 +216,25 @@ TEST_F(RoutingTest, CapacityAwareRespectsFailures) {
   EXPECT_DOUBLE_EQ(r.loads[pacific_].load_gbps, 50.0);
 }
 
-// Expects `fn` to throw util::Error(kInvalidArgument) whose SourceContext
-// names `field`.
-template <typename Fn>
-void expect_rejects_field(Fn fn, const char* field) {
-  try {
-    fn();
-    FAIL() << "expected util::Error naming field " << field;
-  } catch (const util::Error& e) {
-    EXPECT_EQ(e.code(), util::ErrorCode::kInvalidArgument);
-    EXPECT_EQ(e.context().field, field);
-  }
-}
-
-TEST(CapacityModelValidation, RejectsBadFieldsByName) {
-  const double nan = std::numeric_limits<double>::quiet_NaN();
-  const double inf = std::numeric_limits<double>::infinity();
-  expect_rejects_field(
-      [&] {
-        CapacityModel m;
-        m.submarine_base_tbps = -1.0;
-        validate(m);
-      },
-      "submarine_base_tbps");
-  expect_rejects_field(
-      [&] {
-        CapacityModel m;
-        m.submarine_floor_tbps = nan;
-        validate(m);
-      },
-      "submarine_floor_tbps");
-  expect_rejects_field(
-      [&] {
-        CapacityModel m;
-        m.land_long_haul_tbps = inf;
-        validate(m);
-      },
-      "land_long_haul_tbps");
-  expect_rejects_field(
-      [&] {
-        CapacityModel m;
-        m.land_regional_tbps = -0.5;
-        validate(m);
-      },
-      "land_regional_tbps");
-  expect_rejects_field(
-      [&] {
-        CapacityModel m;
-        m.submarine_halving_length_km = 0.0;  // division by zero downstream
-        validate(m);
-      },
-      "submarine_halving_length_km");
-  validate(CapacityModel{});  // defaults are valid
-}
-
-TEST_F(RoutingTest, EngineValidatesCapacityModel) {
-  CapacityModel bad;
-  bad.submarine_base_tbps = std::numeric_limits<double>::quiet_NaN();
-  expect_rejects_field(
-      [&] { TrafficEngine(net_, {{ny_, sg_, 1.0}}, bad); },
-      "submarine_base_tbps");
-}
-
-TEST(DemandParamsValidation, RejectsBadFieldsByName) {
-  expect_rejects_field(
-      [] {
-        DemandModelParams p;
-        p.gateways_per_continent = 0;
-        validate(p);
-      },
-      "gateways_per_continent");
-  expect_rejects_field(
-      [] {
-        DemandModelParams p;
-        p.total_offered_tbps = -400.0;
-        validate(p);
-      },
-      "total_offered_tbps");
-  expect_rejects_field(
-      [] {
-        DemandModelParams p;
-        p.distance_exponent = std::numeric_limits<double>::infinity();
-        validate(p);
-      },
-      "distance_exponent");
-  validate(DemandModelParams{});  // defaults are valid
-}
-
-TEST_F(RoutingTest, GravityDemandsValidateParams) {
-  DemandModelParams p;
-  p.total_offered_tbps = std::numeric_limits<double>::quiet_NaN();
-  expect_rejects_field([&] { gravity_demands(net_, p); },
-                       "total_offered_tbps");
-}
-
 TEST_F(RoutingTest, GravityHandlesFewerLandingNodesThanGateways) {
-  // Every continent here has a single landing node; asking for 10 per
-  // continent must take what exists, not read past the end.
-  DemandModelParams params;
-  params.gateways_per_continent = 10;
-  params.total_offered_tbps = 8.0;
-  const auto demands = gravity_demands(net_, params);
-  EXPECT_EQ(demands.size(), 6u);  // 4 gateways -> 6 pairs
-  double total = 0.0;
-  for (const TrafficDemand& d : demands) total += d.gbps;
-  EXPECT_NEAR(total, 8000.0, 1e-6);
+  // Every continent here has a single landing node; asking for
+  // kGatewaysPerContinent per continent must take what exists, not read
+  // past the end: the demands pair exactly the four nodes.
+  using Pair = std::pair<topo::NodeId, topo::NodeId>;
+  std::set<Pair> pairs;
+  for (const TrafficDemand& d : gravity_demands(net_)) {
+    pairs.insert(std::minmax(d.src, d.dst));
+  }
+  const std::set<Pair> expected = {{ny_, bude_},  {ny_, sg_},  {ny_, syd_},
+                                   {bude_, sg_}, {bude_, syd_}, {sg_, syd_}};
+  EXPECT_EQ(pairs, expected);
 }
 
 TEST_F(RoutingTest, GravityIgnoresCablelessContinents) {
   // A continent whose only node has no cables contributes zero gateways
   // and must not perturb the matrix.
   add_node("Nairobi", {-1.3, 36.8}, "KE");  // Africa, no cables
-  DemandModelParams params;
-  params.gateways_per_continent = 2;
-  const auto demands = gravity_demands(net_, params);
+  const auto demands = gravity_demands(net_);
   EXPECT_EQ(demands.size(), 6u);  // still 4 gateways
   for (const TrafficDemand& d : demands) {
     EXPECT_FALSE(net_.cables_at(d.src).empty());
@@ -387,39 +284,40 @@ TEST(GravityDeterminism, InvariantUnderNodeIdPermutationWithDistinctDegrees) {
     }
     return rows;
   };
-  DemandModelParams params;
-  params.gateways_per_continent = 1;
   const auto a = build({0, 1, 2, 3});
   const auto b = build({3, 2, 1, 0});
-  EXPECT_EQ(named_demands(a, gravity_demands(a, params)),
-            named_demands(b, gravity_demands(b, params)));
+  EXPECT_EQ(named_demands(a, gravity_demands(a)),
+            named_demands(b, gravity_demands(b)));
 }
 
 TEST(GravityDeterminism, EqualDegreesTieBreakByLowestId) {
-  // Two same-continent nodes with identical cable degree: the lower node
-  // id must win the gateway slot.
+  // One more same-continent node than there are gateway slots, all with
+  // identical cable degree: the lowest node ids must win the slots.
   topo::InfrastructureNetwork net("tie");
-  const auto ny = net.add_node(
-      {"NY", {40.7, -74.0}, "US", topo::NodeKind::kLandingPoint, true});
-  const auto boston = net.add_node(
-      {"Boston", {42.4, -71.1}, "US", topo::NodeKind::kLandingPoint, true});
+  std::vector<topo::NodeId> us;
+  for (std::size_t i = 0; i <= kGatewaysPerContinent; ++i) {
+    us.push_back(net.add_node({"US" + std::to_string(i),
+                               {40.0, -100.0 + static_cast<double>(i)},
+                               "US",
+                               topo::NodeKind::kLandingPoint,
+                               true}));
+  }
   const auto bude = net.add_node(
       {"Bude", {50.8, -4.5}, "GB", topo::NodeKind::kLandingPoint, true});
-  const auto cable = [&](topo::NodeId a, topo::NodeId b, double km) {
+  for (const topo::NodeId n : us) {  // every US node has degree 1
     topo::Cable c;
     c.name = "c" + std::to_string(net.cable_count());
-    c.segments = {{a, b, km}};
+    c.segments = {{n, bude, 6000.0}};
     net.add_cable(std::move(c));
-  };
-  cable(ny, bude, 6000.0);
-  cable(boston, bude, 6100.0);  // NY and Boston both have degree 1
-  DemandModelParams params;
-  params.gateways_per_continent = 1;
-  const auto demands = gravity_demands(net, params);
-  ASSERT_EQ(demands.size(), 1u);
-  EXPECT_EQ(std::min(demands[0].src, demands[0].dst), ny);
-  EXPECT_NE(demands[0].src, boston);
-  EXPECT_NE(demands[0].dst, boston);
+  }
+  const auto demands = gravity_demands(net);
+  // kGatewaysPerContinent US gateways plus Bude.
+  const std::size_t gateways = kGatewaysPerContinent + 1;
+  ASSERT_EQ(demands.size(), gateways * (gateways - 1) / 2);
+  for (const TrafficDemand& d : demands) {
+    EXPECT_NE(d.src, us.back());
+    EXPECT_NE(d.dst, us.back());
+  }
 }
 
 TEST_F(RoutingTest, SampledNodeDemandsDeterministicAndNormalized) {

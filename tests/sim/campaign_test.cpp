@@ -305,26 +305,6 @@ TEST_F(CampaignTest, ResumeIsThreadCountIndependent) {
   }
 }
 
-TEST_F(CampaignTest, CompletedCheckpointResumesWithoutExecuting) {
-  const FailureSimulator simulator(net_, {});
-
-  Bundle reference = make_bundle(simulator);
-  reference.pipeline.run(kTrials, kSeed);
-
-  CampaignOptions keep = options(kTrials, kSeed, 1);
-  keep.keep_checkpoint = true;
-  Bundle first = make_bundle(simulator);
-  first.campaign.run(keep);
-  ASSERT_TRUE(util::file_exists(checkpoint_path_));
-
-  Bundle second = make_bundle(simulator);
-  const CampaignReport report = second.campaign.run(keep);
-  EXPECT_TRUE(report.resumed);
-  EXPECT_EQ(report.chunks_resumed, 5u);
-  EXPECT_EQ(report.chunks_executed, 0u);
-  expect_bundles_eq(second, reference);
-}
-
 TEST_F(CampaignTest, EmptyCountryListStillCheckpointsAndResumes) {
   // A country observer with no countries keeps zero slots per chunk, but
   // its chunks still exist: every segment must checkpoint, and a resume
@@ -379,14 +359,16 @@ TEST_F(CampaignTest, EmptyCountryListStillCheckpointsAndResumes) {
   EXPECT_TRUE(resumed.isolation.results().empty());
 }
 
-// Builds a complete checkpoint file and returns its bytes.
+// Aborts a campaign with a kWorkerTask fault in its second segment and
+// returns the bytes of the checkpoint it leaves (chunks [0, 2)).
 class CampaignCorruptionTest : public CampaignTest {
  protected:
-  std::string write_full_checkpoint(const FailureSimulator& simulator) {
-    CampaignOptions keep = options(kTrials, kSeed, 1);
-    keep.keep_checkpoint = true;
-    Bundle bundle = make_bundle(simulator);
-    bundle.campaign.run(keep);
+  std::string write_checkpoint(const FailureSimulator& simulator) {
+    Bundle doomed = make_bundle(simulator);
+    const util::ScopedFault fault(util::FaultSite::kWorkerTask,
+                                  std::uint64_t{3});
+    EXPECT_THROW(doomed.campaign.run(options(kTrials, kSeed, 1)),
+                 util::Error);
     return util::read_file(checkpoint_path_);
   }
 };
@@ -395,7 +377,7 @@ TEST_F(CampaignCorruptionTest, CorruptCheckpointsRestartFreshWithRightCode) {
   const FailureSimulator simulator(net_, {});
   Bundle reference = make_bundle(simulator);
   reference.pipeline.run(kTrials, kSeed);
-  const std::string clean = write_full_checkpoint(simulator);
+  const std::string clean = write_checkpoint(simulator);
 
   struct Case {
     const char* name;
@@ -455,7 +437,7 @@ TEST_F(CampaignCorruptionTest, MismatchedCampaignRejectsCheckpoint) {
   };
   const FailureSimulator written_by(net_, {});
   for (const Case& c : cases) {
-    write_full_checkpoint(written_by);
+    write_checkpoint(written_by);
     TrialConfig config;
     config.repeater_spacing_km = c.spacing_km;
     const FailureSimulator simulator(net_, config);
@@ -477,41 +459,6 @@ TEST_F(CampaignCorruptionTest, MismatchedCampaignRejectsCheckpoint) {
         << c.name;
     expect_bundles_eq(campaign, reference);
   }
-}
-
-TEST_F(CampaignCorruptionTest, StrictResumeThrowsInsteadOfRestarting) {
-  const FailureSimulator simulator(net_, {});
-  std::string clean = write_full_checkpoint(simulator);
-  clean[clean.size() - 1] ^= 0x10;  // break the stored CRC
-  util::atomic_write_file(checkpoint_path_, clean);
-
-  Bundle campaign = make_bundle(simulator);
-  CampaignOptions strict = options(kTrials, kSeed, 1);
-  strict.strict_resume = true;
-  try {
-    campaign.campaign.run(strict);
-    FAIL() << "expected util::Error";
-  } catch (const util::Error& e) {
-    EXPECT_EQ(e.code(), util::ErrorCode::kCorrupt);
-  }
-}
-
-TEST_F(CampaignTest, ResumeFalseIgnoresExistingCheckpoint) {
-  const FailureSimulator simulator(net_, {});
-  CampaignOptions keep = options(kTrials, kSeed, 1);
-  keep.keep_checkpoint = true;
-  {
-    Bundle first = make_bundle(simulator);
-    first.campaign.run(keep);
-  }
-  ASSERT_TRUE(util::file_exists(checkpoint_path_));
-
-  Bundle fresh = make_bundle(simulator);
-  CampaignOptions no_resume = options(kTrials, kSeed, 1);
-  no_resume.resume = false;
-  const CampaignReport report = fresh.campaign.run(no_resume);
-  EXPECT_FALSE(report.resumed);
-  EXPECT_EQ(report.chunks_executed, 5u);
 }
 
 TEST_F(CampaignTest, CheckpointWriteFailureDegradesGracefully) {

@@ -41,6 +41,8 @@ TEST(CliExit, InvalidLeadHoursAndRiskWindowsExitOne) {
       {"risk --years inf", "--years"},
       {"risk --years -5", "--years"},
       {"risk --start nan", "--start"},
+      // 2^44 MB is 2^64 bytes, one more than size_t holds.
+      {"serve --cache-mb 17592186044416 < /dev/null", "--cache-mb"},
   };
   for (const auto& row : rows) {
     const CliRun run = run_cli(row.args);

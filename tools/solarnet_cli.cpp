@@ -2,6 +2,7 @@
 // (`solarnet help` lists them and their flags).
 #include <filesystem>
 #include <iostream>
+#include <limits>
 #include <optional>
 
 #include "analysis/country.h"
@@ -109,8 +110,7 @@ int cmd_risk(const Args& args) {
                           args.get_or("years", "") + "'",
                       {"command line", 0, "--years"});
   }
-  const solar::SolarCycleModel cycle;
-  const solar::ExtremeEventRisk risk{cycle};
+  const solar::ExtremeEventRisk risk;
   util::TextTable t({"window", "P(direct impact)", "P(Carrington-scale)"});
   t.add_row({util::format_fixed(start, 0) + " +" +
                  util::format_fixed(years, 0) + "y",
@@ -258,13 +258,24 @@ int cmd_sweep(const Args& args) {
 // cache. Protocol notes go to stderr so stdout stays pure NDJSON in
 // --stdin mode.
 int cmd_serve(const Args& args) {
+  // The cache budget is held in bytes: a size whose byte count does not
+  // fit in size_t would wrap to a small (or zero) budget.
+  constexpr std::size_t kMaxCacheMb =
+      std::numeric_limits<std::size_t>::max() >> 20;
+  const std::size_t cache_mb = args.get_count_or("cache-mb", 64);
+  if (cache_mb > kMaxCacheMb) {
+    throw util::Error(util::ErrorCode::kInvalidArgument,
+                      "must be at most " + std::to_string(kMaxCacheMb) +
+                          ", got '" + args.get_or("cache-mb", "") + "'",
+                      {"command line", 0, "--cache-mb"});
+  }
   core::WorldConfig world_cfg;
   world_cfg.build_population = false;  // no served request needs these two
   world_cfg.build_routers = false;
   const core::World world = core::World::generate(world_cfg);
 
   server::ServiceOptions opts;
-  opts.cache.byte_budget = args.get_count_or("cache-mb", 64) << 20;
+  opts.cache.byte_budget = cache_mb << 20;
   opts.threads = args.get_count_or("threads", 0);
   server::ScenarioService service(server::ServiceContext::from_world(world),
                                   opts);
@@ -332,9 +343,8 @@ int cmd_timeline(const Args& args) {
       hours.push_back(s.hours);
       kp.push_back(s.kp);
     }
-    gic::KpDoseParams dose;
-    dose.quiet_kp = args.get_double_or("quiet-kp", 5.0);
-    std::vector<double> share = gic::dose_share_from_kp(hours, kp, dose);
+    std::vector<double> share = gic::dose_share_from_kp(
+        hours, kp, args.get_double_or("quiet-kp", 5.0));
     storm_axis = sim::TimelineConfig::from_dose_schedule(std::move(hours),
                                                          std::move(share));
     std::cout << "storm: " << storm.source << " starting " << storm.start_time
