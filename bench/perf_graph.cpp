@@ -29,9 +29,9 @@
 #include "bench_util.h"
 #include "datasets/datacenters.h"
 #include "datasets/submarine.h"
-#include "geo/distance.h"
 #include "graph/components.h"
 #include "graph/union_find.h"
+#include "reference/attachment.h"
 #include "services/availability.h"
 #include "sim/monte_carlo.h"
 #include "util/rng.h"
@@ -101,50 +101,9 @@ graph::ComponentResult connected_components(const graph::Graph& g,
   return result;
 }
 
-// The old evaluate_service: nearest-landing-point scans re-run per draw,
-// allocating mask/components/unreachable-list per call. Anchor locations
-// and population weights mirror services/availability.cpp.
-const std::vector<std::pair<geo::Continent, geo::GeoPoint>>&
-continent_anchors() {
-  static const std::vector<std::pair<geo::Continent, geo::GeoPoint>> anchors =
-      {
-          {geo::Continent::kNorthAmerica, {40.7, -74.0}},
-          {geo::Continent::kSouthAmerica, {-23.5, -46.6}},
-          {geo::Continent::kEurope, {50.1, 8.7}},
-          {geo::Continent::kAfrica, {6.5, 3.4}},
-          {geo::Continent::kAsia, {1.35, 103.8}},
-          {geo::Continent::kOceania, {-33.9, 151.2}},
-      };
-  return anchors;
-}
-
-topo::NodeId nearest_connected_node(const topo::InfrastructureNetwork& net,
-                                    const geo::GeoPoint& p) {
-  constexpr double kAttachmentRadiusKm = 1500.0;
-  topo::NodeId best_in_range = topo::kInvalidNode;
-  std::size_t best_degree = 0;
-  double best_in_range_d = std::numeric_limits<double>::infinity();
-  topo::NodeId nearest = topo::kInvalidNode;
-  double nearest_d = std::numeric_limits<double>::infinity();
-  for (topo::NodeId n = 0; n < net.node_count(); ++n) {
-    const std::size_t degree = net.cables_at(n).size();
-    if (degree == 0) continue;
-    const double d = geo::haversine_km(p, net.node(n).location);
-    if (d < nearest_d) {
-      nearest_d = d;
-      nearest = n;
-    }
-    if (d <= kAttachmentRadiusKm &&
-        (degree > best_degree ||
-         (degree == best_degree && d < best_in_range_d))) {
-      best_degree = degree;
-      best_in_range_d = d;
-      best_in_range = n;
-    }
-  }
-  return best_in_range != topo::kInvalidNode ? best_in_range : nearest;
-}
-
+// The old evaluate_service: nearest-landing-point scans re-run per draw
+// (the frozen scan and anchors of bench/reference/attachment.h),
+// allocating mask/components/unreachable-list per call.
 services::AvailabilityReport evaluate_service(
     const topo::InfrastructureNetwork& net,
     const std::vector<bool>& cable_dead,
@@ -157,7 +116,7 @@ services::AvailabilityReport evaluate_service(
   constexpr std::uint32_t kIslandBase = 0x80000000u;
 
   auto component_of = [&](const geo::GeoPoint& p) -> std::uint32_t {
-    const topo::NodeId n = nearest_connected_node(net, p);
+    const topo::NodeId n = reference::nearest_connected_node(net, p);
     if (n == topo::kInvalidNode) return graph::ComponentResult::kNoComponent;
     if (dark[n]) return kIslandBase + n;
     return cc.component[n];
@@ -171,7 +130,7 @@ services::AvailabilityReport evaluate_service(
 
   services::AvailabilityReport report;
   report.service = service.name;
-  for (const auto& [continent, anchor] : continent_anchors()) {
+  for (const auto& [continent, anchor] : reference::continent_anchors()) {
     services::ContinentAvailability avail;
     avail.continent = continent;
     const std::uint32_t client = component_of(anchor);

@@ -9,7 +9,10 @@
 //      the frozen pre-pipeline availability loop (both in
 //      bench/reference/trial_loops.h),
 //   3. DnsResolutionObserver matches a serial replay of the same split
-//      streams through DnsResolutionEvaluator exactly,
+//      streams through DnsResolutionEvaluator exactly, and the one-shot
+//      evaluate_dns_resolution equals reference::evaluate_dns_resolution
+//      (the frozen one-shot evaluation on the pre-index attachment scan in
+//      bench/reference/attachment.h) on the replayed draws,
 //   4. CountryIsolationObserver converges to the analytic
 //      all_fail_probability / expected_survivors (4 SE at 512 trials) and is
 //      exact at the deterministic p = 1 endpoint,
@@ -36,6 +39,7 @@
 #include "datasets/datacenters.h"
 #include "datasets/infra_points.h"
 #include "datasets/submarine.h"
+#include "reference/attachment.h"
 #include "reference/trial_loops.h"
 #include "services/availability.h"
 #include "sim/monte_carlo.h"
@@ -206,6 +210,35 @@ void check_dns_exact_replay() {
   if (observer.result().joint_trials > observer.result().degraded_trials ||
       observer.result().joint_trials > observer.result().heavy_loss_trials) {
     fail("DNS joint count exceeds a marginal count");
+  }
+
+  // The timed old path below runs the frozen one-shot DNS evaluation: it
+  // must answer exactly as the live one-shot API does.
+  for (std::size_t t = 0; t < 4; ++t) {
+    util::Rng rng = base.split(t);
+    submarine_sim().sample_cable_failures(table, rng, dead);
+    std::vector<bool> dead_bits(dead.size());
+    for (std::size_t c = 0; c < dead_bits.size(); ++c) dead_bits[c] = dead[c];
+    const analysis::DnsResolutionReport live =
+        analysis::evaluate_dns_resolution(submarine(), dead_bits, dns_roots());
+    const analysis::DnsResolutionReport frozen =
+        reference::evaluate_dns_resolution(submarine(), dead_bits,
+                                           dns_roots());
+    bool same = live.resolution_availability ==
+                    frozen.resolution_availability &&
+                live.mean_letters_reachable == frozen.mean_letters_reachable &&
+                live.per_continent.size() == frozen.per_continent.size();
+    for (std::size_t i = 0; same && i < live.per_continent.size(); ++i) {
+      same = live.per_continent[i].continent ==
+                 frozen.per_continent[i].continent &&
+             live.per_continent[i].any_root_reachable ==
+                 frozen.per_continent[i].any_root_reachable &&
+             live.per_continent[i].letters_reachable ==
+                 frozen.per_continent[i].letters_reachable;
+    }
+    if (!same) {
+      fail("evaluate_dns_resolution diverged from the frozen reference");
+    }
   }
 }
 
@@ -386,10 +419,12 @@ int main() {
   // pass per metric through the one-shot analysis entry points, the way the
   // old scenario code sequenced N analysis calls. Connectivity and two
   // availability passes through the frozen loops of
-  // bench/reference/trial_loops.h, and a per-trial DNS loop
-  // through evaluate_dns_resolution — which, like every one-shot call,
-  // re-resolves the 1076 root instances to landing stations on each
-  // realization — plus a per-trial country isolation scan. Each pass
+  // bench/reference/trial_loops.h, and a per-trial DNS loop through the
+  // frozen one-shot reference::evaluate_dns_resolution of
+  // bench/reference/attachment.h — which, like the old one-shot call,
+  // re-attaches the 1076 root instances to landing stations with the
+  // linear scan on each realization — plus a per-trial country isolation
+  // scan. Each pass
   // redraws cable failures and (where needed) re-decomposes components.
   // New path: construct the pipeline and its observers cold (replica/root
   // resolution happens once, in observer construction), then one pass fans
@@ -414,7 +449,8 @@ int main() {
             submarine_sim(), s1_model(), facebook, kTrials, kSeed, 1);
         if (g.draws != kTrials || f.draws != kTrials) std::exit(1);
 
-        // DNS through the one-shot API, as the old report driver had to.
+        // DNS through the frozen one-shot evaluation, as the old report
+        // assembly had to.
         const auto table =
             submarine_sim().death_probability_table(s1_model());
         util::Bitset dead;
@@ -428,8 +464,8 @@ int main() {
             dead_bits[c] = dead[c];
           }
           const analysis::DnsResolutionReport report =
-              analysis::evaluate_dns_resolution(submarine(), dead_bits,
-                                                dns_roots());
+              reference::evaluate_dns_resolution(submarine(), dead_bits,
+                                                 dns_roots());
           dns_avail.add(report.resolution_availability);
         }
         if (dns_avail.count() != kTrials) std::exit(1);

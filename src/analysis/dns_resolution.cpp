@@ -1,9 +1,11 @@
 #include "analysis/dns_resolution.h"
 
+#include <cctype>
 #include <charconv>
 #include <string>
 
 #include "graph/components.h"
+#include "util/status.h"
 
 namespace solarnet::analysis {
 
@@ -18,8 +20,20 @@ DnsResolutionEvaluator::DnsResolutionEvaluator(
     specs[l].name = std::string(1, static_cast<char>('a' + l));
     specs[l].write_quorum = 1;
   }
-  for (const datasets::DnsRootInstance& r : roots) {
-    specs[r.root_letter - 'a'].replicas.push_back(r.location);
+  for (std::size_t i = 0; i < roots.size(); ++i) {
+    const char letter = roots[i].root_letter;
+    if (letter < 'a' || letter > 'm') {
+      const auto code = static_cast<unsigned char>(letter);
+      const std::string shown = std::isprint(code)
+                                    ? std::string{'\'', letter, '\''}
+                                    : "code " + std::to_string(code);
+      throw util::Error(util::ErrorCode::kInvalidArgument,
+                        "DnsResolutionEvaluator: root letter " + shown +
+                            " of instance " + std::to_string(i) +
+                            " is not in a-m",
+                        {"dns-roots", 0, "root_letter"});
+    }
+    specs[letter - 'a'].replicas.push_back(roots[i].location);
   }
   for (services::ServiceSpec& spec : specs) {
     if (spec.replicas.empty()) continue;

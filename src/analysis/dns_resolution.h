@@ -48,14 +48,16 @@ DnsResolutionReport evaluate_dns_resolution(
     const std::vector<datasets::DnsRootInstance>& roots);
 
 // Pre-resolved root-letter evaluators for one (network, root set) pair.
-// Construction maps every instance of every populated letter to its landing
-// node once (one services::ServiceEvaluator per letter, quorum 1);
-// evaluate() then costs 13 allocation-free service lookups against a
-// caller-provided component decomposition. Copyable — the observer hands
-// each pipeline worker its own copy. The network must outlive the
-// evaluator.
+// Construction attaches every instance of every populated letter to its
+// landing node once (one services::ServiceEvaluator per letter, quorum 1,
+// each searching the network's shared attachment index); evaluate() then
+// costs 13 allocation-free service lookups against a caller-provided
+// component decomposition. Copyable — the observer hands each pipeline
+// worker its own copy. The network must outlive the evaluator.
 class DnsResolutionEvaluator {
  public:
+  // Throws util::Error(kInvalidArgument) naming the letter and the
+  // instance index when a root letter lies outside 'a'..'m'.
   DnsResolutionEvaluator(const topo::InfrastructureNetwork& net,
                          const std::vector<datasets::DnsRootInstance>& roots);
 

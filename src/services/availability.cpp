@@ -1,6 +1,7 @@
 #include "services/availability.h"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <stdexcept>
 
@@ -26,38 +27,6 @@ continent_anchors() {
   return anchors;
 }
 
-// Clients and replicas reach the submarine plant through terrestrial
-// networks, so they attach to the best-connected landing station in their
-// area, not literally the closest beach: among nodes within the attachment
-// radius, prefer the highest cable degree (nearest wins ties); with no
-// node in range, fall back to the globally nearest.
-topo::NodeId nearest_connected_node(const topo::InfrastructureNetwork& net,
-                                    const geo::GeoPoint& p) {
-  constexpr double kAttachmentRadiusKm = 1500.0;
-  topo::NodeId best_in_range = topo::kInvalidNode;
-  std::size_t best_degree = 0;
-  double best_in_range_d = std::numeric_limits<double>::infinity();
-  topo::NodeId nearest = topo::kInvalidNode;
-  double nearest_d = std::numeric_limits<double>::infinity();
-  for (topo::NodeId n = 0; n < net.node_count(); ++n) {
-    const std::size_t degree = net.cables_at(n).size();
-    if (degree == 0) continue;
-    const double d = geo::haversine_km(p, net.node(n).location);
-    if (d < nearest_d) {
-      nearest_d = d;
-      nearest = n;
-    }
-    if (d <= kAttachmentRadiusKm &&
-        (degree > best_degree ||
-         (degree == best_degree && d < best_in_range_d))) {
-      best_degree = degree;
-      best_in_range_d = d;
-      best_in_range = n;
-    }
-  }
-  return best_in_range != topo::kInvalidNode ? best_in_range : nearest;
-}
-
 // A node that lost every cable is not "nowhere" — it is its own island
 // partition: parties attached to the same dark landing station can still
 // talk over the local terrestrial network. Each dark node gets a unique
@@ -65,6 +34,59 @@ topo::NodeId nearest_connected_node(const topo::InfrastructureNetwork& net,
 constexpr std::uint32_t kIslandBase = 0x80000000u;
 
 }  // namespace
+
+topo::NodeId nearest_connected_node(const topo::InfrastructureNetwork& net,
+                                    const geo::GeoPoint& p) {
+  // The prefilters test against a radius 1 km wider than the rule's, so
+  // no rounding in the band or dot-product arithmetic can drop a node
+  // whose haversine distance is within range; only nodes that pass get
+  // the exact test.
+  constexpr double kPrefilterRad = (kAttachmentRadiusKm + 1.0) /
+                                   geo::kEarthRadiusKm;
+  static const double kMinDot = std::cos(kPrefilterRad);
+  constexpr double kBandDeg = geo::rad_to_deg(kPrefilterRad);
+
+  const topo::AttachmentIndex& index = net.attachment_index();
+  const geo::Vec3 u = geo::to_unit_vector(p);
+  // A great-circle distance is at least the latitude difference. The band
+  // is centred on the unit vector's latitude, which equals p's for every
+  // valid point and is the geometric one for any other.
+  const double lat = geo::rad_to_deg(std::asin(u.z));
+
+  // Among nodes in range: highest degree, then shorter distance, then
+  // lower id. The range tests are negated so that NaN fails them.
+  topo::NodeId best = topo::kInvalidNode;
+  std::size_t best_degree = 0;
+  double best_d = std::numeric_limits<double>::infinity();
+  for (const topo::AttachmentIndex::Entry& e :
+       index.latitude_band(lat - kBandDeg, lat + kBandDeg)) {
+    if (!(u.x * e.unit.x + u.y * e.unit.y + u.z * e.unit.z >= kMinDot)) {
+      continue;
+    }
+    const double d = geo::haversine_km(p, e.location);
+    if (!(d <= kAttachmentRadiusKm)) continue;
+    const std::size_t degree = net.cables_at(e.id).size();
+    if (degree > best_degree ||
+        (degree == best_degree &&
+         (d < best_d || (d == best_d && e.id < best)))) {
+      best = e.id;
+      best_degree = degree;
+      best_d = d;
+    }
+  }
+  if (best != topo::kInvalidNode) return best;
+
+  // Nothing in range: the nearest node, lower id on ties.
+  double nearest_d = std::numeric_limits<double>::infinity();
+  for (const topo::AttachmentIndex::Entry& e : index.by_latitude) {
+    const double d = geo::haversine_km(p, e.location);
+    if (d < nearest_d || (d == nearest_d && e.id < best)) {
+      best = e.id;
+      nearest_d = d;
+    }
+  }
+  return best;
+}
 
 ServiceSpec service_from_datacenters(const std::string& name,
                                      const std::vector<geo::GeoPoint>& sites,

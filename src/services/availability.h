@@ -8,9 +8,10 @@
 // topology to decide who can reach whom.
 //
 // ServiceEvaluator resolves the replica and continent-anchor landing
-// nodes once per (network, spec) and then answers per-draw queries
-// allocation-free over the network's cached CSR; AvailabilityObserver
-// runs it on the trial pipeline, the Monte-Carlo hot path.
+// nodes once per (network, spec) through the network's cached attachment
+// index and then answers per-draw queries allocation-free over its cached
+// CSR; AvailabilityObserver runs it on the trial pipeline, the Monte-Carlo
+// hot path.
 // evaluate_service is a one-shot wrapper that builds an evaluator for one
 // std::vector<bool> draw.
 #pragma once
@@ -56,15 +57,31 @@ struct AvailabilityReport {
   double write_availability = 0.0;
 };
 
+// Clients and replicas reach the submarine plant through terrestrial
+// networks, so they attach to the best-connected landing station in their
+// area, not literally the closest beach: among cable-bearing nodes within
+// kAttachmentRadiusKm (haversine) of `p`, the highest cable degree wins,
+// then the shorter distance, then the lower node id; with no node in
+// range, the nearest one (lower id on ties). Nodes without cables are never
+// chosen; kInvalidNode when the network has no cable. The search reads
+// net.attachment_index(): it visits one latitude band and computes the
+// exact distance only for nodes that pass a dot-product prefilter, falling
+// back to every node only when none is in range.
+inline constexpr double kAttachmentRadiusKm = 1500.0;
+topo::NodeId nearest_connected_node(const topo::InfrastructureNetwork& net,
+                                    const geo::GeoPoint& p);
+
 // The continent population shares used for weighting (sums to 1).
 const std::vector<std::pair<geo::Continent, double>>&
 continent_population_shares();
 
 // Pre-resolved evaluator for one (network, service) pair. Construction
-// runs the nearest-landing-point scans (O(nodes) per replica/anchor) once;
-// evaluate() then costs one masked component decomposition plus O(1)
-// lookups per party, reusing all scratch. Copyable — AvailabilityObserver
-// hands each worker its own copy. The network must outlive the evaluator.
+// attaches every replica and continent anchor once (nearest_connected_node
+// over the network's attachment index, built on the network's first use
+// and shared by every evaluator on it); evaluate() then costs one masked
+// component decomposition plus O(1) lookups per party, reusing all
+// scratch. Copyable — AvailabilityObserver hands each worker its own copy.
+// The network must outlive the evaluator.
 class ServiceEvaluator {
  public:
   // Throws std::invalid_argument on an empty replica set or a quorum

@@ -70,8 +70,7 @@ InfrastructureNetwork InfrastructureNetwork::clone_with_extra_cables(
 
 void InfrastructureNetwork::invalidate_csr() {
   const std::lock_guard<std::mutex> lock(csr_cache_.mutex);
-  csr_cache_.ptr.reset();
-  csr_cache_.fingerprint_valid = false;
+  csr_cache_.drop();
 }
 
 const graph::Csr& InfrastructureNetwork::csr() const {
@@ -80,6 +79,37 @@ const graph::Csr& InfrastructureNetwork::csr() const {
     csr_cache_.ptr = std::make_shared<const graph::Csr>(graph_);
   }
   return *csr_cache_.ptr;
+}
+
+std::span<const AttachmentIndex::Entry> AttachmentIndex::latitude_band(
+    double lo_deg, double hi_deg) const {
+  const auto lo = std::lower_bound(
+      by_latitude.begin(), by_latitude.end(), lo_deg,
+      [](const Entry& e, double lat) { return e.location.lat_deg < lat; });
+  const auto hi = std::upper_bound(
+      lo, by_latitude.end(), hi_deg,
+      [](double lat, const Entry& e) { return lat < e.location.lat_deg; });
+  return {lo, hi};
+}
+
+const AttachmentIndex& InfrastructureNetwork::attachment_index() const {
+  const std::lock_guard<std::mutex> lock(csr_cache_.mutex);
+  if (!csr_cache_.attachment) {
+    auto index = std::make_shared<AttachmentIndex>();
+    for (NodeId n = 0; n < nodes_.size(); ++n) {
+      if (cables_at_node_[n].empty()) continue;
+      index->by_latitude.push_back(
+          {nodes_[n].location, geo::to_unit_vector(nodes_[n].location), n});
+    }
+    // Ids were pushed ascending, so a stable sort keeps id order on ties.
+    std::stable_sort(index->by_latitude.begin(), index->by_latitude.end(),
+                     [](const AttachmentIndex::Entry& a,
+                        const AttachmentIndex::Entry& b) {
+                       return a.location.lat_deg < b.location.lat_deg;
+                     });
+    csr_cache_.attachment = std::move(index);
+  }
+  return *csr_cache_.attachment;
 }
 
 std::uint64_t InfrastructureNetwork::content_fingerprint() const {

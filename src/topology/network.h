@@ -7,6 +7,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -19,6 +20,23 @@
 #include "util/bitset.h"
 
 namespace solarnet::topo {
+
+// Geometry-only index of a network's cable-bearing nodes for
+// point-to-landing-station lookups (services::nearest_connected_node): the
+// nodes in ascending latitude (ties by id), each with its location and
+// unit vector, so a search visits one latitude band and rejects far nodes
+// with a dot product before computing any haversine distance.
+struct AttachmentIndex {
+  struct Entry {
+    geo::GeoPoint location;
+    geo::Vec3 unit;
+    NodeId id = kInvalidNode;
+  };
+  std::vector<Entry> by_latitude;
+
+  // The entries whose latitude lies in [lo_deg, hi_deg].
+  std::span<const Entry> latitude_band(double lo_deg, double hi_deg) const;
+};
 
 class InfrastructureNetwork {
  public:
@@ -67,6 +85,10 @@ class InfrastructureNetwork {
   // traverse; build it (by calling this once) before fanning trial workers
   // out over the network.
   const graph::Csr& csr() const;
+  // Attachment index of the cable-bearing nodes, built lazily on first use
+  // and cached beside the CSR (add_node/add_cable and copies drop it the
+  // same way). Safe to call from several threads at once.
+  const AttachmentIndex& attachment_index() const;
   // Order-sensitive 64-bit digest of the network's content: every node
   // (name, coordinates, country, kind, authoritativeness) and cable (name,
   // kind, segments with exact length bits, length_known) in id order. Two
@@ -124,27 +146,31 @@ class InfrastructureNetwork {
   graph::Graph graph_;
   std::vector<CableId> edge_to_cable_;
   std::vector<std::vector<graph::EdgeId>> cable_to_edges_;
-  // Lazily built CSR snapshot of graph_ plus the cached content
+  // Lazily built CSR snapshot of graph_, attachment index and content
   // fingerprint, rebuilt on demand after mutation invalidates them. The
   // cache (not the network) carries the mutex, with copy/move defined to
   // drop the cached state, so the network stays movable and a copied
-  // network rebuilds its own CSR and fingerprint.
+  // network rebuilds its own CSR, index and fingerprint.
   struct CsrCache {
     CsrCache() = default;
     CsrCache(const CsrCache&) noexcept {}
     CsrCache(CsrCache&&) noexcept {}
     CsrCache& operator=(const CsrCache&) noexcept {
-      ptr.reset();
-      fingerprint_valid = false;
+      drop();
       return *this;
     }
     CsrCache& operator=(CsrCache&&) noexcept {
-      ptr.reset();
-      fingerprint_valid = false;
+      drop();
       return *this;
+    }
+    void drop() noexcept {
+      ptr.reset();
+      attachment.reset();
+      fingerprint_valid = false;
     }
     std::mutex mutex;
     std::shared_ptr<const graph::Csr> ptr;
+    std::shared_ptr<const AttachmentIndex> attachment;
     std::uint64_t fingerprint = 0;
     bool fingerprint_valid = false;
   };

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 #include "datasets/submarine.h"
 #include "sim/monte_carlo.h"
+#include "util/status.h"
 
 namespace solarnet::analysis {
 namespace {
@@ -72,6 +76,36 @@ TEST_F(DnsResolutionTest, LosingOnlyRegionalRootStrandsTheRest) {
       EXPECT_FALSE(pc.any_root_reachable);
     }
   }
+}
+
+TEST_F(DnsResolutionTest, RootLetterOutsideAToMIsRejected) {
+  const std::pair<char, const char*> cases[] = {
+      {'A', "'A'"}, {'z', "'z'"}, {'n', "'n'"}, {'`', "'`'"}, {'\0', "code 0"}};
+  for (const auto& [letter, shown] : cases) {
+    std::vector<datasets::DnsRootInstance> roots = two_letters();
+    roots.push_back({letter, {1.35, 103.8}, "SG", geo::Continent::kAsia});
+    try {
+      DnsResolutionEvaluator evaluator(net_, roots);
+      ADD_FAILURE() << shown << " was accepted";
+    } catch (const util::Error& e) {
+      EXPECT_EQ(e.code(), util::ErrorCode::kInvalidArgument);
+      const std::string what = e.what();
+      EXPECT_NE(what.find(std::string("root letter ") + shown +
+                          " of instance 2"),
+                std::string::npos)
+          << what;
+    }
+  }
+  // The one-shot API and the observer construct the same evaluator.
+  std::vector<datasets::DnsRootInstance> roots = two_letters();
+  roots.front().root_letter = 'z';
+  const std::vector<bool> none(net_.cable_count(), false);
+  EXPECT_THROW(evaluate_dns_resolution(net_, none, roots), util::Error);
+  EXPECT_THROW(DnsResolutionObserver(net_, roots), util::Error);
+  // Both ends of the range are accepted.
+  roots.front().root_letter = 'm';
+  roots.back().root_letter = 'a';
+  EXPECT_NO_THROW(DnsResolutionEvaluator(net_, roots));
 }
 
 TEST(DnsResolutionFullScale, RootStaysResolvableUnderS1) {

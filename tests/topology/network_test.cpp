@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
+#include <vector>
+
 #include "geo/distance.h"
 
 namespace solarnet::topo {
@@ -218,6 +221,66 @@ TEST_F(NetworkTest, CloneAppendsExtraCablesWithoutTouchingBase) {
   // The copy's CSR is built fresh (no stale shared cache): the new edge is
   // present in the copy only.
   EXPECT_EQ(copy.csr().edge_count(), net_.csr().edge_count() + 1);
+}
+
+TEST_F(NetworkTest, AttachmentIndexHoldsCableBearingNodesByLatitude) {
+  // D has no cable; A (0), B (10) and C (50) are ordered by latitude.
+  const AttachmentIndex& index = net_.attachment_index();
+  ASSERT_EQ(index.by_latitude.size(), 3u);
+  const NodeId want[] = {a_, b_, c_};
+  for (std::size_t i = 0; i < 3; ++i) {
+    const AttachmentIndex::Entry& e = index.by_latitude[i];
+    EXPECT_EQ(e.id, want[i]);
+    EXPECT_EQ(e.location, net_.node(e.id).location);
+    const geo::Vec3 u = geo::to_unit_vector(e.location);
+    EXPECT_EQ(e.unit.x, u.x);
+    EXPECT_EQ(e.unit.y, u.y);
+    EXPECT_EQ(e.unit.z, u.z);
+  }
+  EXPECT_EQ(&net_.attachment_index(), &index);  // cached
+}
+
+TEST_F(NetworkTest, AttachmentIndexBreaksLatitudeTiesById) {
+  const NodeId e = net_.add_node(
+      {"E", {10.0, 30.0}, "US", NodeKind::kLandingPoint, true});
+  Cable c3;
+  c3.name = "C3";
+  c3.segments = {{e, c_, 0.0}};
+  net_.add_cable(std::move(c3));
+  const AttachmentIndex& index = net_.attachment_index();
+  ASSERT_EQ(index.by_latitude.size(), 4u);
+  EXPECT_EQ(index.by_latitude[1].id, b_);  // B and E share latitude 10
+  EXPECT_EQ(index.by_latitude[2].id, e);
+}
+
+TEST_F(NetworkTest, AttachmentIndexLatitudeBandIsInclusive) {
+  const AttachmentIndex& index = net_.attachment_index();
+  auto ids = [](std::span<const AttachmentIndex::Entry> band) {
+    std::vector<NodeId> out;
+    for (const AttachmentIndex::Entry& e : band) out.push_back(e.id);
+    return out;
+  };
+  EXPECT_EQ(ids(index.latitude_band(0.0, 10.0)), (std::vector<NodeId>{a_, b_}));
+  EXPECT_EQ(ids(index.latitude_band(0.5, 49.5)), (std::vector<NodeId>{b_}));
+  EXPECT_EQ(ids(index.latitude_band(-90.0, 90.0)),
+            (std::vector<NodeId>{a_, b_, c_}));
+  EXPECT_TRUE(index.latitude_band(60.0, 90.0).empty());
+  EXPECT_TRUE(index.latitude_band(20.0, 10.0).empty());
+}
+
+TEST_F(NetworkTest, AttachmentIndexFollowsMutationAndCopies) {
+  EXPECT_EQ(net_.attachment_index().by_latitude.size(), 3u);
+  Cable to_d;
+  to_d.name = "to-D";
+  to_d.segments = {{a_, d_, 0.0}};
+  net_.add_cable(std::move(to_d));  // D gains its first cable
+  const AttachmentIndex& index = net_.attachment_index();
+  ASSERT_EQ(index.by_latitude.size(), 4u);
+  EXPECT_EQ(index.by_latitude.front().id, d_);  // latitude -5
+
+  const InfrastructureNetwork copy = net_;
+  EXPECT_NE(&copy.attachment_index(), &index);  // rebuilt, not shared
+  EXPECT_EQ(copy.attachment_index().by_latitude.size(), 4u);
 }
 
 TEST_F(NetworkTest, CloneValidatesExtraCables) {

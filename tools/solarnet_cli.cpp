@@ -125,6 +125,16 @@ int cmd_risk(const Args& args) {
   return 0;
 }
 
+// The world `report` and `serve` compute on: the three networks, IXPs and
+// DNS roots, without the population grid and router dataset that no report
+// section or served request reads.
+core::World scenario_world() {
+  core::WorldConfig config;
+  config.build_population = false;
+  config.build_routers = false;
+  return core::World::generate(config);
+}
+
 // The full multi-metric report: connectivity, service availability, DNS
 // resolution, country isolation — every metric observed on the same
 // per-trial failure draws. The printed aggregates are bit-identical for
@@ -138,7 +148,7 @@ int cmd_report(const Args& args) {
   if (const std::string path = args.get_or("checkpoint", ""); !path.empty()) {
     checkpoint = core::ReportCheckpoint{path, every};
   }
-  const core::World world = core::World::generate();
+  const core::World world = scenario_world();
   const core::ScenarioRunner runner(world);
   if (args.has("storm")) {
     const auto storm = storm_by_name(args.get_or("storm", "carrington"));
@@ -269,10 +279,7 @@ int cmd_serve(const Args& args) {
                           ", got '" + args.get_or("cache-mb", "") + "'",
                       {"command line", 0, "--cache-mb"});
   }
-  core::WorldConfig world_cfg;
-  world_cfg.build_population = false;  // no served request needs these two
-  world_cfg.build_routers = false;
-  const core::World world = core::World::generate(world_cfg);
+  const core::World world = scenario_world();
 
   server::ServiceOptions opts;
   opts.cache.byte_budget = cache_mb << 20;
