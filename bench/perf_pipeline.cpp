@@ -25,7 +25,12 @@
 // independent Monte-Carlo pass per metric, each redrawing failures and
 // re-decomposing components) against one pipeline pass fanning the shared
 // draw out to all five observers, asserts the >= 3x acceptance speedup,
-// and emits BENCH_pipeline.json.
+// and times one warm report trial at 1 thread: the served report observer
+// set (core::ReportBundle) against the same pipeline on the frozen
+// observers of bench/reference/report_observers.h, after checking that
+// both give identical results, and asserts the >= 4x report-trial
+// speedup. Emits BENCH_pipeline.json.
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdio>
@@ -36,10 +41,12 @@
 #include "analysis/country.h"
 #include "analysis/dns_resolution.h"
 #include "bench_util.h"
+#include "core/scenario.h"
 #include "datasets/datacenters.h"
 #include "datasets/infra_points.h"
 #include "datasets/submarine.h"
 #include "reference/attachment.h"
+#include "reference/report_observers.h"
 #include "reference/trial_loops.h"
 #include "services/availability.h"
 #include "sim/monte_carlo.h"
@@ -158,9 +165,6 @@ void check_dns_exact_replay() {
   analysis::DnsResolutionEvaluator evaluator(submarine(), dns_roots());
   analysis::DnsResolutionReport report;
   util::Bitset dead;
-  graph::AliveMask mask;
-  graph::ComponentScratch scratch;
-  graph::ComponentResult components;
   const util::Rng base(kSeed);
   const std::size_t chunks = sim::chunk_count(kTrials);
   struct Chunk {
@@ -173,9 +177,7 @@ void check_dns_exact_replay() {
   for (std::size_t t = 0; t < kTrials; ++t) {
     util::Rng rng = base.split(t);
     submarine_sim().sample_cable_failures(table, rng, dead);
-    submarine().mask_for_failures(dead, mask);
-    graph::connected_components(submarine().csr(), mask, scratch, components);
-    evaluator.evaluate(dead, components, report);
+    evaluator.evaluate(dead, report);
     Chunk& slot = per_chunk[t / sim::kTrialChunk];
     slot.availability.add(report.resolution_availability);
     slot.letters.add(report.mean_letters_reachable);
@@ -402,6 +404,90 @@ void check_figure_checkpoints() {
   }
 }
 
+// Per-trial cost of a warm report at 1 thread, on S1 over 2,048 trials:
+// the served observer set of core::ReportBundle (connectivity, Google and
+// Facebook availability, DNS resolution, the nine report countries) against
+// the same pipeline with the frozen service, DNS and country observers,
+// which decompose every trial's masked network. Both must agree exactly
+// before they are timed.
+struct ReportTrial {
+  double live_us = 0.0;
+  double frozen_us = 0.0;
+};
+
+ReportTrial time_report_trial() {
+  constexpr std::size_t kTrials = 2048;
+  constexpr std::uint64_t kSeed = 1921;
+  const server::ScenarioRequest req;  // served defaults: S1, quorum 2
+  core::ReportBundle live(submarine(), dns_roots(), s1_model(), req, 1);
+
+  sim::TrialPipeline frozen_pipeline(live.simulator, s1_model());
+  sim::ConnectivityObserver connectivity;
+  services::ServiceSpec google =
+      datacenter_service(datasets::DataCenterOperator::kGoogle);
+  services::ServiceSpec facebook =
+      datacenter_service(datasets::DataCenterOperator::kFacebook);
+  google.write_quorum = facebook.write_quorum = req.quorum;
+  reference::AvailabilityObserver frozen_google(submarine(), google);
+  reference::AvailabilityObserver frozen_facebook(submarine(), facebook);
+  reference::DnsResolutionObserver frozen_dns(submarine(), dns_roots(),
+                                              req.dns_threshold_pct);
+  reference::CountryIsolationObserver frozen_isolation(submarine(),
+                                                       core::kReportCountries);
+  reference::ReportObservers frozen;
+  frozen.add(frozen_google);
+  frozen.add(frozen_facebook);
+  frozen.add(frozen_dns);
+  frozen.add(frozen_isolation);
+  frozen_pipeline.add_observer(connectivity);
+  frozen_pipeline.add_observer(frozen);
+
+  // The first runs warm both and must agree.
+  live.run(kTrials, kSeed);
+  frozen_pipeline.run(kTrials, kSeed, 1);
+  const auto same_sweep = [](const services::AvailabilitySweep& a,
+                             const services::AvailabilitySweep& b) {
+    check_stats_identical(a.read_availability, b.read_availability,
+                          "report trial: read availability diverged");
+    check_stats_identical(a.write_availability, b.write_availability,
+                          "report trial: write availability diverged");
+  };
+  same_sweep(live.google.result(), frozen_google.result());
+  same_sweep(live.facebook.result(), frozen_facebook.result());
+  check_stats_identical(live.dns.result().resolution_availability,
+                        frozen_dns.result().resolution_availability,
+                        "report trial: DNS availability diverged");
+  check_stats_identical(live.dns.result().mean_letters_reachable,
+                        frozen_dns.result().mean_letters_reachable,
+                        "report trial: DNS letters diverged");
+  if (live.dns.result().joint_trials != frozen_dns.result().joint_trials) {
+    fail("report trial: DNS joint counter diverged");
+  }
+  for (std::size_t i = 0; i < core::kReportCountries.size(); ++i) {
+    const analysis::CountryIsolationResult& a = live.isolation.results()[i];
+    const analysis::CountryIsolationResult& b = frozen_isolation.results()[i];
+    if (a.isolated_trials != b.isolated_trials) {
+      fail("report trial: country isolation diverged");
+    }
+    check_stats_identical(a.surviving_cables, b.surviving_cables,
+                          "report trial: country survivors diverged");
+  }
+
+  // Interleaved best-of runs, so drift on a shared host hits both.
+  ReportTrial out{1e300, 1e300};
+  for (int r = 0; r < 5; ++r) {
+    out.live_us = std::min(
+        out.live_us,
+        benchutil::time_best_ms([&] { live.run(kTrials, kSeed); }, 1));
+    out.frozen_us = std::min(
+        out.frozen_us, benchutil::time_best_ms(
+                           [&] { frozen_pipeline.run(kTrials, kSeed, 1); }, 1));
+  }
+  out.live_us *= 1000.0 / static_cast<double>(kTrials);
+  out.frozen_us *= 1000.0 / static_cast<double>(kTrials);
+  return out;
+}
+
 }  // namespace
 
 int main() {
@@ -541,20 +627,41 @@ int main() {
   std::printf("  new (one pipeline pass, warm):    %10.3f ms\n", warm_ms);
   std::printf("  speedup (old/new cold):           %10.2fx\n", speedup);
 
+  const ReportTrial report = time_report_trial();
+  const double report_speedup = report.frozen_us / report.live_us;
+  std::printf(
+      "perf_pipeline: one report trial (S1, 2048 trials, warm, 1 thread)\n");
+  std::printf("  frozen observers:                 %10.3f us/trial\n",
+              report.frozen_us);
+  std::printf("  live observers:                   %10.3f us/trial\n",
+              report.live_us);
+  std::printf("  speedup (frozen/live):            %10.2fx\n", report_speedup);
+
   benchutil::write_bench_json(
       "pipeline", {{"trials", static_cast<double>(kTrials), "count"},
                    {"metrics", 5.0, "count"},
                    {"old_report_path_ms", old_ms, "ms"},
                    {"new_pipeline_cold_ms", new_ms, "ms"},
                    {"new_pipeline_warm_ms", warm_ms, "ms"},
-                   {"speedup_cold", speedup, "x"}});
+                   {"speedup_cold", speedup, "x"},
+                   {"report_trial_us", report.live_us, "us"},
+                   {"report_trial_frozen_us", report.frozen_us, "us"},
+                   {"report_trial_speedup", report_speedup, "x"}});
 
+  int status = 0;
   if (speedup < 3.0) {
     std::fprintf(stderr,
                  "perf_pipeline FAILED: speedup %.2fx below the 3x acceptance "
                  "threshold\n",
                  speedup);
-    return 1;
+    status = 1;
   }
-  return 0;
+  if (report_speedup < 4.0) {
+    std::fprintf(stderr,
+                 "perf_pipeline FAILED: report-trial speedup %.2fx below the "
+                 "4x threshold\n",
+                 report_speedup);
+    status = 1;
+  }
+  return status;
 }

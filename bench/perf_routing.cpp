@@ -3,7 +3,7 @@
 //
 // main() runs hard validation gates before any timing:
 //   1. the batched assign (hot scratch path, the one-shot wrapper, and the
-//      component-short-circuit path) is bit-identical to an inline replica
+//      label-short-circuit path) is bit-identical to an inline replica
 //      of the historical per-source std::map + Dijkstra assign (over the
 //      frozen reference::dijkstra) on the seed submarine network —
 //      baseline plus 32 s1-model draws,
@@ -12,9 +12,9 @@
 //      fit-mask Dijkstra over 8 s1-model draws,
 //   3. routing::TrafficObserver aggregates are bit-identical across
 //      thread counts {1, 2, 4},
-//   4. the steady-state trial loop (draw + mask + components + full-matrix
-//      routing) performs ZERO heap allocations, and so does a warm hot
-//      assign over the million-pair matrix,
+//   4. the steady-state trial loop (draw + mask + components + labels +
+//      full-matrix routing) performs ZERO heap allocations, and so does a
+//      warm hot assign over the million-pair matrix,
 //   5. the engine routes >= 1,000,000 demand pairs per trial.
 // Any failure exits non-zero, so CI's bench smoke job doubles as an
 // equivalence gate. Then it times one warm full-matrix assign of the
@@ -260,14 +260,16 @@ void check_batched_matches_legacy() {
     // One-shot wrapper (builds its own mask, no component fast path).
     check_results_identical(engine.assign(draw.dead_bits), reference,
                             "one-shot assign diverged from legacy replica");
-    // Hot path with the pipeline's shared mask + component decomposition:
-    // the component short-circuit must not change any statistic.
+    // Hot path with the pipeline's shared mask and component labels (the
+    // component indices are valid labels): the label short-circuit must
+    // not change any statistic.
     submarine().mask_for_failures(draw.dead, mask);
     graph::connected_components(submarine().csr(), mask, comp_scratch,
                                 components);
-    engine.assign(draw.dead, &mask, &components, scratch, hot);
+    engine.assign(draw.dead, &mask, components.component.data(), scratch,
+                  hot);
     check_results_identical(hot, reference,
-                            "component-short-circuit assign diverged from "
+                            "label-short-circuit assign diverged from "
                             "legacy replica");
   };
 
@@ -344,8 +346,9 @@ void check_observer_thread_bit_identity() {
 }
 
 // Once the observer's per-worker scratch and result buffers are warm, the
-// per-trial loop (draw + mask + components + full-matrix routing) never
-// allocates. The counted pass replays the warm-up's exact draw sequence.
+// per-trial loop (draw + mask + components + labels + full-matrix
+// routing) never allocates. The counted pass replays the warm-up's exact
+// draw sequence.
 void check_zero_steady_state_allocations() {
   constexpr std::size_t kSteadyTrials = 64;
   const routing::TrafficEngine engine(submarine(),
@@ -399,8 +402,8 @@ int main() {
     fail("sampled demand matrix smaller than one million pairs");
   }
 
-  // One representative s1 draw, with the mask + components the pipeline
-  // hands the observer each trial.
+  // One representative s1 draw, with the mask and the component labels
+  // the pipeline hands the observer each trial.
   const Draw draw = std::move(make_draws(1, 7)[0]);
   graph::AliveMask mask;
   submarine().mask_for_failures(draw.dead, mask);
@@ -411,11 +414,12 @@ int main() {
 
   routing::TrafficScratch scratch;
   routing::AssignmentResult result;
-  engine.assign(draw.dead, &mask, &components, scratch, result);  // warm
+  const std::uint32_t* labels = components.component.data();
+  engine.assign(draw.dead, &mask, labels, scratch, result);  // warm
 
   // Warm hot assign over the million-pair matrix allocates nothing.
   const std::size_t before = g_allocations.load(std::memory_order_relaxed);
-  engine.assign(draw.dead, &mask, &components, scratch, result);
+  engine.assign(draw.dead, &mask, labels, scratch, result);
   const std::size_t after = g_allocations.load(std::memory_order_relaxed);
   if (after != before) {
     std::fprintf(stderr,
@@ -440,13 +444,13 @@ int main() {
 
   // --- timing: the acceptance comparison ------------------------------------
   // New path: one warm full-matrix assign — what TrafficObserver adds to
-  // each pipeline trial (the mask and components are already computed for
-  // the other observers). Old path: one frozen Graph-tier Dijkstra per
+  // each pipeline trial (the mask and the labels are already computed by
+  // the pipeline). Old path: one frozen Graph-tier Dijkstra per
   // demand, the way the per-demand capacity-aware loop searched before
   // PR 9 — timed on a subsample and scaled, because a million of them
   // would take minutes.
   const double trial_ms = benchutil::time_best_ms([&] {
-    engine.assign(draw.dead, &mask, &components, scratch, result);
+    engine.assign(draw.dead, &mask, labels, scratch, result);
     if (result.delivered_gbps <= 0.0) std::exit(1);
   });
 

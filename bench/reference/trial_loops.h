@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "gic/failure_model.h"
+#include "report_observers.h"
 #include "services/availability.h"
 #include "sim/monte_carlo.h"
 #include "sim/outcome.h"
@@ -103,8 +104,8 @@ inline sim::AggregateResult run_trials(const sim::FailureSimulator& simulator,
 
 // The old services::availability_sweep: each draw sampled into a
 // per-worker Bitset and evaluated through a copy of one pre-resolved
-// ServiceEvaluator (its own mask and component build), fixed 32-draw
-// chunks merged in ascending order.
+// ServiceEvaluator (its own mask and component build; the frozen one of
+// report_observers.h), fixed 32-draw chunks merged in ascending order.
 inline services::AvailabilitySweep availability_sweep(
     const sim::FailureSimulator& simulator,
     const gic::RepeaterFailureModel& model,
@@ -115,7 +116,7 @@ inline services::AvailabilitySweep availability_sweep(
   sweep.draws = draws;
   if (draws == 0) {
     // Still validate the spec so a bad sweep fails loudly.
-    services::ServiceEvaluator(simulator.network(), service);
+    ServiceEvaluator(simulator.network(), service);
     return sweep;
   }
 
@@ -135,11 +136,11 @@ inline services::AvailabilitySweep availability_sweep(
   const std::size_t workers =
       std::min(util::resolve_thread_count(threads), chunks);
   struct WorkerState {
-    services::ServiceEvaluator evaluator;
+    ServiceEvaluator evaluator;
     util::Bitset dead;
     services::AvailabilityReport report;
   };
-  const services::ServiceEvaluator prototype(simulator.network(), service);
+  const ServiceEvaluator prototype(simulator.network(), service);
   std::vector<WorkerState> state(workers, {prototype, {}, {}});
 
   const util::Rng base(seed);

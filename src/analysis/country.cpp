@@ -1,6 +1,7 @@
 #include "analysis/country.h"
 
 #include <algorithm>
+#include <bit>
 
 namespace solarnet::analysis {
 
@@ -114,21 +115,56 @@ void CountryIsolationObserver::begin_run(
   results_.clear();
 }
 
+void CountryIsolationObserver::add(std::size_t chunk, std::size_t country,
+                                   std::size_t survivors) {
+  Slot& slot = slots_.at(chunk, country);
+  slot.survivors.add(static_cast<double>(survivors));
+  // A country with no international cables is vacuously "all failed"
+  // (matching all_fail_probability's empty-set convention of 1.0).
+  if (survivors == 0) ++slot.isolated;
+}
+
 void CountryIsolationObserver::observe(const sim::TrialView& view,
                                        std::size_t /*worker*/,
                                        std::size_t chunk) {
   const util::Bitset& dead = *view.cable_dead;
   for (std::size_t i = 0; i < countries_.size(); ++i) {
-    const std::vector<topo::CableId>& cables = cables_[i];
     std::size_t survivors = 0;
-    for (topo::CableId c : cables) {
+    for (topo::CableId c : cables_[i]) {
       if (!dead[c]) ++survivors;
     }
-    Slot& slot = slots_.at(chunk, i);
-    slot.survivors.add(static_cast<double>(survivors));
-    // A country with no international cables is vacuously "all failed"
-    // (matching all_fail_probability's empty-set convention of 1.0).
-    if (survivors == 0) ++slot.isolated;
+    add(chunk, i, survivors);
+  }
+}
+
+void CountryIsolationObserver::observe_batch(const sim::BatchTrialView& view,
+                                             std::size_t /*worker*/,
+                                             std::size_t first_chunk) {
+  const std::uint64_t lane_mask =
+      view.lanes == 64 ? ~std::uint64_t{0}
+                       : (std::uint64_t{1} << view.lanes) - 1;
+  for (std::size_t i = 0; i < countries_.size(); ++i) {
+    // Bit-sliced counter: plane j holds bit j of every lane's survivor
+    // count; each cable's alive word is added with a ripple carry.
+    std::uint64_t plane[64] = {};
+    for (const topo::CableId c : cables_[i]) {
+      std::uint64_t carry = ~view.cable_dead[c] & lane_mask;
+      for (unsigned j = 0; carry != 0; ++j) {
+        const std::uint64_t next = plane[j] & carry;
+        plane[j] ^= carry;
+        carry = next;
+      }
+    }
+    const auto planes =
+        static_cast<unsigned>(std::bit_width(cables_[i].size()));
+    // Lanes in ascending order, as 64 observe() calls would add them.
+    for (unsigned lane = 0; lane < view.lanes; ++lane) {
+      std::size_t survivors = 0;
+      for (unsigned j = 0; j < planes; ++j) {
+        survivors |= static_cast<std::size_t>((plane[j] >> lane) & 1) << j;
+      }
+      add(first_chunk + lane / sim::kTrialChunk, i, survivors);
+    }
   }
 }
 

@@ -81,9 +81,11 @@ struct CountryIsolationResult {
 };
 
 // Observes several countries at once; cable sets are resolved once at
-// construction and each trial costs O(sum of international cables). Does
-// not need the component decomposition (isolation is a pure cable-set
-// property, §4.3.4's definition).
+// construction and each trial costs O(sum of international cables). Needs
+// no connectivity pass (isolation is a pure cable-set property, §4.3.4's
+// definition). On the 64-lane path a batch costs one bit-sliced count per
+// country: the survivors of every lane are summed from the cables' dead
+// words at once.
 class CountryIsolationObserver final : public sim::CheckpointableObserver {
  public:
   CountryIsolationObserver(const topo::InfrastructureNetwork& net,
@@ -99,6 +101,9 @@ class CountryIsolationObserver final : public sim::CheckpointableObserver {
                  std::size_t chunks) override;
   void observe(const sim::TrialView& view, std::size_t worker,
                std::size_t chunk) override;
+  bool supports_batch() const override { return true; }
+  void observe_batch(const sim::BatchTrialView& view, std::size_t worker,
+                     std::size_t first_chunk) override;
   void end_run() override;
 
   // The country list is part of the id: it fixes the per-chunk slot layout,
@@ -114,6 +119,8 @@ class CountryIsolationObserver final : public sim::CheckpointableObserver {
     static constexpr auto kFields =
         std::tuple{&Slot::isolated, &Slot::survivors};
   };
+  void add(std::size_t chunk, std::size_t country, std::size_t survivors);
+
   std::vector<std::string> countries_;
   std::vector<std::vector<topo::CableId>> cables_;  // per country
   sim::ChunkSlots<Slot> slots_{"CountryIsolationObserver"};  // per country

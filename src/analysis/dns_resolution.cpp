@@ -1,25 +1,20 @@
 #include "analysis/dns_resolution.h"
 
+#include <bit>
 #include <cctype>
 #include <charconv>
 #include <string>
 
-#include "graph/components.h"
 #include "util/status.h"
 
 namespace solarnet::analysis {
 
 DnsResolutionEvaluator::DnsResolutionEvaluator(
     const topo::InfrastructureNetwork& net,
-    const std::vector<datasets::DnsRootInstance>& roots) {
-  // Treat each root letter as a service with quorum 1 (anycast: any
-  // reachable instance serves the zone); letters with no instances are
-  // skipped.
-  std::array<services::ServiceSpec, 13> specs;
-  for (int l = 0; l < 13; ++l) {
-    specs[l].name = std::string(1, static_cast<char>('a' + l));
-    specs[l].write_quorum = 1;
-  }
+    const std::vector<datasets::DnsRootInstance>& roots)
+    : net_(net), has_roots_(!roots.empty()) {
+  std::vector<geo::GeoPoint> points;
+  points.reserve(roots.size());
   for (std::size_t i = 0; i < roots.size(); ++i) {
     const char letter = roots[i].root_letter;
     if (letter < 'a' || letter > 'm') {
@@ -33,44 +28,39 @@ DnsResolutionEvaluator::DnsResolutionEvaluator(
                             " is not in a-m",
                         {"dns-roots", 0, "root_letter"});
     }
-    specs[letter - 'a'].replicas.push_back(roots[i].location);
+    points.push_back(roots[i].location);
   }
-  for (services::ServiceSpec& spec : specs) {
-    if (spec.replicas.empty()) continue;
-    letters_.emplace_back(net, std::move(spec));
+  services::Attachments at = services::attach(net_, points);
+  nodes_ = std::move(at.nodes);
+  anchors_ = std::move(at.anchors);
+  letters_.assign(nodes_.size(), 0);
+  for (std::size_t i = 0; i < roots.size(); ++i) {
+    letters_[at.point_node[i]] |= 1u << (roots[i].root_letter - 'a');
   }
 }
 
-void DnsResolutionEvaluator::evaluate(const util::Bitset& cable_dead,
-                                      const graph::ComponentResult& components,
-                                      DnsResolutionReport& out) {
+void DnsResolutionEvaluator::evaluate(const std::uint32_t* labels,
+                                      DnsResolutionReport& out) const {
   out.per_continent.clear();
   out.resolution_availability = 0.0;
   out.mean_letters_reachable = 0.0;
+  // With no root instance at all there is no letter to report per
+  // continent.
+  if (!has_roots_) return;
 
-  // Collate per continent across letters. Every letter reports the same
-  // fixed set of continent anchors, so the first letter seeds the rows and
-  // the rest fold into them by position.
-  bool first = true;
-  for (services::ServiceEvaluator& letter : letters_) {
-    letter.evaluate_with_components(cable_dead, components, letter_report_);
-    if (first) {
-      for (const services::ContinentAvailability& c :
-           letter_report_.per_continent) {
-        DnsResolutionReport::PerContinent pc;
-        pc.continent = c.continent;
-        pc.any_root_reachable = c.read_available;
-        pc.letters_reachable = c.read_available ? 1 : 0;
-        out.per_continent.push_back(pc);
+  for (const auto& [continent, anchor] : anchors_) {
+    DnsResolutionReport::PerContinent pc;
+    pc.continent = continent;
+    const std::uint32_t client = labels[anchor];
+    if (client != graph::kNoLabel) {
+      std::uint32_t reachable = 0;
+      for (std::size_t i = 0; i < letters_.size(); ++i) {
+        reachable |= labels[i] == client ? letters_[i] : 0;
       }
-      first = false;
-      continue;
+      pc.any_root_reachable = reachable != 0;
+      pc.letters_reachable = static_cast<std::size_t>(std::popcount(reachable));
     }
-    for (std::size_t i = 0; i < letter_report_.per_continent.size(); ++i) {
-      if (!letter_report_.per_continent[i].read_available) continue;
-      out.per_continent[i].any_root_reachable = true;
-      ++out.per_continent[i].letters_reachable;
-    }
+    out.per_continent.push_back(pc);
   }
 
   for (const auto& [cont, share] : services::continent_population_shares()) {
@@ -83,19 +73,18 @@ void DnsResolutionEvaluator::evaluate(const util::Bitset& cable_dead,
   }
 }
 
+void DnsResolutionEvaluator::evaluate(const util::Bitset& cable_dead,
+                                      DnsResolutionReport& out) {
+  evaluate(draw_.label(net_, cable_dead, nodes_), out);
+}
+
 DnsResolutionReport evaluate_dns_resolution(
     const topo::InfrastructureNetwork& net,
     const std::vector<bool>& cable_dead,
     const std::vector<datasets::DnsRootInstance>& roots) {
   DnsResolutionEvaluator evaluator(net, roots);
-  const util::Bitset dead = util::Bitset::from_bools(cable_dead);
-  graph::AliveMask mask;
-  net.mask_for_failures(dead, mask);
-  graph::ComponentScratch scratch;
-  graph::ComponentResult components;
-  graph::connected_components(net.csr(), mask, scratch, components);
   DnsResolutionReport report;
-  evaluator.evaluate(dead, components, report);
+  evaluator.evaluate(util::Bitset::from_bools(cable_dead), report);
   return report;
 }
 
@@ -103,31 +92,45 @@ DnsResolutionObserver::DnsResolutionObserver(
     const topo::InfrastructureNetwork& net,
     const std::vector<datasets::DnsRootInstance>& roots,
     double cable_loss_threshold_pct)
-    : prototype_(net, roots), threshold_pct_(cable_loss_threshold_pct) {}
+    : evaluator_(net, roots), threshold_pct_(cable_loss_threshold_pct) {}
 
-void DnsResolutionObserver::begin_run(const sim::TrialPipeline& /*pipeline*/,
+void DnsResolutionObserver::begin_run(const sim::TrialPipeline& pipeline,
                                       std::size_t workers,
                                       std::size_t chunks) {
-  // Fill-construct (the evaluator is copyable but not assignable).
-  workers_ = std::vector<DnsResolutionEvaluator>(workers, prototype_);
+  labels_.bind(pipeline, evaluator_.nodes(), workers);
   reports_.assign(workers, {});
   slots_.assign(chunks);
   result_ = {};
   result_.cable_loss_threshold_pct = threshold_pct_;
 }
 
-void DnsResolutionObserver::observe(const sim::TrialView& view,
-                                    std::size_t worker, std::size_t chunk) {
+void DnsResolutionObserver::add(const std::uint32_t* labels,
+                                double cables_failed_pct, std::size_t worker,
+                                std::size_t chunk) {
   DnsResolutionReport& report = reports_[worker];
-  workers_[worker].evaluate(*view.cable_dead, *view.components, report);
+  evaluator_.evaluate(labels_.gather(labels, worker), report);
   Slot& slot = slots_.at(chunk);
   slot.availability.add(report.resolution_availability);
   slot.letters.add(report.mean_letters_reachable);
   const bool degraded = resolution_degraded(report.resolution_availability);
-  const bool heavy = view.cables_failed_pct > threshold_pct_;
+  const bool heavy = cables_failed_pct > threshold_pct_;
   if (degraded) ++slot.degraded;
   if (heavy) ++slot.heavy;
   if (degraded && heavy) ++slot.joint;
+}
+
+void DnsResolutionObserver::observe(const sim::TrialView& view,
+                                    std::size_t worker, std::size_t chunk) {
+  add(view.labels, view.cables_failed_pct, worker, chunk);
+}
+
+void DnsResolutionObserver::observe_batch(const sim::BatchTrialView& view,
+                                          std::size_t worker,
+                                          std::size_t first_chunk) {
+  for (unsigned lane = 0; lane < view.lanes; ++lane) {
+    add(view.labels + lane * view.label_stride, view.cables_failed_pct[lane],
+        worker, first_chunk + lane / sim::kTrialChunk);
+  }
 }
 
 std::string DnsResolutionObserver::checkpoint_id() const {
@@ -155,7 +158,7 @@ void DnsResolutionObserver::end_run() {
   result_.heavy_loss_trials = merged.heavy;
   result_.joint_trials = merged.joint;
   result_.trials = merged.availability.count();
-  workers_.clear();
+  labels_.release();
   reports_.clear();
   slots_.release();
 }

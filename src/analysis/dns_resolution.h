@@ -5,16 +5,19 @@
 // stricter per-letter view (how many of the 13 letters remain reachable),
 // which bounds resolver retry behaviour.
 //
-// DnsResolutionEvaluator resolves every letter's instances once and then
-// answers per-draw queries against a shared component decomposition, and
-// DnsResolutionObserver runs it per trial on a sim::TrialPipeline —
+// DnsResolutionEvaluator resolves every root instance once into a table
+// over the distinct landing nodes they attach to (1,076 instances on 69
+// nodes for the default root set), holding the 13-bit mask of root letters
+// each node serves, and then answers each draw from the component labels
+// of those nodes. DnsResolutionObserver runs it on a sim::TrialPipeline —
 // including the joint cross-metric statistic P(resolution degraded AND
 // heavy cable loss), which only a shared-draw pipeline can measure.
 // evaluate_dns_resolution is a one-shot wrapper that builds the evaluator
-// and one decomposition for a single std::vector<bool> draw.
+// for a single std::vector<bool> draw.
 #pragma once
 
-#include <array>
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "datasets/infra_points.h"
@@ -47,13 +50,13 @@ DnsResolutionReport evaluate_dns_resolution(
     const topo::InfrastructureNetwork& net, const std::vector<bool>& cable_dead,
     const std::vector<datasets::DnsRootInstance>& roots);
 
-// Pre-resolved root-letter evaluators for one (network, root set) pair.
-// Construction attaches every instance of every populated letter to its
-// landing node once (one services::ServiceEvaluator per letter, quorum 1,
-// each searching the network's shared attachment index); evaluate() then
-// costs 13 allocation-free service lookups against a caller-provided
-// component decomposition. Copyable — the observer hands each pipeline
-// worker its own copy. The network must outlive the evaluator.
+// Pre-resolved root reachability for one (network, root set) pair.
+// Construction attaches every instance and the continent anchors once
+// (services::attach over the network's shared attachment index) into a
+// table over the distinct nodes with a letter mask per node (anycast: any
+// reachable instance serves its letter). A continent reaches the letters
+// OR-ed over the nodes that share its anchor's label. The network must
+// outlive the evaluator.
 class DnsResolutionEvaluator {
  public:
   // Throws util::Error(kInvalidArgument) naming the letter and the
@@ -61,16 +64,29 @@ class DnsResolutionEvaluator {
   DnsResolutionEvaluator(const topo::InfrastructureNetwork& net,
                          const std::vector<datasets::DnsRootInstance>& roots);
 
-  // Evaluates one draw into `out`, reusing its storage; `components` must
-  // be the masked decomposition for the same network and cable_dead (the
-  // trial pipeline's per-trial result). Allocation-free once warm.
-  void evaluate(const util::Bitset& cable_dead,
-                const graph::ComponentResult& components,
-                DnsResolutionReport& out);
+  // The distinct attachment nodes, ascending: the query nodes whose labels
+  // the label form of evaluate() reads.
+  std::span<const topo::NodeId> nodes() const noexcept { return nodes_; }
+
+  // Evaluates one draw from its labels (labels[i] is the label of
+  // nodes()[i], see sim::TrialView::labels) into `out`, reusing its
+  // storage. Continent shares are summed in
+  // services::continent_population_shares() order. Allocation-free once
+  // `out` is warm.
+  void evaluate(const std::uint32_t* labels, DnsResolutionReport& out) const;
+
+  // Evaluates one failure draw: decomposes the masked network and labels
+  // nodes() itself. Allocation-free once warm.
+  void evaluate(const util::Bitset& cable_dead, DnsResolutionReport& out);
 
  private:
-  std::vector<services::ServiceEvaluator> letters_;
-  services::AvailabilityReport letter_report_;  // per-draw scratch
+  const topo::InfrastructureNetwork& net_;
+  bool has_roots_;
+  std::vector<topo::NodeId> nodes_;
+  // Per node: the 13-bit mask of the letters served there (bit l = 'a' + l).
+  std::vector<std::uint32_t> letters_;
+  std::vector<std::pair<geo::Continent, std::uint32_t>> anchors_;
+  sim::DrawLabels draw_;  // scratch of the dead-set form
 };
 
 // True when some continent (weighted by population share) cannot reach any
@@ -102,7 +118,9 @@ struct DnsResolutionSweep {
 };
 
 // Trial-pipeline observer: per-trial DNS resolution availability over the
-// shared failure draw and component decomposition.
+// shared failure draw, evaluated from the labels of the evaluator's
+// distinct attachment nodes — per trial on the scalar path, per batch on
+// the 64-lane path.
 class DnsResolutionObserver final : public sim::CheckpointableObserver {
  public:
   DnsResolutionObserver(const topo::InfrastructureNetwork& net,
@@ -113,10 +131,16 @@ class DnsResolutionObserver final : public sim::CheckpointableObserver {
   const DnsResolutionSweep& result() const noexcept { return result_; }
 
   bool needs_components() const override { return true; }
+  std::span<const topo::NodeId> query_nodes() const override {
+    return evaluator_.nodes();
+  }
   void begin_run(const sim::TrialPipeline& pipeline, std::size_t workers,
                  std::size_t chunks) override;
   void observe(const sim::TrialView& view, std::size_t worker,
                std::size_t chunk) override;
+  bool supports_batch() const override { return true; }
+  void observe_batch(const sim::BatchTrialView& view, std::size_t worker,
+                     std::size_t first_chunk) override;
   void end_run() override;
 
   // The id carries the cable-loss threshold, which decides the heavy-loss
@@ -136,8 +160,11 @@ class DnsResolutionObserver final : public sim::CheckpointableObserver {
         std::tuple{&Slot::availability, &Slot::letters, &Slot::degraded,
                    &Slot::heavy, &Slot::joint};
   };
-  DnsResolutionEvaluator prototype_;
-  std::vector<DnsResolutionEvaluator> workers_;
+  void add(const std::uint32_t* labels, double cables_failed_pct,
+           std::size_t worker, std::size_t chunk);
+
+  DnsResolutionEvaluator evaluator_;
+  sim::LabelGather labels_;
   std::vector<DnsResolutionReport> reports_;  // per-worker scratch
   sim::ChunkSlots<Slot> slots_{"DnsResolutionObserver"};
   double threshold_pct_;

@@ -8,12 +8,28 @@ namespace solarnet::graph {
 void batch_largest_components(const Csr& csr,
                               std::span<const std::uint64_t> edge_dead,
                               unsigned lanes, BatchComponentScratch& scratch,
-                              std::uint32_t* largest) {
+                              std::uint32_t* largest,
+                              const BatchLabelQuery& query) {
   const std::size_t n = csr.vertex_count();
   const std::size_t m = csr.edge_count();
   if (edge_dead.size() != m) {
     throw std::invalid_argument(
         "batch_largest_components: edge_dead size mismatches edge count");
+  }
+  const std::size_t q = query.vertices.size();
+  if (query.dark.size() != q) {
+    throw std::invalid_argument(
+        "batch_largest_components: query dark words mismatch its vertices");
+  }
+  if (q > 0 && n >= kIslandBase) {
+    throw std::invalid_argument(
+        "batch_largest_components: too many vertices to label");
+  }
+  for (const VertexId v : query.vertices) {
+    if (v >= n && v != kNoVertex) {
+      throw std::invalid_argument(
+          "batch_largest_components: query vertex out of range");
+    }
   }
   if (lanes == 0 || lanes > kBatchLanes) {
     throw std::invalid_argument(
@@ -79,6 +95,18 @@ void batch_largest_components(const Csr& csr,
       lane_largest = std::max(lane_largest, size[ra]);
     }
     largest[t] = lane_largest;
+
+    std::uint32_t* labels = query.labels + std::size_t{t} * q;
+    for (std::size_t i = 0; i < q; ++i) {
+      const VertexId v = query.vertices[i];
+      if (v == kNoVertex) {
+        labels[i] = kNoLabel;
+      } else if ((query.dark[i] >> t) & 1) {
+        labels[i] = kIslandBase + v;
+      } else {
+        labels[i] = find(v);
+      }
+    }
   }
 }
 

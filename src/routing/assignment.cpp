@@ -38,6 +38,15 @@ TrafficEngine::TrafficEngine(const topo::InfrastructureNetwork& net,
   }
   source_begin_.push_back(static_cast<std::uint32_t>(grouped_.size()));
 
+  std::vector<bool> is_endpoint(net_.node_count(), false);
+  for (const TrafficDemand& d : demands_) {
+    is_endpoint[d.src] = true;
+    is_endpoint[d.dst] = true;
+  }
+  for (topo::NodeId n = 0; n < net_.node_count(); ++n) {
+    if (is_endpoint[n]) endpoints_.push_back(n);
+  }
+
   // Snapshot per-edge weights (the Csr stores none) and per-cable
   // capacities once, so the hot path never touches Graph or capacity_tbps.
   const graph::Graph& g = net_.graph();
@@ -54,7 +63,7 @@ TrafficEngine::TrafficEngine(const topo::InfrastructureNetwork& net,
 
 void TrafficEngine::assign(const util::Bitset& cable_dead,
                            const graph::AliveMask* mask,
-                           const graph::ComponentResult* components,
+                           const std::uint32_t* labels,
                            TrafficScratch& scratch,
                            AssignmentResult& out) const {
   if (cable_dead.size() != net_.cable_count()) {
@@ -82,15 +91,14 @@ void TrafficEngine::assign(const util::Bitset& cable_dead,
   for (std::size_t s = 0; s < sources_.size(); ++s) {
     const topo::NodeId src = sources_[s];
     const std::span<const std::uint32_t> indices = demands_of_source(s);
-    // Component short-circuit: the pipeline's masks keep every vertex
-    // alive, so component equality is exactly SSSP reachability — a
-    // source whose demands are all stranded skips its tree entirely.
+    // Label short-circuit: the pipeline's masks keep every vertex alive,
+    // so label equality is exactly SSSP reachability — a source whose
+    // demands are all stranded skips its tree entirely.
     bool need_tree = true;
-    if (components != nullptr) {
+    if (labels != nullptr) {
       need_tree = false;
-      const std::uint32_t comp = components->component[src];
       for (std::uint32_t idx : indices) {
-        if (components->component[demands_[idx].dst] == comp) {
+        if (labels[demands_[idx].dst] == labels[src]) {
           need_tree = true;
           break;
         }
@@ -101,8 +109,7 @@ void TrafficEngine::assign(const util::Bitset& cable_dead,
     }
     for (std::uint32_t idx : indices) {
       const TrafficDemand& d = demands_[idx];
-      if (components != nullptr &&
-          components->component[d.dst] != components->component[src]) {
+      if (labels != nullptr && labels[d.dst] != labels[src]) {
         out.undeliverable_gbps += d.gbps;
         continue;
       }

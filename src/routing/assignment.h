@@ -14,17 +14,16 @@
 // caller-owned TrafficScratch + AssignmentResult and performs zero heap
 // allocations once they are warm — this is what lets
 // routing::TrafficObserver route the full matrix on every Monte-Carlo
-// trial. When the caller also has the trial's component decomposition
-// (sim::TrialPipeline computes one per draw), demands whose endpoints fall
-// in different components are counted as stranded without touching the
-// SSSP kernel, and sources with no surviving demand skip their tree
-// entirely.
+// trial. When the caller also has the trial's component labels of the
+// demand endpoints (sim::TrialPipeline gives them per draw), demands whose
+// endpoints fall in different components are counted as stranded without
+// touching the SSSP kernel, and sources with no surviving demand skip
+// their tree entirely.
 #pragma once
 
 #include <span>
 #include <vector>
 
-#include "graph/components.h"
 #include "graph/shortest_paths.h"
 #include "routing/capacity.h"
 #include "routing/demand.h"
@@ -80,18 +79,24 @@ class TrafficEngine {
   double offered_gbps() const noexcept { return offered_gbps_; }
   // Distinct demand sources — the number of SSSP trees a full assign costs.
   std::size_t source_count() const noexcept { return sources_.size(); }
+  // Distinct demand endpoints (sources and destinations), ascending.
+  std::span<const topo::NodeId> endpoints() const noexcept {
+    return endpoints_;
+  }
 
   // Routes every demand on the shortest surviving path (by km) into `out`,
   // reusing `scratch`. `mask`, when non-null, must be the alive mask for
   // this exact `cable_dead` (the pipeline already built it); null means
-  // assign builds it into scratch.mask. `components`, when non-null, must
-  // be the component decomposition of that mask — it short-circuits
-  // cross-component demands to stranded without running SSSP. Results are
-  // identical with or without the component fast path. Zero heap
-  // allocations once scratch and out are warm.
+  // assign builds it into scratch.mask. `labels`, when non-null, is
+  // indexed by node id and must hold, for every endpoint(), a component
+  // label of that mask (equal exactly when two endpoints share a
+  // component: sim::TrialView::labels, or ComponentResult::component) — it
+  // short-circuits cross-component demands to stranded without running
+  // SSSP. Results are identical with or without the label fast path. Zero
+  // heap allocations once scratch and out are warm.
   void assign(const util::Bitset& cable_dead, const graph::AliveMask* mask,
-              const graph::ComponentResult* components,
-              TrafficScratch& scratch, AssignmentResult& out) const;
+              const std::uint32_t* labels, TrafficScratch& scratch,
+              AssignmentResult& out) const;
 
   // One-shot conveniences (allocate their result per call).
   AssignmentResult assign(const std::vector<bool>& cable_dead) const;
@@ -140,6 +145,7 @@ class TrafficEngine {
   std::vector<topo::NodeId> sources_;        // ascending distinct sources
   std::vector<std::uint32_t> source_begin_;  // sources_.size()+1 offsets
   std::vector<std::uint32_t> grouped_;       // demand indices by source
+  std::vector<topo::NodeId> endpoints_;      // ascending distinct endpoints
   std::vector<double> edge_weight_;          // per graph edge, in km
   std::vector<double> capacity_gbps_;        // per cable
   double offered_gbps_ = 0.0;

@@ -9,6 +9,12 @@ void TrafficObserver::begin_run(const sim::TrialPipeline& pipeline,
                                 std::size_t workers, std::size_t chunks) {
   scratch_.resize(workers);
   results_.resize(workers);
+  slots_of_endpoints_.clear();
+  for (const topo::NodeId n : engine_.endpoints()) {
+    slots_of_endpoints_.push_back(pipeline.label_slot(n));
+  }
+  labels_.assign(workers,
+                 std::vector<std::uint32_t>(pipeline.network().node_count()));
   slots_.assign(chunks);
   result_ = {};
   result_.network = pipeline.network().name();
@@ -19,8 +25,13 @@ void TrafficObserver::begin_run(const sim::TrialPipeline& pipeline,
 void TrafficObserver::observe(const sim::TrialView& view, std::size_t worker,
                               std::size_t chunk) {
   AssignmentResult& r = results_[worker];
-  engine_.assign(*view.cable_dead, view.mask, view.components,
-                 scratch_[worker], r);
+  std::vector<std::uint32_t>& labels = labels_[worker];
+  const std::span<const topo::NodeId> endpoints = engine_.endpoints();
+  for (std::size_t i = 0; i < endpoints.size(); ++i) {
+    labels[endpoints[i]] = view.labels[slots_of_endpoints_[i]];
+  }
+  engine_.assign(*view.cable_dead, view.mask, labels.data(), scratch_[worker],
+                 r);
   Slot& slot = slots_.at(chunk);
   slot.delivered.add(r.delivered_fraction());
   slot.stranded.add(r.undeliverable_gbps);
@@ -56,6 +67,7 @@ void TrafficObserver::end_run() {
   result_.trials = merged.delivered.count();
   scratch_.clear();
   results_.clear();
+  labels_.clear();
   slots_.release();
 }
 

@@ -4,15 +4,19 @@
 // fail) measured as Monte-Carlo statistics instead of a one-shot example.
 // Each trial the observer routes the engine's whole demand matrix over the
 // pipeline's shared failure draw — reusing the pipeline's alive mask and
-// component decomposition, so stranded (cross-component) demands never
-// touch the SSSP kernel — and accumulates traffic-weighted loss metrics
-// per chunk: delivered fraction, stranded Gbps, max cable utilization and
-// overloaded-cable count after reroute, mean delivered path length.
+// the component labels of the demand endpoints (its query nodes), so
+// stranded (cross-component) demands never touch the SSSP kernel — and
+// accumulates traffic-weighted loss metrics per chunk: delivered fraction,
+// stranded Gbps, max cable utilization and overloaded-cable count after
+// reroute, mean delivered path length. It has no batch path: routing walks
+// the masked graph, so on the 64-lane path it is the one report observer
+// the pipeline reconstructs lanes for.
 //
-// Per-worker TrafficScratch + AssignmentResult, per-chunk ChunkSlots
-// (sim/chunked.h). Checkpointable under the CampaignRunner; the id carries
-// the network name and demand-matrix shape so a checkpoint from a
-// different traffic configuration is rejected instead of misapplied.
+// Per-worker TrafficScratch + AssignmentResult + node-indexed endpoint
+// labels, per-chunk ChunkSlots (sim/chunked.h). Checkpointable under the
+// CampaignRunner; the id carries the network name and demand-matrix shape
+// so a checkpoint from a different traffic configuration is rejected
+// instead of misapplied.
 #pragma once
 
 #include <string>
@@ -47,6 +51,9 @@ class TrafficObserver final : public sim::CheckpointableObserver {
   const TrafficSweep& result() const noexcept { return result_; }
 
   bool needs_components() const override { return true; }
+  std::span<const topo::NodeId> query_nodes() const override {
+    return engine_.endpoints();
+  }
   void begin_run(const sim::TrialPipeline& pipeline, std::size_t workers,
                  std::size_t chunks) override;
   void observe(const sim::TrialView& view, std::size_t worker,
@@ -71,6 +78,8 @@ class TrafficObserver final : public sim::CheckpointableObserver {
   const TrafficEngine& engine_;
   std::vector<TrafficScratch> scratch_;      // per-worker
   std::vector<AssignmentResult> results_;    // per-worker
+  std::vector<std::uint32_t> slots_of_endpoints_;  // label slot per endpoint
+  std::vector<std::vector<std::uint32_t>> labels_;  // per-worker, by node id
   sim::ChunkSlots<Slot> slots_{"TrafficObserver"};
   TrafficSweep result_;
 };

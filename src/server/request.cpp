@@ -21,6 +21,12 @@ constexpr std::uint64_t kServeFormatVersion = 2;
 // very long time.
 constexpr std::size_t kMaxGridPoints = 4096;
 
+// Smallest repeater spacing a request may ask for. Deployed systems space
+// repeaters 50-150 km apart; 10 km already means about 209k repeaters on
+// the 2,087,002 km ITU network, and a much smaller spacing would ask the
+// simulator for billions of repeater positions.
+constexpr double kMinSpacingKm = 10.0;
+
 // Ceiling on the sampled-demand stress knob: an order of magnitude above
 // the million-pair routing gate, far below anything that would pin the
 // engine indefinitely.
@@ -206,8 +212,10 @@ void set_number(ScenarioRequest& req, Field field, double v) {
       req.uniform_p = at_most_from_zero(v, 1.0, "must be in [0, 1]", name);
       return;
     case Field::kSpacing:
-      req.spacing_km =
-          positive_at_most(v, HUGE_VAL, "must be finite and > 0", name);
+      if (!(v >= kMinSpacingKm) || !std::isfinite(v)) {
+        value_fail("must be finite and >= 10 (km)", name);
+      }
+      req.spacing_km = v;
       return;
     case Field::kTrials:
       req.trials = integer_at_least(v, 1, name);

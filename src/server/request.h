@@ -24,7 +24,7 @@
 //   network        submarine | intertubes | itu        (default submarine)
 //   model          s1 | s2 | uniform                   (default s1)
 //   p              uniform-model probability in [0,1]  (default 0.01)
-//   spacing        repeater spacing km, finite > 0     (default 150)
+//   spacing        repeater spacing km, finite >= 10   (default 150)
 //   trials         integer >= 1                        (default 10)
 //   seed           integer >= 0                        (default 7)
 //   quorum         service write quorum, integer >= 1  (default 2)

@@ -27,12 +27,6 @@ continent_anchors() {
   return anchors;
 }
 
-// A node that lost every cable is not "nowhere" — it is its own island
-// partition: parties attached to the same dark landing station can still
-// talk over the local terrestrial network. Each dark node gets a unique
-// synthetic component id above this base so co-located pairs match.
-constexpr std::uint32_t kIslandBase = 0x80000000u;
-
 }  // namespace
 
 topo::NodeId nearest_connected_node(const topo::InfrastructureNetwork& net,
@@ -111,60 +105,67 @@ continent_population_shares() {
   return shares;
 }
 
+Attachments attach(const topo::InfrastructureNetwork& net,
+                   std::span<const geo::GeoPoint> points) {
+  std::vector<topo::NodeId> point_nodes;
+  point_nodes.reserve(points.size());
+  for (const geo::GeoPoint& p : points) {
+    point_nodes.push_back(nearest_connected_node(net, p));
+  }
+  std::vector<topo::NodeId> anchor_nodes;
+  for (const auto& [continent, anchor] : continent_anchors()) {
+    anchor_nodes.push_back(nearest_connected_node(net, anchor));
+  }
+
+  Attachments out;
+  out.nodes = point_nodes;
+  out.nodes.insert(out.nodes.end(), anchor_nodes.begin(), anchor_nodes.end());
+  std::sort(out.nodes.begin(), out.nodes.end());
+  out.nodes.erase(std::unique(out.nodes.begin(), out.nodes.end()),
+                  out.nodes.end());
+  const auto index_of = [&](topo::NodeId n) {
+    return static_cast<std::uint32_t>(
+        std::lower_bound(out.nodes.begin(), out.nodes.end(), n) -
+        out.nodes.begin());
+  };
+  for (const topo::NodeId n : point_nodes) {
+    out.point_node.push_back(index_of(n));
+  }
+  for (std::size_t a = 0; a < anchor_nodes.size(); ++a) {
+    out.anchors.emplace_back(continent_anchors()[a].first,
+                             index_of(anchor_nodes[a]));
+  }
+  return out;
+}
+
 ServiceEvaluator::ServiceEvaluator(const topo::InfrastructureNetwork& net,
                                    ServiceSpec spec)
-    : net_(net), csr_(&net.csr()), spec_(std::move(spec)) {
+    : net_(net), spec_(std::move(spec)) {
   if (spec_.replicas.empty() || spec_.write_quorum == 0 ||
       spec_.write_quorum > spec_.replicas.size()) {
     throw std::invalid_argument("ServiceEvaluator: bad service spec");
   }
-  replica_nodes_.reserve(spec_.replicas.size());
-  for (const geo::GeoPoint& r : spec_.replicas) {
-    replica_nodes_.push_back(nearest_connected_node(net_, r));
-  }
-  anchor_nodes_.reserve(continent_anchors().size());
-  for (const auto& [continent, anchor] : continent_anchors()) {
-    anchor_nodes_.emplace_back(continent,
-                               nearest_connected_node(net_, anchor));
-  }
+  Attachments at = attach(net_, spec_.replicas);
+  nodes_ = std::move(at.nodes);
+  anchors_ = std::move(at.anchors);
+  replicas_.assign(nodes_.size(), 0);
+  for (const std::uint32_t i : at.point_node) ++replicas_[i];
 }
 
-std::uint32_t ServiceEvaluator::component_of(
-    topo::NodeId n, const util::Bitset& cable_dead,
-    const graph::ComponentResult& components) const {
-  if (n == topo::kInvalidNode) return graph::ComponentResult::kNoComponent;
-  if (net_.node_unreachable(n, cable_dead)) return kIslandBase + n;
-  return components.component[n];
-}
-
-void ServiceEvaluator::evaluate(const util::Bitset& cable_dead,
-                                AvailabilityReport& out) {
-  net_.mask_for_failures(cable_dead, mask_);
-  graph::connected_components(*csr_, mask_, comp_scratch_, cc_);
-  evaluate_with_components(cable_dead, cc_, out);
-}
-
-void ServiceEvaluator::evaluate_with_components(
-    const util::Bitset& cable_dead, const graph::ComponentResult& components,
-    AvailabilityReport& out) {
-  replica_components_.clear();
-  for (topo::NodeId n : replica_nodes_) {
-    replica_components_.push_back(component_of(n, cable_dead, components));
-  }
-
+void ServiceEvaluator::evaluate(const std::uint32_t* labels,
+                                AvailabilityReport& out) const {
   out.service = spec_.name;
   out.per_continent.clear();
   out.read_availability = 0.0;
   out.write_availability = 0.0;
-  for (const auto& [continent, anchor_node] : anchor_nodes_) {
+  for (const auto& [continent, anchor] : anchors_) {
     ContinentAvailability avail;
     avail.continent = continent;
-    const std::uint32_t client =
-        component_of(anchor_node, cable_dead, components);
-    if (client != graph::ComponentResult::kNoComponent) {
-      std::size_t reachable = 0;
-      for (std::uint32_t rc : replica_components_) {
-        if (rc == client) ++reachable;
+    const std::uint32_t client = labels[anchor];
+    if (client != graph::kNoLabel) {
+      std::uint32_t reachable = 0;
+      for (std::size_t i = 0; i < replicas_.size(); ++i) {
+        reachable += labels[i] == client ? replicas_[i] : 0;
       }
       avail.read_available = reachable >= 1;
       // Replicas reachable from the client are in the same component, so
@@ -181,6 +182,11 @@ void ServiceEvaluator::evaluate_with_components(
       if (avail.write_available) out.write_availability += share;
     }
   }
+}
+
+void ServiceEvaluator::evaluate(const util::Bitset& cable_dead,
+                                AvailabilityReport& out) {
+  evaluate(draw_.label(net_, cable_dead, nodes_), out);
 }
 
 AvailabilityReport ServiceEvaluator::evaluate(const util::Bitset& cable_dead) {
@@ -210,26 +216,38 @@ AvailabilitySweep availability_sweep(const sim::FailureSimulator& simulator,
 
 AvailabilityObserver::AvailabilityObserver(
     const topo::InfrastructureNetwork& net, ServiceSpec spec)
-    : prototype_(net, std::move(spec)) {}
+    : evaluator_(net, std::move(spec)) {}
 
-void AvailabilityObserver::begin_run(const sim::TrialPipeline& /*pipeline*/,
+void AvailabilityObserver::begin_run(const sim::TrialPipeline& pipeline,
                                      std::size_t workers, std::size_t chunks) {
-  // Fill-construct (ServiceEvaluator is copyable but not assignable).
-  workers_ = std::vector<ServiceEvaluator>(workers, prototype_);
+  labels_.bind(pipeline, evaluator_.nodes(), workers);
   reports_.assign(workers, {});
   slots_.assign(chunks);
   result_ = {};
-  result_.service = prototype_.spec().name;
+  result_.service = evaluator_.spec().name;
+}
+
+void AvailabilityObserver::add(const std::uint32_t* labels,
+                               std::size_t worker, std::size_t chunk) {
+  AvailabilityReport& report = reports_[worker];
+  evaluator_.evaluate(labels_.gather(labels, worker), report);
+  Slot& slot = slots_.at(chunk);
+  slot.read.add(report.read_availability);
+  slot.write.add(report.write_availability);
 }
 
 void AvailabilityObserver::observe(const sim::TrialView& view,
                                    std::size_t worker, std::size_t chunk) {
-  AvailabilityReport& report = reports_[worker];
-  workers_[worker].evaluate_with_components(*view.cable_dead, *view.components,
-                                            report);
-  Slot& slot = slots_.at(chunk);
-  slot.read.add(report.read_availability);
-  slot.write.add(report.write_availability);
+  add(view.labels, worker, chunk);
+}
+
+void AvailabilityObserver::observe_batch(const sim::BatchTrialView& view,
+                                         std::size_t worker,
+                                         std::size_t first_chunk) {
+  for (unsigned lane = 0; lane < view.lanes; ++lane) {
+    add(view.labels + lane * view.label_stride, worker,
+        first_chunk + lane / sim::kTrialChunk);
+  }
 }
 
 void AvailabilityObserver::save_chunk(std::size_t chunk,
@@ -246,7 +264,7 @@ void AvailabilityObserver::end_run() {
   result_.read_availability = merged.read;
   result_.write_availability = merged.write;
   result_.draws = merged.read.count();
-  workers_.clear();
+  labels_.release();
   reports_.clear();
   slots_.release();
 }

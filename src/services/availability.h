@@ -9,19 +9,21 @@
 //
 // ServiceEvaluator resolves the replica and continent-anchor landing
 // nodes once per (network, spec) through the network's cached attachment
-// index and then answers per-draw queries allocation-free over its cached
-// CSR; AvailabilityObserver runs it on the trial pipeline, the Monte-Carlo
-// hot path.
+// index into a table over the distinct nodes, and then answers each draw
+// from the component labels of those nodes; AvailabilityObserver runs it
+// on the trial pipeline, the Monte-Carlo hot path, where the labels come
+// from the 64-lane kernel.
 // evaluate_service is a one-shot wrapper that builds an evaluator for one
 // std::vector<bool> draw.
 #pragma once
 
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "geo/coords.h"
 #include "geo/regions.h"
-#include "graph/components.h"
 #include "sim/monte_carlo.h"
 #include "sim/pipeline.h"
 #include "topology/network.h"
@@ -75,13 +77,27 @@ topo::NodeId nearest_connected_node(const topo::InfrastructureNetwork& net,
 const std::vector<std::pair<geo::Continent, double>>&
 continent_population_shares();
 
-// Pre-resolved evaluator for one (network, service) pair. Construction
-// attaches every replica and continent anchor once (nearest_connected_node
-// over the network's attachment index, built on the network's first use
-// and shared by every evaluator on it); evaluate() then costs one masked
-// component decomposition plus O(1) lookups per party, reusing all
-// scratch. Copyable — AvailabilityObserver hands each worker its own copy.
-// The network must outlive the evaluator.
+// The distinct landing nodes a set of points and the six continent client
+// anchors attach to (nearest_connected_node). `nodes` is ascending, so
+// kInvalidNode — every attachment on a network without cables — comes
+// last; `point_node[i]` indexes points[i]'s node in `nodes`, and `anchors`
+// holds (continent, index into nodes) in the fixed anchor order.
+struct Attachments {
+  std::vector<topo::NodeId> nodes;
+  std::vector<std::uint32_t> point_node;
+  std::vector<std::pair<geo::Continent, std::uint32_t>> anchors;
+};
+Attachments attach(const topo::InfrastructureNetwork& net,
+                   std::span<const geo::GeoPoint> points);
+
+// Pre-resolved evaluator for one (network, service) pair: a table over the
+// distinct landing nodes its replicas and the continent anchors attach to
+// (nearest_connected_node over the network's attachment index, built on
+// the network's first use and shared by every evaluator on it), holding a
+// replica count per node. A draw is answered from the component labels of
+// those nodes: a continent reads when some replica node shares its
+// anchor's label, and writes when those nodes hold >= write_quorum
+// replicas. The network must outlive the evaluator.
 class ServiceEvaluator {
  public:
   // Throws std::invalid_argument on an empty replica set or a quorum
@@ -89,35 +105,28 @@ class ServiceEvaluator {
   ServiceEvaluator(const topo::InfrastructureNetwork& net, ServiceSpec spec);
 
   const ServiceSpec& spec() const noexcept { return spec_; }
+  // The distinct attachment nodes, ascending: the query nodes whose labels
+  // the label form of evaluate() reads.
+  std::span<const topo::NodeId> nodes() const noexcept { return nodes_; }
 
-  // Evaluates one failure draw into `out`, reusing its storage.
-  // Allocation-free once warm.
+  // Evaluates one draw from its labels (labels[i] is the label of
+  // nodes()[i], see sim::TrialView::labels) into `out`, reusing its
+  // storage. Continent shares are summed in continent_population_shares()
+  // order. Allocation-free once `out` is warm.
+  void evaluate(const std::uint32_t* labels, AvailabilityReport& out) const;
+
+  // Evaluates one failure draw: decomposes the masked network and labels
+  // nodes() itself. Allocation-free once warm.
   void evaluate(const util::Bitset& cable_dead, AvailabilityReport& out);
   AvailabilityReport evaluate(const util::Bitset& cable_dead);
 
-  // Same evaluation against a caller-provided component decomposition of
-  // the masked subgraph (must come from the same network and the same
-  // cable_dead mask — the trial pipeline's per-trial decomposition). Skips
-  // the internal mask + component build, so N services under one draw share
-  // one decomposition. Produces bit-identical reports to evaluate().
-  void evaluate_with_components(const util::Bitset& cable_dead,
-                                const graph::ComponentResult& components,
-                                AvailabilityReport& out);
-
  private:
-  std::uint32_t component_of(topo::NodeId n, const util::Bitset& cable_dead,
-                             const graph::ComponentResult& components) const;
-
   const topo::InfrastructureNetwork& net_;
-  const graph::Csr* csr_;  // net_'s cached CSR, resolved once at construction
   ServiceSpec spec_;
-  std::vector<topo::NodeId> replica_nodes_;
-  std::vector<std::pair<geo::Continent, topo::NodeId>> anchor_nodes_;
-  // Per-draw scratch.
-  graph::AliveMask mask_;
-  graph::ComponentScratch comp_scratch_;
-  graph::ComponentResult cc_;
-  std::vector<std::uint32_t> replica_components_;
+  std::vector<topo::NodeId> nodes_;
+  std::vector<std::uint32_t> replicas_;  // per node: replicas attached there
+  std::vector<std::pair<geo::Continent, std::uint32_t>> anchors_;
+  sim::DrawLabels draw_;  // scratch of the dead-set form
 };
 
 // Evaluates one service against a failure draw. Every replica and client
@@ -149,35 +158,39 @@ AvailabilitySweep availability_sweep(const sim::FailureSimulator& simulator,
                                      std::size_t draws, std::uint64_t seed,
                                      std::size_t threads = 0);
 
-// Trial-pipeline observer for one service: evaluates every trial's draw
-// against the pipeline's shared component decomposition (no per-service
-// mask/component rebuild) and accumulates read/write availability, sharing
-// the failure draw with every other observer. Construction resolves the
-// replica/anchor nodes once; begin_run hands each worker a copy of the
-// resolved evaluator.
+// Trial-pipeline observer for one service: declares the evaluator's
+// distinct attachment nodes as query nodes and evaluates every trial from
+// their labels, on the scalar path per trial and on the 64-lane path per
+// batch, accumulating read/write availability. Construction resolves the
+// replica/anchor nodes once; begin_run maps them to label slots.
 class AvailabilityObserver final : public sim::CheckpointableObserver {
  public:
   // Throws like ServiceEvaluator on a bad spec.
   AvailabilityObserver(const topo::InfrastructureNetwork& net,
                        ServiceSpec spec);
 
-  const ServiceSpec& spec() const noexcept { return prototype_.spec(); }
   // Valid after TrialPipeline::run().
   const AvailabilitySweep& result() const noexcept { return result_; }
 
   bool needs_components() const override { return true; }
+  std::span<const topo::NodeId> query_nodes() const override {
+    return evaluator_.nodes();
+  }
   void begin_run(const sim::TrialPipeline& pipeline, std::size_t workers,
                  std::size_t chunks) override;
   void observe(const sim::TrialView& view, std::size_t worker,
                std::size_t chunk) override;
+  bool supports_batch() const override { return true; }
+  void observe_batch(const sim::BatchTrialView& view, std::size_t worker,
+                     std::size_t first_chunk) override;
   void end_run() override;
 
   // The id carries the service name and write quorum: a checkpoint written
   // for one service or quorum is rejected for another even with identical
   // chunk counts.
   std::string checkpoint_id() const override {
-    return "availability/v2/" + prototype_.spec().name + "/quorum=" +
-           std::to_string(prototype_.spec().write_quorum);
+    return "availability/v2/" + evaluator_.spec().name + "/quorum=" +
+           std::to_string(evaluator_.spec().write_quorum);
   }
   void save_chunk(std::size_t chunk, util::ByteWriter& out) const override;
   void load_chunk(std::size_t chunk, util::ByteReader& in) override;
@@ -188,8 +201,10 @@ class AvailabilityObserver final : public sim::CheckpointableObserver {
     util::RunningStats write;
     static constexpr auto kFields = std::tuple{&Slot::read, &Slot::write};
   };
-  ServiceEvaluator prototype_;
-  std::vector<ServiceEvaluator> workers_;
+  void add(const std::uint32_t* labels, std::size_t worker, std::size_t chunk);
+
+  ServiceEvaluator evaluator_;
+  sim::LabelGather labels_;
   std::vector<AvailabilityReport> reports_;  // per-worker scratch
   sim::ChunkSlots<Slot> slots_{"AvailabilityObserver"};
   AvailabilitySweep result_;

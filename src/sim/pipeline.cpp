@@ -1,8 +1,53 @@
 #include "sim/pipeline.h"
 
 #include <algorithm>
+#include <stdexcept>
 
 namespace solarnet::sim {
+
+void component_labels(const topo::InfrastructureNetwork& net,
+                      const util::Bitset& cable_dead,
+                      const graph::ComponentResult& components,
+                      std::span<const topo::NodeId> nodes,
+                      std::uint32_t* labels) {
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    const topo::NodeId n = nodes[i];
+    if (n == topo::kInvalidNode) {
+      labels[i] = graph::kNoLabel;
+    } else if (net.node_unreachable(n, cable_dead)) {
+      labels[i] = graph::kIslandBase + n;
+    } else {
+      labels[i] = components.component[n];
+    }
+  }
+}
+
+const std::uint32_t* DrawLabels::label(const topo::InfrastructureNetwork& net,
+                                       const util::Bitset& cable_dead,
+                                       std::span<const topo::NodeId> nodes) {
+  net.mask_for_failures(cable_dead, mask);
+  graph::connected_components(net.csr(), mask, scratch, components);
+  labels.resize(nodes.size());
+  component_labels(net, cable_dead, components, nodes, labels.data());
+  return labels.data();
+}
+
+void LabelGather::bind(const TrialPipeline& pipeline,
+                       std::span<const topo::NodeId> nodes,
+                       std::size_t workers) {
+  slots_.clear();
+  for (const topo::NodeId n : nodes) slots_.push_back(pipeline.label_slot(n));
+  per_worker_.assign(workers, std::vector<std::uint32_t>(nodes.size()));
+}
+
+const std::uint32_t* LabelGather::gather(const std::uint32_t* labels,
+                                         std::size_t worker) {
+  std::vector<std::uint32_t>& out = per_worker_[worker];
+  for (std::size_t i = 0; i < slots_.size(); ++i) out[i] = labels[slots_[i]];
+  return out.data();
+}
+
+void LabelGather::release() { per_worker_.clear(); }
 
 TrialPipeline::TrialPipeline(const FailureSimulator& simulator,
                              const gic::RepeaterFailureModel& model)
@@ -23,13 +68,25 @@ void TrialPipeline::add_observer(TrialObserver& observer) {
   needs_components_ = needs_components_ || observer.needs_components();
   if (observer.supports_batch()) {
     batch_observers_.push_back(&observer);
-    batch_needs_components_ =
-        batch_needs_components_ || observer.needs_components();
   } else {
     scalar_observers_.push_back(&observer);
-    scalar_needs_components_ =
-        scalar_needs_components_ || observer.needs_components();
+    scalar_needs_mask_ = scalar_needs_mask_ || observer.needs_components();
   }
+  const std::span<const topo::NodeId> nodes = observer.query_nodes();
+  query_nodes_.insert(query_nodes_.end(), nodes.begin(), nodes.end());
+  std::sort(query_nodes_.begin(), query_nodes_.end());
+  query_nodes_.erase(std::unique(query_nodes_.begin(), query_nodes_.end()),
+                     query_nodes_.end());
+}
+
+std::uint32_t TrialPipeline::label_slot(topo::NodeId node) const {
+  const auto it =
+      std::lower_bound(query_nodes_.begin(), query_nodes_.end(), node);
+  if (it == query_nodes_.end() || *it != node) {
+    throw std::invalid_argument(
+        "TrialPipeline::label_slot: node is not a query vertex");
+  }
+  return static_cast<std::uint32_t>(it - query_nodes_.begin());
 }
 
 void TrialPipeline::run_trial(std::size_t trial, const util::Rng& base,
@@ -42,11 +99,6 @@ void TrialPipeline::run_trial(std::size_t trial, const util::Rng& base,
     sim_.sample_cable_failures(model_, rng, scratch.cable_dead);
   }
   network().unreachable_nodes(scratch.cable_dead, scratch.unreachable);
-  if (needs_components_) {
-    network().mask_for_failures(scratch.cable_dead, scratch.mask);
-    graph::connected_components(*csr_, scratch.mask, scratch.component_scratch,
-                                scratch.components);
-  }
 
   TrialView view;
   view.trial = trial;
@@ -55,8 +107,17 @@ void TrialPipeline::run_trial(std::size_t trial, const util::Rng& base,
       percent_of(scratch.cable_dead.count(), network().cable_count());
   view.nodes_unreachable_pct =
       percent_of(scratch.unreachable.size(), connected_nodes_);
-  view.components = needs_components_ ? &scratch.components : nullptr;
-  view.mask = needs_components_ ? &scratch.mask : nullptr;
+  if (needs_components_) {
+    network().mask_for_failures(scratch.cable_dead, scratch.mask);
+    graph::connected_components(*csr_, scratch.mask, scratch.component_scratch,
+                                scratch.components);
+    scratch.labels.resize(query_nodes_.size());
+    component_labels(network(), scratch.cable_dead, scratch.components,
+                     query_nodes_, scratch.labels.data());
+    view.largest_component = scratch.components.largest_component_size();
+    view.mask = &scratch.mask;
+    view.labels = query_nodes_.empty() ? nullptr : scratch.labels.data();
+  }
   for (TrialObserver* observer : observers_) {
     observer->observe(view, worker, chunk);
   }
@@ -96,6 +157,7 @@ void TrialPipeline::run_chunks(const ChunkedRun& chunked,
 
   constexpr std::size_t kLanes = TrialBatchKernel::kLanes;
   const TrialBatchKernel& kernel = *batch_kernel_;
+  const std::size_t queries = query_nodes_.size();
 
   struct BatchScratch {
     TrialBatch batch;
@@ -105,10 +167,13 @@ void TrialPipeline::run_chunks(const ChunkedRun& chunked,
     double cables_pct[kLanes];
     double nodes_pct[kLanes];
     BatchConnectivityScratch components;
-    // Scalar reconstruction for observers without a batch path.
-    PipelineScratch scalar;
+    std::vector<std::uint32_t> labels;  // lane-major, `queries` per lane
+    // Lane reconstruction for observers without a batch path.
+    util::Bitset cable_dead;
+    graph::AliveMask mask;
   };
   std::vector<BatchScratch> scratch(chunked.workers());
+  for (BatchScratch& s : scratch) s.labels.resize(kLanes * queries);
   const std::size_t cables = network().cable_count();
 
   chunked.run(chunk_begin, chunk_end, [&](const ChunkTask& task) {
@@ -121,20 +186,26 @@ void TrialPipeline::run_chunks(const ChunkedRun& chunked,
     kernel.sample(base, first, lanes, s.batch);
     kernel.count_cables_failed(s.batch, s.cables);
     kernel.count_unreachable_nodes(s.batch, s.nodes);
-    if (batch_needs_components_) {
-      kernel.largest_components(s.batch, s.components, s.largest);
+    if (needs_components_) {
+      kernel.largest_components(s.batch, s.components, s.largest,
+                                query_nodes_, s.labels.data());
     }
     for (unsigned lane = 0; lane < lanes; ++lane) {
       s.cables_pct[lane] = percent_of(s.cables[lane], cables);
       s.nodes_pct[lane] = percent_of(s.nodes[lane], connected_nodes_);
     }
+    const std::uint32_t* labels =
+        needs_components_ && queries > 0 ? s.labels.data() : nullptr;
 
     if (!batch_observers_.empty()) {
       BatchTrialView bview;
       bview.lanes = lanes;
+      bview.cable_dead = s.batch.cable_dead.data();
       bview.cables_failed_pct = s.cables_pct;
       bview.nodes_unreachable_pct = s.nodes_pct;
-      bview.largest_component = batch_needs_components_ ? s.largest : nullptr;
+      bview.largest_component = needs_components_ ? s.largest : nullptr;
+      bview.labels = labels;
+      bview.label_stride = queries;
       for (TrialObserver* observer : batch_observers_) {
         observer->observe_batch(bview, worker, first_chunk);
       }
@@ -142,24 +213,23 @@ void TrialPipeline::run_chunks(const ChunkedRun& chunked,
 
     if (!scalar_observers_.empty()) {
       // Reconstruct each lane as a scalar TrialView: same dead bits, same
-      // percentages, same component decomposition — everything a scalar
-      // observer would have seen.
+      // percentages, the lane's largest component and labels, and the
+      // alive mask when a scalar observer walks the masked graph.
       for (unsigned lane = 0; lane < lanes; ++lane) {
-        kernel.extract_lane(s.batch, lane, s.scalar.cable_dead);
-        if (scalar_needs_components_) {
-          network().mask_for_failures(s.scalar.cable_dead, s.scalar.mask);
-          graph::connected_components(*csr_, s.scalar.mask,
-                                      s.scalar.component_scratch,
-                                      s.scalar.components);
-        }
+        kernel.extract_lane(s.batch, lane, s.cable_dead);
         TrialView view;
         view.trial = first + lane;
-        view.cable_dead = &s.scalar.cable_dead;
+        view.cable_dead = &s.cable_dead;
         view.cables_failed_pct = s.cables_pct[lane];
         view.nodes_unreachable_pct = s.nodes_pct[lane];
-        view.components =
-            scalar_needs_components_ ? &s.scalar.components : nullptr;
-        view.mask = scalar_needs_components_ ? &s.scalar.mask : nullptr;
+        if (needs_components_) {
+          view.largest_component = s.largest[lane];
+          view.labels = labels != nullptr ? labels + lane * queries : nullptr;
+        }
+        if (scalar_needs_mask_) {
+          network().mask_for_failures(s.cable_dead, s.mask);
+          view.mask = &s.mask;
+        }
         const std::size_t chunk = first_chunk + lane / kTrialChunk;
         for (TrialObserver* observer : scalar_observers_) {
           observer->observe(view, worker, chunk);
@@ -186,7 +256,7 @@ void ConnectivityObserver::add(std::size_t chunk, double cables_pct,
 void ConnectivityObserver::observe(const TrialView& view, std::size_t /*worker*/,
                                    std::size_t chunk) {
   add(chunk, view.cables_failed_pct, view.nodes_unreachable_pct,
-      view.components->largest_component_size());
+      view.largest_component);
 }
 
 void ConnectivityObserver::observe_batch(const BatchTrialView& view,

@@ -5,12 +5,35 @@
 // service/DNS availability and country isolation are facets of one failure
 // draw. TrialPipeline makes that structure explicit: each trial samples the
 // cable failures once (DeathProbabilityTable under the any-failure rule),
-// builds the alive mask and the CSR connected components once into
-// per-worker scratch, and fans a TrialView out to every registered
-// TrialObserver. Running N metrics costs one sampling + one component
-// decomposition per trial instead of N, and — because the observers all see
-// the same draw — cross-metric joint statistics (e.g. P(DNS degraded AND
-// >X% cables lost)) become expressible.
+// computes connectivity once into per-worker scratch, and fans a view out
+// to every registered TrialObserver. Running N metrics costs one sampling
+// and one connectivity pass per trial instead of N, and — because the
+// observers all see the same draw — cross-metric joint statistics (e.g.
+// P(DNS degraded AND >X% cables lost)) become expressible.
+//
+// Query vertices and labels. Reachability observers only ask whether a few
+// nodes share a component: the landing nodes replicas and DNS roots attach
+// to, the six continent anchors, the traffic demand endpoints. Each
+// observer declares those nodes (query_nodes()); the pipeline keeps their
+// ascending, distinct union and gives every view one component label per
+// query vertex. Two query vertices share a label in a trial exactly when
+// they share a surviving component (a node whose cables are all dead is its
+// own island; kInvalidNode matches nothing — see graph::BatchLabelQuery).
+// Observers map their nodes to label slots once, in begin_run
+// (label_slot()).
+//
+// Two paths, bit-identical results:
+//  - the 64-lane path (any-failure rule, TrialConfig::engine not kScalar)
+//    samples a TrialBatch and gets the largest component and the labels of
+//    every lane from the batch union-find (TrialBatchKernel). Connectivity,
+//    service availability, DNS resolution, country isolation and run_trials'
+//    aggregate observer take whole batches (observe_batch); only observers
+//    without a batch path — traffic routing, which walks the masked graph —
+//    get per-lane TrialViews, reconstructed as a dead set plus an alive mask;
+//  - the scalar path (kScalar, and kFractionFails, which has no batched
+//    draw) draws one trial at a time, decomposes the masked graph with
+//    graph::connected_components and fills the labels from it
+//    (component_labels).
 //
 // Determinism: every loop runs through sim::ChunkedRun and every observer
 // keeps its accumulators in sim::ChunkSlots (sim/chunked.h holds the
@@ -19,7 +42,7 @@
 //
 // When to use which engine:
 //  - TrialPipeline: many metrics over one model/severity (the report path),
-//    or any metric needing the component decomposition per trial.
+//    or any metric needing connectivity per trial.
 //  - FailureSimulator::run_trials: one pipeline pass reduced to the
 //    cables/nodes aggregates (no component build).
 //  - sim::SweepEngine: one metric across a whole severity grid (CRN-coupled
@@ -28,6 +51,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -46,7 +70,9 @@ namespace solarnet::sim {
 class TrialPipeline;
 
 // Everything an observer may read about one trial. References point into
-// per-worker scratch and are only valid during the observe() call.
+// per-worker scratch and are only valid during the observe() call. The
+// connectivity fields (largest_component, mask, labels) are set only when
+// some registered observer reports needs_components().
 struct TrialView {
   std::size_t trial = 0;
   // Per-cable death flags for this draw (size = network cable count).
@@ -55,15 +81,16 @@ struct TrialView {
   // Share of nodes that had >= 1 cable and lost all of them (paper
   // §4.3.1).
   double nodes_unreachable_pct = 0.0;
-  // Masked component decomposition over the network's CSR; null when no
-  // registered observer reports needs_components().
-  const graph::ComponentResult* components = nullptr;
-  // The alive mask the components were decomposed over (all vertices
-  // alive, dead cables' edges dead — mask_for_failures). Non-null exactly
-  // when components is non-null; observers that traverse the masked graph
-  // (e.g. routing::TrafficObserver's SSSP trees) read it instead of
-  // rebuilding the mask from cable_dead.
+  // Size of the largest surviving component (all vertices alive, dead
+  // cables' edges removed).
+  std::size_t largest_component = 0;
+  // The alive mask of this draw (mask_for_failures): observers that
+  // traverse the masked graph (routing::TrafficObserver's SSSP trees) read
+  // it instead of rebuilding it from cable_dead.
   const graph::AliveMask* mask = nullptr;
+  // One component label per pipeline query vertex (TrialPipeline::
+  // label_slot); null when no observer declared query nodes.
+  const std::uint32_t* labels = nullptr;
 };
 
 // Everything a batch-capable observer may read about one 64-trial batch on
@@ -75,11 +102,18 @@ struct TrialView {
 // the observe_batch() call.
 struct BatchTrialView {
   unsigned lanes = 0;
+  // cable_dead[c] bit t: cable c dead in lane t (TrialBatch::cable_dead).
+  const std::uint64_t* cable_dead = nullptr;
   const double* cables_failed_pct = nullptr;
   const double* nodes_unreachable_pct = nullptr;
-  // Largest surviving component size per lane; null when no batch-capable
-  // observer reports needs_components().
+  // Largest surviving component size per lane; null unless some observer
+  // reports needs_components().
   const std::uint32_t* largest_component = nullptr;
+  // Lane t's query labels at labels + t * label_stride (stride = the
+  // pipeline's query-vertex count); null when no observer declared query
+  // nodes.
+  const std::uint32_t* labels = nullptr;
+  std::size_t label_stride = 0;
 };
 
 // A metric registered with the pipeline. Implementations own their results;
@@ -89,9 +123,15 @@ class TrialObserver {
  public:
   virtual ~TrialObserver() = default;
 
-  // Whether this observer reads TrialView::components. The pipeline skips
-  // the per-trial component build when no observer needs it.
+  // Whether this observer reads the views' connectivity fields (largest
+  // component, mask, labels). The pipeline skips the per-trial
+  // connectivity pass when no observer needs it.
   virtual bool needs_components() const { return true; }
+
+  // The nodes whose component labels this observer reads (see the header
+  // comment); read once, by TrialPipeline::add_observer. An observer that
+  // declares nodes must also report needs_components().
+  virtual std::span<const topo::NodeId> query_nodes() const { return {}; }
 
   // Called once before any trial: size per-worker scratch (worker ids are
   // below `workers`) and the ChunkSlots, and reset previous results.
@@ -106,7 +146,8 @@ class TrialObserver {
   // Batch fast path. An observer that returns true here receives one
   // observe_batch() per 64-trial batch on the bit-parallel pipeline path
   // instead of 64 observe() calls (observe() is still required — the
-  // scalar path and kFractionFails use it). The batch spans whole chunks:
+  // scalar path and kFractionFails use it). The batch view carries the
+  // batch's dead words but no mask. The batch spans whole chunks:
   // lane t belongs to chunk first_chunk + t / kTrialChunk,
   // and accumulating lanes in ascending order into those slots must match
   // the scalar observe() sequence bit-for-bit.
@@ -137,15 +178,58 @@ class CheckpointableObserver : public TrialObserver {
   virtual void load_chunk(std::size_t chunk, util::ByteReader& in) = 0;
 };
 
-// Reusable per-worker scratch for the trial loop; allocation-free once
-// warm. run() owns one per worker; benches driving run_trial() manually
-// own their own.
+// Reusable per-worker scratch for the scalar trial loop; allocation-free
+// once warm. run() owns one per worker; benches driving run_trial()
+// manually own their own.
 struct PipelineScratch {
   util::Bitset cable_dead;
   graph::AliveMask mask;
   graph::ComponentScratch component_scratch;
   graph::ComponentResult components;
   std::vector<topo::NodeId> unreachable;
+  std::vector<std::uint32_t> labels;
+};
+
+// The scalar form of the batch kernel's labels: labels[i] for nodes[i]
+// under one draw, from `components`, the masked decomposition of that
+// draw's `cable_dead` — graph::kNoLabel for kInvalidNode, kIslandBase +
+// node when every cable of the node is dead, else its component index.
+void component_labels(const topo::InfrastructureNetwork& net,
+                      const util::Bitset& cable_dead,
+                      const graph::ComponentResult& components,
+                      std::span<const topo::NodeId> nodes,
+                      std::uint32_t* labels);
+
+// Labels of `nodes` under one dead set without a pipeline: the masked
+// decomposition of the network plus component_labels. The standalone
+// evaluate() of the reachability evaluators uses it; allocation-free once
+// warm.
+struct DrawLabels {
+  graph::AliveMask mask;
+  graph::ComponentScratch scratch;
+  graph::ComponentResult components;
+  std::vector<std::uint32_t> labels;
+
+  const std::uint32_t* label(const topo::InfrastructureNetwork& net,
+                             const util::Bitset& cable_dead,
+                             std::span<const topo::NodeId> nodes);
+};
+
+// An observer's slice of the pipeline's labels. bind() maps the observer's
+// nodes to label slots once (in begin_run); gather() copies one trial's
+// labels of those nodes, in the observer's node order, into per-worker
+// storage. Allocation-free after bind().
+class LabelGather {
+ public:
+  void bind(const TrialPipeline& pipeline,
+            std::span<const topo::NodeId> nodes, std::size_t workers);
+  const std::uint32_t* gather(const std::uint32_t* labels,
+                              std::size_t worker);
+  void release();
+
+ private:
+  std::vector<std::uint32_t> slots_;
+  std::vector<std::vector<std::uint32_t>> per_worker_;
 };
 
 class TrialPipeline {
@@ -165,8 +249,19 @@ class TrialPipeline {
   // any-failure rule.
   const DeathProbabilityTable& death_table() const noexcept { return table_; }
 
-  // Registers a metric (non-owning; the observer must outlive run()).
+  // Registers a metric (non-owning; the observer must outlive run()) and
+  // adds its query_nodes() to the pipeline's query vertices.
   void add_observer(TrialObserver& observer);
+
+  // The query vertices: every registered observer's query nodes, ascending
+  // and distinct. Views carry one label per entry.
+  std::span<const topo::NodeId> query_nodes() const noexcept {
+    return query_nodes_;
+  }
+  // Index of `node` in query_nodes(), for observers to map their nodes to
+  // label slots in begin_run. Throws std::invalid_argument when no
+  // registered observer declared the node.
+  std::uint32_t label_slot(topo::NodeId node) const;
 
   // Runs `trials` draws (trial t from child stream t of `seed`) and fans
   // each TrialView out to every observer. `threads` follows
@@ -185,14 +280,16 @@ class TrialPipeline {
   // simulator's TrialConfig::engine is not kScalar, each task samples one
   // TrialBatch over its chunks (so tasks may span at most two chunks):
   // batch-capable observers get whole batches, the rest per-lane
-  // TrialViews reconstructed from the batch — bit-identical to the scalar
-  // loop either way.
+  // TrialViews reconstructed from the batch (dead set, mask, the lane's
+  // largest component and labels) — bit-identical to the scalar loop
+  // either way.
   void run_chunks(const ChunkedRun& chunked, const util::Rng& base,
                   std::size_t chunk_begin, std::size_t chunk_end) const;
 
-  // One trial of the loop, for benches/tests that drive it manually: draw
-  // from base.split(trial) into `scratch`, rebuild mask/components, call
-  // every observer with the given (worker, chunk) slots. Callers must
+  // One trial of the scalar loop, for benches/tests that drive it
+  // manually: draw from base.split(trial) into `scratch`, rebuild mask,
+  // components and labels, call every observer's observe() with the given
+  // (worker, chunk) slots. Callers must
   // bracket the loop with the observers' begin_run()/end_run() themselves
   // (run() does all of this). Allocation-free once scratch is warm.
   void run_trial(std::size_t trial, const util::Rng& base,
@@ -207,20 +304,20 @@ class TrialPipeline {
   bool use_table_ = false;
   std::size_t connected_nodes_ = 0;
   std::vector<TrialObserver*> observers_;
+  std::vector<topo::NodeId> query_nodes_;  // ascending, distinct
   bool needs_components_ = false;
   // Built once in the constructor when the batch path is eligible, so run()
   // does not pay kernel construction (or its allocations) per call.
   std::unique_ptr<const TrialBatchKernel> batch_kernel_;
   std::vector<TrialObserver*> batch_observers_;   // supports_batch()
   std::vector<TrialObserver*> scalar_observers_;  // the rest
-  bool batch_needs_components_ = false;   // any batch observer needs them
-  bool scalar_needs_components_ = false;  // any scalar observer needs them
+  bool scalar_needs_mask_ = false;  // a scalar observer needs components
 };
 
 // The baseline observer: per-trial cable-loss / node-unreachability
 // percentages (bit-identical to FailureSimulator::run_trials for the same
 // seed and trial count) plus the largest surviving component share, which
-// run_trials does not report because it skips the component build.
+// run_trials does not report because it skips the connectivity pass.
 class ConnectivityObserver final : public CheckpointableObserver {
  public:
   struct Result : ConnectivityStats {

@@ -153,15 +153,33 @@ void TrialBatchKernel::count_unreachable_nodes(const TrialBatch& batch,
   }
 }
 
-void TrialBatchKernel::largest_components(const TrialBatch& batch,
-                                          BatchConnectivityScratch& scratch,
-                                          std::uint32_t* out) const {
+void TrialBatchKernel::largest_components(
+    const TrialBatch& batch, BatchConnectivityScratch& scratch,
+    std::uint32_t* out, std::span<const topo::NodeId> queries,
+    std::uint32_t* labels) const {
+  static_assert(topo::kInvalidNode == graph::kNoVertex);
   scratch.edge_dead.resize(edge_cable_.size());
   for (std::size_t e = 0; e < edge_cable_.size(); ++e) {
     scratch.edge_dead[e] = batch.cable_dead[edge_cable_[e]];
   }
+  // A query node is dark in lane t when it has cables and all of them are
+  // dead there (InfrastructureNetwork::node_unreachable, 64 lanes at once).
+  const topo::InfrastructureNetwork& net = sim_.network();
+  scratch.query_dark.resize(queries.size());
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    const topo::NodeId n = queries[i];
+    std::uint64_t dark = 0;
+    if (n != topo::kInvalidNode && !net.cables_at(n).empty()) {
+      dark = batch.lane_mask;
+      for (const topo::CableId c : net.cables_at(n)) {
+        dark &= batch.cable_dead[c];
+      }
+    }
+    scratch.query_dark[i] = dark;
+  }
   graph::batch_largest_components(*csr_, scratch.edge_dead, batch.lanes,
-                                  scratch.components, out);
+                                  scratch.components, out,
+                                  {queries, scratch.query_dark, labels});
 }
 
 void TrialBatchKernel::extract_lane(const TrialBatch& batch, unsigned lane,

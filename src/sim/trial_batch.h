@@ -9,8 +9,9 @@
 //   - cables failed per trial: 64x64 bit transpose + popcount per lane;
 //   - unreachable nodes per trial (>= 1 cable, all dead): one AND over the
 //     node's incident cable words covers all 64 trials at once;
-//   - largest surviving component per trial: the shared-backbone 64-way
-//     union-find in graph/batch_components.h.
+//   - largest surviving component per trial, and the component labels of
+//     a fixed set of query nodes: the shared-backbone 64-way union-find in
+//     graph/batch_components.h.
 //
 // Determinism contract: trial t still draws from base.split(t) and
 // consumes exactly the uniforms the scalar sampler would (one per cable
@@ -31,6 +32,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "graph/batch_components.h"
@@ -53,6 +55,7 @@ struct TrialBatch {
 // Scratch for the batched component pass (per worker).
 struct BatchConnectivityScratch {
   std::vector<std::uint64_t> edge_dead;
+  std::vector<std::uint64_t> query_dark;  // per query node: lanes it is dark
   graph::BatchComponentScratch components;
 };
 
@@ -82,14 +85,21 @@ class TrialBatchKernel {
   void count_unreachable_nodes(const TrialBatch& batch,
                                std::uint32_t* out) const;
   // Largest surviving component per lane (all vertices alive, edges of
-  // dead cables removed) via the shared-backbone batch union-find.
+  // dead cables removed) via the shared-backbone batch union-find. With
+  // `queries`, also writes each lane's component labels of those nodes
+  // into `labels` (room for batch.lanes * queries.size(), lane-major; see
+  // graph::BatchLabelQuery): a node whose cables are all dead in a lane is
+  // its own island, kInvalidNode gets graph::kNoLabel.
   void largest_components(const TrialBatch& batch,
                           BatchConnectivityScratch& scratch,
-                          std::uint32_t* out) const;
+                          std::uint32_t* out,
+                          std::span<const topo::NodeId> queries = {},
+                          std::uint32_t* labels = nullptr) const;
 
   // Reconstructs lane `lane` as a scalar dead set, bit-identical to the
   // Bitset the scalar sampler fills for the same trial. Allocation-free
-  // once `dead` is warm.
+  // once `dead` is warm. The pipeline uses it for observers without a
+  // batch path (traffic routing).
   void extract_lane(const TrialBatch& batch, unsigned lane,
                     util::Bitset& dead) const;
 

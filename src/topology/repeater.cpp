@@ -1,6 +1,7 @@
 #include "topology/repeater.h"
 
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "geo/distance.h"
@@ -15,7 +16,14 @@ std::size_t repeater_count(double length_km, double spacing_km) {
     throw std::invalid_argument("repeater_count: invalid length");
   }
   if (length_km <= spacing_km) return 0;
-  return static_cast<std::size_t>(std::floor(length_km / spacing_km));
+  const double count = std::floor(length_km / spacing_km);
+  // The cast is undefined beyond size_t's range (e.g. a spacing of
+  // 1e-300 km); the comparison also rejects a NaN spacing.
+  if (!(count < static_cast<double>(std::numeric_limits<std::size_t>::max()))) {
+    throw std::invalid_argument(
+        "repeater_count: length_km / spacing_km does not fit in size_t");
+  }
+  return static_cast<std::size_t>(count);
 }
 
 std::size_t cable_repeater_count(const Cable& cable, double spacing_km) {

@@ -17,7 +17,8 @@ namespace solarnet::topo {
 // spacing interval, none when the run fits in a single span. Matches the
 // paper's accounting (a 9,000 km cable at ~70 km spacing carries ~130
 // repeaters; 258 of the 542 Intertubes cables need none at 150 km).
-// Throws std::invalid_argument when spacing_km <= 0 or length_km < 0.
+// Throws std::invalid_argument when spacing_km <= 0, length_km < 0, or the
+// count does not fit in std::size_t.
 std::size_t repeater_count(double length_km, double spacing_km);
 
 // Total repeaters across all segments of a cable.

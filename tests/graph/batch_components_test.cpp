@@ -76,6 +76,59 @@ TEST(BatchComponents, MatchesScalarKernelLaneByLane) {
   }
 }
 
+// Query labels: roots of the lane's forest, so two query vertices share a
+// label exactly when the scalar kernel puts them in one component; a vertex
+// marked dark in a lane gets kIslandBase + v, kNoVertex gets kNoLabel.
+TEST(BatchComponents, QueryLabelsMatchScalarComponents) {
+  util::Rng rng(31);
+  const Graph g = random_graph(rng, 50, 60);
+  const Csr csr(g);
+  std::vector<std::uint64_t> edge_dead(g.edge_count());
+  for (auto& w : edge_dead) w = rng.next_u64() & rng.next_u64();
+  std::vector<VertexId> queries = {0, 3, 7, 8, 20, 33, 49, kNoVertex};
+  std::vector<std::uint64_t> dark(queries.size(), 0);
+  dark[2] = 0x5;  // vertex 7 is an island in lanes 0 and 2
+  std::vector<std::uint32_t> labels(kBatchLanes * queries.size());
+  BatchComponentScratch scratch;
+  std::uint32_t largest[kBatchLanes] = {};
+  batch_largest_components(csr, edge_dead, kBatchLanes, scratch, largest,
+                           {queries, dark, labels.data()});
+  for (unsigned t = 0; t < kBatchLanes; ++t) {
+    AliveMask mask = AliveMask::all_alive(g);
+    for (EdgeId e = 0; e < g.edge_count(); ++e) {
+      if ((edge_dead[e] >> t) & 1) mask.edge_alive.reset(e);
+    }
+    ComponentScratch comp_scratch;
+    ComponentResult result;
+    connected_components(csr, mask, comp_scratch, result);
+    const std::uint32_t* lane = labels.data() + t * queries.size();
+    EXPECT_EQ(lane[queries.size() - 1], kNoLabel);
+    EXPECT_EQ(lane[2] == kIslandBase + 7, t == 0 || t == 2) << "lane " << t;
+    for (std::size_t i = 0; i + 1 < queries.size(); ++i) {
+      if (i == 2 && (t == 0 || t == 2)) continue;
+      EXPECT_LT(lane[i], kIslandBase);
+      for (std::size_t j = 0; j + 1 < queries.size(); ++j) {
+        if (j == 2 && (t == 0 || t == 2)) continue;
+        EXPECT_EQ(lane[i] == lane[j],
+                  result.same_component(queries[i], queries[j]))
+            << "lane " << t << " vertices " << queries[i] << ","
+            << queries[j];
+      }
+    }
+  }
+
+  // Mismatched dark words and out-of-range vertices are rejected.
+  std::vector<std::uint64_t> short_dark(queries.size() - 1, 0);
+  EXPECT_THROW(batch_largest_components(csr, edge_dead, 4, scratch, largest,
+                                        {queries, short_dark, labels.data()}),
+               std::invalid_argument);
+  const std::vector<VertexId> bad = {50};
+  const std::vector<std::uint64_t> bad_dark = {0};
+  EXPECT_THROW(batch_largest_components(csr, edge_dead, 4, scratch, largest,
+                                        {bad, bad_dark, labels.data()}),
+               std::invalid_argument);
+}
+
 TEST(BatchComponents, IgnoresBitsAtAndAboveLaneCount) {
   util::Rng rng(7);
   const Graph g = random_graph(rng, 20, 35);

@@ -145,6 +145,20 @@ TEST(ServeProtocol, RejectsMalformedAndInvalid) {
                   "grid");
 }
 
+TEST(ServeProtocol, SpacingBelowTenKmIsRejected) {
+  // 1e-300 km would overflow the repeater count; 0.001 km would ask for
+  // about 1.7e9 submarine repeaters.
+  for (const char* line : {R"({"spacing":1e-300})", R"({"spacing":0.001})",
+                           R"({"spacing":9.99})"}) {
+    expect_rejected(line, util::ErrorCode::kInvalidArgument, "spacing");
+  }
+  for (const double km : {10.0, 150.0}) {
+    ScenarioRequest req;
+    parse_request(R"({"spacing":)" + std::to_string(km) + "}", req);
+    EXPECT_EQ(req.spacing_km, km);
+  }
+}
+
 TEST(ServeProtocol, RejectsOversizedGrid) {
   std::string line = R"({"grid":[0)";
   for (int i = 0; i < 4096; ++i) line += ",0.5";

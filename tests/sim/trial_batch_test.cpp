@@ -207,10 +207,74 @@ TEST_F(TrialBatchTest, KernelValidatesRuleAndTable) {
                std::invalid_argument);
 }
 
+// For every batch size 1..64, the kernel's query labels partition the
+// query nodes exactly as the scalar masked decomposition of the same lane
+// does, a node whose cables all died gets its island label, kInvalidNode
+// gets kNoLabel, and every label equals sim::component_labels' up to the
+// renaming of components.
+TEST(TrialBatchLabels, LabelsShareExactlyWhenScalarComponentsDo) {
+  util::Rng net_rng(404);
+  // Sparse enough that many nodes go dark under S2.
+  const topo::InfrastructureNetwork net = random_network(net_rng, 60, 70);
+  TrialConfig cfg;
+  cfg.threads = 1;
+  const FailureSimulator simulator(net, cfg);
+  const auto model = gic::LatitudeBandFailureModel::s2();
+  const auto table = simulator.death_probability_table(model);
+  const TrialBatchKernel kernel(simulator, table);
+
+  std::vector<topo::NodeId> queries;
+  for (topo::NodeId n = 0; n < net.node_count(); n += 2) queries.push_back(n);
+  queries.push_back(topo::kInvalidNode);
+  const std::size_t q = queries.size();
+
+  TrialBatch batch;
+  BatchConnectivityScratch scratch;
+  std::uint32_t largest[64];
+  std::vector<std::uint32_t> labels(64 * q);
+  util::Bitset dead;
+  graph::AliveMask mask;
+  graph::ComponentScratch comp_scratch;
+  graph::ComponentResult components;
+  std::vector<std::uint32_t> scalar(q);
+  std::size_t dark_seen = 0;
+  for (unsigned lanes = 1; lanes <= 64; ++lanes) {
+    const util::Rng base(9000 + lanes);
+    kernel.sample(base, 0, lanes, batch);
+    kernel.largest_components(batch, scratch, largest, queries,
+                              labels.data());
+    for (unsigned lane = 0; lane < lanes; ++lane) {
+      kernel.extract_lane(batch, lane, dead);
+      net.mask_for_failures(dead, mask);
+      graph::connected_components(net.csr(), mask, comp_scratch, components);
+      component_labels(net, dead, components, queries, scalar.data());
+      const std::uint32_t* lane_labels = labels.data() + lane * q;
+      EXPECT_EQ(largest[lane], components.largest_component_size());
+      for (std::size_t i = 0; i + 1 < q; ++i) {
+        if (net.node_unreachable(queries[i], dead)) {
+          ++dark_seen;
+          EXPECT_EQ(lane_labels[i], graph::kIslandBase + queries[i]);
+        }
+        for (std::size_t j = 0; j + 1 < q; ++j) {
+          EXPECT_EQ(lane_labels[i] == lane_labels[j],
+                    components.same_component(queries[i], queries[j]))
+              << "lanes " << lanes << " lane " << lane << " nodes "
+              << queries[i] << "," << queries[j];
+          EXPECT_EQ(lane_labels[i] == lane_labels[j], scalar[i] == scalar[j]);
+        }
+        EXPECT_NE(lane_labels[i], lane_labels[q - 1]);
+      }
+      EXPECT_EQ(lane_labels[q - 1], graph::kNoLabel);
+      EXPECT_EQ(scalar[q - 1], graph::kNoLabel);
+    }
+  }
+  EXPECT_GT(dark_seen, 0u);
+}
+
 // A deliberately scalar observer (supports_batch() == false): on the
 // batched pipeline path it must see per-lane TrialViews indistinguishable
-// from the scalar path — same draw, same counts, same components. The
-// counts are recounted from the view's dead set.
+// from the scalar path — same draw, same counts, same largest component.
+// The counts are recounted from the view's dead set.
 class RecordingObserver final : public TrialObserver {
  public:
   struct Record {
@@ -236,7 +300,7 @@ class RecordingObserver final : public TrialObserver {
     r.cables_failed_pct = view.cables_failed_pct;
     r.unreachable = unreachable_.size();
     r.nodes_unreachable_pct = view.nodes_unreachable_pct;
-    r.largest_component = view.components->largest_component_size();
+    r.largest_component = view.largest_component;
     records_.push_back(r);
   }
   void end_run() override {}

@@ -43,6 +43,8 @@ TEST(CliExit, InvalidLeadHoursAndRiskWindowsExitOne) {
       {"risk --start nan", "--start"},
       // 2^44 MB is 2^64 bytes, one more than size_t holds.
       {"serve --cache-mb 17592186044416 < /dev/null", "--cache-mb"},
+      // About 1.7e9 submarine repeaters.
+      {"report --spacing 0.001", "spacing"},
   };
   for (const auto& row : rows) {
     const CliRun run = run_cli(row.args);

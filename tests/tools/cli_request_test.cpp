@@ -151,6 +151,8 @@ TEST(CliRequest, InvalidValuesFailAsTheServedFieldDoes) {
        R"({"seed":1e16})"},
       {RequestKind::kReport, {"report", "--spacing", "0"},
        R"({"spacing":0})"},
+      {RequestKind::kReport, {"report", "--spacing", "0.001"},
+       R"({"spacing":0.001})"},
       {RequestKind::kReport, {"report", "--uniform", "1.5"},
        R"({"model":"uniform","p":1.5})"},
       {RequestKind::kSweep, {"sweep", "--grid", "0.1,2"},

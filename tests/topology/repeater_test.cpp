@@ -33,6 +33,12 @@ TEST(RepeaterCount, RejectsBadInput) {
   EXPECT_THROW(repeater_count(-5.0, 100.0), std::invalid_argument);
 }
 
+TEST(RepeaterCount, RejectsCountsBeyondSizeT) {
+  // 1e304 repeaters: the cast to size_t would be undefined.
+  EXPECT_THROW(repeater_count(10000.0, 1e-300), std::invalid_argument);
+  EXPECT_EQ(repeater_count(10000.0, 10.0), 1000u);
+}
+
 TEST(CableRepeaterCount, SumsPerSegment) {
   Cable c;
   c.segments = {{0, 1, 140.0}, {1, 2, 320.0}};  // 0 + 2 repeaters
