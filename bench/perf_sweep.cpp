@@ -15,25 +15,36 @@
 //   6. the steady-state per-trial loop performs ZERO heap allocations,
 //   7. the frozen per-point reference (reference::run_trials in
 //      bench/reference/trial_loops.h) is bit-identical to run_trials, so it
-//      still computes what it replicates.
+//      still computes what it replicates,
+//   8. on the death indices of real trials, the junction walk
+//      (sim::IncrementalConnectivity) reports the same aggregates at every
+//      grid point as the frozen node-level walk in
+//      bench/reference/incremental.h.
 // Any failure exits non-zero, so CI's bench smoke job doubles as an
 // equivalence gate. Then it times the old path (G independent per-point
 // passes of the frozen reference) against the engine on the paper-scale
 // 470-cable submarine network across the default 0.001..1 grid at the
-// paper's 10-trial budget, asserts the >= 3x acceptance speedup, and emits
-// BENCH_sweep.json.
+// paper's 10-trial budget and asserts the >= 3x acceptance speedup. Last it
+// times bucket + walk per trial, warm, on the gate-8 death indices for the
+// junction walk and the frozen walk, asserts the >= 2x walk speedup, and
+// emits BENCH_sweep.json.
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstddef>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <span>
 #include <vector>
 
 #include "alloc_counter.h"
 #include "analysis/connectivity.h"
 #include "bench_util.h"
 #include "datasets/submarine.h"
+#include "reference/incremental.h"
 #include "reference/trial_loops.h"
+#include "sim/incremental.h"
 #include "sim/monte_carlo.h"
 #include "sim/sweep.h"
 #include "util/rng.h"
@@ -271,6 +282,75 @@ void check_reference_matches_run_trials() {
   }
 }
 
+// Death indices of kWalkTrials default-engine trials, trial-major: the
+// first-dead arrays the walk gate checks and times.
+constexpr std::size_t kWalkTrials = 1024;
+
+std::vector<std::uint32_t> walk_death_indices() {
+  const sim::SweepEngine& engine = default_engine();
+  const std::size_t cables = submarine().cable_count();
+  std::vector<std::uint32_t> indices(kWalkTrials * cables);
+  sim::SweepScratch scratch;
+  const util::Rng base(2203);
+  for (std::uint64_t t = 0; t < kWalkTrials; ++t) {
+    util::Rng rng = base.split(t);
+    engine.run_trial(rng, scratch);
+    std::copy(scratch.death_index.begin(), scratch.death_index.end(),
+              indices.begin() + static_cast<std::ptrdiff_t>(t * cables));
+  }
+  return indices;
+}
+
+// One trial's death indices out of walk_death_indices().
+std::span<const std::uint32_t> walk_trial(
+    const std::vector<std::uint32_t>& indices, std::size_t trial) {
+  const std::size_t cables = submarine().cable_count();
+  return {indices.data() + trial * cables, cables};
+}
+
+// Bucket + walk of every trial; returns a checksum of the aggregates so
+// the timed loop cannot be optimized away.
+template <typename Walk, typename Scratch>
+std::size_t walk_all(const Walk& walk,
+                     const std::vector<std::uint32_t>& indices,
+                     Scratch& scratch) {
+  const std::size_t grid = default_engine().grid_size();
+  std::size_t sum = 0;
+  for (std::size_t t = 0; t < kWalkTrials; ++t) {
+    walk.bucket_by_first_dead(walk_trial(indices, t), grid, scratch);
+    walk.walk(grid, scratch,
+              [&](std::size_t, const sim::IncrementalAggregates& agg) {
+                sum += agg.alive_cables + agg.lit_nodes + agg.largest;
+              });
+  }
+  return sum;
+}
+
+void check_walk_matches_frozen(const sim::IncrementalConnectivity& live,
+                               const reference::IncrementalConnectivity& frozen,
+                               const std::vector<std::uint32_t>& indices) {
+  const std::size_t grid = default_engine().grid_size();
+  sim::IncrementalScratch live_scratch;
+  reference::IncrementalScratch frozen_scratch;
+  std::vector<sim::IncrementalAggregates> walked(grid);
+  for (std::size_t t = 0; t < kWalkTrials; ++t) {
+    live.bucket_by_first_dead(walk_trial(indices, t), grid, live_scratch);
+    live.walk(grid, live_scratch,
+              [&](std::size_t g, const sim::IncrementalAggregates& agg) {
+                walked[g] = agg;
+              });
+    frozen.bucket_by_first_dead(walk_trial(indices, t), grid, frozen_scratch);
+    frozen.walk(grid, frozen_scratch,
+                [&](std::size_t g, const sim::IncrementalAggregates& agg) {
+                  if (walked[g].alive_cables != agg.alive_cables ||
+                      walked[g].lit_nodes != agg.lit_nodes ||
+                      walked[g].largest != agg.largest) {
+                    fail("junction walk diverged from the frozen walk");
+                  }
+                });
+  }
+}
+
 }  // namespace
 
 int main() {
@@ -281,6 +361,10 @@ int main() {
   check_statistical_equivalence();
   check_zero_steady_state_allocations();
   check_reference_matches_run_trials();
+  const sim::IncrementalConnectivity live_walk(submarine());
+  const reference::IncrementalConnectivity frozen_walk(submarine());
+  const std::vector<std::uint32_t> walk_indices = walk_death_indices();
+  check_walk_matches_frozen(live_walk, frozen_walk, walk_indices);
   std::printf("perf_sweep: all equivalence checks passed\n");
 
   // --- timing: the acceptance comparison ------------------------------------
@@ -325,18 +409,66 @@ int main() {
   std::printf("  new (batched engine, warm):     %8.3f ms\n", warm_ms);
   std::printf("  speedup (old/new cold):         %8.2fx\n", speedup);
 
+  // Bucket + walk per trial on the same death indices. The two walks
+  // alternate over seven rounds of three passes and each keeps its best
+  // pass, so a slow spell on a shared host lands on both rather than on
+  // one.
+  sim::IncrementalScratch live_scratch;
+  reference::IncrementalScratch frozen_scratch;
+  const std::size_t live_sum =
+      walk_all(live_walk, walk_indices, live_scratch);
+  if (walk_all(frozen_walk, walk_indices, frozen_scratch) != live_sum) {
+    fail("junction walk checksum diverged from the frozen walk");
+  }
+  double walk_ms = -1.0;
+  double walk_frozen_ms = -1.0;
+  const auto keep_best = [](double& best, double ms) {
+    if (best < 0.0 || ms < best) best = ms;
+  };
+  for (int round = 0; round < 7; ++round) {
+    keep_best(walk_ms, benchutil::time_best_ms([&] {
+      if (walk_all(live_walk, walk_indices, live_scratch) != live_sum) {
+        std::exit(1);
+      }
+    }, 3));
+    keep_best(walk_frozen_ms, benchutil::time_best_ms([&] {
+      if (walk_all(frozen_walk, walk_indices, frozen_scratch) != live_sum) {
+        std::exit(1);
+      }
+    }, 3));
+  }
+  const double walk_us =
+      walk_ms * 1000.0 / static_cast<double>(kWalkTrials);
+  const double walk_frozen_us =
+      walk_frozen_ms * 1000.0 / static_cast<double>(kWalkTrials);
+  const double walk_speedup = walk_frozen_us / walk_us;
+  std::printf("  walk per trial (bucket + walk, %zu trials, warm):\n",
+              kWalkTrials);
+  std::printf("    junction walk:                %8.3f us\n", walk_us);
+  std::printf("    frozen node-level walk:       %8.3f us\n", walk_frozen_us);
+  std::printf("    walk speedup (frozen/live):   %8.2fx\n", walk_speedup);
+
   benchutil::write_bench_json(
       "sweep", {{"grid_points", static_cast<double>(grid.size()), "count"},
                 {"trials", static_cast<double>(kTrials), "count"},
                 {"old_grid_sweep_ms", old_ms, "ms"},
                 {"new_grid_sweep_cold_ms", new_ms, "ms"},
                 {"new_grid_sweep_warm_ms", warm_ms, "ms"},
-                {"speedup_cold", speedup, "x"}});
+                {"speedup_cold", speedup, "x"},
+                {"walk_us", walk_us, "us"},
+                {"walk_frozen_us", walk_frozen_us, "us"},
+                {"walk_speedup", walk_speedup, "x"}});
 
   if (speedup < 3.0) {
     std::fprintf(stderr,
                  "perf_sweep FAILED: speedup %.2fx below the 3x acceptance "
                  "threshold\n", speedup);
+    return 1;
+  }
+  if (walk_speedup < 2.0) {
+    std::fprintf(stderr,
+                 "perf_sweep FAILED: walk speedup %.2fx below the 2x "
+                 "acceptance threshold\n", walk_speedup);
     return 1;
   }
   return 0;

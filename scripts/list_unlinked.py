@@ -57,7 +57,6 @@ ALLOWLIST = [
     ("solarnet::graph::UnionFind::UnionFind", "seam: perf_graph's legacy components kernel and the frozen reference kernels build a sized union-find"),
     ("solarnet::graph::UnionFind::connected", "union-find tests check the structure the sweep engine uses"),
     ("solarnet::graph::UnionFind::element_count", "union-find tests check the structure the sweep engine uses"),
-    ("solarnet::graph::UnionFind::set_count", "union-find tests check the structure the sweep engine uses"),
     ("solarnet::sim::FailureSimulator::average_repeaters_per_cable", "paper-checkpoint tests check the repeater layout"),
     ("solarnet::sim::FailureSimulator::repeaterless_cables", "paper-checkpoint tests check the repeater layout"),
     ("solarnet::sim::FailureSimulator::total_repeaters", "paper-checkpoint tests check the repeater layout"),

@@ -42,8 +42,7 @@ class UnionFind {
 
   // Unites and returns the merged set's size, or 0 when a and b were
   // already together — one find pair total, where unite() + set_size()
-  // would pay a second find. The sweep engine's resurrection walk tracks
-  // the running largest component with this.
+  // would pay a second find.
   std::size_t unite_returning_size(std::size_t a, std::size_t b) {
     auto ra = static_cast<std::uint32_t>(find(a));
     auto rb = static_cast<std::uint32_t>(find(b));
@@ -53,6 +52,33 @@ class UnionFind {
     size_[ra] += size_[rb];
     --sets_;
     return size_[ra];
+  }
+
+  // Unites a and b (when apart), then adds `extra` members to the merged
+  // set as grow() does, and returns its size — also when a and b were
+  // already together. One find pair per resurrected union in the walk.
+  std::size_t unite_and_grow(std::size_t a, std::size_t b,
+                             std::size_t extra) {
+    auto ra = static_cast<std::uint32_t>(find(a));
+    auto rb = static_cast<std::uint32_t>(find(b));
+    if (ra != rb) {
+      if (size_[ra] < size_[rb]) std::swap(ra, rb);
+      parent_[rb] = ra;
+      size_[ra] += size_[rb];
+      --sets_;
+    }
+    size_[ra] += static_cast<std::uint32_t>(extra);
+    return size_[ra];
+  }
+
+  // Adds `extra` to the size of x's set, as if that many members had joined
+  // it without becoming elements, and returns the new size. The
+  // resurrection walk folds a cable's private nodes into the set of its
+  // junctions this way.
+  std::size_t grow(std::size_t x, std::size_t extra) {
+    const std::size_t r = find(x);
+    size_[r] += static_cast<std::uint32_t>(extra);
+    return size_[r];
   }
 
   bool connected(std::size_t a, std::size_t b) { return find(a) == find(b); }

@@ -5,6 +5,8 @@
 #include <cmath>
 #include <utility>
 
+#include "gic/timeline.h"
+#include "sim/timeline_engine.h"
 #include "util/status.h"
 
 namespace solarnet::server {
@@ -241,6 +243,11 @@ void set_number(ScenarioRequest& req, Field field, double v) {
     case Field::kStepHours:
       req.timeline_step_hours =
           positive_at_most(v, 72.0, "must be in (0, 72]", name);
+      if (sim::TimelineConfig::profile_step_count(gic::StormPhaseProfile{},
+                                                  v) >
+          sim::TimelineConfig::kMaxStormSteps) {
+        value_fail("too many storm steps (max 4096)", name);
+      }
       return;
     case Field::kRepairSteps:
       req.repair_steps = at_most(integer_at_least(v, 1, name), kMaxRepairSteps,

@@ -58,9 +58,9 @@ SweepEngine::SweepEngine(const FailureSimulator& simulator,
     }
   }
 
-  // The graph geometry for the resurrection walk (per-cable edges, unique
-  // incident nodes, connected-node denominator) lives in inc_; the engine
-  // only keeps the draw list of repeater-bearing cables.
+  // The graph geometry for the resurrection walk (the junction fold and the
+  // connected-node denominator) lives in inc_; the engine only keeps the
+  // draw list of repeater-bearing cables.
   for (topo::CableId c = 0; c < cables; ++c) {
     if (sim_.cable_repeater_count(c) > 0) {
       mortal_.push_back(static_cast<std::uint32_t>(c));

@@ -18,11 +18,12 @@
 //
 //  * Incremental connectivity by reverse insertion. Per trial the engine
 //    walks the grid from the most severe point to the least severe,
-//    *resurrecting* cables into a reusable incremental union-find (offline
-//    decremental connectivity). Whole-grid unreachable-node counts and
-//    largest-component sizes cost one component build per trial instead of
-//    G. The walk itself lives in sim/incremental.h
-//    (IncrementalConnectivity), shared with the time-axis TimelineEngine.
+//    *resurrecting* cables into a reusable incremental union-find over the
+//    network's junctions (offline decremental connectivity). Whole-grid
+//    unreachable-node counts and largest-component sizes cost less than one
+//    component build per trial instead of G. The walk itself lives in
+//    sim/incremental.h (IncrementalConnectivity), shared with the time-axis
+//    TimelineEngine.
 //    All scratch lives in SweepScratch: the steady-state per-trial loop
 //    performs zero heap allocations (asserted by bench/perf_sweep.cpp).
 //
@@ -125,9 +126,10 @@ class SweepEngine {
   std::vector<double> axis_;
   // Transposed grid: probability_[c * grid_size_ + g] is cable c's death
   // probability at point g — one contiguous non-decreasing row per cable,
-  // so the per-cable threshold search is a cache-local upper_bound.
+  // so the per-cable threshold search is a branchless count over one
+  // contiguous row.
   std::vector<double> probability_;
-  // Shared resurrection-walk core (per-cable edges/nodes, flattened once).
+  // Shared resurrection-walk core (the network folded onto its junctions).
   IncrementalConnectivity inc_;
   // Repeater-bearing cables in ascending order — the only ones that draw.
   std::vector<std::uint32_t> mortal_;

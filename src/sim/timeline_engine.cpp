@@ -16,7 +16,15 @@ TimelineConfig TimelineConfig::from_profile(
     throw std::invalid_argument(
         "TimelineConfig::from_profile: profile.total_hours must be > 0");
   }
+  const std::size_t steps = profile_step_count(profile, step_hours);
+  if (steps > kMaxStormSteps) {
+    throw std::invalid_argument(
+        "TimelineConfig::from_profile: step_hours lays out more than 4096 "
+        "storm steps");
+  }
   TimelineConfig config;
+  config.storm_hours.reserve(steps);
+  config.dose_share.reserve(steps);
   config.storm_hours.push_back(0.0);
   config.dose_share.push_back(0.0);
   for (double h = step_hours; h < profile.total_hours; h += step_hours) {
@@ -29,6 +37,17 @@ TimelineConfig TimelineConfig::from_profile(
   config.storm_hours.push_back(profile.total_hours);
   config.dose_share.push_back(1.0);
   return config;
+}
+
+std::size_t TimelineConfig::profile_step_count(
+    const gic::StormPhaseProfile& profile, double step_hours) {
+  // Hour 0 and total_hours, plus from_profile's loop, stopped at the cap so
+  // that no step width (a tiny, negative or NaN one) runs it for longer.
+  std::size_t steps = 2;
+  for (double h = step_hours; h < profile.total_hours; h += step_hours) {
+    if (++steps > kMaxStormSteps) break;
+  }
+  return steps;
 }
 
 TimelineConfig TimelineConfig::from_dose_schedule(std::vector<double> hours,

@@ -25,7 +25,7 @@
 // axis forward-in-severity (failures accumulate ⇒ walk resurrects
 // backward), the repair walk runs it *reversed* (repairs heal ⇒ the
 // reversed axis accumulates failures again). A T-step playback costs ~two
-// component builds instead of T.
+// component builds over the network's junctions instead of T full ones.
 //
 // Determinism: trial t draws from child stream t of the run seed,
 // consuming exactly one uniform per repeater-bearing cable in ascending
@@ -54,6 +54,10 @@ namespace solarnet::sim {
 // strictly increasing, paired with the cumulative dose share absorbed by
 // each step) followed by a uniform grid of repair steps.
 struct TimelineConfig {
+  // Most storm steps from_profile lays out, the cap a request's repair
+  // steps and sweep grid points share.
+  static constexpr std::size_t kMaxStormSteps = 4096;
+
   // Storm steps. dose_share must be the same size, within [0, 1],
   // non-decreasing, and end at exactly 1.0 — the proportional-hazard axis
   // normalization that makes the storm's last step reproduce the end-state
@@ -74,8 +78,16 @@ struct TimelineConfig {
   // Synthetic axis from the phase profile: steps every `step_hours` up to
   // profile.total_hours (the last step lands exactly on total_hours, where
   // damage_fraction_by is exactly 1), starting at hour 0 with share 0.
+  // Throws std::invalid_argument, before allocating, when the axis would
+  // have more than kMaxStormSteps steps.
   static TimelineConfig from_profile(const gic::StormPhaseProfile& profile,
                                      double step_hours = 1.0);
+
+  // The number of storm steps from_profile(profile, step_hours) lays out,
+  // counted without building the axis; kMaxStormSteps + 1 stands for any
+  // count above the cap.
+  static std::size_t profile_step_count(const gic::StormPhaseProfile& profile,
+                                        double step_hours);
 
   // Observed axis, e.g. hours + gic::dose_share_from_kp of a
   // datasets::space_weather timeline. Validated by the engine constructor.

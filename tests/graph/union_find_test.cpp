@@ -60,6 +60,32 @@ TEST(UnionFind, LargeChainStaysFlat) {
   EXPECT_EQ(uf.set_size(kN / 2), kN);
 }
 
+TEST(UnionFind, GrowAddsMembersToTheWholeSet) {
+  UnionFind uf(4);
+  EXPECT_EQ(uf.grow(2, 3), 4u);
+  EXPECT_EQ(uf.set_count(), 4u);
+  EXPECT_EQ(uf.element_count(), 4u);
+  // Grown weight follows the set through a merge, from either side.
+  EXPECT_EQ(uf.unite_returning_size(0, 2), 5u);
+  EXPECT_EQ(uf.grow(0, 0), 5u);
+  EXPECT_EQ(uf.grow(2, 2), 7u);
+  EXPECT_EQ(uf.set_size(0), 7u);
+  EXPECT_EQ(uf.set_size(1), 1u);
+  EXPECT_THROW(uf.grow(4, 1), std::out_of_range);
+}
+
+TEST(UnionFind, UniteAndGrowReturnsTheSetSizeEvenWhenAlreadyUnited) {
+  UnionFind uf(5);
+  EXPECT_EQ(uf.unite_and_grow(0, 1, 0), 2u);
+  EXPECT_EQ(uf.unite_and_grow(1, 0, 3), 5u);  // already together
+  EXPECT_EQ(uf.set_count(), 4u);
+  EXPECT_EQ(uf.unite_and_grow(3, 3, 2), 3u);  // a == b only grows
+  EXPECT_EQ(uf.unite_and_grow(3, 0, 0), 8u);
+  EXPECT_EQ(uf.set_count(), 3u);
+  EXPECT_TRUE(uf.connected(1, 3));
+  EXPECT_EQ(uf.set_size(4), 1u);
+}
+
 TEST(UnionFind, ZeroElements) {
   UnionFind uf(0);
   EXPECT_EQ(uf.set_count(), 0u);

@@ -312,6 +312,16 @@ TEST(ServeProtocol, RejectsBadTrafficAndTimelineFields) {
                   "step_hours");
   expect_rejected(R"({"step_hours":73})", util::ErrorCode::kInvalidArgument,
                   "step_hours");
+  // More than 4096 storm steps over the 72 h storm: 4116 and 72002 steps.
+  expect_rejected(R"({"step_hours":0.0175})",
+                  util::ErrorCode::kInvalidArgument, "step_hours");
+  expect_rejected(R"({"step_hours":0.001})",
+                  util::ErrorCode::kInvalidArgument, "step_hours");
+  expect_rejected(R"({"step_hours":1e-300})",
+                  util::ErrorCode::kInvalidArgument, "step_hours");
+  // 4092 steps: within the cap.
+  EXPECT_DOUBLE_EQ(parse(R"({"step_hours":0.0176})").timeline_step_hours,
+                   0.0176);
   expect_rejected(R"({"repair_steps":0})",
                   util::ErrorCode::kInvalidArgument, "repair_steps");
   expect_rejected(R"({"repair_steps":4097})",

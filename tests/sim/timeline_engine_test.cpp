@@ -85,6 +85,21 @@ TEST_F(TimelineEngineTest, FromProfileRejectsBadArguments) {
   degenerate.total_hours = 0.0;
   EXPECT_THROW(TimelineConfig::from_profile(degenerate, 1.0),
                std::invalid_argument);
+  // More than kMaxStormSteps steps over the default 72 h storm (4116, and
+  // about 7e301 for the last width); each throws before building anything.
+  EXPECT_THROW(TimelineConfig::from_profile({}, 0.0175), std::invalid_argument);
+  EXPECT_THROW(TimelineConfig::from_profile({}, 1e-300),
+               std::invalid_argument);
+  EXPECT_EQ(TimelineConfig::profile_step_count({}, 1e-300),
+            TimelineConfig::kMaxStormSteps + 1);
+  // The count is the axis from_profile lays out, up to the cap.
+  for (const double step : {72.0, 7.0, 1.0, 0.25, 0.0176}) {
+    EXPECT_EQ(TimelineConfig::profile_step_count({}, step),
+              TimelineConfig::from_profile({}, step).storm_hours.size())
+        << step;
+  }
+  EXPECT_EQ(TimelineConfig::from_profile({}, 0.0176).storm_hours.size(),
+            4092u);
 }
 
 TEST_F(TimelineEngineTest, ConstructorRejectsBadInputs) {

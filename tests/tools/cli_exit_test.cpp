@@ -45,6 +45,8 @@ TEST(CliExit, InvalidLeadHoursAndRiskWindowsExitOne) {
       {"serve --cache-mb 17592186044416 < /dev/null", "--cache-mb"},
       // About 1.7e9 submarine repeaters.
       {"report --spacing 0.001", "spacing"},
+      // 72,002 storm steps, over the 4096 cap.
+      {"timeline --trials 1 --step 0.001", "step_hours"},
   };
   for (const auto& row : rows) {
     const CliRun run = run_cli(row.args);
