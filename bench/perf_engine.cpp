@@ -1,6 +1,7 @@
 // Engine micro-benchmarks (google-benchmark): dataset generation, repeater
-// layout, Monte-Carlo trial throughput, component finding, and field
-// integration. These guard the performance envelope that makes the
+// layout (the frozen per-simulator build, and a simulator on the network's
+// shared layout), Monte-Carlo trial throughput, component finding, and
+// field integration. These guard the performance envelope that makes the
 // figure-scale sweeps cheap.
 #include <benchmark/benchmark.h>
 
@@ -10,6 +11,7 @@
 #include "datasets/submarine.h"
 #include "gic/induction.h"
 #include "graph/components.h"
+#include "reference/repeater_layout.h"
 #include "sim/monte_carlo.h"
 
 namespace {
@@ -37,14 +39,29 @@ void BM_GenerateSubmarineNetwork(benchmark::State& state) {
 }
 BENCHMARK(BM_GenerateSubmarineNetwork)->Arg(100)->Arg(470);
 
-void BM_SimulatorConstruction(benchmark::State& state) {
+// The repeater layout loop every simulator ran for itself before the
+// network built one per spacing for all of them: the frozen copy in
+// bench/reference/repeater_layout.h.
+void BM_FrozenRepeaterLayout(benchmark::State& state) {
+  const double spacing_km = static_cast<double>(state.range(0));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        reference::repeater_layout(submarine(), spacing_km));
+  }
+}
+BENCHMARK(BM_FrozenRepeaterLayout)->Arg(50)->Arg(150);
+
+// A simulator built while another at its spacing is alive, so it adopts the
+// network's layout instead of building one: what a served engine miss pays.
+void BM_SimulatorOnSharedLayout(benchmark::State& state) {
   sim::TrialConfig cfg;
   cfg.repeater_spacing_km = static_cast<double>(state.range(0));
+  const sim::FailureSimulator holder(submarine(), cfg);
   for (auto _ : state) {
     benchmark::DoNotOptimize(sim::FailureSimulator(submarine(), cfg));
   }
 }
-BENCHMARK(BM_SimulatorConstruction)->Arg(50)->Arg(150);
+BENCHMARK(BM_SimulatorOnSharedLayout)->Arg(50)->Arg(150);
 
 // --- run_trials throughput --------------------------------------------------
 // The acceptance bench for the cached-probability + parallel engine: 1000

@@ -11,16 +11,24 @@
 //      engine pass, all receiving identical bodies,
 //   5. the steady-state cache-hit path (parse + key build + lookup)
 //      performs ZERO heap allocations,
-//   6. hit latency is >= 20x faster than the cold path.
+//   6. hit latency is >= 20x faster than the cold path,
+//   7. a pooled report engine holds <= 100 KB: 50 report misses that each
+//      need a new engine (a fresh uniform p, the shape of perfbench's
+//      serve_engine) grow the resident set by at most 100 KB apiece,
+//      cached body included, because the engines share their network's
+//      repeater layout instead of holding a copy each.
 // Any failure exits non-zero, so CI's bench smoke job doubles as a
 // served-equals-direct determinism gate. Then it times a Zipf-like
 // multi-threaded request mix over a pool of scenarios and emits
-// BENCH_serve.json (cold/hit latency, speedup, sustained req/s, hit rate).
+// BENCH_serve.json (cold/hit latency, speedup, engine miss time and
+// footprint, sustained req/s, hit rate).
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -137,6 +145,18 @@ double now_ms() {
       .count();
 }
 
+// This process's resident set in KB: VmRSS in /proc/self/status, the file
+// perfbench reads VmHWM from.
+double rss_kb() {
+  std::ifstream status("/proc/self/status");
+  for (std::string line; std::getline(status, line);) {
+    if (line.rfind("VmRSS:", 0) == 0) {
+      return std::strtod(line.c_str() + 6, nullptr);
+    }
+  }
+  fail("no VmRSS in /proc/self/status");
+}
+
 }  // namespace
 
 int main() {
@@ -242,6 +262,41 @@ int main() {
     fail("cache hit must be >= 20x faster than the cold path");
   }
 
+  // --- gate 7: a pooled report engine holds <= 100 KB ----------------------
+  // Each miss builds a report engine that stays in the pool and a body that
+  // stays in the cache, so the resident-set growth per miss is what one
+  // more engine costs a running server.
+  constexpr std::size_t kEngineMisses = 50;
+  constexpr double kMaxEngineKb = 100.0;
+  std::vector<std::string> miss_lines;
+  for (std::size_t i = 0; i < kEngineMisses; ++i) {
+    miss_lines.push_back(
+        "{\"cmd\":\"report\",\"model\":\"uniform\",\"p\":" +
+        std::to_string(0.1 + 0.001 * static_cast<double>(i)) +
+        ",\"trials\":64,\"seed\":" + std::to_string(3000 + i) + "}");
+  }
+  std::vector<double> miss_ms;
+  miss_ms.reserve(kEngineMisses);
+  const auto misses_before = service.stats().computed;
+  const double rss_before_kb = rss_kb();
+  for (const std::string& line : miss_lines) {
+    const double start = now_ms();
+    (void)service.handle_line(line, scratch);
+    miss_ms.push_back(now_ms() - start);
+  }
+  const double engine_kb =
+      (rss_kb() - rss_before_kb) / static_cast<double>(kEngineMisses);
+  if (service.stats().computed != misses_before + kEngineMisses) {
+    fail("every engine-miss request must run its own computation");
+  }
+  std::sort(miss_ms.begin(), miss_ms.end());
+  const double engine_miss_ms = miss_ms[kEngineMisses / 2];
+  if (engine_kb > kMaxEngineKb) {
+    std::fprintf(stderr, "%.1f KB resident per pooled engine (max %.0f)\n",
+                 engine_kb, kMaxEngineKb);
+    fail("a pooled report engine must hold <= 100 KB");
+  }
+
   // --- throughput: Zipf-like mix over a scenario pool, 4 client threads ----
   // Rank r is requested with weight ~ 1/(r+1) — a few hot scenarios, a
   // long warm tail, the shape a dashboard fanning out over severities
@@ -298,6 +353,10 @@ int main() {
               cold_ms);
   std::printf("  cache hit:                               %9.3f us\n", hit_us);
   std::printf("  hit speedup over cold:                   %9.1f x\n", speedup);
+  std::printf("  engine miss (median of %zu):              %9.3f ms\n",
+              kEngineMisses, engine_miss_ms);
+  std::printf("  resident set per pooled engine:          %9.1f KB\n",
+              engine_kb);
   std::printf("  sustained mixed load (%zu threads):       %9.0f req/s\n",
               kClients, sustained_rps);
   std::printf("  mix cache-hit rate:                      %9.2f %%\n",
@@ -309,6 +368,8 @@ int main() {
       {{"cold_request_ms", cold_ms, "ms"},
        {"cache_hit_us", hit_us, "us"},
        {"hit_speedup", speedup, "x"},
+       {"engine_miss_ms", engine_miss_ms, "ms"},
+       {"engine_kb", engine_kb, "KB"},
        {"sustained_rps", sustained_rps, "req/s"},
        {"mix_hit_rate_pct", hit_rate, "%"},
        {"hit_path_allocations", static_cast<double>(hit_allocs), "count"}});

@@ -58,6 +58,7 @@ ALLOWLIST = [
     ("solarnet::graph::UnionFind::connected", "union-find tests check the structure the sweep engine uses"),
     ("solarnet::graph::UnionFind::element_count", "union-find tests check the structure the sweep engine uses"),
     ("solarnet::sim::FailureSimulator::average_repeaters_per_cable", "paper-checkpoint tests check the repeater layout"),
+    ("solarnet::sim::FailureSimulator::layout", "layout tests check which simulators share one repeater layout"),
     ("solarnet::sim::FailureSimulator::repeaterless_cables", "paper-checkpoint tests check the repeater layout"),
     ("solarnet::sim::FailureSimulator::total_repeaters", "paper-checkpoint tests check the repeater layout"),
     ("solarnet::sim::IncrementalConnectivity::cable_count", "incremental-connectivity tests check its shape"),
@@ -65,6 +66,7 @@ ALLOWLIST = [
     ("solarnet::sim::SweepEngine::axis", "sweep tests check the probability axis the engine walks"),
     ("solarnet::sim::SweepEngine::grid_probability", "seam: perf_sweep replays the CRN draw as independent per-point Bernoulli draws"),
     ("solarnet::sim::SweepEngine::grid_size", "seam: perf_sweep replays the CRN draw as independent per-point Bernoulli draws"),
+    ("solarnet::topo::InfrastructureNetwork::repeater_layout_cache_size", "layout tests check that expired repeater layouts are pruned"),
     ("solarnet::util::Bitset::test", "seam: perf_routing converts its Bitset draws into the legacy std::vector<bool> form"),
     ("solarnet::util::Bitset::words", "bitset tests check the tail-bits-zero invariant count() relies on"),
     ("solarnet::util::ByteReader::u8", "checkpoint tests read back what ByteWriter::u8 writes into cache keys"),

@@ -22,16 +22,14 @@
 
 #include "geo/coords.h"
 #include "gic/efield.h"
+#include "topology/repeater.h"
 
 namespace solarnet::gic {
 
-// Context handed to the model for one repeater.
-struct RepeaterContext {
-  geo::GeoPoint location;
-  // Highest |latitude| over the repeater's cable endpoints (the quantity
-  // the paper's non-uniform model uses).
-  double cable_max_abs_lat_deg = 0.0;
-};
+// Context handed to the model for one repeater: its location and its
+// cable's highest endpoint |latitude|. It lives in topology so that the
+// network's shared repeater layout holds these directly.
+using RepeaterContext = topo::RepeaterContext;
 
 class RepeaterFailureModel {
  public:

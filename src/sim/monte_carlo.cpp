@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "sim/pipeline.h"
-#include "topology/repeater.h"
 
 namespace solarnet::sim {
 
@@ -35,36 +34,24 @@ FailureSimulator::FailureSimulator(const topo::InfrastructureNetwork& net,
                                    TrialConfig config)
     : net_(net), config_(config) {
   validate_trial_config(config_);
-  cable_offset_.reserve(net.cable_count() + 1);
-  cable_offset_.push_back(0);
-  for (topo::CableId c = 0; c < net.cable_count(); ++c) {
-    const double max_abs_lat = net.cable_max_abs_latitude(c);
-    const auto positions = topo::repeater_positions(
-        net.cable(c), c, net.nodes(), config_.repeater_spacing_km);
-    for (const topo::Repeater& r : positions) {
-      repeaters_.push_back({r.location, max_abs_lat});
-    }
-    if (positions.empty()) ++repeaterless_cables_;
-    total_repeaters_ += positions.size();
-    cable_offset_.push_back(repeaters_.size());
-  }
+  layout_ = net.repeater_layout(config_.repeater_spacing_km);
 }
 
 double FailureSimulator::average_repeaters_per_cable() const noexcept {
   if (net_.cable_count() == 0) return 0.0;
-  return static_cast<double>(total_repeaters_) /
+  return static_cast<double>(total_repeaters()) /
          static_cast<double>(net_.cable_count());
 }
 
 double FailureSimulator::cable_death_probability(
     topo::CableId cable, const gic::RepeaterFailureModel& model) const {
-  if (cable + 1 >= cable_offset_.size()) {
+  const std::vector<std::size_t>& offset = layout_->cable_offset;
+  if (cable + 1 >= offset.size()) {
     throw std::out_of_range("cable_death_probability: cable id");
   }
   double survive = 1.0;
-  for (std::size_t i = cable_offset_[cable]; i < cable_offset_[cable + 1];
-       ++i) {
-    survive *= 1.0 - model.failure_probability(repeaters_[i]);
+  for (std::size_t i = offset[cable]; i < offset[cable + 1]; ++i) {
+    survive *= 1.0 - model.failure_probability(layout_->repeaters[i]);
     if (survive == 0.0) break;
   }
   return 1.0 - survive;
@@ -138,17 +125,18 @@ std::vector<bool> FailureSimulator::sample_cable_failures(
 void FailureSimulator::sample_cable_failures(
     const gic::RepeaterFailureModel& model, util::Rng& rng,
     util::Bitset& dead) const {
+  const std::vector<std::size_t>& offset = layout_->cable_offset;
   dead.assign(net_.cable_count(), false);
   for (topo::CableId c = 0; c < net_.cable_count(); ++c) {
-    const std::size_t begin = cable_offset_[c];
-    const std::size_t end = cable_offset_[c + 1];
+    const std::size_t begin = offset[c];
+    const std::size_t end = offset[c + 1];
     if (begin == end) continue;  // repeaterless cables never die of GIC
     if (config_.rule == CableDeathRule::kAnyRepeaterFails) {
       dead.set(c, rng.bernoulli(cable_death_probability(c, model)));
     } else {
       std::size_t failed = 0;
       for (std::size_t i = begin; i < end; ++i) {
-        if (rng.bernoulli(model.failure_probability(repeaters_[i]))) {
+        if (rng.bernoulli(model.failure_probability(layout_->repeaters[i]))) {
           ++failed;
         }
       }
@@ -170,9 +158,10 @@ void FailureSimulator::sample_cable_failures(const DeathProbabilityTable& table,
   if (table.probability.size() != net_.cable_count()) {
     throw std::invalid_argument("sample_cable_failures: table size mismatch");
   }
+  const std::vector<std::size_t>& offset = layout_->cable_offset;
   dead.assign(net_.cable_count(), false);
   for (topo::CableId c = 0; c < net_.cable_count(); ++c) {
-    if (cable_offset_[c] == cable_offset_[c + 1]) continue;
+    if (offset[c] == offset[c + 1]) continue;
     dead.set(c, rng.bernoulli(table.probability[c]));
   }
 }

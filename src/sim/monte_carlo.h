@@ -7,8 +7,11 @@
 // unusable"), then measure the share of failed cables and of nodes that
 // lost all their cables. Repeat and aggregate.
 //
-// FailureSimulator precomputes the repeater layout (positions and the
-// per-cable max-endpoint latitude) once per (network, spacing). Under the
+// FailureSimulator reads the repeater layout (positions and the per-cable
+// max-endpoint latitude) that the network builds once per spacing and
+// shares among every simulator on that network and spacing
+// (topo::InfrastructureNetwork::repeater_layout), so a simulator costs a
+// few hundred bytes however many repeaters the network carries. Under the
 // any-failure rule the per-cable death probabilities depend only on the
 // (simulator, model) pair, so they fold into a DeathProbabilityTable once
 // and every trial is O(cables); the kFractionFails extension must draw each
@@ -78,25 +81,34 @@ struct DeathProbabilityTable {
 
 class FailureSimulator {
  public:
-  // Builds the repeater layout for `net` at the config's spacing. The
-  // network must outlive the simulator.
+  // Validates `config` and takes the network's repeater layout at the
+  // config's spacing, built on first use and shared with every other
+  // simulator on `net` at that spacing. The network must outlive the
+  // simulator.
   FailureSimulator(const topo::InfrastructureNetwork& net, TrialConfig config);
 
   const topo::InfrastructureNetwork& network() const noexcept { return net_; }
   const TrialConfig& config() const noexcept { return config_; }
+  // The shared layout this simulator reads.
+  const std::shared_ptr<const topo::RepeaterLayout>& layout() const noexcept {
+    return layout_;
+  }
 
-  std::size_t total_repeaters() const noexcept { return total_repeaters_; }
+  std::size_t total_repeaters() const noexcept {
+    return layout_->repeaters.size();
+  }
   std::size_t repeaterless_cables() const noexcept {
-    return repeaterless_cables_;
+    return layout_->repeaterless_cables;
   }
   // Repeaters laid on one cable at the config's spacing. Cables with zero
   // repeaters can never die of GIC; the sweep engine uses this to skip
   // their draws exactly like sample_cable_failures does.
   std::size_t cable_repeater_count(topo::CableId cable) const {
-    if (cable + 1 >= cable_offset_.size()) {
+    const std::vector<std::size_t>& offset = layout_->cable_offset;
+    if (cable + 1 >= offset.size()) {
       throw std::out_of_range("cable_repeater_count: cable id");
     }
-    return cable_offset_[cable + 1] - cable_offset_[cable];
+    return offset[cable + 1] - offset[cable];
   }
   double average_repeaters_per_cable() const noexcept;
 
@@ -136,11 +148,7 @@ class FailureSimulator {
  private:
   const topo::InfrastructureNetwork& net_;
   TrialConfig config_;
-  // Flattened repeater contexts: per cable, [offset, offset+count).
-  std::vector<gic::RepeaterContext> repeaters_;
-  std::vector<std::size_t> cable_offset_;  // size cables+1
-  std::size_t total_repeaters_ = 0;
-  std::size_t repeaterless_cables_ = 0;
+  std::shared_ptr<const topo::RepeaterLayout> layout_;
 };
 
 }  // namespace solarnet::sim

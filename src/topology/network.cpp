@@ -1,6 +1,7 @@
 #include "topology/network.h"
 
 #include <algorithm>
+#include <bit>
 #include <stdexcept>
 
 #include "geo/distance.h"
@@ -110,6 +111,60 @@ const AttachmentIndex& InfrastructureNetwork::attachment_index() const {
     csr_cache_.attachment = std::move(index);
   }
   return *csr_cache_.attachment;
+}
+
+namespace {
+
+// The cables in id order, each cable's repeaters in repeater_positions
+// order. The counts come first, so the repeaters take one exact allocation.
+RepeaterLayout build_repeater_layout(const InfrastructureNetwork& net,
+                                     double spacing_km) {
+  RepeaterLayout layout;
+  layout.cable_offset.reserve(net.cable_count() + 1);
+  layout.cable_offset.push_back(0);
+  for (CableId c = 0; c < net.cable_count(); ++c) {
+    const std::size_t count = cable_repeater_count(net.cable(c), spacing_km);
+    if (count == 0) ++layout.repeaterless_cables;
+    layout.cable_offset.push_back(layout.cable_offset.back() + count);
+  }
+  layout.repeaters.reserve(layout.cable_offset.back());
+  for (CableId c = 0; c < net.cable_count(); ++c) {
+    const double max_abs_lat = net.cable_max_abs_latitude(c);
+    for (const Repeater& r :
+         repeater_positions(net.cable(c), c, net.nodes(), spacing_km)) {
+      layout.repeaters.push_back({r.location, max_abs_lat});
+    }
+  }
+  return layout;
+}
+
+}  // namespace
+
+std::shared_ptr<const RepeaterLayout> InfrastructureNetwork::repeater_layout(
+    double spacing_km) const {
+  const auto key = std::bit_cast<std::uint64_t>(spacing_km);
+  {
+    const std::lock_guard<std::mutex> lock(csr_cache_.mutex);
+    const auto it = csr_cache_.layouts.find(key);
+    if (it != csr_cache_.layouts.end()) {
+      if (auto live = it->second.lock()) return live;
+    }
+  }
+  auto built = std::make_shared<const RepeaterLayout>(
+      build_repeater_layout(*this, spacing_km));
+  const std::lock_guard<std::mutex> lock(csr_cache_.mutex);
+  std::erase_if(csr_cache_.layouts,
+                [](const auto& entry) { return entry.second.expired(); });
+  std::weak_ptr<const RepeaterLayout>& slot = csr_cache_.layouts[key];
+  // Another thread may have inserted this spacing while this one built.
+  if (auto first = slot.lock()) return first;
+  slot = built;
+  return built;
+}
+
+std::size_t InfrastructureNetwork::repeater_layout_cache_size() const {
+  const std::lock_guard<std::mutex> lock(csr_cache_.mutex);
+  return csr_cache_.layouts.size();
 }
 
 std::uint64_t InfrastructureNetwork::content_fingerprint() const {

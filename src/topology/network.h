@@ -17,6 +17,7 @@
 #include "graph/graph.h"
 #include "topology/cable.h"
 #include "topology/node.h"
+#include "topology/repeater.h"
 #include "util/bitset.h"
 
 namespace solarnet::topo {
@@ -89,6 +90,20 @@ class InfrastructureNetwork {
   // and cached beside the CSR (add_node/add_cable and copies drop it the
   // same way). Safe to call from several threads at once.
   const AttachmentIndex& attachment_index() const;
+  // The repeater layout at `spacing_km` (> 0; the caller validates it):
+  // every simulator at that spacing shares one. The cache holds each layout
+  // weakly, keyed by the spacing's exact bits, so a layout lives as long as
+  // its last holder and is built again on the next request after that;
+  // add_node/add_cable and copies drop the cache, and holders keep theirs.
+  // A miss builds outside the cache mutex, so csr(), attachment_index() and
+  // content_fingerprint() never wait on it; when two threads build the
+  // same spacing at once, both get the copy inserted first. Safe to call
+  // from several threads at once.
+  std::shared_ptr<const RepeaterLayout> repeater_layout(
+      double spacing_km) const;
+  // Entries in the layout cache, live or expired: expired ones are pruned
+  // whenever a layout is inserted.
+  std::size_t repeater_layout_cache_size() const;
   // Order-sensitive 64-bit digest of the network's content: every node
   // (name, coordinates, country, kind, authoritativeness) and cable (name,
   // kind, segments with exact length bits, length_known) in id order. Two
@@ -146,11 +161,12 @@ class InfrastructureNetwork {
   graph::Graph graph_;
   std::vector<CableId> edge_to_cable_;
   std::vector<std::vector<graph::EdgeId>> cable_to_edges_;
-  // Lazily built CSR snapshot of graph_, attachment index and content
-  // fingerprint, rebuilt on demand after mutation invalidates them. The
-  // cache (not the network) carries the mutex, with copy/move defined to
-  // drop the cached state, so the network stays movable and a copied
-  // network rebuilds its own CSR, index and fingerprint.
+  // Lazily built CSR snapshot of graph_, attachment index, content
+  // fingerprint and repeater layouts (weakly held, by spacing bits),
+  // rebuilt on demand after mutation invalidates them. The cache (not the
+  // network) carries the mutex, with copy/move defined to drop the cached
+  // state, so the network stays movable and a copied network rebuilds its
+  // own CSR, index, fingerprint and layouts.
   struct CsrCache {
     CsrCache() = default;
     CsrCache(const CsrCache&) noexcept {}
@@ -166,11 +182,14 @@ class InfrastructureNetwork {
     void drop() noexcept {
       ptr.reset();
       attachment.reset();
+      layouts.clear();
       fingerprint_valid = false;
     }
     std::mutex mutex;
     std::shared_ptr<const graph::Csr> ptr;
     std::shared_ptr<const AttachmentIndex> attachment;
+    std::unordered_map<std::uint64_t, std::weak_ptr<const RepeaterLayout>>
+        layouts;
     std::uint64_t fingerprint = 0;
     bool fingerprint_valid = false;
   };

@@ -37,4 +37,23 @@ std::vector<Repeater> repeater_positions(const Cable& cable, CableId id,
                                          const std::vector<Node>& nodes,
                                          double spacing_km);
 
+// What a failure model sees of one repeater (gic::RepeaterFailureModel).
+struct RepeaterContext {
+  geo::GeoPoint location;
+  // Highest |latitude| over the repeater's cable endpoints (the quantity
+  // the paper's non-uniform model uses).
+  double cable_max_abs_lat_deg = 0.0;
+};
+
+// Every repeater of a network at one spacing, cable by cable in id order:
+// cable c owns repeaters [cable_offset[c], cable_offset[c + 1]). It depends
+// only on the network and the spacing, so the network builds it once per
+// spacing and every simulator on them shares it
+// (InfrastructureNetwork::repeater_layout).
+struct RepeaterLayout {
+  std::vector<RepeaterContext> repeaters;
+  std::vector<std::size_t> cable_offset;  // size cables + 1
+  std::size_t repeaterless_cables = 0;
+};
+
 }  // namespace solarnet::topo

@@ -111,5 +111,19 @@ TEST(Args, GetCountOrRejectsNegativeAndNonIntegerValues) {
   }
 }
 
+TEST(Args, ThreadCountStopsAtTheEngineCeiling) {
+  EXPECT_EQ(thread_count(parse({"report"})), 0u);
+  EXPECT_EQ(thread_count(parse({"serve", "--threads", "65536"})), 65536u);
+  try {
+    thread_count(parse({"serve", "--threads", "65537"}));
+    FAIL() << "--threads 65537 was accepted";
+  } catch (const util::Error& e) {
+    EXPECT_EQ(e.code(), util::ErrorCode::kInvalidArgument);
+    EXPECT_EQ(e.context().field, "--threads");
+    EXPECT_NE(std::string(e.what()).find("65537"), std::string::npos)
+        << e.what();
+  }
+}
+
 }  // namespace
 }  // namespace solarnet::cli

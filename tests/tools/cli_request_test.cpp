@@ -106,6 +106,9 @@ TEST(CliRequest, FlagsAndJsonLineGiveTheSameKeys) {
       {RequestKind::kTimeline,
        {"timeline", "--uniform", "0.02", "--lead-hours", "13"},
        R"({"cmd":"timeline","model":"uniform","p":0.02,"trials":64})"},
+      {RequestKind::kTimeline,
+       {"timeline", "--network", "intertubes", "--trials", "6"},
+       R"({"cmd":"timeline","network":"intertubes","trials":6})"},
   };
   for (const Row& row : rows) {
     SCOPED_TRACE(row.json);

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <string_view>
 
+#include "sim/monte_carlo.h"
 #include "util/status.h"
 #include "util/strings.h"
 
@@ -34,7 +35,7 @@ constexpr FlagField kFlagFields[] = {
     {"traffic", "traffic", false, "report", "1"},
     {"demand-pairs", "traffic", false, "report", "1"},
     {"demand-pairs", "demand_pairs", false, "report"},
-    {"network", "network", true, "sweep"},
+    {"network", "network", true, "sweep timeline"},
     {"grid", "grid", false, "sweep"},
     {"step", "step_hours", false, "timeline"},
     {"repair-steps", "repair_steps", false, "timeline"},
@@ -107,6 +108,18 @@ std::size_t Args::get_count_or(const std::string& key,
                       {"command line", 0, "--" + key});
   }
   return value;
+}
+
+std::size_t thread_count(const Args& args) {
+  const std::size_t threads = args.get_count_or("threads", 0);
+  if (threads > sim::kMaxReasonableThreads) {
+    throw util::Error(util::ErrorCode::kInvalidArgument,
+                      "must be at most " +
+                          std::to_string(sim::kMaxReasonableThreads) +
+                          ", got '" + args.get_or("threads", "") + "'",
+                      {"command line", 0, "--threads"});
+  }
+  return threads;
 }
 
 server::ScenarioRequest scenario_request(const Args& args,

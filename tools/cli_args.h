@@ -35,6 +35,10 @@ class Args {
   std::map<std::string, std::string> values_;  // "" for bare switches
 };
 
+// --threads: 0 (all cores, the default when absent or bare) up to
+// sim::kMaxReasonableThreads. Throws util::Error naming the flag otherwise.
+std::size_t thread_count(const Args& args);
+
 // The request a report, sweep or timeline invocation describes: the verb's
 // CLI defaults (sweep seed 1859, timeline 64 trials), then each of its
 // scenario flags through server::set_field (a bare flag keeps the default),

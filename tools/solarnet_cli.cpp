@@ -78,6 +78,7 @@ commands:
                  default: the synthetic 72 h phase profile)
                --quiet-kp K (5; Kp floor below which no dose accrues)
                --s1 | --s2 | --uniform P (s1)  --step H (6)
+               --network submarine|intertubes|itu (submarine)
                --spacing KM (150)  --trials N (64)  --seed N (7)
                --threads N (auto)  --repair-steps N (24)
                --repair-step-days D (15)  --ships N (60)
@@ -142,7 +143,7 @@ core::World scenario_world() {
 int cmd_report(const Args& args) {
   const server::ScenarioRequest req =
       scenario_request(args, server::RequestKind::kReport);
-  const std::size_t threads = args.get_count_or("threads", 0);
+  const std::size_t threads = thread_count(args);
   const std::size_t every = args.get_count_or("checkpoint-every", 64);
   std::optional<core::ReportCheckpoint> checkpoint;
   if (const std::string path = args.get_or("checkpoint", ""); !path.empty()) {
@@ -164,7 +165,7 @@ int cmd_countries(const Args& args) {
   const auto net = datasets::make_submarine_network({});
   sim::TrialConfig cfg;
   cfg.repeater_spacing_km = args.get_double_or("spacing", 150.0);
-  cfg.threads = args.get_count_or("threads", 0);
+  cfg.threads = thread_count(args);
   const sim::FailureSimulator simulator(net, cfg);
   const auto s1 = gic::LatitudeBandFailureModel::s1();
   const auto s2 = gic::LatitudeBandFailureModel::s2();
@@ -244,7 +245,7 @@ int cmd_sweep(const Args& args) {
   const server::ScenarioRequest req =
       scenario_request(args, server::RequestKind::kSweep);
   const auto net = network_by_name(req.network);
-  const core::SweepBundle bundle(net, req, args.get_count_or("threads", 0));
+  const core::SweepBundle bundle(net, req, thread_count(args));
   const sim::SweepResult result = bundle.engine.run(req.trials, req.seed);
   std::cout << "batched sweep: " << net.cable_count() << " cables, "
             << req.trials << " trials, one CRN draw per cable per trial\n";
@@ -261,12 +262,12 @@ int cmd_sweep(const Args& args) {
   return 0;
 }
 
-// Long-lived scenario server. The expensive state (the generated World
-// with its three networks, the repeater layouts and resolved evaluators
-// that accumulate in the service's engine pools) is built once; requests
-// are newline-delimited JSON answered through the content-addressed result
-// cache. Protocol notes go to stderr so stdout stays pure NDJSON in
-// --stdin mode.
+// Long-lived scenario server. The generated World with its three networks
+// is built once; each network builds its CSR and attachment index on first
+// use and one repeater layout per spacing that its pooled engines share.
+// Requests are newline-delimited JSON answered through the
+// content-addressed result cache. Protocol notes go to stderr so stdout
+// stays pure NDJSON in --stdin mode.
 int cmd_serve(const Args& args) {
   // The cache budget is held in bytes: a size whose byte count does not
   // fit in size_t would wrap to a small (or zero) budget.
@@ -279,11 +280,11 @@ int cmd_serve(const Args& args) {
                           ", got '" + args.get_or("cache-mb", "") + "'",
                       {"command line", 0, "--cache-mb"});
   }
-  const core::World world = scenario_world();
-
   server::ServiceOptions opts;
   opts.cache.byte_budget = cache_mb << 20;
-  opts.threads = args.get_count_or("threads", 0);
+  opts.threads = thread_count(args);
+  const core::World world = scenario_world();
+
   server::ScenarioService service(server::ServiceContext::from_world(world),
                                   opts);
 
@@ -337,8 +338,8 @@ int cmd_mitigate(const Args& args) {
 int cmd_timeline(const Args& args) {
   const server::ScenarioRequest req =
       scenario_request(args, server::RequestKind::kTimeline);
-  const std::size_t threads = args.get_count_or("threads", 0);
-  const auto net = datasets::make_submarine_network({});
+  const std::size_t threads = thread_count(args);
+  const auto net = network_by_name(req.network);
 
   std::optional<sim::TimelineConfig> storm_axis;
   if (args.has("donki")) {
